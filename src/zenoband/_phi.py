@@ -3,6 +3,8 @@
 phi_j(z) = (e^z - sum_{m<j} z^m/m!) / z^j, the building blocks of
 exponential integrators and of exact oscillatory moments.  Closed forms
 cancel catastrophically for small |z|, so a Taylor series takes over there.
+The free 1/E^2 tail beyond a window edge has its moments in closed form
+through the sine and cosine integrals.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import sici
 
 _SMALL = 0.5
 _TERMS = 20
@@ -36,3 +39,17 @@ def phi_functions(z, nmax: int = 3):
             taylor[j - 1] = taylor[j - 1] + term / math.factorial(m + j)
         term = term * zs
     return [np.where(small, taylor[j], closed[j]) for j in range(nmax)]
+
+
+def free_tail_moments(W: float, t: float, head: float = 0.0):
+    """(head + Int_W^inf cos(Et)/E^2 dE, Int_W^inf sin(Et)/E^2 dE) for W > 0, t >= 0.
+
+    ``head`` is added before the Si term, so a caller that carries a
+    finite-range part of the same integral sums it in one fixed order.
+    """
+    if t == 0.0:
+        return head + 1.0 / W, 0.0
+    x = W * t
+    si, ci = sici(x)
+    return (head + math.cos(x) / W - t * (math.pi / 2.0 - si),
+            math.sin(x) / W - t * ci)

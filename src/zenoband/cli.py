@@ -9,21 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, ValidationError, ZenobandError
-from .scenario import (
-    FIG1_DEFAULTS,
-    FIG2_DEFAULTS,
-    FIG3_DEFAULTS,
-    PRODUCTS,
-    load_scenario,
-    run_scenario,
-)
-
-_DEFAULTS = {
-    "fig1": FIG1_DEFAULTS,
-    "fig2": FIG2_DEFAULTS,
-    "fig3": FIG3_DEFAULTS,
-}
+from .errors import ConfigError, NoDetector, ValidationError, ZenobandError
+from .scenario import FIG_DEFAULTS, PRODUCTS, load_scenario, run_scenario
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,13 +53,13 @@ def main(argv=None) -> int:
             products=products,
             out_dir=args.out,
             threads=args.threads,
-            defaults=_DEFAULTS.get(args.command),
+            defaults=FIG_DEFAULTS.get(args.command),
         )
         if args.command == "sweep" and not (
                 cfg.sweep_eta or cfg.sweep_delta or cfg.sweep_detuning):
             raise ConfigError("sweep requires at least one sweep_* key in the config")
         files, lines = run_scenario(cfg)
-    except (ConfigError, ValidationError, FileNotFoundError) as exc:
+    except (ConfigError, ValidationError, NoDetector, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except ZenobandError as exc:

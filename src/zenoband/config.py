@@ -79,10 +79,7 @@ def model_params_from_dict(kv: dict) -> ModelParams:
         center=_as_float("center", kv["center"]) if "center" in kv else None,
     )
     numerics = NumericalControls(
-        cutoff=_as_float("cutoff", kv["cutoff"]) if "cutoff" in kv else None,
-        dk=_as_float("dk", kv["dk"]) if "dk" in kv else None,
-        horizon=_as_float("horizon", kv["horizon"]) if "horizon" in kv else None,
-        step=_as_float("step", kv["step"]) if "step" in kv else None,
+        **{k: _as_float(k, kv[k]) for k in ("cutoff", "dk", "horizon", "step") if k in kv},
         quad_tol=_as_float("quad_tol", kv.get("quad_tol", "1e-9")),
         allow_narrow_window=_as_bool("allow_narrow_window", kv["allow_narrow_window"])
         if "allow_narrow_window" in kv else False,
@@ -93,8 +90,3 @@ def model_params_from_dict(kv: dict) -> ModelParams:
         band=band,
         numerics=numerics,
     )
-
-
-def load_model_params(path) -> ModelParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_params_from_dict(parse_kv_text(fh.read()))

@@ -32,9 +32,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import sici
 
-from ._phi import phi_functions
+from ._phi import free_tail_moments, phi_functions
 from .errors import NoResponse, RevivalGuardViolated, ToleranceNotMet, WindowTooNarrow
 from .model import ValidatedModel, detector_response
 
@@ -48,21 +47,22 @@ __all__ = [
 ]
 
 REVIVAL_MARGIN = 4.0     # discrete recurrence must lie beyond this many horizons
+DEFECT_TOL = 1e-5        # largest norm defect propagate() accepts
+_DELAY_XTOL = 1e-6       # response_delay bracket width, relative to the horizon
 _THETA = math.pi / 4.0   # rotation angle of the beyond-K contour
 _N_ARC = 48              # quadrature nodes on the taper-ramp contour (per side)
 _N_RAY = 48              # quadrature nodes on the beyond-K ray (per side)
 _SCHED = 32.0            # step-doubling schedule: h <= t/_SCHED until cruise
 
 
-def _taper(u):
-    """C^3 ramp from 1 at u<=0 to 0 at u>=1 (order-7 smoothstep complement)."""
-    u = np.clip(u, 0.0, 1.0)
-    return 1.0 - u ** 4 * (35.0 - 84.0 * u + 70.0 * u ** 2 - 20.0 * u ** 3)
-
-
 def _ramp_poly(u):
     """Analytic continuation of (1 - taper) for complex arguments."""
     return u ** 4 * (35.0 - 84.0 * u + 70.0 * u ** 2 - 20.0 * u ** 3)
+
+
+def _taper(u):
+    """C^3 ramp from 1 at u<=0 to 0 at u>=1 (order-7 smoothstep complement)."""
+    return 1.0 - _ramp_poly(np.clip(u, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -221,7 +221,7 @@ class _Krogstad:
         N1 = N(u)
         a = self.E2 * u + self.q1 * N1
         N2 = N(a)
-        b = self.E2 * u + self.q1 * N1 + self.q2 * (N2 - N1)
+        b = a + self.q2 * (N2 - N1)
         N3 = N(b)
         c = self.E1 * u + self.hp1 * N1 + 2.0 * self.hp2 * (N3 - N1)
         N4 = N(c)
@@ -237,35 +237,30 @@ def _tail_norm(dm: DiscretizedModel, t: np.ndarray, F: np.ndarray) -> np.ndarray
         eps_tail(t) = 2 g2 J2 (|F|^2 + 1) - 4 g2 Re[F(t) conj(F0)] Phi(t)
 
     with J2 the one-sided Int (1-W)/k^2 and Phi its cos(kt)-weighted version
-    (ramp numerically, beyond-K part via Si).  Exact at t = 0.
+    (ramp numerically, beyond-K part via Si).  Exact at t = 0, where Phi = J2.
     """
     g2 = dm.gamma / (2.0 * math.pi)
-    K = dm.cutoff
     kk, prof = dm.tail_k, dm.tail_profile
     wk = prof / kk ** 2
     out = np.empty(len(t))
     for i, tt in enumerate(t):
-        if tt == 0.0:
-            phi = dm.tail_j2
-        else:
-            ramp = np.trapezoid(wk * np.cos(kk * tt), kk)
-            si, _ = sici(K * tt)
-            phi = ramp + math.cos(K * tt) / K - tt * (math.pi / 2.0 - si)
+        ramp = np.trapezoid(wk * np.cos(kk * tt), kk)
+        phi, _ = free_tail_moments(dm.cutoff, tt, head=ramp)
         f = F[i]
         out[i] = (2.0 * g2 * (abs(f) ** 2 + 1.0) * dm.tail_j2
                   - 4.0 * g2 * f.real * phi)
     return out
 
 
-def propagate(dm: DiscretizedModel, sample_times: Optional[Sequence[float]] = None,
-              defect_tol: float = 1e-5) -> ProbabilityTrace:
+def propagate(dm: DiscretizedModel,
+              sample_times: Optional[Sequence[float]] = None) -> ProbabilityTrace:
     """Propagate |x,0,0> and sample (s, eps, r) at the requested times.
 
     Deterministic for fixed inputs.  The step grows as t/32 from the fastest
     pseudo-mode timescale up to the cruise step, every scale being resolved
     while it is still active; requested times are filled from the step
     records by cubic interpolation.  Raises :class:`ToleranceNotMet` if the
-    final bookkeeping defect exceeds ``defect_tol``.
+    bookkeeping defect exceeds ``DEFECT_TOL`` at any sample time.
     """
     T = dm.horizon
     if sample_times is None:
@@ -331,14 +326,14 @@ def propagate(dm: DiscretizedModel, sample_times: Optional[Sequence[float]] = No
     eps = sp_eps(ts) + _tail_norm(dm, ts, F_s)
     r = sp_r(ts)
     defect = np.abs(1.0 - (s + eps + r))
-    if defect.max() > defect_tol:
+    if defect.max() > DEFECT_TOL:
         raise ToleranceNotMet(
-            f"norm defect {defect.max():.3e} exceeds {defect_tol:.1e}")
+            f"norm defect {defect.max():.3e} exceeds {DEFECT_TOL:.1e}")
     return ProbabilityTrace(t=ts, s=s, eps=eps, r=r, norm_defect=defect,
                             gamma=dm.gamma, amplitude=F_s)
 
 
-def response_delay(trace: ProbabilityTrace, xtol: float = 1e-6) -> float:
+def response_delay(trace: ProbabilityTrace) -> float:
     """Delay d minimizing the mean-square gap between r(t) and 1 - s(t - d).
 
     Golden-section search on d in [0, T/2] over the overlap window [d, T].
@@ -360,7 +355,7 @@ def response_delay(trace: ProbabilityTrace, xtol: float = 1e-6) -> float:
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = mse(x1), mse(x2)
-    while hi - lo > xtol * T:
+    while hi - lo > _DELAY_XTOL * T:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
 from scipy.integrate import quad
 
 from .errors import BandEdge, QuadratureFailure, WindowTooNarrow
-from .model import DetectorBand, detector_response
+from .model import DetectorBand, _flat_band_arctan, detector_response
 
 __all__ = [
     "FormFactorGrid",
@@ -46,12 +46,11 @@ def free_value(gamma: float) -> float:
 
 @dataclass(frozen=True)
 class FormFactorGrid:
-    """Tabulated |g_mu|^2 with the window and tolerance it was built at."""
+    """Tabulated |g_mu|^2 with the window it was built at."""
 
     mu: np.ndarray
     g2: np.ndarray
     window: Tuple[float, float]
-    quad_tol: float
     gamma: float
     band: DetectorBand
 
@@ -98,7 +97,7 @@ def renormalized_form_factor(band: DetectorBand, gamma: float, mu: float,
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if band.center is None:
-        band = DetectorBand(band.eta, band.delta, band.n, 0.0)
+        band = replace(band, center=0.0)
     pref = free_value(gamma)
     if band.eta == 0.0:
         return pref
@@ -174,9 +173,7 @@ def analytic_flat_band(gamma: float, eta: float, delta: float, mu: float,
     d = mu - center
     if eta == 0.0:
         return pref
-    a = eta / 2.0
-    smooth = (gamma / (2.0 * math.pi ** 2)) * (
-        math.atan((d + delta) / a) - math.atan((d - delta) / a))
+    smooth = (gamma / (2.0 * math.pi ** 2)) * _flat_band_arctan(d, eta, delta)
     if abs(d) == delta:
         raise BandEdge(
             f"mu - center = {d:+g} is exactly at the band edge (delta={delta})",
@@ -186,14 +183,14 @@ def analytic_flat_band(gamma: float, eta: float, delta: float, mu: float,
     return smooth
 
 
-def _edge_ladder(edge, direction, limit, s_min, ratio):
-    """Points marching away from a band edge with geometrically growing spacing."""
+def _ladder(start, stop, s0, ratio):
+    """Geometric march from ``start`` toward ``stop`` with initial step s0."""
     pts = []
-    x = edge
-    s = s_min
+    x, s = start, s0
+    sgn = 1.0 if stop > start else -1.0
     while True:
-        x = x + direction * s
-        if (direction > 0 and x >= limit) or (direction < 0 and x <= limit):
+        x = x + sgn * s
+        if (stop - x) * sgn <= 0:
             break
         pts.append(x)
         s *= ratio
@@ -213,7 +210,7 @@ def form_factor_grid(band: DetectorBand, gamma: float,
     decayed to the 1e-6 level needed by the spectral route.
     """
     if band.center is None:
-        band = DetectorBand(band.eta, band.delta, band.n, 0.0)
+        band = replace(band, center=0.0)
     c, delta = band.center, band.delta
     if window is None:
         half = max(50.0 * delta, 10.0 * band.eta, 550.0 * gamma)
@@ -228,8 +225,8 @@ def form_factor_grid(band: DetectorBand, gamma: float,
     s_min = delta / 200.0
     pts = {lo, hi, c, c - delta, c + delta}
     for edge in (c - delta, c + delta):
-        for direction, limit in ((+1, hi), (-1, lo)):
-            pts.update(_edge_ladder(edge, direction, limit, s_min, ratio))
+        for limit in (hi, lo):
+            pts.update(_ladder(edge, limit, s_min, ratio))
     base = np.asarray(sorted(pts))
     # top up with uniform coverage so large gaps between ladders are filled
     n_fill = max(n_points - len(base), 0)
@@ -242,8 +239,7 @@ def form_factor_grid(band: DetectorBand, gamma: float,
             base = np.unique(np.concatenate([base] + fill))
     mu = base
     g2 = np.array([renormalized_form_factor(band, gamma, m, tol) for m in mu])
-    return FormFactorGrid(mu=mu, g2=g2, window=(lo, hi), quad_tol=tol,
-                          gamma=gamma, band=band)
+    return FormFactorGrid(mu=mu, g2=g2, window=(lo, hi), gamma=gamma, band=band)
 
 
 def sum_rule_defect(grid: FormFactorGrid, gamma: float) -> float:

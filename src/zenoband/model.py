@@ -61,13 +61,6 @@ class DetectorBand:
     def is_flat(self) -> bool:
         return self.n is None
 
-    @property
-    def response_time(self) -> float:
-        """tau = 1/eta, the detector absorption timescale."""
-        if self.eta <= 0.0:
-            raise NoDetector("eta = 0: response time undefined")
-        return 1.0 / self.eta
-
     def violations(self):
         out = []
         if not np.isfinite(self.eta) or self.eta < 0.0:
@@ -128,11 +121,6 @@ class ValidatedModel:
     band: DetectorBand          # center resolved
     numerics: NumericalControls  # cutoff/dk/horizon/step resolved
 
-    @property
-    def detuning(self) -> float:
-        """Band-center offset from the atomic line, center - omega."""
-        return self.band.center - self.omega
-
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -142,10 +130,6 @@ class ConditionReport:
     ratio_response: float        # tau*Delta = Delta/eta
     suppression_estimate: float  # 2*pi*|g_Omega|^2/gamma, flat-band analytic
     verdict: str                 # "QZE-regime" | "weak-suppression" | "no-detection-overlap"
-
-
-def _default_horizon(gamma: float) -> float:
-    return 5.0 / gamma
 
 
 def _default_cutoff(gamma, band: DetectorBand, omega: float) -> float:
@@ -201,7 +185,7 @@ def validate_params(p: ModelParams) -> ValidatedModel:
             raise BadWindow(violations)
         raise ValidationError(violations)
 
-    horizon = num.horizon if num.horizon is not None else _default_horizon(p.gamma)
+    horizon = num.horizon if num.horizon is not None else 5.0 / p.gamma
     cutoff = num.cutoff if num.cutoff is not None else _default_cutoff(p.gamma, band, p.omega)
     dk = num.dk if num.dk is not None else _default_dk(p.gamma, band, horizon)
     step = num.step if num.step is not None else 0.01 / p.gamma
@@ -229,11 +213,18 @@ def detector_response(band: DetectorBand, k):
     return out if out.ndim else float(out)
 
 
-def qze_condition_report(
-    m: ValidatedModel,
-    linewidth_max: float = LINEWIDTH_RATIO_MAX,
-    response_max: float = RESPONSE_RATIO_MAX,
-) -> ConditionReport:
+def _flat_band_arctan(d: float, eta: float, delta: float) -> float:
+    """arctan((d + delta)/(eta/2)) - arctan((d - delta)/(eta/2)).
+
+    pi times the in-band Lorentzian weight of the flat band at offset
+    ``d`` from its center: the common factor of the flat-band g2 closed
+    form and of the suppression estimate.
+    """
+    a = eta / 2.0
+    return float(np.arctan((d + delta) / a) - np.arctan((d - delta) / a))
+
+
+def qze_condition_report(m: ValidatedModel) -> ConditionReport:
     """Evaluate the two monitoring-regime ratios and classify the scenario.
 
     The suppression estimate is the flat-band closed form
@@ -248,13 +239,12 @@ def qze_condition_report(
         raise NoDetector("eta = 0: no measurement, condition report undefined")
     ratio_lw = m.gamma / band.delta
     ratio_rs = band.delta / band.eta
-    a = band.eta / 2.0
     d = m.omega - band.center
-    supp = (np.arctan((d + band.delta) / a) - np.arctan((d - band.delta) / a)) / np.pi
+    supp = _flat_band_arctan(d, band.eta, band.delta) / np.pi
     if abs(d) > band.delta:
         supp += 1.0  # undamped out-of-band modes carry the free weight
         verdict = "no-detection-overlap"
-    elif ratio_lw <= linewidth_max and ratio_rs <= response_max:
+    elif ratio_lw <= LINEWIDTH_RATIO_MAX and ratio_rs <= RESPONSE_RATIO_MAX:
         verdict = "QZE-regime"
     else:
         verdict = "weak-suppression"

@@ -7,11 +7,12 @@ so reruns with the same config are byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +28,7 @@ __all__ = [
     "load_scenario",
     "run_scenario",
     "PRODUCTS",
-    "FIG1_DEFAULTS",
+    "FIG_DEFAULTS",
     "FIG2_RATIOS",
     "FIG3_SETS",
     "write_csv",
@@ -38,12 +39,15 @@ PRODUCTS = ("formfactor", "evolve", "spectral", "report", "fig1", "fig2", "fig3"
 
 SCENARIO_KEYS = {"products", "sweep_eta", "sweep_delta", "sweep_detuning", "out"}
 
-# Figure defaults in units of gamma = 1 (band half-width from 2*pi*Delta/gamma).
-FIG1_DEFAULTS = {"gamma": "1", "delta": repr(100.0 / (2.0 * math.pi)), "eta": "1.5", "n": "6"}
+# Figure defaults in units of gamma = 1 (band half-width from 2*pi*Delta/gamma),
+# keyed by the CLI command that starts from them.
+FIG_DEFAULTS = {
+    "fig1": {"gamma": "1", "delta": repr(100.0 / (2.0 * math.pi)), "eta": "1.5", "n": "6"},
+    "fig2": {"gamma": "1", "delta": repr(100.0 / (2.0 * math.pi)), "n": "6"},
+    "fig3": {"gamma": "1", "n": "6"},
+}
 FIG2_RATIOS = (0.01, 0.1, 1.0)  # eta / (2 pi Delta)
-FIG2_DEFAULTS = {"gamma": "1", "delta": repr(100.0 / (2.0 * math.pi)), "n": "6"}
 FIG3_SETS = ((100.0, 100.0), (100.0, 10.0), (1000.0, 1000.0))  # {2piDelta/gamma, eta/gamma}
-FIG3_DEFAULTS = {"gamma": "1", "n": "6"}
 
 
 @dataclass(frozen=True)
@@ -76,10 +80,10 @@ def load_scenario(path=None, overrides: Optional[Dict[str, str]] = None,
     explicit_kv.update(overrides or {})
     kv = dict(defaults or {})
     kv.update(explicit_kv)
-
-    unknown = sorted(set(kv) - MODEL_KEYS - SCENARIO_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    # every key left after the scenario keys must be a model key
+    model_kv = {k: v for k, v in kv.items() if k not in SCENARIO_KEYS}
+    model_kv.setdefault("gamma", "1")
+    params = model_params_from_dict(model_kv)
 
     def _floats(key):
         if key not in kv:
@@ -97,11 +101,6 @@ def load_scenario(path=None, overrides: Optional[Dict[str, str]] = None,
     bad = [p for p in prods if p not in PRODUCTS]
     if bad:
         raise ConfigError(f"unknown product(s): {', '.join(bad)}")
-
-    model_kv = {k: v for k, v in kv.items() if k in MODEL_KEYS}
-    if "gamma" not in model_kv:
-        model_kv["gamma"] = "1"
-    params = model_params_from_dict(model_kv)
     return ScenarioConfig(
         params=params,
         products=prods,
@@ -114,20 +113,25 @@ def load_scenario(path=None, overrides: Optional[Dict[str, str]] = None,
     )
 
 
+def _write_lines(path, lines: Iterable[str]) -> str:
+    """Stream ``lines`` to a temp file, then rename it onto ``path``."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+    os.replace(tmp, path)
+    return path
+
+
 def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
     """Atomically write plot-ready CSV with a mandatory header row."""
     cols = [np.asarray(c) for c in columns]
     n = len(cols[0])
     if any(len(c) != n for c in cols):
         raise ValueError("csv columns must have equal length")
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(n):
-            fh.write(",".join(repr(float(c[i])) for c in cols) + "\n")
-    os.replace(tmp, path)
-    return path
+    rows = (",".join(repr(float(c[i])) for c in cols) for i in range(n))
+    return _write_lines(path, itertools.chain([",".join(header)], rows))
 
 
 def read_csv(path):
@@ -136,15 +140,6 @@ def read_csv(path):
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     return header, [data[:, i] for i in range(data.shape[1])]
-
-
-def _write_text(path, lines: List[str]) -> str:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
-    return path
 
 
 def _evolve_samples(m) -> np.ndarray:
@@ -166,19 +161,24 @@ def product_report(cfg: ScenarioConfig, out_dir: str):
         f"suppression estimate 2*pi*|g_Omega|^2/gamma = {rep.suppression_estimate:.6g}",
         f"verdict: {rep.verdict}",
     ]
-    path = _write_text(os.path.join(out_dir, "report.txt"), lines)
+    path = _write_lines(os.path.join(out_dir, "report.txt"), lines)
     return [path], [f"report: {rep.verdict} (gamma/Delta={rep.ratio_linewidth:.4g}, "
                     f"tau*Delta={rep.ratio_response:.4g}, "
                     f"suppression~{rep.suppression_estimate:.4g})"]
 
 
+def _formfactor_csv(m, band: DetectorBand, path: str):
+    """Write the g2 grid of ``band`` to ``path``; return (path, grid, g2(omega))."""
+    tol = m.numerics.quad_tol
+    grid = form_factor_grid(band, m.gamma, tol=tol)
+    path = write_csv(path, ["mu", "g2", "g2_over_free"],
+                     [grid.mu, grid.g2, grid.g2 / free_value(m.gamma)])
+    return path, grid, renormalized_form_factor(band, m.gamma, m.omega, tol)
+
+
 def product_formfactor(cfg: ScenarioConfig, out_dir: str):
     m = validate_params(cfg.params)
-    grid = form_factor_grid(m.band, m.gamma, tol=m.numerics.quad_tol)
-    path = write_csv(os.path.join(out_dir, "formfactor.csv"),
-                     ["mu", "g2", "g2_over_free"],
-                     [grid.mu, grid.g2, grid.g2 / free_value(m.gamma)])
-    g2_line = renormalized_form_factor(m.band, m.gamma, m.omega, m.numerics.quad_tol)
+    path, grid, g2_line = _formfactor_csv(m, m.band, os.path.join(out_dir, "formfactor.csv"))
     summary = (f"formfactor: g2(omega)={g2_line:.6e}, "
                f"suppression={2 * math.pi * g2_line / m.gamma:.6f}")
     try:
@@ -226,34 +226,25 @@ def product_fig1(cfg: ScenarioConfig, out_dir: str):
     path = write_csv(os.path.join(out_dir, "fig1.csv"),
                      ["t", "one_minus_s", "eps", "r"],
                      [trace.t, 1.0 - trace.s, trace.eps, trace.r])
-    if m.band.eta > 0:
+    try:  # eta = 0 leaves r identically 0, which raises NoResponse
+        delay = response_delay(trace)
         tau = 1.0 / m.band.eta
-        try:
-            delay = response_delay(trace)
-            delay_txt = f"{delay:.4f} (tau={tau:.4f}, delay/tau={delay / tau:.3f})"
-        except NoResponse:
-            delay_txt = "n/a"
-    else:
+        delay_txt = f"{delay:.4f} (tau={tau:.4f}, delay/tau={delay / tau:.3f})"
+    except NoResponse:
         delay_txt = "n/a"
     return [path], [f"fig1: r(T)={trace.r[-1]:.4f}, response_delay={delay_txt}"]
 
 
 def product_fig2(cfg: ScenarioConfig, out_dir: str):
-    base = validate_params(cfg.params)
+    m = validate_params(cfg.params)
     paths, lines = [], []
     for ratio in FIG2_RATIOS:
-        band = DetectorBand(eta=ratio * 2.0 * math.pi * base.band.delta,
-                            delta=base.band.delta, n=base.band.n,
-                            center=base.band.center)
-        grid = form_factor_grid(band, base.gamma, tol=base.numerics.quad_tol)
+        band = replace(m.band, eta=ratio * 2.0 * math.pi * m.band.delta)
         tag = f"{ratio:g}".replace(".", "p")
-        paths.append(write_csv(os.path.join(out_dir, f"fig2_ratio{tag}.csv"),
-                               ["mu", "g2", "g2_over_free"],
-                               [grid.mu, grid.g2, grid.g2 / free_value(base.gamma)]))
-        g2_line = renormalized_form_factor(band, base.gamma, base.omega,
-                                           base.numerics.quad_tol)
+        path, _, g2_line = _formfactor_csv(m, band, os.path.join(out_dir, f"fig2_ratio{tag}.csv"))
+        paths.append(path)
         lines.append(f"fig2 eta/2piDelta={ratio:g}: g2(omega)/free="
-                     f"{g2_line / free_value(base.gamma):.6f}")
+                     f"{g2_line / free_value(m.gamma):.6f}")
     return paths, lines
 
 
@@ -261,11 +252,10 @@ def _fig3_band(cfg: ScenarioConfig, two_pi_delta: float, eta: float) -> Detector
     """Cited parameter set, except where the user pinned eta/delta explicitly."""
     gamma = cfg.params.gamma
     band = cfg.params.band
-    return DetectorBand(
+    return replace(
+        band,
         eta=band.eta if "eta" in cfg.explicit else eta * gamma,
         delta=band.delta if "delta" in cfg.explicit else two_pi_delta * gamma / (2 * math.pi),
-        n=band.n,
-        center=band.center,
     )
 
 
@@ -310,28 +300,36 @@ def _run_point(args):
 
 
 def _sweep_points(cfg: ScenarioConfig):
-    etas = cfg.sweep_eta or (None,)
-    deltas = cfg.sweep_delta or (None,)
-    dets = cfg.sweep_detuning or (None,)
-    for eta in etas:
-        for delta in deltas:
-            for det in dets:
-                band = cfg.params.band
-                new_band = DetectorBand(
-                    eta=band.eta if eta is None else eta,
-                    delta=band.delta if delta is None else delta,
-                    n=band.n,
-                    center=band.center if det is None else cfg.params.omega + det,
-                )
-                tags = [f"eta{eta:g}" if eta is not None else "",
-                        f"delta{delta:g}" if delta is not None else "",
-                        f"det{det:g}" if det is not None else ""]
-                sub = "_".join(t for t in tags if t) or "point"
-                params = replace(cfg.params, band=new_band)
-                explicit = cfg.explicit | ({"eta"} if eta is not None else set()) \
-                    | ({"delta"} if delta is not None else set())
-                yield (replace(cfg, params=params, explicit=frozenset(explicit)),
-                       os.path.join(cfg.out_dir, sub))
+    """(point config, output directory) per sweep point, eta outermost.
+
+    Raises :class:`ConfigError`, before yielding anything, when two values
+    of one sweep key format to the same subdirectory tag.
+    """
+    axes = []
+    for key, prefix in (("sweep_eta", "eta"), ("sweep_delta", "delta"),
+                        ("sweep_detuning", "det")):
+        tagged = {}
+        for v in getattr(cfg, key):
+            tag = f"{prefix}{v:g}"
+            if tag in tagged:
+                raise ConfigError(f"{key} values {tagged[tag]!r} and {v!r} both "
+                                  f"write to the subdirectory tag {tag!r}")
+            tagged[tag] = v
+        axes.append(list(tagged.items()) or [("", None)])
+    band = cfg.params.band
+    for (t_eta, eta), (t_delta, delta), (t_det, det) in itertools.product(*axes):
+        new_band = replace(
+            band,
+            eta=band.eta if eta is None else eta,
+            delta=band.delta if delta is None else delta,
+            center=band.center if det is None else cfg.params.omega + det,
+        )
+        sub = "_".join(t for t in (t_eta, t_delta, t_det) if t)
+        params = replace(cfg.params, band=new_band)
+        explicit = cfg.explicit | ({"eta"} if eta is not None else set()) \
+            | ({"delta"} if delta is not None else set())
+        yield (replace(cfg, params=params, explicit=frozenset(explicit)),
+               os.path.join(cfg.out_dir, sub))
 
 
 def run_scenario(cfg: ScenarioConfig) -> Tuple[List[str], List[str]]:
@@ -340,7 +338,7 @@ def run_scenario(cfg: ScenarioConfig) -> Tuple[List[str], List[str]]:
         raise ConfigError("no products requested")
     if not (cfg.sweep_eta or cfg.sweep_delta or cfg.sweep_detuning):
         return _run_point((cfg, cfg.out_dir))
-    points = list(_sweep_points(cfg))
+    points = list(_sweep_points(cfg))  # tag collisions raise before any point runs
     files, lines = [], []
     if cfg.threads > 1:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
-from scipy.special import sici
 
-from ._phi import phi_functions
+from ._phi import free_tail_moments, phi_functions
 from .errors import EdgeProximity, HorizonExceeded, UnderResolvedOscillation, WindowTooNarrow
-from .formfactor import FormFactorGrid, free_value, renormalized_form_factor
+from .formfactor import FormFactorGrid, _ladder, free_value, renormalized_form_factor
 from .model import ValidatedModel
 
 __all__ = [
@@ -29,6 +28,10 @@ __all__ = [
     "perturbative_decay",
     "stage_rates",
 ]
+
+_REFINE = 4               # Re Sigma quadrature nodes per form-factor grid cell
+_LINE_POINTS = 1200       # uniform energies across the dressed line
+_POINTS_PER_PERIOD = 16   # perturbative_decay samples per kernel period
 
 
 @dataclass(frozen=True)
@@ -43,12 +46,12 @@ class SpectralFunction:
     window: Tuple[float, float]
 
 
-def _refined_nodes(grid: FormFactorGrid, per_cell: int = 4) -> np.ndarray:
+def _refined_nodes(grid: FormFactorGrid) -> np.ndarray:
     """Grid nodes plus uniform subdivision of every cell."""
     mu = grid.mu
     parts = [mu]
-    for j in range(1, per_cell):
-        parts.append(mu[:-1] + np.diff(mu) * (j / per_cell))
+    for j in range(1, _REFINE):
+        parts.append(mu[:-1] + np.diff(mu) * (j / _REFINE))
     return np.sort(np.concatenate(parts))
 
 
@@ -60,6 +63,24 @@ def _subtracted_integral(nodes, g2n, E, g2E, dg2E, local):
         f = (g2n - g2E) / denom
     f = np.where(tiny, -dg2E, f)
     return np.trapezoid(f, nodes)
+
+
+def _sigma_parts(grid: FormFactorGrid, Es: np.ndarray):
+    """(Re Sigma, g2) at the energies ``Es``; see :func:`self_energy`."""
+    lo, hi = grid.window
+    spline = grid.interpolator()
+    nodes = _refined_nodes(grid)
+    g2n = spline(nodes)
+    g2E = spline(Es)
+    dg2E = spline.derivative()(Es)
+    local = np.interp(Es, grid.mu[:-1], np.diff(grid.mu))
+    re = np.empty_like(Es)
+    free = free_value(grid.gamma)
+    for i, E in enumerate(Es):
+        val = _subtracted_integral(nodes, g2n, E, g2E[i], dg2E[i], local[i])
+        val += (g2E[i] - free) * math.log(abs((E - lo) / (hi - E)))
+        re[i] = val
+    return re, g2E
 
 
 def self_energy(grid: FormFactorGrid, E: float) -> complex:
@@ -78,59 +99,11 @@ def self_energy(grid: FormFactorGrid, E: float) -> complex:
     if E < lo + 5 * sp_lo or E > hi - 5 * sp_hi:
         raise EdgeProximity(
             f"E={E} is within 5 grid spacings of the window edge {grid.window}")
-    spline = grid.interpolator()
-    nodes = _refined_nodes(grid)
-    g2n = spline(nodes)
-    g2E = float(spline(E))
-    dg2E = float(spline.derivative()(E))
-    local = float(np.interp(E, grid.mu[:-1], np.diff(grid.mu)))
-    re = _subtracted_integral(nodes, g2n, E, g2E, dg2E, local)
-    re += (g2E - free_value(grid.gamma)) * math.log(abs((E - lo) / (hi - E)))
-    return complex(re, -math.pi * g2E)
+    re, g2E = _sigma_parts(grid, np.array([E], dtype=float))
+    return complex(re[0], -math.pi * g2E[0])
 
 
-def _self_energy_real_many(grid: FormFactorGrid, Es: np.ndarray) -> np.ndarray:
-    """Vectorized Re Sigma over many energies (same formula as self_energy)."""
-    lo, hi = grid.window
-    spline = grid.interpolator()
-    nodes = _refined_nodes(grid)
-    g2n = spline(nodes)
-    g2E = spline(Es)
-    dg2E = spline.derivative()(Es)
-    local = np.interp(Es, grid.mu[:-1], np.diff(grid.mu))
-    out = np.empty_like(Es)
-    free = free_value(grid.gamma)
-    for i, E in enumerate(Es):
-        val = _subtracted_integral(nodes, g2n, E, g2E[i], dg2E[i], local[i])
-        val += (g2E[i] - free) * math.log(abs((E - lo) / (hi - E)))
-        out[i] = val
-    return out
-
-
-def _line_parameters(grid: FormFactorGrid, omega: float):
-    """Center and half-width of the dressed line."""
-    g2_line = float(grid.interpolator()(omega))
-    shift = float(self_energy(grid, omega).real)
-    return omega + shift, math.pi * g2_line
-
-
-def _ladder(start, stop, s0, ratio):
-    """Geometric march from ``start`` toward ``stop`` with initial step s0."""
-    pts = []
-    x, s = start, s0
-    sgn = 1.0 if stop > start else -1.0
-    while True:
-        x = x + sgn * s
-        if (stop - x) * sgn <= 0:
-            break
-        pts.append(x)
-        s *= ratio
-    return pts
-
-
-def spectral_function(grid: FormFactorGrid, omega: float,
-                      window: Optional[Tuple[float, float]] = None,
-                      n_points: int = 1200) -> SpectralFunction:
+def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
     """Normalized line shape A(E) = g2 / ((E - omega - Re Sigma)^2 + (pi g2)^2).
 
     The energy grid is dense across the dressed line (whose width can be far
@@ -141,21 +114,17 @@ def spectral_function(grid: FormFactorGrid, omega: float,
     for the region beyond the window.
     """
     lo_g, hi_g = grid.window
-    sp_lo = grid.mu[1] - grid.mu[0]
-    sp_hi = grid.mu[-1] - grid.mu[-2]
-    if window is None:
-        window = (lo_g + 6 * sp_lo, hi_g - 6 * sp_hi)
-    lo, hi = window
-    if not (lo_g < lo < hi < hi_g):
-        raise WindowTooNarrow(f"spectral window {window} must lie inside {grid.window}")
-    center, half_w = _line_parameters(grid, omega)
+    lo = lo_g + 6 * (grid.mu[1] - grid.mu[0])
+    hi = hi_g - 6 * (grid.mu[-1] - grid.mu[-2])
+    sigma = self_energy(grid, omega)
+    center, half_w = omega + sigma.real, -sigma.imag  # of the dressed line
     span = 45.0 * half_w
     if center - span <= lo or center + span >= hi:
         raise WindowTooNarrow(
-            f"window {window} cannot hold the line region {center}+-{span:g}")
+            f"window {(lo, hi)} cannot hold the line region {center}+-{span:g}")
 
-    fine = np.linspace(center - span, center + span, max(n_points, 400))
-    step0 = 2.0 * span / max(n_points, 400) * 4.0
+    fine = np.linspace(center - span, center + span, _LINE_POINTS)
+    step0 = 2.0 * span / _LINE_POINTS * 4.0
     parts = [fine,
              _ladder(center + span, hi, step0, 1.05),
              _ladder(center - span, lo, step0, 1.05),
@@ -169,8 +138,7 @@ def spectral_function(grid: FormFactorGrid, omega: float,
     # midpoint insertion can round onto an existing float; drop zero cells
     E = E[np.concatenate([[True], np.diff(E) > 1e-13 * (hi - lo)])]
 
-    re_sigma = _self_energy_real_many(grid, E)
-    g2E = grid.interpolator()(E)
+    re_sigma, g2E = _sigma_parts(grid, E)
     A = g2E / ((E - omega - re_sigma) ** 2 + (math.pi * g2E) ** 2)
     if A[0] > 1e-6 * A.max() or A[-1] > 1e-6 * A.max():
         raise WindowTooNarrow(
@@ -223,20 +191,13 @@ def survival_amplitude_spectral(sf: SpectralFunction, t) -> np.ndarray:
         val = cells.sum()
         # analytic tails: A ~ (gamma/2pi)/(E-omega)^2 outside the window
         for sgn, W in ((+1, Wp), (-1, Wm)):
-            x = W * tt
-            if tt == 0.0:
-                c_int, s_int = 1.0 / W, 0.0
-            else:
-                si, ci = sici(x)
-                c_int = math.cos(x) / W - tt * (math.pi / 2.0 - si)
-                s_int = math.sin(x) / W - tt * ci
+            c_int, s_int = free_tail_moments(W, tt)
             val += pref * np.exp(-1j * tt * sf.omega) * (c_int - 1j * sgn * s_int)
         out[i] = val
     return out if np.ndim(t) else out[0]
 
 
 def perturbative_decay(grid: FormFactorGrid, omega: float, t,
-                       points_per_period: int = 16,
                        max_points: int = 2_000_000) -> np.ndarray:
     """Lowest-order decay probability 1 - s(t).
 
@@ -244,15 +205,16 @@ def perturbative_decay(grid: FormFactorGrid, omega: float, t,
 
     The free part integrates to gamma*t exactly and is added in closed form;
     the deviation (g2 - gamma/2pi) is integrated numerically with at least
-    ``points_per_period`` samples per oscillation period of the sinc^2 kernel
-    at the largest requested time.
+    16 samples per oscillation period of the sinc^2 kernel at the largest
+    requested time; :class:`UnderResolvedOscillation` is raised when that
+    takes more than ``max_points`` samples.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr < 0.0):
         raise ValueError("t must be >= 0")
     lo, hi = grid.window
     t_max = t_arr.max()
-    spacing = (2.0 * np.pi / t_max) / points_per_period if t_max > 0 else (hi - lo)
+    spacing = (2.0 * np.pi / t_max) / _POINTS_PER_PERIOD if t_max > 0 else (hi - lo)
     n_unif = int(np.ceil((hi - lo) / spacing)) + 1
     if n_unif > max_points:
         raise UnderResolvedOscillation(
@@ -272,8 +234,7 @@ def perturbative_decay(grid: FormFactorGrid, omega: float, t,
     return out if np.ndim(t) else out[0]
 
 
-def stage_rates(m: ValidatedModel, tol: Optional[float] = None):
+def stage_rates(m: ValidatedModel):
     """(free rate, suppressed rate) = (gamma, 2 pi g2(omega))."""
-    tol = tol if tol is not None else m.numerics.quad_tol
-    g2_line = renormalized_form_factor(m.band, m.gamma, m.omega, tol)
+    g2_line = renormalized_form_factor(m.band, m.gamma, m.omega, m.numerics.quad_tol)
     return m.gamma, 2.0 * math.pi * g2_line

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
+from zenoband import scenario
 from zenoband import (
     DetectorBand,
     ModelParams,
@@ -39,11 +40,7 @@ from zenoband import (
 )
 
 GAMMA = 1.0
-FIG3_SETS = {
-    "solid": (100.0, 100.0),
-    "dotted": (100.0, 10.0),
-    "broken": (1000.0, 1000.0),
-}
+FIG3_SETS = dict(zip(("solid", "dotted", "broken"), scenario.FIG3_SETS))
 
 
 def _model(two_pi_delta, eta, n=6, center=None, horizon=5.0):

@@ -1,7 +1,8 @@
 import pytest
 
 from zenoband import ConfigError
-from zenoband.config import load_model_params, model_params_from_dict, parse_kv_text
+from zenoband.config import model_params_from_dict, parse_kv_text
+from zenoband.scenario import load_scenario
 
 
 GOOD = """
@@ -63,5 +64,5 @@ def test_malformed_line_is_error():
 def test_load_from_file(tmp_path):
     path = tmp_path / "scenario.cfg"
     path.write_text(GOOD)
-    p = load_model_params(path)
+    p = load_scenario(path).params
     assert p.band.delta == pytest.approx(15.915494309189535)

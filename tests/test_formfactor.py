@@ -7,6 +7,7 @@ from conftest import g2_oracle
 from zenoband import (
     BandEdge,
     DetectorBand,
+    QuadratureFailure,
     WindowTooNarrow,
     analytic_flat_band,
     form_factor_grid,
@@ -63,6 +64,13 @@ class TestRenormalizedFormFactor:
             got = renormalized_form_factor(band, GAMMA, mu, tol=1e-10)
             want = analytic_flat_band(GAMMA, 1.7, 1.0, mu, 0.0)
             assert got == pytest.approx(want, rel=1e-6)
+
+    def test_unreachable_tolerance_raises_quadrature_failure(self):
+        band = DetectorBand(eta=100.0, delta=15.9, n=6, center=0.0)
+        with pytest.raises(QuadratureFailure, match="mu=0.3"):
+            renormalized_form_factor(band, GAMMA, 0.3, tol=1e-16)
+        # one decade looser, the same point meets its error budget
+        assert renormalized_form_factor(band, GAMMA, 0.3, tol=1e-15) > 0.0
 
     def test_positive_everywhere(self):
         band = pl_band(1.0)

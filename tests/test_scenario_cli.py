@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from zenoband import ConfigError
 from zenoband.cli import main
 from zenoband.scenario import load_scenario, read_csv, run_scenario, write_csv
 
@@ -92,6 +93,15 @@ class TestScenarioProducts:
         assert (tmp_path / "out" / "eta50" / "report.txt").exists()
         assert (tmp_path / "out" / "eta100" / "report.txt").exists()
 
+    def test_sweep_tag_collision_is_config_error(self, tmp_path):
+        # both values format as "eta10"; the second point would overwrite the first
+        cfg = load_scenario(overrides={"delta": "15.9", "products": "report",
+                                       "sweep_eta": "10.000001, 10.000002"},
+                            out_dir=str(tmp_path / "out"))
+        with pytest.raises(ConfigError, match=r"10\.000001.*10\.000002.*eta10"):
+            run_scenario(cfg)
+        assert not (tmp_path / "out").exists()  # raised before any point ran
+
 
 class TestCli:
     def test_report_exit_zero(self, tmp_path, capsys):
@@ -107,6 +117,13 @@ class TestCli:
         rc = run_cli(["report", "--out", str(tmp_path), "--override", "bogus=1"])
         assert rc == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_report_without_detector_exit_one(self, tmp_path, capsys):
+        # the default config has eta = 0: a scenario error, not a numerical one
+        rc = run_cli(["report", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "eta" in err
 
     def test_missing_config_file_exit_one(self, tmp_path, capsys):
         rc = run_cli(["report", "--config", str(tmp_path / "nope.cfg")])
@@ -124,6 +141,12 @@ class TestCli:
                       "--override", "dk=0.5"])
         assert rc == 2
         assert "RevivalGuardViolated" in capsys.readouterr().err
+
+    def test_quadrature_failure_exit_two(self, tmp_path, capsys):
+        rc = run_cli(["formfactor", "--out", str(tmp_path), "--override", "eta=1",
+                      "--override", "delta=1", "--override", "quad_tol=1e-16"])
+        assert rc == 2
+        assert "QuadratureFailure" in capsys.readouterr().err
 
     def test_fig1_with_cheap_override(self, tmp_path, capsys):
         rc = run_cli(["fig1", "--out", str(tmp_path),
