@@ -28,17 +28,19 @@ def phi_functions(z, nmax: int = 3):
     partial = np.ones_like(z)
     zpow = np.ones_like(z)
     for j in range(1, nmax + 1):
-        closed.append((ez - partial) / zb ** j)
+        closed.append(np.asarray((ez - partial) / zb ** j))
         zpow = zpow * z
         partial = partial + zpow / math.factorial(j)
-    zs = np.where(small, z, 0.0)
-    taylor = [np.zeros_like(z) for _ in range(nmax)]
-    term = np.ones_like(z)
+    zs = z[small]
+    taylor = [np.zeros_like(zs) for _ in range(nmax)]
+    term = np.ones_like(zs)
     for m in range(_TERMS):
         for j in range(1, nmax + 1):
             taylor[j - 1] = taylor[j - 1] + term / math.factorial(m + j)
         term = term * zs
-    return [np.where(small, taylor[j], closed[j]) for j in range(nmax)]
+    for c, tay in zip(closed, taylor):
+        c[small] = tay
+    return closed
 
 
 def free_tail_moments(W: float, t: float, head: float = 0.0):

@@ -35,7 +35,7 @@ from scipy.interpolate import CubicSpline
 
 from ._phi import free_tail_moments, phi_functions
 from .errors import NoResponse, RevivalGuardViolated, ToleranceNotMet, WindowTooNarrow
-from .model import ValidatedModel, detector_response
+from .model import ValidatedModel, default_cutoff, detector_response
 
 __all__ = [
     "DiscretizedModel",
@@ -53,6 +53,7 @@ _THETA = math.pi / 4.0   # rotation angle of the beyond-K contour
 _N_ARC = 48              # quadrature nodes on the taper-ramp contour (per side)
 _N_RAY = 48              # quadrature nodes on the beyond-K ray (per side)
 _SCHED = 32.0            # step-doubling schedule: h <= t/_SCHED until cruise
+_TAIL_BLOCK = 2 ** 14    # elements per block of the tail-norm trapezoid
 
 
 def _ramp_poly(u):
@@ -151,8 +152,8 @@ def discretize_continuum(m: ValidatedModel) -> DiscretizedModel:
 
     Raises :class:`RevivalGuardViolated` when the grid spacing would place
     the discrete recurrence 2*pi/dk inside ``REVIVAL_MARGIN`` horizons, and
-    :class:`WindowTooNarrow` when the cutoff is below the default
-    10*max(delta, eta, gamma) rule without an explicit override.
+    :class:`WindowTooNarrow` when the cutoff is below
+    :func:`~zenoband.model.default_cutoff` without an explicit override.
     """
     num = m.numerics
     K, dk, T = num.cutoff, num.dk, num.horizon
@@ -160,10 +161,10 @@ def discretize_continuum(m: ValidatedModel) -> DiscretizedModel:
         raise RevivalGuardViolated(
             f"dk={dk:g} puts the recurrence 2pi/dk={2 * math.pi / dk:g} inside "
             f"{REVIVAL_MARGIN}*T={REVIVAL_MARGIN * T:g}")
-    need = 10.0 * max(m.band.delta, m.band.eta, m.gamma)
+    need = default_cutoff(m.gamma, m.band, m.omega)
     if K < need and not num.allow_narrow_window:
         raise WindowTooNarrow(
-            f"cutoff K={K:g} below 10*max(delta, eta, gamma)={need:g}; "
+            f"cutoff K={K:g} below the band-derived window {need:g}; "
             "set allow_narrow_window to override")
 
     g2 = m.gamma / (2.0 * math.pi)
@@ -196,36 +197,103 @@ def discretize_continuum(m: ValidatedModel) -> DiscretizedModel:
     )
 
 
-class _Krogstad:
-    """Exponential RK4 (Krogstad stages) for du/dt = L u + N(u), diagonal L."""
+class _StageRows:
+    """Krogstad stages x = E*u + f*v + d*w on the mode rows, as rows acting on u.
 
-    def __init__(self, L):
-        self.L = L
+    ``f`` is the atom amplitude at the start of the step and ``d`` a scalar
+    that differs per stage.  The atom row needs cF.x, and the flux row needs
+    sum 2 pi eta_j |x_j|^2 over the core modes, which expands as a quadratic
+    form in u: gE.|u|^2 + 2 Re(f conj(Rv.u) + d conj(Rw.u)) + constants.
+    """
+
+    def __init__(self, cF, eta, E, v, w):
+        n = len(eta)
+        Ec, vc, wc = E[:n], v[:n], w[:n]
+        self.cE, self.cv, self.cw = cF * E, np.dot(cF, v), np.dot(cF, w)
+        self.gE = eta * np.abs(Ec) ** 2
+        self.Rv, self.Rw = eta * Ec * vc.conj(), eta * Ec * wc.conj()
+        self.Svv, self.Sww = np.dot(eta, np.abs(vc) ** 2), np.dot(eta, np.abs(wc) ** 2)
+        self.Svw = np.dot(eta, vc * wc.conj())
+
+    def dots(self, u, abs2):
+        uc = u[:len(abs2)]
+        return np.dot(self.cE, u), np.dot(self.gE, abs2), np.dot(self.Rv, uc), np.dot(self.Rw, uc)
+
+    def stage(self, dots, f, d):
+        """(atom row -i cF.x, flux row) of the stage with scalar ``d``."""
+        cu, g, xv, xw = dots
+        flux = (g + 2.0 * (f * xv.conjugate() + d * xw.conjugate()).real
+                + abs(f) ** 2 * self.Svv + abs(d) ** 2 * self.Sww
+                + 2.0 * (f * d.conjugate() * self.Svw).real)
+        return -1j * (cu + f * self.cv + d * self.cw), flux
+
+
+class _ArrowheadKrogstad:
+    """Exponential RK4 (Krogstad stages) specialised to the arrowhead system.
+
+    The state is the atom amplitude f, the mode amplitudes u and the
+    absorbed probability r.  The mode rows of the nonlinear part are always
+    f*C with C = -i*[c_core, 1...1], so a stage is E*u plus multiples of
+    vectors that depend on h alone: ``set_step`` precomputes them, and a
+    step is dot products, scalar arithmetic and one in-place update of u.
+    """
+
+    def __init__(self, dm: DiscretizedModel):
+        # rows: atom, flux (L = 0), then core modes and tail pseudo-modes
+        self.L = -1j * np.concatenate([[dm.atom_shift, 0.0], dm.mode_energy - dm.omega,
+                                       dm.tail_poles])
+        self.cF = np.concatenate([dm.coupling.astype(complex), dm.tail_weights])
+        self.C = -1j * np.concatenate([dm.coupling, np.ones(len(dm.tail_poles))])
+        self.eta2pi = 2.0 * (-dm.mode_energy.imag)  # = 2*pi*eta_j, the absorption rate
 
     def set_step(self, h):
-        self.h = h
+        # Drop the old rows, then build one stage family at a time, so that
+        # few full-length temporaries are alive at once.
+        self.ab = self.cd = self.E1 = self.F = None
+        C, cF, eta = self.C, self.cF, self.eta2pi
         z = self.L * h
-        self.E1 = np.exp(z)
-        self.E2 = np.exp(z / 2.0)
-        p1h, p2h = phi_functions(z / 2.0, 2)
+        E2 = np.exp(z / 2.0)
+        q1, q2 = phi_functions(z / 2.0, 2)
+        q1 *= h / 2.0
+        q2 *= h
+        self.ab = _StageRows(cF, eta, E2[2:], q1[2:] * C, q2[2:] * C)
+        atom_ab = (E2[0], q1[0], q2[0])
+        del E2, q1, q2
+        E1 = np.exp(z)
         p1, p2, p3 = phi_functions(z, 3)
-        self.q1 = (h / 2.0) * p1h
-        self.q2 = h * p2h
-        self.hp1 = h * p1
-        self.hp2 = h * p2
-        self.f1 = h * (p1 - 3.0 * p2 + 4.0 * p3)
-        self.f2 = 2.0 * h * (p2 - 2.0 * p3)
-        self.f3 = h * (-p2 + 4.0 * p3)
+        del z
+        fs = (h * (p1 - 3.0 * p2 + 4.0 * p3), 2.0 * h * (p2 - 2.0 * p3), h * (-p2 + 4.0 * p3))
+        p1 *= h
+        p2 *= 2.0 * h
+        self.cd = _StageRows(cF, eta, E1[2:], p1[2:] * C, p2[2:] * C)
+        self.atom = (E1[0],) + atom_ab + (p1[0], p2[0]) + tuple(f[0] for f in fs)
+        self.flux_w = tuple(f[1].real for f in fs)
+        del p1, p2, p3
+        self.E1 = E1[2:]
+        self.F = tuple(f[2:] * C for f in fs)
 
-    def step(self, u, N):
-        N1 = N(u)
-        a = self.E2 * u + self.q1 * N1
-        N2 = N(a)
-        b = a + self.q2 * (N2 - N1)
-        N3 = N(b)
-        c = self.E1 * u + self.hp1 * N1 + 2.0 * self.hp2 * (N3 - N1)
-        N4 = N(c)
-        return self.E1 * u + self.f1 * N1 + self.f2 * (N2 + N3) + self.f3 * N4
+    def step(self, f, u, r, abs2):
+        """Advance by one step, ``u`` in place; ``abs2`` is |u_core|^2 on entry.
+
+        Returns the new (f, r, abs2).
+        """
+        e1, e2, q1, q2, hp1, hp2, f1, f2, f3 = self.atom
+        ab, cd = self.ab, self.cd
+        x_ab, x_cd = ab.dots(u, abs2), cd.dots(u, abs2)
+        n1, j1 = -1j * np.dot(self.cF, u), np.dot(self.eta2pi, abs2)
+        a0 = e2 * f + q1 * n1
+        n2, j2 = ab.stage(x_ab, f, 0.0)
+        b0 = a0 + q2 * (n2 - n1)
+        n3, j3 = ab.stage(x_ab, f, a0 - f)
+        c0 = e1 * f + hp1 * n1 + hp2 * (n3 - n1)
+        n4, j4 = cd.stage(x_cd, f, b0 - f)
+        g1, g2, g3 = self.flux_w
+        r += g1 * j1 + g2 * (j2 + j3) + g3 * j4
+        u *= self.E1
+        for coef, F in zip((f, a0 + b0, c0), self.F):
+            u += coef * F
+        uc = u[:len(abs2)]
+        return e1 * f + f1 * n1 + f2 * (n2 + n3) + f3 * n4, r, uc.real ** 2 + uc.imag ** 2
 
 
 def _tail_norm(dm: DiscretizedModel, t: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -242,14 +310,14 @@ def _tail_norm(dm: DiscretizedModel, t: np.ndarray, F: np.ndarray) -> np.ndarray
     g2 = dm.gamma / (2.0 * math.pi)
     kk, prof = dm.tail_k, dm.tail_profile
     wk = prof / kk ** 2
-    out = np.empty(len(t))
-    for i, tt in enumerate(t):
-        ramp = np.trapezoid(wk * np.cos(kk * tt), kk)
-        phi, _ = free_tail_moments(dm.cutoff, tt, head=ramp)
-        f = F[i]
-        out[i] = (2.0 * g2 * (abs(f) ** 2 + 1.0) * dm.tail_j2
-                  - 4.0 * g2 * f.real * phi)
-    return out
+    rows = max(1, _TAIL_BLOCK // len(kk))
+    ramp = np.concatenate([
+        np.trapezoid(wk * np.cos(kk * t[i:i + rows, None]), kk, axis=1)
+        for i in range(0, len(t), rows)])
+    phi = np.array([free_tail_moments(dm.cutoff, tt, head=hd)[0]
+                    for tt, hd in zip(t, ramp)])
+    return (2.0 * g2 * (np.abs(F) ** 2 + 1.0) * dm.tail_j2
+            - 4.0 * g2 * F.real * phi)
 
 
 def propagate(dm: DiscretizedModel,
@@ -269,62 +337,30 @@ def propagate(dm: DiscretizedModel,
     if np.any(ts < 0.0) or np.any(ts > T * (1 + 1e-12)):
         raise ValueError("sample_times must lie in [0, horizon]")
 
-    n_core = len(dm.k_grid)
-    c_core = dm.coupling
-    eta2pi = 2.0 * (-dm.mode_energy.imag)  # = 2*pi*eta_j, the absorption rate
-    L = np.concatenate([
-        [-1j * dm.atom_shift],
-        -1j * (dm.mode_energy - dm.omega),
-        -1j * dm.tail_poles,
-        [0.0],
-    ]).astype(complex)
-    cF = np.concatenate([c_core.astype(complex), dm.tail_weights])
-    n_modes = len(cF)
-    sl_modes = slice(1, 1 + n_modes)
-    sl_core = slice(1, 1 + n_core)
-
-    def N(u):
-        out = np.empty_like(u)
-        out[0] = -1j * np.dot(cF, u[sl_modes])
-        out[sl_modes] = -1j * u[0]          # pseudo-mode rows couple with weight 1
-        out[sl_core] = -1j * c_core * u[0]  # core rows carry the real couplings
-        out[-1] = np.dot(eta2pi, np.abs(u[sl_core]) ** 2)
-        return out
-
-    u = np.zeros(2 + n_modes, dtype=complex)
-    u[0] = 1.0
-    stepper = _Krogstad(L)
-    h0 = 0.25 / np.abs(L).max()
+    stepper = _ArrowheadKrogstad(dm)
+    h0 = 0.25 / np.abs(stepper.L).max()
     h_cruise = dm.step
     h = min(h0, h_cruise)
     stepper.set_step(h)
 
-    rec_t = [0.0]
-    rec_F = [1.0 + 0.0j]
-    rec_eps = [0.0]
-    rec_r = [0.0]
+    f, r = 1.0 + 0.0j, 0.0
+    u = np.zeros(len(stepper.cF), dtype=complex)
+    abs2 = np.zeros(len(dm.k_grid))
+    rec = [(0.0, f.real, f.imag, 0.0, r)]  # t, Re F, Im F, eps, r
     t = 0.0
     while t < T - 1e-12:
         if t / _SCHED >= 2.0 * h and 2.0 * h <= h_cruise:
             h = 2.0 * h
             stepper.set_step(h)
-        u = stepper.step(u, N)
+        f, r, abs2 = stepper.step(f, u, r, abs2)
         t += h
-        rec_t.append(t)
-        rec_F.append(complex(u[0]))
-        rec_eps.append(float(np.sum(np.abs(u[sl_core]) ** 2)))
-        rec_r.append(float(u[-1].real))
+        rec.append((t, f.real, f.imag, abs2.sum(), r))
 
-    rec_t = np.asarray(rec_t)
-    sp_re = CubicSpline(rec_t, np.real(rec_F))
-    sp_im = CubicSpline(rec_t, np.imag(rec_F))
-    sp_eps = CubicSpline(rec_t, rec_eps)
-    sp_r = CubicSpline(rec_t, rec_r)
-
-    F_s = sp_re(ts) + 1j * sp_im(ts)
+    rec = np.array(rec)
+    re_F, im_F, eps, r = CubicSpline(rec[:, 0], rec[:, 1:])(ts).T
+    F_s = re_F + 1j * im_F
     s = np.abs(F_s) ** 2
-    eps = sp_eps(ts) + _tail_norm(dm, ts, F_s)
-    r = sp_r(ts)
+    eps = eps + _tail_norm(dm, ts, F_s)
     defect = np.abs(1.0 - (s + eps + r))
     if defect.max() > DEFECT_TOL:
         raise ToleranceNotMet(

@@ -31,6 +31,7 @@ __all__ = [
     "ValidatedModel",
     "ConditionReport",
     "validate_params",
+    "default_cutoff",
     "detector_response",
     "qze_condition_report",
 ]
@@ -40,6 +41,7 @@ __all__ = [
 # ratios are always reported alongside.
 LINEWIDTH_RATIO_MAX = 0.1   # gamma/Delta
 RESPONSE_RATIO_MAX = 1.0    # tau*Delta = Delta/eta
+BAND_TAIL_TOL = 1e-4        # pi*eta_k/gamma below which a photon mode counts as free
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ class NumericalControls:
     horizon  -- propagation horizon T
     step     -- cruise step of the propagator
     quad_tol -- relative tolerance of form-factor quadratures
-    allow_narrow_window -- waive the K >= 10*max(delta, eta, gamma) default
+    allow_narrow_window -- waive the K >= default_cutoff(...) window rule
     """
 
     cutoff: Optional[float] = None
@@ -132,8 +134,20 @@ class ConditionReport:
     verdict: str                 # "QZE-regime" | "weak-suppression" | "no-detection-overlap"
 
 
-def _default_cutoff(gamma, band: DetectorBand, omega: float) -> float:
-    base = 10.0 * max(band.delta, band.eta, gamma)
+def default_cutoff(gamma, band: DetectorBand, omega: float) -> float:
+    """Smallest photon window K the propagator accepts without an override.
+
+    Ten half-bandwidths (and ten linewidths), widened to reach ten response
+    widths ``10*eta`` only as far as the band still damps its modes: beyond
+    ``K_band = 1.5*delta*(eta/(2*gamma*BAND_TAIL_TOL))**(1/n)`` the taper start
+    2K/3 sits where pi*eta_k/gamma has fallen to ``BAND_TAIL_TOL``, and the
+    modes there are free, which the contour tail poles carry exactly.  The
+    flat band damps nothing outside the band, so ``K_band = 0`` there.
+    """
+    k_band = 0.0
+    if not band.is_flat:
+        k_band = 1.5 * band.delta * (band.eta / (2.0 * gamma * BAND_TAIL_TOL)) ** (1.0 / band.n)
+    base = max(10.0 * band.delta, min(10.0 * band.eta, k_band), 10.0 * gamma)
     # Tail machinery in the propagator needs a minimum absolute window, and a
     # detuned band must still sit well inside the un-tapered core.
     base = max(base, 300.0 * gamma)
@@ -186,7 +200,7 @@ def validate_params(p: ModelParams) -> ValidatedModel:
         raise ValidationError(violations)
 
     horizon = num.horizon if num.horizon is not None else 5.0 / p.gamma
-    cutoff = num.cutoff if num.cutoff is not None else _default_cutoff(p.gamma, band, p.omega)
+    cutoff = num.cutoff if num.cutoff is not None else default_cutoff(p.gamma, band, p.omega)
     dk = num.dk if num.dk is not None else _default_dk(p.gamma, band, horizon)
     step = num.step if num.step is not None else 0.01 / p.gamma
     num = replace(num, cutoff=cutoff, dk=dk, horizon=horizon, step=step)

@@ -188,9 +188,15 @@ def product_formfactor(cfg: ScenarioConfig, out_dir: str):
     return [path], [summary]
 
 
+def _window(dm) -> str:
+    """The resolved photon window, for the summary lines."""
+    return f"cutoff={dm.cutoff:.6g}, core_modes={len(dm.k_grid)}"
+
+
 def product_evolve(cfg: ScenarioConfig, out_dir: str):
     m = validate_params(cfg.params)
-    trace = propagate(discretize_continuum(m), _evolve_samples(m))
+    dm = discretize_continuum(m)
+    trace = propagate(dm, _evolve_samples(m))
     path = write_csv(os.path.join(out_dir, "evolve.csv"),
                      ["t", "s", "eps", "r", "norm_defect"],
                      [trace.t, trace.s, trace.eps, trace.r, trace.norm_defect])
@@ -200,7 +206,7 @@ def product_evolve(cfg: ScenarioConfig, out_dir: str):
         summary += f", response_delay={response_delay(trace):.4f}"
     except NoResponse:
         summary += ", response_delay=n/a"
-    return [path], [summary]
+    return [path], [f"{summary}, {_window(dm)}"]
 
 
 def product_spectral(cfg: ScenarioConfig, out_dir: str):
@@ -222,7 +228,8 @@ def product_spectral(cfg: ScenarioConfig, out_dir: str):
 
 def product_fig1(cfg: ScenarioConfig, out_dir: str):
     m = validate_params(cfg.params)
-    trace = propagate(discretize_continuum(m), _evolve_samples(m))
+    dm = discretize_continuum(m)
+    trace = propagate(dm, _evolve_samples(m))
     path = write_csv(os.path.join(out_dir, "fig1.csv"),
                      ["t", "one_minus_s", "eps", "r"],
                      [trace.t, 1.0 - trace.s, trace.eps, trace.r])
@@ -232,7 +239,7 @@ def product_fig1(cfg: ScenarioConfig, out_dir: str):
         delay_txt = f"{delay:.4f} (tau={tau:.4f}, delay/tau={delay / tau:.3f})"
     except NoResponse:
         delay_txt = "n/a"
-    return [path], [f"fig1: r(T)={trace.r[-1]:.4f}, response_delay={delay_txt}"]
+    return [path], [f"fig1: r(T)={trace.r[-1]:.4f}, response_delay={delay_txt}, {_window(dm)}"]
 
 
 def product_fig2(cfg: ScenarioConfig, out_dir: str):

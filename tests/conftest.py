@@ -1,8 +1,11 @@
 import math
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from zenoband import detector_response
+from zenoband._phi import phi_functions
+from zenoband.dynamics import _SCHED, _tail_norm
 
 # One line per acceptance criterion, printed in the terminal summary so the
 # pass/fail table is visible regardless of output capture.
@@ -43,3 +46,82 @@ def g2_oracle(band, gamma, mu, n_base=200001, n_ladder=4000):
     if w == 0.0:
         out += gamma / (2.0 * math.pi)  # unresolvable peak degenerates to a delta
     return out
+
+
+class _Krogstad:
+    """Exponential RK4 (Krogstad stages) for du/dt = L u + N(u), diagonal L."""
+
+    def __init__(self, L):
+        self.L = L
+
+    def set_step(self, h):
+        z = self.L * h
+        self.E1 = np.exp(z)
+        self.E2 = np.exp(z / 2.0)
+        p1h, p2h = phi_functions(z / 2.0, 2)
+        p1, p2, p3 = phi_functions(z, 3)
+        self.q1 = (h / 2.0) * p1h
+        self.q2 = h * p2h
+        self.hp1 = h * p1
+        self.hp2 = h * p2
+        self.f1 = h * (p1 - 3.0 * p2 + 4.0 * p3)
+        self.f2 = 2.0 * h * (p2 - 2.0 * p3)
+        self.f3 = h * (-p2 + 4.0 * p3)
+
+    def step(self, u, N):
+        N1 = N(u)
+        a = self.E2 * u + self.q1 * N1
+        N2 = N(a)
+        b = a + self.q2 * (N2 - N1)
+        N3 = N(b)
+        c = self.E1 * u + self.hp1 * N1 + 2.0 * self.hp2 * (N3 - N1)
+        N4 = N(c)
+        return self.E1 * u + self.f1 * N1 + self.f2 * (N2 + N3) + self.f3 * N4
+
+
+def krogstad_reference(dm, ts):
+    """(s, eps, r) of ``propagate(dm, ts)`` from a generic, unstructured ERK4.
+
+    The full state [F, modes, r] is stepped with the nonlinear part N built
+    as a whole vector at every stage, on the same step schedule.  Slow, but
+    it shares no algebra with the structured production stepper.
+    """
+    n_core = len(dm.k_grid)
+    c_core = dm.coupling
+    eta2pi = 2.0 * (-dm.mode_energy.imag)
+    L = np.concatenate([
+        [-1j * dm.atom_shift],
+        -1j * (dm.mode_energy - dm.omega),
+        -1j * dm.tail_poles,
+        [0.0],
+    ]).astype(complex)
+    cF = np.concatenate([c_core.astype(complex), dm.tail_weights])
+    sl_modes = slice(1, 1 + len(cF))
+    sl_core = slice(1, 1 + n_core)
+
+    def N(u):
+        out = np.empty_like(u)
+        out[0] = -1j * np.dot(cF, u[sl_modes])
+        out[sl_modes] = -1j * u[0]          # pseudo-mode rows couple with weight 1
+        out[sl_core] = -1j * c_core * u[0]  # core rows carry the real couplings
+        out[-1] = np.dot(eta2pi, np.abs(u[sl_core]) ** 2)
+        return out
+
+    u = np.zeros(2 + len(cF), dtype=complex)
+    u[0] = 1.0
+    stepper = _Krogstad(L)
+    h = min(0.25 / np.abs(L).max(), dm.step)
+    stepper.set_step(h)
+    rec = [(0.0, 1.0 + 0.0j, 0.0, 0.0)]
+    t = 0.0
+    while t < dm.horizon - 1e-12:
+        if t / _SCHED >= 2.0 * h and 2.0 * h <= dm.step:
+            h = 2.0 * h
+            stepper.set_step(h)
+        u = stepper.step(u, N)
+        t += h
+        rec.append((t, complex(u[0]), float(np.sum(np.abs(u[sl_core]) ** 2)), u[-1].real))
+    rec_t, rec_F, rec_eps, rec_r = (np.array(x) for x in zip(*rec))
+    F = CubicSpline(rec_t, rec_F.real)(ts) + 1j * CubicSpline(rec_t, rec_F.imag)(ts)
+    eps = CubicSpline(rec_t, rec_eps)(ts) + _tail_norm(dm, ts, F)
+    return np.abs(F) ** 2, eps, CubicSpline(rec_t, rec_r)(ts)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import krogstad_reference
 
 from zenoband import (
     DetectorBand,
@@ -17,6 +18,8 @@ from zenoband import (
     response_delay,
     validate_params,
 )
+from zenoband._phi import free_tail_moments
+from zenoband.dynamics import _tail_norm
 
 FIG1_DELTA = 100.0 / (2 * math.pi)
 
@@ -139,6 +142,47 @@ class TestPropagate:
         b = propagate(dm, ts)
         np.testing.assert_array_equal(a.s, b.s)
         np.testing.assert_array_equal(a.r, b.r)
+
+
+class TestStructuredStepper:
+    """The arrowhead stepper against a generic ERK4 that builds N(x) in full."""
+
+    @pytest.mark.parametrize("kw", [
+        dict(eta=0.0),
+        dict(eta=1.5, delta=FIG1_DELTA, horizon=1.0),
+        dict(eta=2.0, delta=5.0, center=15.0),  # band detuned by 3 delta
+    ], ids=["eta0", "fig1", "detuned"])
+    def test_matches_generic_erk4(self, kw):
+        dm = discretize_continuum(model(**kw))
+        ts = np.linspace(0.0, dm.horizon, 201)
+        tr = propagate(dm, ts)
+        s, eps, r = krogstad_reference(dm, ts)
+        assert np.abs(tr.s - s).max() <= 1e-12
+        assert np.abs(tr.eps - eps).max() <= 1e-12
+        assert np.abs(tr.r - r).max() <= 1e-12
+
+
+class TestTailNorm:
+    @staticmethod
+    def loop(dm, t, F):
+        """One trapezoid per sample time, as before the blocked evaluation."""
+        g2 = dm.gamma / (2.0 * math.pi)
+        wk = dm.tail_profile / dm.tail_k ** 2
+        out = np.empty(len(t))
+        for i, tt in enumerate(t):
+            ramp = np.trapezoid(wk * np.cos(dm.tail_k * tt), dm.tail_k)
+            phi, _ = free_tail_moments(dm.cutoff, tt, head=ramp)
+            out[i] = (2.0 * g2 * (abs(F[i]) ** 2 + 1.0) * dm.tail_j2
+                      - 4.0 * g2 * F[i].real * phi)
+        return out
+
+    @pytest.mark.parametrize("kw", [dict(eta=0.0), dict(eta=1000.0, delta=1000 / (2 * math.pi))],
+                             ids=["several-rows-per-block", "one-row-per-block"])
+    def test_blocks_match_loop(self, kw):
+        dm = discretize_continuum(model(**kw))
+        t = np.linspace(0.0, dm.horizon, 203)
+        F = np.exp(-(0.5 + 0.3j) * t)
+        np.testing.assert_allclose(_tail_norm(dm, t, F), self.loop(dm, t, F), rtol=0, atol=1e-14)
 
 
 class TestDecayRateTrace:

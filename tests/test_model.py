@@ -11,10 +11,13 @@ from zenoband import (
     NonPositiveRate,
     NumericalControls,
     OddExponent,
+    WindowTooNarrow,
     detector_response,
+    discretize_continuum,
     qze_condition_report,
     validate_params,
 )
+from zenoband.model import BAND_TAIL_TOL, default_cutoff
 
 
 def band(eta=1.0, delta=1.0, n=6, center=0.0):
@@ -152,3 +155,48 @@ class TestConditionReport:
         assert rep.verdict == "no-detection-overlap"
         # out-of-band line sees enhancement, not suppression
         assert rep.suppression_estimate > 1.0
+
+
+def ten_width_cutoff(gamma, b, omega):
+    """The rule before the band-derived window: ten widths of delta, eta, gamma."""
+    base = max(10.0 * max(b.delta, b.eta, gamma), 300.0 * gamma)
+    off = abs(b.center - omega)
+    return max(base, off + 10.0 * max(b.delta, gamma)) if off > 0.0 else base
+
+
+class TestCutoffRule:
+    @pytest.mark.parametrize("n", [2, 6, None], ids=["n2", "n6", "flat"])
+    def test_between_floor_and_ten_width_rule(self, n):
+        for gamma in (1.0, 2.5):
+            for eta in (0.0, 0.5, 10.0, 100.0, 1e3, 1e4, 1e5):
+                for delta in (0.1, 1.0, 100 / (2 * math.pi), 1e3 / (2 * math.pi), 1e3):
+                    for det in (0.0, 2.0 * delta, -7.0 * delta):
+                        b = band(eta=eta, delta=delta, n=n, center=det)
+                        K = default_cutoff(gamma, b, 0.0)
+                        assert K <= ten_width_cutoff(gamma, b, 0.0)
+                        assert K >= max(300.0 * gamma, 10.0 * max(delta, gamma))
+
+    def test_band_sets_the_window_where_damping_fades(self):
+        # broken Fig. 3 set: K0 = 2K/3 sits where pi*eta_k/gamma = BAND_TAIL_TOL
+        b = band(eta=1000.0, delta=1000 / (2 * math.pi))
+        K = default_cutoff(1.0, b, 0.0)
+        assert 3000.0 < K < 3200.0
+        assert math.pi * detector_response(b, 2.0 * K / 3.0) == pytest.approx(BAND_TAIL_TOL,
+                                                                              rel=1e-2)
+
+    def test_flat_band_window_ignores_eta(self):
+        Ks = {default_cutoff(1.0, band(eta=eta, delta=50.0, n=None), 0.0)
+              for eta in (0.0, 1.0, 100.0, 1e4, 1e6)}
+        assert Ks == {500.0}
+
+    def test_explicit_cutoff_at_the_rule_edge(self):
+        b = DetectorBand(eta=1e3, delta=20.0, n=6)
+        K = default_cutoff(1.0, validate_params(ModelParams(gamma=1.0, band=b)).band, 0.0)
+        assert K > max(300.0, 10.0 * 20.0)  # the band term sets this window
+
+        def at(cutoff):
+            return validate_params(ModelParams(gamma=1.0, band=b,
+                                               numerics=NumericalControls(cutoff=cutoff)))
+        with pytest.raises(WindowTooNarrow):
+            discretize_continuum(at(K * (1.0 - 1e-9)))
+        assert discretize_continuum(at(K)).cutoff == K

@@ -1,0 +1,50 @@
+import math
+
+import numpy as np
+import pytest
+
+from zenoband._phi import phi_functions
+
+
+def phi_where(z, nmax):
+    """Frozen copy of the formula that ran the Taylor series over every element."""
+    z = np.asarray(z, dtype=complex)
+    small = np.abs(z) < 0.5
+    zb = np.where(small, 1.0, z)
+    ez = np.exp(np.where(small, 0.0, z))
+    closed = []
+    partial = np.ones_like(z)
+    zpow = np.ones_like(z)
+    for j in range(1, nmax + 1):
+        closed.append((ez - partial) / zb ** j)
+        zpow = zpow * z
+        partial = partial + zpow / math.factorial(j)
+    zs = np.where(small, z, 0.0)
+    taylor = [np.zeros_like(z) for _ in range(nmax)]
+    term = np.ones_like(z)
+    for m in range(20):
+        for j in range(1, nmax + 1):
+            taylor[j - 1] = taylor[j - 1] + term / math.factorial(m + j)
+        term = term * zs
+    return [np.where(small, taylor[j], closed[j]) for j in range(nmax)]
+
+
+def sample_points():
+    radii = np.array([1e-12, 1e-3, 0.2, 0.4999999, 0.5, 0.5000001, 0.8, 3.0, 40.0])
+    angles = np.linspace(0.0, 2.0 * math.pi, 13)  # includes +-pure imaginary and negative real
+    z = (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
+    extra = [0.0, 0.3j, -0.3j, 2.0j, -0.49, -0.51, -30.0, -700.0, -1e5, -1e5 + 1e3j]
+    return np.concatenate([extra, z])
+
+
+@pytest.mark.parametrize("nmax", [1, 2, 3])
+def test_bitwise_equal_to_where_formula(nmax):
+    z = sample_points()
+    assert (np.abs(z) < 0.5).any() and (np.abs(z) >= 0.5).any()
+    for new, old in zip(phi_functions(z, nmax), phi_where(z, nmax)):
+        assert new.tobytes() == old.tobytes()
+
+
+def test_scalar_argument():
+    for new, old in zip(phi_functions(0.25j, 3), phi_where(0.25j, 3)):
+        assert np.ndim(new) == 0 and complex(new) == complex(old)

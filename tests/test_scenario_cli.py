@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from zenoband import ConfigError
+from zenoband import ConfigError, DetectorBand, ModelParams, discretize_continuum, validate_params
 from zenoband.cli import main
 from zenoband.scenario import load_scenario, read_csv, run_scenario, write_csv
 
@@ -155,6 +155,18 @@ class TestCli:
         header, (t, oms, eps, r) = read_csv(tmp_path / "fig1.csv")
         assert header == ["t", "one_minus_s", "eps", "r"]
         assert r[-1] > 0.5
+
+    @pytest.mark.parametrize("product", ["evolve", "fig1"])
+    def test_summary_shows_resolved_window(self, tmp_path, capsys, product):
+        rc = run_cli([product, "--out", str(tmp_path), "--override", "gamma=1",
+                      "--override", "delta=20", "--override", "eta=1000"])
+        assert rc == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith(f"{product}:"))
+        m = validate_params(ModelParams(gamma=1.0, band=DetectorBand(eta=1000.0, delta=20.0)))
+        dm = discretize_continuum(m)
+        assert 300.0 < dm.cutoff < 10 * 1000.0  # the band, not 10*eta, set the window
+        assert line.endswith(f", cutoff={dm.cutoff:.6g}, core_modes={len(dm.k_grid)}")
 
     def test_fig2_emits_three_ordered_curves(self, tmp_path):
         rc = run_cli(["fig2", "--out", str(tmp_path)])
