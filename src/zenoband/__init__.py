@@ -31,7 +31,6 @@ from .errors import (
     QuadratureFailure,
     RevivalGuardViolated,
     ToleranceNotMet,
-    UnderResolvedOscillation,
     ValidationError,
     WindowTooNarrow,
     ZenobandError,

@@ -3,8 +3,8 @@
 phi_j(z) = (e^z - sum_{m<j} z^m/m!) / z^j, the building blocks of
 exponential integrators and of exact oscillatory moments.  Closed forms
 cancel catastrophically for small |z|, so a Taylor series takes over there.
-The free 1/E^2 tail beyond a window edge has its moments in closed form
-through the sine and cosine integrals.
+The free 1/E^2 tail beyond a window edge and the lowest-order decay kernel
+have their moments in closed form through the sine and cosine integrals.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ _TERMS = 20
 
 
 def phi_functions(z, nmax: int = 3):
-    """Return [phi_1(z), ..., phi_nmax(z)] elementwise for complex ``z``."""
+    """Return [phi_0(z) = e^z, phi_1(z), ..., phi_nmax(z)] elementwise for complex ``z``."""
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < _SMALL
     zb = np.where(small, 1.0, z)
-    ez = np.exp(np.where(small, 0.0, z))
+    ez = np.exp(z)
     closed = []
     partial = np.ones_like(z)
     zpow = np.ones_like(z)
@@ -40,7 +40,7 @@ def phi_functions(z, nmax: int = 3):
         term = term * zs
     for c, tay in zip(closed, taylor):
         c[small] = tay
-    return closed
+    return [ez] + closed
 
 
 def free_tail_moments(W: float, t: float, head: float = 0.0):
@@ -55,3 +55,18 @@ def free_tail_moments(W: float, t: float, head: float = 0.0):
     si, ci = sici(x)
     return (head + math.cos(x) / W - t * (math.pi / 2.0 - si),
             math.sin(x) / W - t * ci)
+
+
+def kernel_antiderivatives(x, t: float):
+    """Antiderivatives in x of (1 - cos(xt))/x^2 and (1 - cos(xt))/x, t >= 0.
+
+    With y = x*t they are t*(Si(y) - (1 - cos y)/y) and
+    Cin(y) = gamma_E + ln|y| - Ci(|y|), both taken as 0 at y = 0.
+    """
+    y = x * t
+    at0 = y == 0.0
+    ay = np.where(at0, 1.0, np.abs(y))
+    si, ci = sici(ay)
+    f0 = t * np.sign(y) * (si - 2.0 * np.sin(ay / 2.0) ** 2 / ay)
+    f1 = np.where(at0, 0.0, np.euler_gamma + np.log(ay) - ci)
+    return f0, f1

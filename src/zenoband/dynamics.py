@@ -252,15 +252,13 @@ class _ArrowheadKrogstad:
         self.ab = self.cd = self.E1 = self.F = None
         C, cF, eta = self.C, self.cF, self.eta2pi
         z = self.L * h
-        E2 = np.exp(z / 2.0)
-        q1, q2 = phi_functions(z / 2.0, 2)
+        E2, q1, q2 = phi_functions(z / 2.0, 2)
         q1 *= h / 2.0
         q2 *= h
         self.ab = _StageRows(cF, eta, E2[2:], q1[2:] * C, q2[2:] * C)
         atom_ab = (E2[0], q1[0], q2[0])
         del E2, q1, q2
-        E1 = np.exp(z)
-        p1, p2, p3 = phi_functions(z, 3)
+        E1, p1, p2, p3 = phi_functions(z, 3)
         del z
         fs = (h * (p1 - 3.0 * p2 + 4.0 * p3), 2.0 * h * (p2 - 2.0 * p3), h * (-p2 + 4.0 * p3))
         p1 *= h

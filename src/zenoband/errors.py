@@ -76,7 +76,3 @@ class EdgeProximity(ZenobandError):
 
 class HorizonExceeded(ZenobandError):
     """Requested time is beyond what the spectral grid can resolve."""
-
-
-class UnderResolvedOscillation(ZenobandError):
-    """Oscillatory quadrature would need more points than the configured cap."""

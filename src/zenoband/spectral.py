@@ -15,8 +15,8 @@ from typing import Tuple
 
 import numpy as np
 
-from ._phi import free_tail_moments, phi_functions
-from .errors import EdgeProximity, HorizonExceeded, UnderResolvedOscillation, WindowTooNarrow
+from ._phi import free_tail_moments, kernel_antiderivatives, phi_functions
+from .errors import EdgeProximity, HorizonExceeded, WindowTooNarrow
 from .formfactor import FormFactorGrid, _ladder, free_value, renormalized_form_factor
 from .model import ValidatedModel
 
@@ -30,8 +30,8 @@ __all__ = [
 ]
 
 _REFINE = 4               # Re Sigma quadrature nodes per form-factor grid cell
+_PERT_REFINE = 8          # perturbative_decay interpolation nodes per grid cell
 _LINE_POINTS = 1200       # uniform energies across the dressed line
-_POINTS_PER_PERIOD = 16   # perturbative_decay samples per kernel period
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,12 @@ class SpectralFunction:
     window: Tuple[float, float]
 
 
-def _refined_nodes(grid: FormFactorGrid) -> np.ndarray:
-    """Grid nodes plus uniform subdivision of every cell."""
+def _refined_nodes(grid: FormFactorGrid, per_cell: int) -> np.ndarray:
+    """Grid nodes plus uniform subdivision of every cell into ``per_cell`` parts."""
     mu = grid.mu
     parts = [mu]
-    for j in range(1, _REFINE):
-        parts.append(mu[:-1] + np.diff(mu) * (j / _REFINE))
+    for j in range(1, per_cell):
+        parts.append(mu[:-1] + np.diff(mu) * (j / per_cell))
     return np.sort(np.concatenate(parts))
 
 
@@ -69,7 +69,7 @@ def _sigma_parts(grid: FormFactorGrid, Es: np.ndarray):
     """(Re Sigma, g2) at the energies ``Es``; see :func:`self_energy`."""
     lo, hi = grid.window
     spline = grid.interpolator()
-    nodes = _refined_nodes(grid)
+    nodes = _refined_nodes(grid, _REFINE)
     g2n = spline(nodes)
     g2E = spline(Es)
     dg2E = spline.derivative()(Es)
@@ -184,7 +184,7 @@ def survival_amplitude_spectral(sf: SpectralFunction, t) -> np.ndarray:
     out = np.empty(len(t_arr), dtype=complex)
     for i, tt in enumerate(t_arr):
         z = -1j * tt * w
-        p1, p2 = phi_functions(z, 2)
+        _, p1, p2 = phi_functions(z, 2)
         m0 = w * p1
         m1 = w ** 2 * (p1 - p2)
         cells = np.exp(-1j * tt * E[:-1]) * (a * m0 + b * m1)
@@ -197,40 +197,30 @@ def survival_amplitude_spectral(sf: SpectralFunction, t) -> np.ndarray:
     return out if np.ndim(t) else out[0]
 
 
-def perturbative_decay(grid: FormFactorGrid, omega: float, t,
-                       max_points: int = 2_000_000) -> np.ndarray:
+def perturbative_decay(grid: FormFactorGrid, omega: float, t) -> np.ndarray:
     """Lowest-order decay probability 1 - s(t).
 
-    1 - s(t) = Int dmu g2(mu) sin^2((mu-omega)t/2) / ((mu-omega)/2)^2.
+    1 - s(t) = Int dmu g2(mu) sin^2(xt/2) / (x/2)^2 with x = mu - omega.
 
-    The free part integrates to gamma*t exactly and is added in closed form;
-    the deviation (g2 - gamma/2pi) is integrated numerically with at least
-    16 samples per oscillation period of the sinc^2 kernel at the largest
-    requested time; :class:`UnderResolvedOscillation` is raised when that
-    takes more than ``max_points`` samples.
+    The free part integrates to gamma*t exactly and is added in closed form.
+    The deviation (g2 - gamma/2pi) over the window is interpolated linearly
+    on every grid cell split into eight, and each cell is integrated exactly
+    against the kernel 2(1 - cos xt)/x^2 through its Si/Ci antiderivatives,
+    so the cost does not grow with t.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr < 0.0):
         raise ValueError("t must be >= 0")
-    lo, hi = grid.window
-    t_max = t_arr.max()
-    spacing = (2.0 * np.pi / t_max) / _POINTS_PER_PERIOD if t_max > 0 else (hi - lo)
-    n_unif = int(np.ceil((hi - lo) / spacing)) + 1
-    if n_unif > max_points:
-        raise UnderResolvedOscillation(
-            f"{n_unif} sample points needed for t={t_max:g}; cap is {max_points}")
-    nodes = np.unique(np.concatenate([np.linspace(lo, hi, max(n_unif, 2)), grid.mu]))
-    g2dev = grid.interpolator()(nodes) - free_value(grid.gamma)
+    nodes = _refined_nodes(grid, _PERT_REFINE)
+    dev = grid.interpolator()(nodes) - free_value(grid.gamma)
     x = nodes - omega
+    slope = np.diff(dev) / np.diff(x)
+    offset = dev[:-1] - slope * x[:-1]  # dev = offset + slope*x on each cell
     out = np.empty(len(t_arr))
     for i, tt in enumerate(t_arr):
-        if tt == 0.0:
-            out[i] = 0.0
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kern = np.sin(x * tt / 2.0) ** 2 / (x / 2.0) ** 2
-        kern = np.where(np.abs(x) < 1e-30, tt ** 2, kern)
-        out[i] = grid.gamma * tt + np.trapezoid(g2dev * kern, nodes)
+        f0, f1 = kernel_antiderivatives(x, tt)
+        cells = offset * np.diff(f0) + slope * np.diff(f1)
+        out[i] = grid.gamma * tt + 2.0 * cells.sum()
     return out if np.ndim(t) else out[0]
 
 

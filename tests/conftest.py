@@ -58,8 +58,8 @@ class _Krogstad:
         z = self.L * h
         self.E1 = np.exp(z)
         self.E2 = np.exp(z / 2.0)
-        p1h, p2h = phi_functions(z / 2.0, 2)
-        p1, p2, p3 = phi_functions(z, 3)
+        p1h, p2h = phi_functions(z / 2.0, 2)[1:]
+        p1, p2, p3 = phi_functions(z, 3)[1:]
         self.q1 = (h / 2.0) * p1h
         self.q2 = h * p2h
         self.hp1 = h * p1

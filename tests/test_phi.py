@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zenoband._phi import phi_functions
+from zenoband._phi import kernel_antiderivatives, phi_functions
 
 
 def phi_where(z, nmax):
@@ -41,10 +41,38 @@ def sample_points():
 def test_bitwise_equal_to_where_formula(nmax):
     z = sample_points()
     assert (np.abs(z) < 0.5).any() and (np.abs(z) >= 0.5).any()
-    for new, old in zip(phi_functions(z, nmax), phi_where(z, nmax)):
+    for new, old in zip(phi_functions(z, nmax)[1:], phi_where(z, nmax)):
         assert new.tobytes() == old.tobytes()
 
 
 def test_scalar_argument():
-    for new, old in zip(phi_functions(0.25j, 3), phi_where(0.25j, 3)):
+    for new, old in zip(phi_functions(0.25j, 3)[1:], phi_where(0.25j, 3)):
         assert np.ndim(new) == 0 and complex(new) == complex(old)
+
+
+def test_phi0_is_exp():
+    z = sample_points()
+    assert phi_functions(z, 2)[0].tobytes() == np.exp(z).tobytes()
+
+
+@pytest.mark.parametrize("t", [0.3, 3.0, 700.0])
+def test_kernel_antiderivatives_differentiate_to_kernel(t):
+    y = np.array([-40.0, -3.0, -0.7, -1e-3, 2e-3, 0.4, 1.3, 9.0, 250.0])
+    x = y / t
+    h = 1e-5 * np.abs(x)
+    up, dn = kernel_antiderivatives(x + h, t), kernel_antiderivatives(x - h, t)
+    one_minus_cos = 2.0 * np.sin(y / 2.0) ** 2
+    for j, want in enumerate((one_minus_cos / x ** 2, one_minus_cos / x)):
+        got = (up[j] - dn[j]) / (2.0 * h)
+        np.testing.assert_allclose(got, want, rtol=1e-6)
+
+
+def test_kernel_antiderivatives_vanish_and_are_continuous_at_zero():
+    t = 4.0
+    f0, f1 = kernel_antiderivatives(np.array([0.0, 0.0]), t)
+    assert np.all(f0 == 0.0) and np.all(f1 == 0.0)
+    f0, f1 = kernel_antiderivatives(np.array([-1e-8, -0.3e-8, 0.3e-8, 1e-8]) / t, t)
+    assert np.all(np.isfinite(f0)) and np.all(np.isfinite(f1))
+    assert np.abs(f0).max() < 1e-8 * t and np.abs(f1).max() < 1e-14
+    f0, f1 = kernel_antiderivatives(np.array([-2.0, 0.0, 5.0]), 0.0)
+    assert np.all(f0 == 0.0) and np.all(f1 == 0.0)

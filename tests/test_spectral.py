@@ -8,9 +8,11 @@ from zenoband import (
     EdgeProximity,
     HorizonExceeded,
     ModelParams,
-    UnderResolvedOscillation,
+    discretize_continuum,
     form_factor_grid,
+    free_value,
     perturbative_decay,
+    propagate,
     renormalized_form_factor,
     self_energy,
     spectral_function,
@@ -122,9 +124,32 @@ class TestPerturbativeDecay:
         late = perturbative_decay(solid_grid, 0.0, t_late)
         assert late == pytest.approx(supp * t_late, rel=0.05)
 
-    def test_oscillation_cap(self, solid_grid):
-        with pytest.raises(UnderResolvedOscillation):
-            perturbative_decay(solid_grid, 0.0, 5.0, max_points=100)
+    def test_late_slope_is_suppressed_rate(self, solid_grid):
+        # 16 samples per kernel period would need 5.09M nodes at t = 1000
+        late = perturbative_decay(solid_grid, 0.0, np.array([500.0, 1000.0]))
+        _, supp = stage_rates(validate_params(ModelParams(
+            gamma=GAMMA, band=DetectorBand(eta=100.0, delta=FIG_DELTA, n=6))))
+        assert (late[1] - late[0]) / 500.0 == pytest.approx(supp, rel=1e-5)
+
+    def test_matches_dense_sampling(self, solid_grid):
+        t = np.array([0.05, 0.2, 0.5, 1.0, 2.0, 5.0])
+        got = perturbative_decay(solid_grid, 0.0, t)
+        want = [perturbative_sampled(solid_grid, 0.0, tt, 64) for tt in t]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-5)
+
+
+def perturbative_sampled(grid, omega, t, per_period):
+    """Frozen trapezoid form of Eq. 11: uniform samples of the sinc^2 kernel, t > 0."""
+    lo, hi = grid.window
+    spacing = (2.0 * np.pi / t) / per_period
+    n_unif = int(np.ceil((hi - lo) / spacing)) + 1
+    nodes = np.unique(np.concatenate([np.linspace(lo, hi, n_unif), grid.mu]))
+    g2dev = grid.interpolator()(nodes) - free_value(grid.gamma)
+    x = nodes - omega
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kern = np.sin(x * t / 2.0) ** 2 / (x / 2.0) ** 2
+    kern = np.where(np.abs(x) < 1e-30, t ** 2, kern)
+    return grid.gamma * t + np.trapezoid(g2dev * kern, nodes)
 
 
 class TestStageRates:
@@ -160,13 +185,22 @@ class TestStageRates:
 
 
 class TestCrossMethod:
-    def test_solid_set_routes_agree(self, solid_grid):
-        from zenoband import discretize_continuum, propagate
-
-        m = validate_params(ModelParams(
-            gamma=GAMMA, band=DetectorBand(eta=100.0, delta=FIG_DELTA, n=6)))
+    @staticmethod
+    def gap(band, grid):
+        m = validate_params(ModelParams(gamma=GAMMA, band=band))
         ts = np.linspace(0.0, 5.0, 101)
         s_dyn = propagate(discretize_continuum(m), ts).s
-        sf = spectral_function(solid_grid, 0.0)
+        sf = spectral_function(grid, 0.0)
         s_spec = np.abs(survival_amplitude_spectral(sf, ts)) ** 2
-        assert np.abs(s_dyn - s_spec).max() < 1e-3
+        return np.abs(s_dyn - s_spec).max()
+
+    def test_solid_set_routes_agree(self, solid_grid):
+        band = DetectorBand(eta=100.0, delta=FIG_DELTA, n=6)
+        assert self.gap(band, solid_grid) < 1e-3
+
+    @pytest.mark.parametrize("band", [
+        DetectorBand(eta=100.0, delta=FIG_DELTA, n=6, center=2.0 * FIG_DELTA),
+        DetectorBand(eta=100.0, delta=FIG_DELTA, n=None, center=0.0),
+    ], ids=["detuned-2delta", "flat"])
+    def test_routes_agree(self, band):
+        assert self.gap(band, form_factor_grid(band, GAMMA, tol=1e-9)) < 1e-3
