@@ -21,7 +21,9 @@ machine precision while decaying too fast to ring, at the price of one exact
 counter-term on the atom diagonal (the arc-at-infinity mismatch of the two
 rotated rays, -2i*theta*g^2).  The photon norm carried by the tapered tail
 is restored by a closed-form channel so the probability bookkeeping still
-closes to <1e-6.
+closes to <1e-6.  The detector response r never feeds back into the
+amplitudes, so it is not stepped: it is the time integral of the absorbed
+flux sum_j 2 pi eta_j |F_j|^2, recorded after every step.
 """
 
 from __future__ import annotations
@@ -99,8 +101,10 @@ class DiscretizedModel:
 class ProbabilityTrace:
     """Sampled probabilities with an independent bookkeeping channel.
 
-    ``r`` is accumulated from the absorbed flux sum_j 2 pi eta_j |F_j|^2, not
-    from 1 - s - eps, so ``norm_defect`` is a genuine consistency check.
+    ``r`` is the antiderivative of the cubic spline through the absorbed flux
+    sum_j 2 pi eta_j |F_j|^2 recorded after every step, the same records
+    that give F and eps.  It is never formed from 1 - s - eps, so
+    ``norm_defect`` is a genuine consistency check.
     """
 
     t: np.ndarray
@@ -197,65 +201,34 @@ def discretize_continuum(m: ValidatedModel) -> DiscretizedModel:
     )
 
 
-class _StageRows:
-    """Krogstad stages x = E*u + f*v + d*w on the mode rows, as rows acting on u.
-
-    ``f`` is the atom amplitude at the start of the step and ``d`` a scalar
-    that differs per stage.  The atom row needs cF.x, and the flux row needs
-    sum 2 pi eta_j |x_j|^2 over the core modes, which expands as a quadratic
-    form in u: gE.|u|^2 + 2 Re(f conj(Rv.u) + d conj(Rw.u)) + constants.
-    """
-
-    def __init__(self, cF, eta, E, v, w):
-        n = len(eta)
-        Ec, vc, wc = E[:n], v[:n], w[:n]
-        self.cE, self.cv, self.cw = cF * E, np.dot(cF, v), np.dot(cF, w)
-        self.gE = eta * np.abs(Ec) ** 2
-        self.Rv, self.Rw = eta * Ec * vc.conj(), eta * Ec * wc.conj()
-        self.Svv, self.Sww = np.dot(eta, np.abs(vc) ** 2), np.dot(eta, np.abs(wc) ** 2)
-        self.Svw = np.dot(eta, vc * wc.conj())
-
-    def dots(self, u, abs2):
-        uc = u[:len(abs2)]
-        return np.dot(self.cE, u), np.dot(self.gE, abs2), np.dot(self.Rv, uc), np.dot(self.Rw, uc)
-
-    def stage(self, dots, f, d):
-        """(atom row -i cF.x, flux row) of the stage with scalar ``d``."""
-        cu, g, xv, xw = dots
-        flux = (g + 2.0 * (f * xv.conjugate() + d * xw.conjugate()).real
-                + abs(f) ** 2 * self.Svv + abs(d) ** 2 * self.Sww
-                + 2.0 * (f * d.conjugate() * self.Svw).real)
-        return -1j * (cu + f * self.cv + d * self.cw), flux
-
-
 class _ArrowheadKrogstad:
     """Exponential RK4 (Krogstad stages) specialised to the arrowhead system.
 
-    The state is the atom amplitude f, the mode amplitudes u and the
-    absorbed probability r.  The mode rows of the nonlinear part are always
-    f*C with C = -i*[c_core, 1...1], so a stage is E*u plus multiples of
-    vectors that depend on h alone: ``set_step`` precomputes them, and a
-    step is dot products, scalar arithmetic and one in-place update of u.
+    The state is the atom amplitude f and the mode amplitudes u.  The mode
+    rows of the nonlinear part are always f*C with C = -i*[c_core, 1...1], so
+    a stage's mode rows are E*u + f*v + d*w with a scalar d per stage and
+    vectors v, w that depend on h alone.  The atom row only needs cF.x, so
+    ``set_step`` precomputes cF*E, cF.v and cF.w; a step is three dot
+    products, scalar arithmetic and one in-place update of u.
     """
 
     def __init__(self, dm: DiscretizedModel):
-        # rows: atom, flux (L = 0), then core modes and tail pseudo-modes
-        self.L = -1j * np.concatenate([[dm.atom_shift, 0.0], dm.mode_energy - dm.omega,
+        # rows: atom, then core modes and tail pseudo-modes
+        self.L = -1j * np.concatenate([[dm.atom_shift], dm.mode_energy - dm.omega,
                                        dm.tail_poles])
         self.cF = np.concatenate([dm.coupling.astype(complex), dm.tail_weights])
         self.C = -1j * np.concatenate([dm.coupling, np.ones(len(dm.tail_poles))])
-        self.eta2pi = 2.0 * (-dm.mode_energy.imag)  # = 2*pi*eta_j, the absorption rate
 
     def set_step(self, h):
         # Drop the old rows, then build one stage family at a time, so that
         # few full-length temporaries are alive at once.
         self.ab = self.cd = self.E1 = self.F = None
-        C, cF, eta = self.C, self.cF, self.eta2pi
+        C, cF = self.C, self.cF
         z = self.L * h
         E2, q1, q2 = phi_functions(z / 2.0, 2)
         q1 *= h / 2.0
         q2 *= h
-        self.ab = _StageRows(cF, eta, E2[2:], q1[2:] * C, q2[2:] * C)
+        self.ab = (cF * E2[1:], np.dot(cF, q1[1:] * C), np.dot(cF, q2[1:] * C))
         atom_ab = (E2[0], q1[0], q2[0])
         del E2, q1, q2
         E1, p1, p2, p3 = phi_functions(z, 3)
@@ -263,35 +236,28 @@ class _ArrowheadKrogstad:
         fs = (h * (p1 - 3.0 * p2 + 4.0 * p3), 2.0 * h * (p2 - 2.0 * p3), h * (-p2 + 4.0 * p3))
         p1 *= h
         p2 *= 2.0 * h
-        self.cd = _StageRows(cF, eta, E1[2:], p1[2:] * C, p2[2:] * C)
+        self.cd = (cF * E1[1:], np.dot(cF, p1[1:] * C), np.dot(cF, p2[1:] * C))
         self.atom = (E1[0],) + atom_ab + (p1[0], p2[0]) + tuple(f[0] for f in fs)
-        self.flux_w = tuple(f[1].real for f in fs)
         del p1, p2, p3
-        self.E1 = E1[2:]
-        self.F = tuple(f[2:] * C for f in fs)
+        self.E1 = E1[1:]
+        self.F = tuple(f[1:] * C for f in fs)
 
-    def step(self, f, u, r, abs2):
-        """Advance by one step, ``u`` in place; ``abs2`` is |u_core|^2 on entry.
-
-        Returns the new (f, r, abs2).
-        """
+    def step(self, f, u):
+        """Advance by one step, ``u`` in place; returns the new f."""
         e1, e2, q1, q2, hp1, hp2, f1, f2, f3 = self.atom
-        ab, cd = self.ab, self.cd
-        x_ab, x_cd = ab.dots(u, abs2), cd.dots(u, abs2)
-        n1, j1 = -1j * np.dot(self.cF, u), np.dot(self.eta2pi, abs2)
+        (ab_E, ab_v, ab_w), (cd_E, cd_v, cd_w) = self.ab, self.cd
+        x_ab, x_cd = np.dot(ab_E, u), np.dot(cd_E, u)
+        n1 = -1j * np.dot(self.cF, u)
         a0 = e2 * f + q1 * n1
-        n2, j2 = ab.stage(x_ab, f, 0.0)
+        n2 = -1j * (x_ab + f * ab_v)
         b0 = a0 + q2 * (n2 - n1)
-        n3, j3 = ab.stage(x_ab, f, a0 - f)
+        n3 = -1j * (x_ab + f * ab_v + (a0 - f) * ab_w)
         c0 = e1 * f + hp1 * n1 + hp2 * (n3 - n1)
-        n4, j4 = cd.stage(x_cd, f, b0 - f)
-        g1, g2, g3 = self.flux_w
-        r += g1 * j1 + g2 * (j2 + j3) + g3 * j4
+        n4 = -1j * (x_cd + f * cd_v + (b0 - f) * cd_w)
         u *= self.E1
         for coef, F in zip((f, a0 + b0, c0), self.F):
             u += coef * F
-        uc = u[:len(abs2)]
-        return e1 * f + f1 * n1 + f2 * (n2 + n3) + f3 * n4, r, uc.real ** 2 + uc.imag ** 2
+        return e1 * f + f1 * n1 + f2 * (n2 + n3) + f3 * n4
 
 
 def _tail_norm(dm: DiscretizedModel, t: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -325,8 +291,9 @@ def propagate(dm: DiscretizedModel,
     Deterministic for fixed inputs.  The step grows as t/32 from the fastest
     pseudo-mode timescale up to the cruise step, every scale being resolved
     while it is still active; requested times are filled from the step
-    records by cubic interpolation.  Raises :class:`ToleranceNotMet` if the
-    bookkeeping defect exceeds ``DEFECT_TOL`` at any sample time.
+    records by cubic interpolation, and r by integrating the interpolated
+    flux.  Raises :class:`ToleranceNotMet` if the bookkeeping defect exceeds
+    ``DEFECT_TOL`` at any sample time.
     """
     T = dm.horizon
     if sample_times is None:
@@ -336,26 +303,28 @@ def propagate(dm: DiscretizedModel,
         raise ValueError("sample_times must lie in [0, horizon]")
 
     stepper = _ArrowheadKrogstad(dm)
-    h0 = 0.25 / np.abs(stepper.L).max()
-    h_cruise = dm.step
-    h = min(h0, h_cruise)
+    h = min(0.25 / np.abs(stepper.L).max(), dm.step)
     stepper.set_step(h)
 
-    f, r = 1.0 + 0.0j, 0.0
+    f = 1.0 + 0.0j
     u = np.zeros(len(stepper.cF), dtype=complex)
-    abs2 = np.zeros(len(dm.k_grid))
-    rec = [(0.0, f.real, f.imag, 0.0, r)]  # t, Re F, Im F, eps, r
+    uc = u[:len(dm.k_grid)]
+    eta2pi = 2.0 * (-dm.mode_energy.imag)  # = 2*pi*eta_j, the absorption rate
+    rec = [(0.0, f.real, f.imag, 0.0, 0.0)]  # t, Re F, Im F, eps, absorbed flux J
     t = 0.0
     while t < T - 1e-12:
-        if t / _SCHED >= 2.0 * h and 2.0 * h <= h_cruise:
+        if t / _SCHED >= 2.0 * h and 2.0 * h <= dm.step:
             h = 2.0 * h
             stepper.set_step(h)
-        f, r, abs2 = stepper.step(f, u, r, abs2)
+        f = stepper.step(f, u)
         t += h
-        rec.append((t, f.real, f.imag, abs2.sum(), r))
+        abs2 = uc.real ** 2 + uc.imag ** 2
+        rec.append((t, f.real, f.imag, abs2.sum(), np.dot(eta2pi, abs2)))
 
     rec = np.array(rec)
-    re_F, im_F, eps, r = CubicSpline(rec[:, 0], rec[:, 1:])(ts).T
+    spline = CubicSpline(rec[:, 0], rec[:, 1:])
+    re_F, im_F, eps, _ = spline(ts).T
+    r = spline.antiderivative()(ts)[:, 3]  # r = Int J dt
     F_s = re_F + 1j * im_F
     s = np.abs(F_s) ** 2
     eps = eps + _tail_norm(dm, ts, F_s)

@@ -145,10 +145,8 @@ def renormalized_form_factor(band: DetectorBand, gamma: float, mu: float,
         breaks = sorted({c - delta, c + delta, peak_lo, peak_hi})
         segs = [(-np.inf, breaks[0])] + list(zip(breaks[:-1], breaks[1:])) + [(breaks[-1], np.inf)]
         for a, b in segs:
-            if peak_lo <= a and b <= peak_hi:
-                continue  # covered by the substituted peak integral
-            if a == b:
-                continue
+            if a == b or (peak_lo <= a and b <= peak_hi):
+                continue  # empty, or covered by the substituted peak integral
             total += _quad_checked(f, a, b, tol, pref, pieces)
 
     err = sum(e for _, e in pieces)

@@ -296,14 +296,18 @@ _PRODUCT_FUNCS = {
 }
 
 
-def _run_point(args):
-    cfg, out_dir = args
+def _concat(results) -> Tuple[List[str], List[str]]:
+    """Join (files, lines) pairs in order."""
     files, lines = [], []
-    for prod in cfg.products:
-        f, s = _PRODUCT_FUNCS[prod](cfg, out_dir)
+    for f, s in results:
         files += f
         lines += s
     return files, lines
+
+
+def _run_point(args):
+    cfg, out_dir = args
+    return _concat(_PRODUCT_FUNCS[prod](cfg, out_dir) for prod in cfg.products)
 
 
 def _sweep_points(cfg: ScenarioConfig):
@@ -346,13 +350,7 @@ def run_scenario(cfg: ScenarioConfig) -> Tuple[List[str], List[str]]:
     if not (cfg.sweep_eta or cfg.sweep_delta or cfg.sweep_detuning):
         return _run_point((cfg, cfg.out_dir))
     points = list(_sweep_points(cfg))  # tag collisions raise before any point runs
-    files, lines = [], []
     if cfg.threads > 1:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(_run_point, points))
-    else:
-        results = [_run_point(p) for p in points]
-    for f, s in results:
-        files += f
-        lines += s
-    return files, lines
+            return _concat(pool.map(_run_point, points))
+    return _concat(map(_run_point, points))

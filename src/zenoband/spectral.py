@@ -32,6 +32,8 @@ __all__ = [
 _REFINE = 4               # Re Sigma quadrature nodes per form-factor grid cell
 _PERT_REFINE = 8          # perturbative_decay interpolation nodes per grid cell
 _LINE_POINTS = 1200       # uniform energies across the dressed line
+_EDGE_CELLS = 6           # edge-cell spacings trimmed off each side of the grid window
+_EDGE_CAP = 0.1           # largest trim, as a fraction of the half-window
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,15 @@ def _refined_nodes(grid: FormFactorGrid, per_cell: int) -> np.ndarray:
     for j in range(1, per_cell):
         parts.append(mu[:-1] + np.diff(mu) * (j / per_cell))
     return np.sort(np.concatenate(parts))
+
+
+def _usable_window(grid: FormFactorGrid) -> Tuple[float, float]:
+    """The grid window less ``_EDGE_CELLS`` edge-cell spacings per side, each
+    trim capped at ``_EDGE_CAP`` of the half-window so coarse grids keep it."""
+    lo, hi = grid.window
+    cap = _EDGE_CAP * 0.5 * (hi - lo)
+    return (lo + min(_EDGE_CELLS * (grid.mu[1] - grid.mu[0]), cap),
+            hi - min(_EDGE_CELLS * (grid.mu[-1] - grid.mu[-2]), cap))
 
 
 def _subtracted_integral(nodes, g2n, E, g2E, dg2E, local):
@@ -91,14 +102,13 @@ def self_energy(grid: FormFactorGrid, E: float) -> complex:
     g2(E)*ln((E - lo)/(hi - E)) combines with the free-value tails outside
     the window into (g2(E) - gamma/2pi)*ln((E - lo)/(hi - E)), which makes
     the flat case give exactly Re Sigma = 0 at every E.
-    Imaginary part: -pi * g2(E) from the interpolated grid.
+    Imaginary part: -pi * g2(E) from the interpolated grid.  Raises
+    :class:`EdgeProximity` for E outside the grid window less its edge cells.
     """
-    lo, hi = grid.window
-    sp_lo = grid.mu[1] - grid.mu[0]
-    sp_hi = grid.mu[-1] - grid.mu[-2]
-    if E < lo + 5 * sp_lo or E > hi - 5 * sp_hi:
+    lo, hi = _usable_window(grid)
+    if not lo <= E <= hi:
         raise EdgeProximity(
-            f"E={E} is within 5 grid spacings of the window edge {grid.window}")
+            f"E={E} is outside {(lo, hi)}, the grid window less its edge cells")
     re, g2E = _sigma_parts(grid, np.array([E], dtype=float))
     return complex(re[0], -math.pi * g2E[0])
 
@@ -113,9 +123,7 @@ def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
     budget.  The unit-area check adds the analytic 1/(E-omega)^2 tail mass
     for the region beyond the window.
     """
-    lo_g, hi_g = grid.window
-    lo = lo_g + 6 * (grid.mu[1] - grid.mu[0])
-    hi = hi_g - 6 * (grid.mu[-1] - grid.mu[-2])
+    lo, hi = _usable_window(grid)
     sigma = self_energy(grid, omega)
     center, half_w = omega + sigma.real, -sigma.imag  # of the dressed line
     span = 45.0 * half_w

@@ -80,11 +80,13 @@ class _Krogstad:
 
 
 def krogstad_reference(dm, ts):
-    """(s, eps, r) of ``propagate(dm, ts)`` from a generic, unstructured ERK4.
+    """(s, eps, r, r_row) of ``propagate(dm, ts)`` from a generic, unstructured ERK4.
 
-    The full state [F, modes, r] is stepped with the nonlinear part N built
-    as a whole vector at every stage, on the same step schedule.  Slow, but
-    it shares no algebra with the structured production stepper.
+    The full state [F, modes, r_row] is stepped with the nonlinear part N
+    built as a whole vector at every stage, on the same step schedule.  Slow,
+    but it shares no algebra with the structured production stepper.  ``r``
+    integrates the spline through the flux recorded after every step, the
+    rule ``propagate`` uses; ``r_row`` is the stepped flux ODE row.
     """
     n_core = len(dm.k_grid)
     c_core = dm.coupling
@@ -112,7 +114,7 @@ def krogstad_reference(dm, ts):
     stepper = _Krogstad(L)
     h = min(0.25 / np.abs(L).max(), dm.step)
     stepper.set_step(h)
-    rec = [(0.0, 1.0 + 0.0j, 0.0, 0.0)]
+    rec = [(0.0, 1.0 + 0.0j, 0.0, 0.0, 0.0)]
     t = 0.0
     while t < dm.horizon - 1e-12:
         if t / _SCHED >= 2.0 * h and 2.0 * h <= dm.step:
@@ -120,8 +122,11 @@ def krogstad_reference(dm, ts):
             stepper.set_step(h)
         u = stepper.step(u, N)
         t += h
-        rec.append((t, complex(u[0]), float(np.sum(np.abs(u[sl_core]) ** 2)), u[-1].real))
-    rec_t, rec_F, rec_eps, rec_r = (np.array(x) for x in zip(*rec))
+        abs2 = np.abs(u[sl_core]) ** 2
+        rec.append((t, complex(u[0]), float(np.sum(abs2)), float(np.dot(eta2pi, abs2)),
+                    u[-1].real))
+    rec_t, rec_F, rec_eps, rec_J, rec_r = (np.array(x) for x in zip(*rec))
     F = CubicSpline(rec_t, rec_F.real)(ts) + 1j * CubicSpline(rec_t, rec_F.imag)(ts)
     eps = CubicSpline(rec_t, rec_eps)(ts) + _tail_norm(dm, ts, F)
-    return np.abs(F) ** 2, eps, CubicSpline(rec_t, rec_r)(ts)
+    r = CubicSpline(rec_t, rec_J).antiderivative()(ts)
+    return np.abs(F) ** 2, eps, r, CubicSpline(rec_t, rec_r)(ts)

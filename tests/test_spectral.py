@@ -89,6 +89,18 @@ class TestSpectralFunction:
         assert width == pytest.approx(supp, rel=0.05)
         assert width < GAMMA
 
+    def test_coarse_grid_keeps_its_window(self):
+        # At 200 points the edge cells are ~73 wide; trimming six of them
+        # used to shrink the window to +-110, where A(E) has not decayed.
+        band = DetectorBand(eta=20.0, delta=3.0, n=6, center=1.0)
+        t = np.linspace(0.0, 5.0, 51)
+
+        def survival(n_points):
+            sf = spectral_function(form_factor_grid(band, GAMMA, n_points=n_points), 0.0)
+            return np.abs(survival_amplitude_spectral(sf, t)) ** 2
+
+        assert np.abs(survival(200) - survival(800)).max() < 1e-4
+
 
 class TestSurvivalAmplitude:
     def test_normalization_at_t_zero(self, free_grid):
