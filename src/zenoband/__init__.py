@@ -22,7 +22,6 @@ from .errors import (
     BadWindow,
     BandEdge,
     ConfigError,
-    EdgeProximity,
     HorizonExceeded,
     NoDetector,
     NonPositiveRate,

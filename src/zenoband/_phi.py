@@ -5,6 +5,7 @@ exponential integrators and of exact oscillatory moments.  Closed forms
 cancel catastrophically for small |z|, so a Taylor series takes over there.
 The free 1/E^2 tail beyond a window edge and the lowest-order decay kernel
 have their moments in closed form through the sine and cosine integrals.
+Fixed Gauss-Legendre rules serve the smooth integrals.
 """
 
 from __future__ import annotations
@@ -16,6 +17,12 @@ from scipy.special import sici
 
 _SMALL = 0.5
 _TERMS = 20
+
+
+def gauss_legendre(order: int):
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    t, w = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (t + 1.0), 0.5 * w
 
 
 def phi_functions(z, nmax: int = 3):

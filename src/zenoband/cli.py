@@ -1,7 +1,13 @@
 """Command-line scenario runner.
 
 Subcommands: formfactor, evolve, spectral, report, fig1, fig2, fig3, sweep.
-Exit codes: 0 success, 1 config error, 2 numerical failure.
+
+Exit codes and the stderr line of each failure:
+
+  0  success
+  1  ``config error: ...``: ConfigError, ValidationError and its subclasses,
+     NoDetector, a missing config file
+  2  ``numerical failure [Class]: ...``: every other ZenobandError
 """
 
 from __future__ import annotations

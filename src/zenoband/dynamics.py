@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from ._phi import free_tail_moments, phi_functions
+from ._phi import free_tail_moments, gauss_legendre, phi_functions
 from .errors import NoResponse, RevivalGuardViolated, ToleranceNotMet, WindowTooNarrow
 from .model import ValidatedModel, default_cutoff, detector_response
 
@@ -51,6 +51,7 @@ __all__ = [
 REVIVAL_MARGIN = 4.0     # discrete recurrence must lie beyond this many horizons
 DEFECT_TOL = 1e-5        # largest norm defect propagate() accepts
 _DELAY_XTOL = 1e-6       # response_delay bracket width, relative to the horizon
+_DELAY_NODES = 64        # Gauss-Legendre nodes of the response_delay objective
 _THETA = math.pi / 4.0   # rotation angle of the beyond-K contour
 _N_ARC = 48              # quadrature nodes on the taper-ramp contour (per side)
 _N_RAY = 48              # quadrature nodes on the beyond-K ray (per side)
@@ -126,17 +127,13 @@ def _tail_contours(g2: float, K: float, K0: float):
     mismatch of +2i*theta*g2, returned as the compensating atom shift.
     """
     span = K - K0
-    x, wx = np.polynomial.legendre.leggauss(_N_ARC)
-    x = 0.5 * (x + 1.0)
-    wx = 0.5 * wx
+    x, wx = gauss_legendre(_N_ARC)
     u = x - 1j * x * (1.0 - x)
     k_arc = K0 + span * u
     dk_arc = span * (1.0 - 1j * (1.0 - 2.0 * x))
     w_arc = g2 * _ramp_poly(u) * dk_arc * wx
 
-    y, wy = np.polynomial.legendre.leggauss(_N_RAY)
-    y = 0.5 * (y + 1.0)
-    wy = 0.5 * wy
+    y, wy = gauss_legendre(_N_RAY)
     s = K * y / (1.0 - y)
     ds = K / (1.0 - y) ** 2 * wy
     rot = np.exp(-1j * _THETA)
@@ -339,19 +336,22 @@ def propagate(dm: DiscretizedModel,
 def response_delay(trace: ProbabilityTrace) -> float:
     """Delay d minimizing the mean-square gap between r(t) and 1 - s(t - d).
 
-    Golden-section search on d in [0, T/2] over the overlap window [d, T].
-    Raises :class:`NoResponse` when r never reaches 0.5 inside the horizon.
+    Golden-section search on d in [0, T/2].  The objective is
+    (1/(T - d)) Int_d^T (r(t) - 1 + s(t - d))^2 dt on cubic splines of the
+    samples, by fixed Gauss-Legendre nodes on [d, T], so it is continuous in
+    d.  Raises :class:`NoResponse` when r never reaches 0.5 inside the
+    horizon.
     """
     t, s, r = trace.t, trace.s, trace.r
     if r.max() < 0.5:
         raise NoResponse(f"r(t) peaks at {r.max():.3f} < 0.5; no usable response")
-    s_of = CubicSpline(t, s)
+    s_of, r_of = CubicSpline(t, s), CubicSpline(t, r)
+    u, w = gauss_legendre(_DELAY_NODES)
     T = t[-1]
 
     def mse(d):
-        sel = t >= d
-        diff = r[sel] - (1.0 - s_of(t[sel] - d))
-        return float(np.mean(diff ** 2))
+        tt = d + (T - d) * u
+        return float(w @ (r_of(tt) - 1.0 + s_of(tt - d)) ** 2)
 
     lo, hi = 0.0, T / 2.0
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

@@ -70,9 +70,5 @@ class NoResponse(ZenobandError):
     """Detector response probability never reached the level needed for a delay fit."""
 
 
-class EdgeProximity(ZenobandError):
-    """Self-energy requested too close to the form-factor window edge."""
-
-
 class HorizonExceeded(ZenobandError):
     """Requested time is beyond what the spectral grid can resolve."""

@@ -3,7 +3,8 @@
 Folding the detector continuum into the photon modes leaves the atom coupled
 to a single effective continuum whose squared coupling density is
 
-    g2(mu) = (gamma/2pi) * Int dk  eta_k / ((mu - k)^2 + (pi*eta_k)^2).
+    g2(mu) = (gamma/2pi) * Int dk  eta_k / ((mu - k)^2 + (pi*eta_k)^2)
+           = -Im Sigma(mu + i0)/pi.
 
 Without a detector (eta = 0) the integrand collapses to a delta function and
 g2 is the free value gamma/2pi for every mu; a finite band suppresses g2
@@ -21,8 +22,9 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.integrate import quad
 
+from ._phi import gauss_legendre
 from .errors import BandEdge, QuadratureFailure, WindowTooNarrow
-from .model import DetectorBand, _flat_band_arctan, detector_response
+from .model import DetectorBand, _flat_band_log, detector_response
 
 __all__ = [
     "FormFactorGrid",
@@ -37,6 +39,15 @@ __all__ = [
 # and the relative peak width below which the peak is treated as a delta.
 _PEAK_SPAN = 50.0
 _DELTA_LIMIT = 1e-12
+
+# Band-edge rule for Sigma: Gauss-Legendre orders of the reported rule and of
+# the coarser rule whose difference from it is the error estimate, the ratio
+# of the ladder toward each energy and its smallest step relative to the
+# panel it starts in, and the (energy x node) elements evaluated per block.
+_ORDERS = (20, 16)
+_LADDER_RATIO = 4.0
+_LADDER_FLOOR = 1e-13
+_BLOCK = 2 ** 14
 
 
 def free_value(gamma: float) -> float:
@@ -164,21 +175,113 @@ def analytic_flat_band(gamma: float, eta: float, delta: float, mu: float,
     (gamma/2pi^2) * [arctan((mu - c + delta)/(eta/2))
                      - arctan((mu - c - delta)/(eta/2))]
     plus gamma/2pi outside the band, where the undamped modes contribute a
-    delta-function term.  Exactly at the band edge the infinite-exponent
-    limit is two-valued; :class:`BandEdge` carries both one-sided values.
+    delta-function term: -1/pi times the imaginary part of the flat-band
+    self-energy.  Exactly at the band edge the infinite-exponent limit is
+    two-valued; :class:`BandEdge` carries both one-sided values.
     """
     pref = free_value(gamma)
     d = mu - center
     if eta == 0.0:
         return pref
-    smooth = (gamma / (2.0 * math.pi ** 2)) * _flat_band_arctan(d, eta, delta)
+    g2 = -pref / math.pi * float(_flat_band_log(d, eta, delta).imag)
     if abs(d) == delta:
         raise BandEdge(
             f"mu - center = {d:+g} is exactly at the band edge (delta={delta})",
-            inside=smooth, outside=smooth + pref)
-    if abs(d) > delta:
-        return smooth + pref
-    return smooth
+            inside=g2 - pref, outside=g2)
+    return g2
+
+
+def _profile(x, n):
+    """h = 1/(1 + x^n) and h' in band units; both 0 where x^n overflows."""
+    p, sq, m = np.ones_like(x), x, n - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while m:  # x^(n-1) by repeated squaring, far cheaper than a float power
+            if m & 1:
+                p = p * sq
+            sq, m = sq * sq, m >> 1
+        h = 1.0 / (1.0 + p * x)
+        dh = np.where(h > 0.0, -n * p * h * h, 0.0)
+    return h, dh
+
+
+def _edge_integral(n, beta, eps, order):
+    """(beta/pi) Int dx h'(x) / (eps - x + i beta h(x)) at every offset ``eps``.
+
+    x and ``eps`` are (k - center)/delta, and beta = eta/(2 delta).  The pole
+    h'(eps)/(eps - x + i w), w = beta h(eps), is subtracted and its integral
+    -i pi h'(eps) added back.  The rest keeps a feature of width w at x = eps
+    (the peak :func:`renormalized_form_factor` rescales), so each energy adds
+    a geometric ladder toward eps, down to w, to panels shared by all
+    energies: 0, both edges, and steps 1/n, 2/n, 4/n, ... away from each
+    edge.  Past the last breakpoint X, x = +-X/u maps both tails onto
+    u in (0, 1], where the subtracted poles cancel in pairs.
+    """
+    t, w = gauss_legendre(order)
+    steps = np.concatenate([[0.0], 2.0 ** np.arange(64)]) / n
+    reach = max(4.0, 2.0 * np.abs(eps).max())
+    half = np.concatenate([[0.0], 1.0 - steps[steps < 1.0],
+                           1.0 + steps[:np.searchsorted(steps, reach) + 1]])
+    br = np.unique(np.concatenate([-half, half]))
+    X = br[-1]
+    tail_x = np.concatenate([X / t, -X / t])
+    tail_w = np.tile(X / t ** 2 * w, 2)
+    hE, dhE = _profile(eps, n)
+    wE = beta * hE
+    p = np.searchsorted(br, eps) - 1
+    top = br[p + 1] - br[p]  # the ladder starts at the width of eps's panel
+    floor = np.clip(wE, _LADDER_FLOOR * top, top)
+    rungs = np.ceil(np.log(top / floor) / math.log(_LADDER_RATIO))
+    per_energy = (len(br) + 2 * rungs.max() + 4) * order  # nodes, at most
+    step = max(1, int(_BLOCK // per_energy))
+    out = np.empty(len(eps), dtype=complex)
+    for s in range(0, len(eps), step):
+        sl = slice(s, s + step)
+        e = eps[sl, None]
+        lad = np.maximum(top[sl, None] * _LADDER_RATIO ** -np.arange(rungs[sl].max() + 1),
+                         floor[sl, None])
+        ends = np.sort(np.concatenate([np.broadcast_to(br, (len(e), len(br))),
+                                       np.clip(e - lad, -X, X), np.clip(e + lad, -X, X)],
+                                      axis=1), axis=1)
+        width = np.diff(ends, axis=1)[..., None]
+        x = np.concatenate([(ends[:, :-1, None] + width * t).reshape(len(e), -1),
+                            np.broadcast_to(tail_x, (len(e), len(tail_x)))], axis=1)
+        wx = np.concatenate([(width * w).reshape(len(e), -1),
+                             np.broadcast_to(tail_w, (len(e), len(tail_w)))], axis=1)
+        h, dh = _profile(x, n)
+        g = dh / (e - x + 1j * beta * h) - dhE[sl, None] / (e - x + 1j * wE[sl, None])
+        out[sl] = (g * wx).sum(axis=1)
+    return beta / math.pi * (out - 1j * math.pi * dhE)
+
+
+def _self_energy(band: DetectorBand, gamma: float, E, tol: float = 1e-9) -> np.ndarray:
+    """Sigma(E + i0) over the damped photon continuum at an array of energies.
+
+    Integrating (gamma/2pi) Int dk 1/(E - k + i pi eta_k) by parts in k gives
+    Sigma(E) = -i gamma/2 + (i gamma/2) Int dk eta'_k / (E - k + i pi eta_k),
+    whose integrand lives at the band edges; g2 = -Im Sigma/pi.  The flat
+    band's eta'_k is two delta functions: :func:`~zenoband.model._flat_band_log`.
+    Power-law bands raise :class:`QuadratureFailure` where the two rules of
+    ``_ORDERS`` differ by more than 20*tol*max(g2, gamma/2pi) in g2.
+    """
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    E = np.atleast_1d(np.asarray(E, dtype=float))
+    if band.eta == 0.0:
+        return np.full(E.shape, -0.5j * gamma)
+    if band.is_flat:
+        z = _flat_band_log(E - band.center, band.eta, band.delta)
+        # scaled part by part: a complex product makes Re = +-inf at an edge NaN
+        return free_value(gamma) * z.real + 1j * free_value(gamma) * z.imag
+    eps = (E - band.center) / band.delta
+    beta = band.eta / (2.0 * band.delta)
+    fine, coarse = (_edge_integral(band.n, beta, eps, order) for order in _ORDERS)
+    err = np.abs(fine - coarse)
+    bad = np.flatnonzero(err > 20.0 * tol * np.maximum(1.0 - fine.real, 1.0))
+    if bad.size:
+        i = bad[0]
+        raise QuadratureFailure(f"self-energy at E={E[i]}: error estimate {err[i]:.3e} "
+                                f"exceeds budget for tol={tol:.1e}")
+    return 0.5j * gamma * (fine - 1.0)
 
 
 def _ladder(start, stop, s0, ratio):
@@ -235,9 +338,8 @@ def form_factor_grid(band: DetectorBand, gamma: float,
                 for i in range(len(gaps)) if add[i] > 0]
         if fill:
             base = np.unique(np.concatenate([base] + fill))
-    mu = base
-    g2 = np.array([renormalized_form_factor(band, gamma, m, tol) for m in mu])
-    return FormFactorGrid(mu=mu, g2=g2, window=(lo, hi), gamma=gamma, band=band)
+    g2 = -_self_energy(band, gamma, base, tol).imag / math.pi
+    return FormFactorGrid(mu=base, g2=g2, window=(lo, hi), gamma=gamma, band=band)
 
 
 def sum_rule_defect(grid: FormFactorGrid, gamma: float) -> float:

@@ -227,26 +227,31 @@ def detector_response(band: DetectorBand, k):
     return out if out.ndim else float(out)
 
 
-def _flat_band_arctan(d: float, eta: float, delta: float) -> float:
-    """arctan((d + delta)/(eta/2)) - arctan((d - delta)/(eta/2)).
+def _flat_band_log(d, eta: float, delta: float):
+    """The flat band's Sigma(E + i0) in units of gamma/2pi at offset d = E - center:
 
-    pi times the in-band Lorentzian weight of the flat band at offset
-    ``d`` from its center: the common factor of the flat-band g2 closed
-    form and of the suppression estimate.
+        ln((d + delta + i eta/2)/(d - delta + i eta/2)) - ln|(d + delta)/(d - delta)|
+        - i pi [|d| >= delta],
+
+    one log term per band edge, where eta_k jumps.  -Im/pi is the suppression
+    2 pi g2/gamma: (1/pi) [arctan((d + delta)/(eta/2)) - arctan((d - delta)/(eta/2))]
+    inside the open band, plus 1 outside it.  Elementwise in d.
     """
-    a = eta / 2.0
-    return float(np.arctan((d + delta) / a) - np.arctan((d - delta) / a))
+    d = np.asarray(d, dtype=float)
+    with np.errstate(divide="ignore"):  # Re Sigma diverges at the edges
+        edges = np.log((d + delta + 0.5j * eta) / (d - delta + 0.5j * eta))
+        bare = np.log(np.abs((d + delta) / (d - delta)))
+    return edges - bare - 1j * np.pi * (np.abs(d) >= delta)
 
 
 def qze_condition_report(m: ValidatedModel) -> ConditionReport:
     """Evaluate the two monitoring-regime ratios and classify the scenario.
 
-    The suppression estimate is the flat-band closed form
-    (1/pi) * [arctan((omega - center + delta)/(eta/2))
-              - arctan((omega - center - delta)/(eta/2))],
-    which reduces to (2/pi) * arctan(2*delta/eta) for a centered band.  A
-    band that misses the atomic line entirely (|center - omega| > delta) is
-    reported as ``no-detection-overlap`` regardless of the ratios.
+    The suppression estimate is the flat-band closed form 2 pi g2(omega)/gamma
+    of :func:`_flat_band_log`, which reduces to (2/pi) * arctan(2*delta/eta)
+    for a centered band.  A band that misses the atomic line entirely
+    (|center - omega| > delta) is reported as ``no-detection-overlap``
+    regardless of the ratios.
     """
     band = m.band
     if band.eta <= 0.0:
@@ -254,9 +259,8 @@ def qze_condition_report(m: ValidatedModel) -> ConditionReport:
     ratio_lw = m.gamma / band.delta
     ratio_rs = band.delta / band.eta
     d = m.omega - band.center
-    supp = _flat_band_arctan(d, band.eta, band.delta) / np.pi
+    supp = -_flat_band_log(d, band.eta, band.delta).imag / np.pi
     if abs(d) > band.delta:
-        supp += 1.0  # undamped out-of-band modes carry the free weight
         verdict = "no-detection-overlap"
     elif ratio_lw <= LINEWIDTH_RATIO_MAX and ratio_rs <= RESPONSE_RATIO_MAX:
         verdict = "QZE-regime"

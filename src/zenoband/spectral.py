@@ -16,8 +16,9 @@ from typing import Tuple
 import numpy as np
 
 from ._phi import free_tail_moments, kernel_antiderivatives, phi_functions
-from .errors import EdgeProximity, HorizonExceeded, WindowTooNarrow
-from .formfactor import FormFactorGrid, _ladder, free_value, renormalized_form_factor
+from .errors import HorizonExceeded, WindowTooNarrow
+from .formfactor import (FormFactorGrid, _ladder, _self_energy, free_value,
+                         renormalized_form_factor)
 from .model import ValidatedModel
 
 __all__ = [
@@ -29,11 +30,8 @@ __all__ = [
     "stage_rates",
 ]
 
-_REFINE = 4               # Re Sigma quadrature nodes per form-factor grid cell
 _PERT_REFINE = 8          # perturbative_decay interpolation nodes per grid cell
 _LINE_POINTS = 1200       # uniform energies across the dressed line
-_EDGE_CELLS = 6           # edge-cell spacings trimmed off each side of the grid window
-_EDGE_CAP = 0.1           # largest trim, as a fraction of the half-window
 
 
 @dataclass(frozen=True)
@@ -57,60 +55,14 @@ def _refined_nodes(grid: FormFactorGrid, per_cell: int) -> np.ndarray:
     return np.sort(np.concatenate(parts))
 
 
-def _usable_window(grid: FormFactorGrid) -> Tuple[float, float]:
-    """The grid window less ``_EDGE_CELLS`` edge-cell spacings per side, each
-    trim capped at ``_EDGE_CAP`` of the half-window so coarse grids keep it."""
-    lo, hi = grid.window
-    cap = _EDGE_CAP * 0.5 * (hi - lo)
-    return (lo + min(_EDGE_CELLS * (grid.mu[1] - grid.mu[0]), cap),
-            hi - min(_EDGE_CELLS * (grid.mu[-1] - grid.mu[-2]), cap))
-
-
-def _subtracted_integral(nodes, g2n, E, g2E, dg2E, local):
-    """Int (g2(mu) - g2(E)) / (E - mu) dmu over the window nodes."""
-    denom = E - nodes
-    tiny = np.abs(denom) < 1e-9 * local
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = (g2n - g2E) / denom
-    f = np.where(tiny, -dg2E, f)
-    return np.trapezoid(f, nodes)
-
-
-def _sigma_parts(grid: FormFactorGrid, Es: np.ndarray):
-    """(Re Sigma, g2) at the energies ``Es``; see :func:`self_energy`."""
-    lo, hi = grid.window
-    spline = grid.interpolator()
-    nodes = _refined_nodes(grid, _REFINE)
-    g2n = spline(nodes)
-    g2E = spline(Es)
-    dg2E = spline.derivative()(Es)
-    local = np.interp(Es, grid.mu[:-1], np.diff(grid.mu))
-    re = np.empty_like(Es)
-    free = free_value(grid.gamma)
-    for i, E in enumerate(Es):
-        val = _subtracted_integral(nodes, g2n, E, g2E[i], dg2E[i], local[i])
-        val += (g2E[i] - free) * math.log(abs((E - lo) / (hi - E)))
-        re[i] = val
-    return re, g2E
-
-
 def self_energy(grid: FormFactorGrid, E: float) -> complex:
-    """Sigma(E + i0) over the renormalized continuum.
+    """Sigma(E + i0) over the renormalized continuum of ``grid``'s band.
 
-    Real part: principal value of Int g2(mu)/(E - mu) dmu, computed by
-    subtracting the singularity on the grid window.  The window log term
-    g2(E)*ln((E - lo)/(hi - E)) combines with the free-value tails outside
-    the window into (g2(E) - gamma/2pi)*ln((E - lo)/(hi - E)), which makes
-    the flat case give exactly Re Sigma = 0 at every E.
-    Imaginary part: -pi * g2(E) from the interpolated grid.  Raises
-    :class:`EdgeProximity` for E outside the grid window less its edge cells.
+    Evaluated directly from the band-edge integral of
+    :func:`zenoband.formfactor._self_energy`, not from the tabulated g2, so
+    it holds at any real E; Im Sigma = -pi g2(E).
     """
-    lo, hi = _usable_window(grid)
-    if not lo <= E <= hi:
-        raise EdgeProximity(
-            f"E={E} is outside {(lo, hi)}, the grid window less its edge cells")
-    re, g2E = _sigma_parts(grid, np.array([E], dtype=float))
-    return complex(re[0], -math.pi * g2E[0])
+    return complex(_self_energy(grid.band, grid.gamma, E)[0])
 
 
 def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
@@ -120,10 +72,11 @@ def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
     below the free linewidth when the decay is suppressed), marches
     geometrically out to the window edges, and is refined 4x everywhere so
     that piecewise-linear quadratures of A stay inside the normalization
-    budget.  The unit-area check adds the analytic 1/(E-omega)^2 tail mass
-    for the region beyond the window.
+    budget.  Sigma comes from the band-edge integral at every energy.  The
+    unit-area check adds the analytic 1/(E-omega)^2 tail mass for the region
+    beyond the window.
     """
-    lo, hi = _usable_window(grid)
+    lo, hi = grid.window
     sigma = self_energy(grid, omega)
     center, half_w = omega + sigma.real, -sigma.imag  # of the dressed line
     span = 45.0 * half_w
@@ -136,18 +89,16 @@ def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
     parts = [fine,
              _ladder(center + span, hi, step0, 1.05),
              _ladder(center - span, lo, step0, 1.05),
-             grid.mu[(grid.mu > lo) & (grid.mu < hi)],
-             [lo, hi]]
-    E = np.unique(np.concatenate([np.asarray(p, dtype=float) for p in parts if len(p)]))
-    E = E[(E >= lo) & (E <= hi)]
+             grid.mu]
+    E = np.unique(np.concatenate([np.asarray(p, dtype=float) for p in parts]))
     # 4x refinement so linear interpolants of A are quadrature-grade
     mids = [E[:-1] + np.diff(E) * f for f in (0.25, 0.5, 0.75)]
     E = np.unique(np.concatenate([E] + mids))
     # midpoint insertion can round onto an existing float; drop zero cells
     E = E[np.concatenate([[True], np.diff(E) > 1e-13 * (hi - lo)])]
 
-    re_sigma, g2E = _sigma_parts(grid, E)
-    A = g2E / ((E - omega - re_sigma) ** 2 + (math.pi * g2E) ** 2)
+    sigma = _self_energy(grid.band, grid.gamma, E)
+    A = -sigma.imag / math.pi / ((E - omega - sigma.real) ** 2 + sigma.imag ** 2)
     if A[0] > 1e-6 * A.max() or A[-1] > 1e-6 * A.max():
         raise WindowTooNarrow(
             "A(E) has not decayed to 1e-6 of its peak at the spectral window edge")

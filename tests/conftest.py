@@ -1,6 +1,9 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from zenoband import detector_response
@@ -46,6 +49,51 @@ def g2_oracle(band, gamma, mu, n_base=200001, n_ladder=4000):
     if w == 0.0:
         out += gamma / (2.0 * math.pi)  # unresolvable peak degenerates to a delta
     return out
+
+
+def flat_sigma_oracle(gamma, eta, delta, E, center=0.0):
+    """Sigma(E + i0) of the flat band from its two edge jumps, in closed form.
+
+    (gamma/2pi) [ln((E-a+i eta/2)/(E-b+i eta/2)) - (ln(E-a+i0) - ln(E-b+i0)) - i pi]
+    with a, b the band edges; the +0.0 imaginary parts place E - a + i0 on
+    the upper side of the cut.  Scalar E, not exactly at an edge.
+    """
+    a, b = center - delta, center + delta
+    edges = cmath.log(complex(E - a, eta / 2.0) / complex(E - b, eta / 2.0))
+    bare = cmath.log(complex(E - a, 0.0)) - cmath.log(complex(E - b, 0.0))
+    return gamma / (2.0 * math.pi) * (edges - bare - 1j * math.pi)
+
+
+def re_sigma_oracle(band, gamma, E):
+    """Re Sigma(E) = (gamma/2) Int pi eta_k eta'_k / ((E-k)^2 + (pi eta_k)^2) dk by quad.
+
+    Writes the power-law eta_k and eta'_k out itself, and splits the line at
+    the band edges and on a decade ladder into the peak of width pi*eta_E
+    at k = E, at epsrel 1e-12.
+    """
+    c, delta, n = band.center, band.delta, band.n
+
+    def eta_k(k):
+        return band.eta / (2.0 * math.pi) / (1.0 + ((k - c) / delta) ** n)
+
+    def f(k):
+        x = (k - c) / delta
+        deta = -band.eta / (2.0 * math.pi) * n * x ** (n - 1) / delta / (1.0 + x ** n) ** 2
+        w = math.pi * eta_k(k)
+        return math.pi * eta_k(k) * deta / ((E - k) ** 2 + w * w)
+
+    w = math.pi * eta_k(E)
+    pts = {c - delta, c, c + delta, E}
+    pts |= {E + s * w * 10.0 ** m for m in range(17) for s in (-1.0, 1.0)
+            if w * 10.0 ** m < 10.0 * (abs(E - c) + delta)}
+    pts = sorted(pts)
+    total = 0.0
+    with warnings.catch_warnings():
+        # pieces far below the total may stop at roundoff short of epsrel
+        warnings.simplefilter("ignore")
+        for a, b in zip([-np.inf] + pts, pts + [np.inf]):
+            total += quad(f, a, b, epsabs=1e-18, epsrel=1e-12, limit=400)[0]
+    return gamma / 2.0 * total
 
 
 class _Krogstad:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from conftest import krogstad_reference
+from scipy.interpolate import CubicSpline
+from scipy.optimize import minimize_scalar
 
 from zenoband import (
     DetectorBand,
@@ -212,6 +214,22 @@ class TestResponseDelay:
     @pytest.mark.parametrize("d0", [0.3, 0.8, 2.0])
     def test_recovers_constructed_shift(self, d0):
         assert response_delay(self.synthetic(d0)) == pytest.approx(d0, abs=0.02)
+
+    def test_searches_agree(self):
+        # the objective is continuous in d, so bounded Brent on a dense
+        # trapezoid form of it lands on the golden-section minimum
+        tr = propagate(discretize_continuum(model(eta=2.0, delta=5.0)),
+                       np.linspace(0.0, 5.0, 501))
+        s_of, r_of = CubicSpline(tr.t, tr.s), CubicSpline(tr.t, tr.r)
+        T = tr.t[-1]
+
+        def gap(d):
+            t = np.linspace(d, T, 20001)
+            return np.trapezoid((r_of(t) - 1.0 + s_of(t - d)) ** 2, t) / (T - d)
+
+        brent = minimize_scalar(gap, bounds=(0.0, T / 2.0), method="bounded",
+                                options={"xatol": 1e-7}).x
+        assert response_delay(tr) == pytest.approx(brent, abs=1e-3)
 
     def test_no_response_when_r_stays_low(self, free_trace):
         with pytest.raises(NoResponse):

@@ -154,6 +154,27 @@ class TestFormFactorGrid:
         g = form_factor_grid(band, GAMMA, n_points=50, tol=1e-8)
         np.testing.assert_allclose(g.g2, FREE, rtol=1e-14)
 
+    @pytest.mark.parametrize("band", [
+        pl_band(1.0), pl_band(0.01), pl_band(1.0, n=2), pl_band(1.0, n=24),
+        pl_band(1.0, center=2.0),
+    ], ids=["n6", "weak", "n2", "n24", "detuned-2delta"])
+    def test_matches_scalar_reference(self, band):
+        tol = 1e-9
+        g = form_factor_grid(band, GAMMA, n_points=300, tol=tol)
+        for mu, g2 in zip(g.mu[::15], g.g2[::15]):
+            want = renormalized_form_factor(band, GAMMA, mu, tol)
+            assert g2 == pytest.approx(want, abs=20.0 * tol * max(want, FREE))
+
+    def test_unreachable_tolerance_raises_quadrature_failure(self):
+        with pytest.raises(QuadratureFailure, match="self-energy at E="):
+            form_factor_grid(pl_band(1.0), GAMMA, n_points=100, tol=1e-16)
+
+    def test_narrow_edge_band_builds_at_tight_tolerance(self):
+        # the per-point scalar quadrature used to miss its budget at mu ~ -51.4
+        band = DetectorBand(eta=100.0, delta=100.0 / (2 * math.pi), n=24)
+        g = form_factor_grid(band, GAMMA, tol=1e-10, n_points=800)
+        assert np.all(g.g2 > 0.0)
+
     def test_window_must_cover_band(self):
         with pytest.raises(WindowTooNarrow):
             form_factor_grid(pl_band(1.0), GAMMA, window=(-3.0, 3.0))

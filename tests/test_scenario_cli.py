@@ -4,6 +4,8 @@ import os
 import numpy as np
 import pytest
 
+import zenoband
+import zenoband.cli
 from zenoband import ConfigError, DetectorBand, ModelParams, discretize_continuum, validate_params
 from zenoband.cli import main
 from zenoband.scenario import load_scenario, read_csv, run_scenario, write_csv
@@ -11,6 +13,21 @@ from zenoband.scenario import load_scenario, read_csv, run_scenario, write_csv
 
 def run_cli(argv):
     return main(argv)
+
+
+# The exit-code table of the zenoband.cli docstring: 1 for a config error,
+# 2 for a numerical failure.
+EXIT_CODES = {
+    "ConfigError": 1, "ValidationError": 1, "NonPositiveRate": 1, "OddExponent": 1,
+    "BadWindow": 1, "NoDetector": 1,
+    "ZenobandError": 2, "QuadratureFailure": 2, "BandEdge": 2, "WindowTooNarrow": 2,
+    "RevivalGuardViolated": 2, "ToleranceNotMet": 2, "NoResponse": 2,
+    "HorizonExceeded": 2,
+}
+EXPORTED_ERRORS = sorted(
+    (obj for obj in vars(zenoband).values()
+     if isinstance(obj, type) and issubclass(obj, zenoband.ZenobandError)),
+    key=lambda cls: cls.__name__)
 
 
 class TestCsvIo:
@@ -147,6 +164,26 @@ class TestCli:
                       "--override", "delta=1", "--override", "quad_tol=1e-16"])
         assert rc == 2
         assert "QuadratureFailure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cls", EXPORTED_ERRORS, ids=lambda cls: cls.__name__)
+    def test_exit_code_table(self, tmp_path, capsys, monkeypatch, cls):
+        assert cls.__name__ in EXIT_CODES, "add the new error class to the exit-code table"
+        if issubclass(cls, zenoband.ValidationError):
+            exc = cls([("x", "boom")])
+        elif cls is zenoband.BandEdge:
+            exc = cls("boom", inside=0.0, outside=1.0)
+        else:
+            exc = cls("boom")
+
+        def fail(cfg):
+            raise exc
+
+        monkeypatch.setattr(zenoband.cli, "run_scenario", fail)
+        rc = run_cli(["report", "--out", str(tmp_path)])
+        prefix = ("config error: " if EXIT_CODES[cls.__name__] == 1
+                  else f"numerical failure [{cls.__name__}]: ")
+        assert rc == EXIT_CODES[cls.__name__]
+        assert capsys.readouterr().err == f"{prefix}boom\n"
 
     def test_fig1_with_cheap_override(self, tmp_path, capsys):
         rc = run_cli(["fig1", "--out", str(tmp_path),

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import flat_sigma_oracle, re_sigma_oracle
 from zenoband import (
     DetectorBand,
-    EdgeProximity,
     HorizonExceeded,
     ModelParams,
+    SpectralFunction,
     discretize_continuum,
     form_factor_grid,
     free_value,
@@ -23,6 +24,7 @@ from zenoband import (
 
 GAMMA = 1.0
 FIG_DELTA = 100.0 / (2 * math.pi)
+FLAT_BAND = DetectorBand(eta=100.0, delta=FIG_DELTA, n=None, center=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -46,14 +48,30 @@ class TestSelfEnergy:
             assert sig.imag == pytest.approx(-GAMMA / 2, rel=1e-9)
 
     def test_imaginary_part_is_sokhotski_plemelj(self, solid_grid):
-        spline = solid_grid.interpolator()
+        # Im Sigma = -pi g2 against the scalar quadrature, at its own error budget
+        tol = 1e-10
         for E in (0.0, 5.0, -12.0):
+            g2 = renormalized_form_factor(solid_grid.band, GAMMA, E, tol)
             sig = self_energy(solid_grid, E)
-            assert sig.imag == pytest.approx(-math.pi * float(spline(E)), rel=1e-14)
+            budget = 20.0 * tol * max(g2, free_value(GAMMA))
+            assert sig.imag == pytest.approx(-math.pi * g2, abs=math.pi * budget)
 
-    def test_edge_proximity_raises(self, free_grid):
-        with pytest.raises(EdgeProximity):
-            self_energy(free_grid, free_grid.window[1] - 1e-9)
+    @pytest.mark.parametrize("two_pi_delta,eta", [(100.0, 100.0), (100.0, 10.0),
+                                                  (1000.0, 1000.0)])
+    def test_real_part_matches_quad_oracle(self, two_pi_delta, eta):
+        band = DetectorBand(eta=eta, delta=two_pi_delta / (2 * math.pi), n=6, center=0.0)
+        grid = form_factor_grid(band, GAMMA)
+        for E in (0.0, 5.0, 20.0, 40.0, 100.0, 200.0):
+            want = re_sigma_oracle(band, GAMMA, E)
+            assert self_energy(grid, E).real == pytest.approx(want, abs=1e-12)
+
+    def test_flat_band_matches_closed_form(self):
+        grid = form_factor_grid(FLAT_BAND, GAMMA)
+        d = FLAT_BAND.delta
+        near = [s * d + o * 1e-6 * d for s in (-1.0, 1.0) for o in (-1.0, -0.3, 0.3, 1.0)]
+        for E in [0.0, 3.0, -9.0, 40.0, -300.0, 900.0] + near:
+            want = flat_sigma_oracle(GAMMA, FLAT_BAND.eta, d, E)
+            assert self_energy(grid, E) == pytest.approx(want, rel=1e-12)
 
     def test_suppressed_line_width_pinned_by_form_factor(self, solid_grid):
         g2_line = renormalized_form_factor(solid_grid.band, GAMMA, 0.0, 1e-10)
@@ -113,6 +131,23 @@ class TestSurvivalAmplitude:
         t = np.linspace(0.0, 5.0, 101)
         s = np.abs(survival_amplitude_spectral(sf, t)) ** 2
         assert np.abs(s - np.exp(-GAMMA * t)).max() < 1e-4
+
+    def test_flat_band_matches_oracle_line(self):
+        # Filon transform of the closed-form line shape on a grid refined 8x
+        sf = spectral_function(form_factor_grid(FLAT_BAND, GAMMA), 0.0)
+        t = np.linspace(0.0, 5.0, 101)
+        E = np.unique(np.concatenate(
+            [sf.E] + [sf.E[:-1] + np.diff(sf.E) * (j / 8) for j in range(1, 8)]))
+        A = np.zeros_like(E)  # Re Sigma diverges at the edges, where A vanishes
+        for i, e in enumerate(E):
+            if abs(e) != FLAT_BAND.delta:
+                sig = flat_sigma_oracle(GAMMA, FLAT_BAND.eta, FLAT_BAND.delta, e)
+                A[i] = -sig.imag / math.pi / ((e - sig.real) ** 2 + sig.imag ** 2)
+        oracle = SpectralFunction(E=E, A=A, normalization_defect=0.0, omega=0.0,
+                                  gamma=GAMMA, window=sf.window)
+        s = np.abs(survival_amplitude_spectral(sf, t)) ** 2
+        s_oracle = np.abs(survival_amplitude_spectral(oracle, t)) ** 2
+        assert np.abs(s - s_oracle).max() < 2e-5
 
     def test_horizon_guard(self, free_grid):
         sf = spectral_function(free_grid, 0.0)
