@@ -15,16 +15,16 @@ integrating to zero over the whole line.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad
+# unused here, but bound: perfbench/spans.py wraps formfactor.quad under --trace 1
+from scipy.integrate import quad  # noqa: F401
 
 from ._phi import gauss_legendre
 from .errors import BandEdge, QuadratureFailure, WindowTooNarrow
-from .model import DetectorBand, _flat_band_log, detector_response
+from .model import DetectorBand, _flat_band_log
 
 __all__ = [
     "FormFactorGrid",
@@ -34,11 +34,6 @@ __all__ = [
     "sum_rule_defect",
     "free_value",
 ]
-
-# Width (in units of pi*eta_mu) of the explicitly substituted peak region,
-# and the relative peak width below which the peak is treated as a delta.
-_PEAK_SPAN = 50.0
-_DELTA_LIMIT = 1e-12
 
 # Band-edge rule for Sigma: Gauss-Legendre orders of the reported rule and of
 # the coarser rule whose difference from it is the error estimate, the ratio
@@ -57,13 +52,14 @@ def free_value(gamma: float) -> float:
 
 @dataclass(frozen=True)
 class FormFactorGrid:
-    """Tabulated |g_mu|^2 with the window it was built at."""
+    """Tabulated |g_mu|^2 with the window and quadrature tolerance it was built at."""
 
     mu: np.ndarray
     g2: np.ndarray
     window: Tuple[float, float]
     gamma: float
     band: DetectorBand
+    tol: float
 
     def interpolator(self):
         from scipy.interpolate import CubicSpline
@@ -71,101 +67,16 @@ class FormFactorGrid:
         return CubicSpline(self.mu, self.g2)
 
 
-def _integrand(band, gamma, mu):
-    pref = gamma / (2.0 * math.pi)
-
-    def f(k):
-        e = detector_response(band, k)
-        return pref * e / ((mu - k) ** 2 + (math.pi * e) ** 2)
-
-    return f
-
-
-def _quad_checked(f, a, b, tol, abs_scale, pieces, points=None):
-    with warnings.catch_warnings():
-        # ask for 10x more than needed; the accumulated-error budget at the
-        # end of renormalized_form_factor is the authoritative check
-        warnings.simplefilter("ignore")
-        val, err = quad(f, a, b, points=points, limit=400,
-                        epsabs=0.1 * tol * abs_scale, epsrel=0.1 * tol)
-    pieces.append((val, err))
-    return val
-
-
 def renormalized_form_factor(band: DetectorBand, gamma: float, mu: float,
                              tol: float = 1e-10) -> float:
-    """Evaluate g2(mu) by adaptive quadrature.
+    """g2(mu) = -Im Sigma(mu + i0)/pi from the band-edge integral of :func:`_self_energy`.
 
-    The integrand has a peak of half-width pi*eta_mu at k = mu carrying unit
-    weight; the domain is split there (with a rescaled inner variable when
-    the peak is narrow) and at the band edges.  Where eta vanishes -- outside
-    a flat band, or when the power-law peak is too narrow to resolve -- the
-    peak degenerates to a delta function and contributes gamma/2pi exactly.
-
-    Raises :class:`QuadratureFailure` if the accumulated error estimate
-    exceeds the requested tolerance.
+    Raises :class:`QuadratureFailure` if the error estimate exceeds the
+    budget 20*tol*max(g2, gamma/2pi).
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     if band.center is None:
         band = replace(band, center=0.0)
-    pref = free_value(gamma)
-    if band.eta == 0.0:
-        return pref
-
-    c, delta = band.center, band.delta
-    f = _integrand(band, gamma, mu)
-    pieces = []
-
-    if band.is_flat:
-        inside = abs(mu - c) < delta
-        pts = [mu] if inside else None
-        total = _quad_checked(f, c - delta, c + delta, tol, pref, pieces, points=pts)
-        if detector_response(band, mu) == 0.0:
-            total += pref  # undamped modes outside the band keep their free weight
-    else:
-        eta_mu = detector_response(band, mu)
-        w_peak = math.pi * eta_mu
-        scale = max(abs(mu - c), delta)
-        total = 0.0
-        if w_peak < _DELTA_LIMIT * scale:
-            total += pref
-            peak_lo = peak_hi = mu
-        else:
-            # widen the rescaled window until it reaches the band-structure
-            # scale, so the peak together with its whole 1/u^2 shoulder is
-            # integrated in one well-conditioned variable
-            span = max(_PEAK_SPAN, 2.0 * (abs(mu - c) + delta) / w_peak)
-            peak_lo, peak_hi = mu - span * w_peak, mu + span * w_peak
-
-            def fu(u):
-                # offset form: mu - k is w_peak*u exactly, with no
-                # cancellation against the large absolute energy
-                x = w_peak * u
-                e = detector_response(band, mu + x)
-                return pref * w_peak * e / (x * x + (math.pi * e) ** 2)
-
-            # decade ladder keeps every subinterval's scale ratio bounded, so
-            # the unit-width peak can never hide between quadrature nodes
-            ladder = {s * 10.0 ** m for m in range(0, 16) for s in (-1.0, 1.0)}
-            upts = {0.0} | {u for u in ladder if -span < u < span}
-            upts |= {(e - mu) / w_peak for e in (c - delta, c + delta)
-                     if -span < (e - mu) / w_peak < span}
-            total += _quad_checked(fu, -span, span, tol, pref, pieces,
-                                   points=sorted(upts))
-        breaks = sorted({c - delta, c + delta, peak_lo, peak_hi})
-        segs = [(-np.inf, breaks[0])] + list(zip(breaks[:-1], breaks[1:])) + [(breaks[-1], np.inf)]
-        for a, b in segs:
-            if a == b or (peak_lo <= a and b <= peak_hi):
-                continue  # empty, or covered by the substituted peak integral
-            total += _quad_checked(f, a, b, tol, pref, pieces)
-
-    err = sum(e for _, e in pieces)
-    if err > 20.0 * tol * max(abs(total), pref):
-        raise QuadratureFailure(
-            f"form factor at mu={mu}: error estimate {err:.3e} exceeds budget "
-            f"for tol={tol:.1e}")
-    return float(total)
+    return float(-_self_energy(band, gamma, mu, tol)[0].imag / math.pi)
 
 
 def analytic_flat_band(gamma: float, eta: float, delta: float, mu: float,
@@ -200,7 +111,7 @@ def _profile(x, n):
                 p = p * sq
             sq, m = sq * sq, m >> 1
         h = 1.0 / (1.0 + p * x)
-        dh = np.where(h > 0.0, -n * p * h * h, 0.0)
+        dh = np.where(h > 0.0, -n * (p * h) * h, 0.0)
     return h, dh
 
 
@@ -209,15 +120,20 @@ def _edge_integral(n, beta, eps, order):
 
     x and ``eps`` are (k - center)/delta, and beta = eta/(2 delta).  The pole
     h'(eps)/(eps - x + i w), w = beta h(eps), is subtracted and its integral
-    -i pi h'(eps) added back.  The rest keeps a feature of width w at x = eps
-    (the peak :func:`renormalized_form_factor` rescales), so each energy adds
-    a geometric ladder toward eps, down to w, to panels shared by all
-    energies: 0, both edges, and steps 1/n, 2/n, 4/n, ... away from each
-    edge.  Past the last breakpoint X, x = +-X/u maps both tails onto
-    u in (0, 1], where the subtracted poles cancel in pairs.
+    -i pi h'(eps) added back.  The rest keeps a feature of width w at
+    x = eps, so each energy adds a geometric ladder toward eps, down to w, to
+    panels shared by all energies: 0, both edges, and steps 1/n, 2/n, 4/n,
+    ... away from each edge.  Where beta*|h'| ~ beta*n*exp(-n|y|) at
+    distance y from an edge exceeds ~1, the denominator has further zeros
+    ~1/n off the real axis, so the steps stay at 2/n out to
+    n|y| = ln(beta*n) + 1/2 before doubling again; for n = 6 and beta <= 5.5
+    that changes no breakpoint.  Past the last breakpoint X, x = +-X/u maps
+    both tails onto u in (0, 1], where the subtracted poles cancel in pairs.
     """
     t, w = gauss_legendre(order)
-    steps = np.concatenate([[0.0], 2.0 ** np.arange(64)]) / n
+    steep = 2.0 * max(1, math.ceil(0.5 * (math.log(max(beta * n, 1.0)) + 0.5)))
+    steps = np.concatenate([[0.0, 1.0], np.arange(2.0, steep + 1.0, 2.0),
+                            steep * 2.0 ** np.arange(1, 64)]) / n
     reach = max(4.0, 2.0 * np.abs(eps).max())
     half = np.concatenate([[0.0], 1.0 - steps[steps < 1.0],
                            1.0 + steps[:np.searchsorted(steps, reach) + 1]])
@@ -229,7 +145,8 @@ def _edge_integral(n, beta, eps, order):
     wE = beta * hE
     p = np.searchsorted(br, eps) - 1
     top = br[p + 1] - br[p]  # the ladder starts at the width of eps's panel
-    floor = np.clip(wE, _LADDER_FLOOR * top, top)
+    # no ladder where w underflows: nothing to resolve, and a node at eps is 0/0
+    floor = np.where(wE > 0.0, np.clip(wE, _LADDER_FLOOR * top, top), top)
     rungs = np.ceil(np.log(top / floor) / math.log(_LADDER_RATIO))
     per_energy = (len(br) + 2 * rungs.max() + 4) * order  # nodes, at most
     step = max(1, int(_BLOCK // per_energy))
@@ -261,7 +178,8 @@ def _self_energy(band: DetectorBand, gamma: float, E, tol: float = 1e-9) -> np.n
     whose integrand lives at the band edges; g2 = -Im Sigma/pi.  The flat
     band's eta'_k is two delta functions: :func:`~zenoband.model._flat_band_log`.
     Power-law bands raise :class:`QuadratureFailure` where the two rules of
-    ``_ORDERS`` differ by more than 20*tol*max(g2, gamma/2pi) in g2.
+    ``_ORDERS`` differ by more than 20*tol*max(g2, gamma/2pi) in g2, or by a
+    non-finite amount.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -276,7 +194,7 @@ def _self_energy(band: DetectorBand, gamma: float, E, tol: float = 1e-9) -> np.n
     beta = band.eta / (2.0 * band.delta)
     fine, coarse = (_edge_integral(band.n, beta, eps, order) for order in _ORDERS)
     err = np.abs(fine - coarse)
-    bad = np.flatnonzero(err > 20.0 * tol * np.maximum(1.0 - fine.real, 1.0))
+    bad = np.flatnonzero(~(err <= 20.0 * tol * np.maximum(1.0 - fine.real, 1.0)))
     if bad.size:
         i = bad[0]
         raise QuadratureFailure(f"self-energy at E={E[i]}: error estimate {err[i]:.3e} "
@@ -339,7 +257,7 @@ def form_factor_grid(band: DetectorBand, gamma: float,
         if fill:
             base = np.unique(np.concatenate([base] + fill))
     g2 = -_self_energy(band, gamma, base, tol).imag / math.pi
-    return FormFactorGrid(mu=base, g2=g2, window=(lo, hi), gamma=gamma, band=band)
+    return FormFactorGrid(mu=base, g2=g2, window=(lo, hi), gamma=gamma, band=band, tol=tol)
 
 
 def sum_rule_defect(grid: FormFactorGrid, gamma: float) -> float:

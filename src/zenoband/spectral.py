@@ -59,10 +59,10 @@ def self_energy(grid: FormFactorGrid, E: float) -> complex:
     """Sigma(E + i0) over the renormalized continuum of ``grid``'s band.
 
     Evaluated directly from the band-edge integral of
-    :func:`zenoband.formfactor._self_energy`, not from the tabulated g2, so
-    it holds at any real E; Im Sigma = -pi g2(E).
+    :func:`zenoband.formfactor._self_energy` at the grid's ``tol``, not from
+    the tabulated g2, so it holds at any real E; Im Sigma = -pi g2(E).
     """
-    return complex(_self_energy(grid.band, grid.gamma, E)[0])
+    return complex(_self_energy(grid.band, grid.gamma, E, grid.tol)[0])
 
 
 def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
@@ -97,7 +97,7 @@ def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
     # midpoint insertion can round onto an existing float; drop zero cells
     E = E[np.concatenate([[True], np.diff(E) > 1e-13 * (hi - lo)])]
 
-    sigma = _self_energy(grid.band, grid.gamma, E)
+    sigma = _self_energy(grid.band, grid.gamma, E, grid.tol)
     A = -sigma.imag / math.pi / ((E - omega - sigma.real) ** 2 + sigma.imag ** 2)
     if A[0] > 1e-6 * A.max() or A[-1] > 1e-6 * A.max():
         raise WindowTooNarrow(

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import g2_oracle
+from conftest import flat_sigma_oracle, g2_oracle, g2_quad_oracle
+from zenoband import formfactor
 from zenoband import (
     BandEdge,
     DetectorBand,
@@ -62,15 +63,38 @@ class TestRenormalizedFormFactor:
         band = DetectorBand(eta=1.7, delta=1.0, n=None, center=0.0)
         for mu in (0.0, 0.4, 0.99, 1.01, 2.5, -6.0):
             got = renormalized_form_factor(band, GAMMA, mu, tol=1e-10)
-            want = analytic_flat_band(GAMMA, 1.7, 1.0, mu, 0.0)
+            want = -flat_sigma_oracle(GAMMA, 1.7, 1.0, mu).imag / math.pi
             assert got == pytest.approx(want, rel=1e-6)
 
     def test_unreachable_tolerance_raises_quadrature_failure(self):
-        band = DetectorBand(eta=100.0, delta=15.9, n=6, center=0.0)
-        with pytest.raises(QuadratureFailure, match="mu=0.3"):
-            renormalized_form_factor(band, GAMMA, 0.3, tol=1e-16)
+        band = pl_band(1.0)
+        with pytest.raises(QuadratureFailure, match="E=-2.6312"):
+            renormalized_form_factor(band, GAMMA, -2.6312, tol=1e-16)
         # one decade looser, the same point meets its error budget
-        assert renormalized_form_factor(band, GAMMA, 0.3, tol=1e-15) > 0.0
+        assert renormalized_form_factor(band, GAMMA, -2.6312, tol=1e-15) > 0.0
+
+    @pytest.mark.parametrize("mu", [-51.375, 51.375])
+    def test_narrow_edge_band_value_at_tight_tolerance(self, mu):
+        # pi*eta_mu ~ 3e-11 < 1e-12*|mu| here, so g2_quad_oracle takes its delta branch
+        band = DetectorBand(eta=100.0, delta=100.0 / (2 * math.pi), n=24, center=0.0)
+        tol = 1e-10
+        got = renormalized_form_factor(band, GAMMA, mu, tol)
+        want = g2_quad_oracle(band, GAMMA, mu)
+        assert got == pytest.approx(want, abs=20.0 * tol * max(want, FREE))
+
+    def test_non_finite_error_estimate_raises(self, monkeypatch):
+        # a NaN estimate compares False against any budget; it must still raise
+        edge_integral = formfactor._edge_integral
+
+        def coarse_nan(n, beta, eps, order):
+            out = edge_integral(n, beta, eps, order)
+            if order == formfactor._ORDERS[1]:
+                out[3] = np.nan
+            return out
+
+        monkeypatch.setattr(formfactor, "_edge_integral", coarse_nan)
+        with pytest.raises(QuadratureFailure, match="nan"):
+            formfactor._self_energy(pl_band(1.0), GAMMA, np.linspace(-2.0, 2.0, 9))
 
     def test_positive_everywhere(self):
         band = pl_band(1.0)
@@ -162,7 +186,7 @@ class TestFormFactorGrid:
         tol = 1e-9
         g = form_factor_grid(band, GAMMA, n_points=300, tol=tol)
         for mu, g2 in zip(g.mu[::15], g.g2[::15]):
-            want = renormalized_form_factor(band, GAMMA, mu, tol)
+            want = g2_quad_oracle(band, GAMMA, mu)
             assert g2 == pytest.approx(want, abs=20.0 * tol * max(want, FREE))
 
     def test_unreachable_tolerance_raises_quadrature_failure(self):
@@ -178,6 +202,42 @@ class TestFormFactorGrid:
     def test_window_must_cover_band(self):
         with pytest.raises(WindowTooNarrow):
             form_factor_grid(pl_band(1.0), GAMMA, window=(-3.0, 3.0))
+
+
+class TestSteepBands:
+    # 2 pi Delta = 100 as in Fig. 3; n up to 3200 approaches the flat band
+    @pytest.mark.parametrize("eta", [1.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("n", [96, 400, 1600, 3200])
+    def test_grid_matches_scalar_reference(self, n, eta):
+        band = DetectorBand(eta=eta, delta=100.0 / (2 * math.pi), n=n, center=0.0)
+        tol = 1e-9
+        g = form_factor_grid(band, GAMMA, tol=tol)
+        assert np.all(np.isfinite(g.g2))
+        for mu, g2 in zip(g.mu[::20], g.g2[::20]):
+            want = g2_quad_oracle(band, GAMMA, mu)
+            assert g2 == pytest.approx(want, abs=20.0 * tol * max(want, FREE))
+
+    def test_values_where_eta_underflows(self):
+        # eta_E is 0.0 beyond ~2.4 delta for n = 800; at 2.6 delta (a panel
+        # breakpoint) a ladder node would round onto E and give 0/0
+        band = DetectorBand(eta=100.0, delta=100.0 / (2 * math.pi), n=800, center=0.0)
+        tol, mu = 1e-9, np.linspace(-3.0, 3.0, 61) * band.delta
+        g2 = -formfactor._self_energy(band, GAMMA, mu, tol).imag / math.pi
+        for m, v in zip(mu[::4], g2[::4]):
+            want = g2_quad_oracle(band, GAMMA, m)
+            assert v == pytest.approx(want, abs=20.0 * tol * max(want, FREE))
+
+    @pytest.mark.parametrize("E", [0.0, 10.0, 30.0])
+    def test_converges_to_flat_band(self, E):
+        # |Sigma_n - Sigma_flat| ~ c/n with c = 0.47, 1.2, 0.35 at E = 0, 10, 30
+        delta = 100.0 / (2 * math.pi)
+        want = flat_sigma_oracle(GAMMA, 100.0, delta, E)
+        ns = (24, 96, 400, 1600)
+        gaps = [abs(formfactor._self_energy(DetectorBand(eta=100.0, delta=delta, n=n,
+                                                         center=0.0), GAMMA, E)[0] - want)
+                for n in ns]
+        assert all(a > b for a, b in zip(gaps, gaps[1:]))
+        assert all(gap * n < 1.5 for gap, n in zip(gaps, ns))
 
 
 class TestSumRule:

@@ -185,6 +185,21 @@ class TestCli:
         assert rc == EXIT_CODES[cls.__name__]
         assert capsys.readouterr().err == f"{prefix}boom\n"
 
+    def test_steep_band_formfactor_is_finite(self, tmp_path, capsys):
+        rc = run_cli(["formfactor", "--out", str(tmp_path), "--override", "n=3200",
+                      "--override", "eta=100", "--override", f"delta={100 / (2 * math.pi)!r}"])
+        assert rc == 0
+        header, (mu, g2, rel) = read_csv(tmp_path / "formfactor.csv")
+        assert np.all(np.isfinite(g2)) and np.all(g2 > 0.0)
+
+    def test_steep_band_spectral_exit_zero(self, tmp_path, capsys):
+        rc = run_cli(["spectral", "--out", str(tmp_path), "--override", "gamma=1",
+                      "--override", "n=1600", "--override", "eta=100",
+                      "--override", f"delta={100 / (2 * math.pi)!r}"])
+        assert rc == 0
+        header, cols = read_csv(tmp_path / "spectral.csv")
+        assert all(np.all(np.isfinite(c)) for c in cols)
+
     def test_fig1_with_cheap_override(self, tmp_path, capsys):
         rc = run_cli(["fig1", "--out", str(tmp_path),
                       "--override", "delta=5", "--override", "eta=2"])

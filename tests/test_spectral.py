@@ -1,20 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import flat_sigma_oracle, re_sigma_oracle
+from conftest import flat_sigma_oracle, g2_quad_oracle, re_sigma_oracle
 from zenoband import (
     DetectorBand,
     HorizonExceeded,
     ModelParams,
+    QuadratureFailure,
     SpectralFunction,
     discretize_continuum,
     form_factor_grid,
     free_value,
     perturbative_decay,
     propagate,
-    renormalized_form_factor,
     self_energy,
     spectral_function,
     stage_rates,
@@ -48,10 +49,10 @@ class TestSelfEnergy:
             assert sig.imag == pytest.approx(-GAMMA / 2, rel=1e-9)
 
     def test_imaginary_part_is_sokhotski_plemelj(self, solid_grid):
-        # Im Sigma = -pi g2 against the scalar quadrature, at its own error budget
+        # Im Sigma = -pi g2 against the scalar quad oracle, within a tol = 1e-10 budget
         tol = 1e-10
         for E in (0.0, 5.0, -12.0):
-            g2 = renormalized_form_factor(solid_grid.band, GAMMA, E, tol)
+            g2 = g2_quad_oracle(solid_grid.band, GAMMA, E)
             sig = self_energy(solid_grid, E)
             budget = 20.0 * tol * max(g2, free_value(GAMMA))
             assert sig.imag == pytest.approx(-math.pi * g2, abs=math.pi * budget)
@@ -74,7 +75,7 @@ class TestSelfEnergy:
             assert self_energy(grid, E) == pytest.approx(want, rel=1e-12)
 
     def test_suppressed_line_width_pinned_by_form_factor(self, solid_grid):
-        g2_line = renormalized_form_factor(solid_grid.band, GAMMA, 0.0, 1e-10)
+        g2_line = g2_quad_oracle(solid_grid.band, GAMMA, 0.0)
         sig = self_energy(solid_grid, 0.0)
         assert sig.imag == pytest.approx(-math.pi * g2_line, rel=1e-5)
 
@@ -118,6 +119,10 @@ class TestSpectralFunction:
             return np.abs(survival_amplitude_spectral(sf, t)) ** 2
 
         assert np.abs(survival(200) - survival(800)).max() < 1e-4
+
+    def test_line_shape_honours_grid_tolerance(self, solid_grid):
+        with pytest.raises(QuadratureFailure):
+            spectral_function(dataclasses.replace(solid_grid, tol=1e-16), 0.0)
 
 
 class TestSurvivalAmplitude:
