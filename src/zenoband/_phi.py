@@ -50,18 +50,12 @@ def phi_functions(z, nmax: int = 3):
     return [ez] + closed
 
 
-def free_tail_moments(W: float, t: float, head: float = 0.0):
-    """(head + Int_W^inf cos(Et)/E^2 dE, Int_W^inf sin(Et)/E^2 dE) for W > 0, t >= 0.
-
-    ``head`` is added before the Si term, so a caller that carries a
-    finite-range part of the same integral sums it in one fixed order.
-    """
-    if t == 0.0:
-        return head + 1.0 / W, 0.0
+def free_tail_moments(W: float, t):
+    """(Int_W^inf cos(Et)/E^2 dE, Int_W^inf sin(Et)/E^2 dE) for W > 0, times t >= 0."""
+    t = np.asarray(t, dtype=float)
     x = W * t
-    si, ci = sici(x)
-    return (head + math.cos(x) / W - t * (math.pi / 2.0 - si),
-            math.sin(x) / W - t * ci)
+    si, ci = sici(np.where(t == 0.0, 1.0, x))  # the t factor zeroes both at t = 0
+    return np.cos(x) / W - t * (np.pi / 2.0 - si), np.sin(x) / W - t * ci
 
 
 def kernel_antiderivatives(x, t: float):

@@ -21,7 +21,9 @@ machine precision while decaying too fast to ring, at the price of one exact
 counter-term on the atom diagonal (the arc-at-infinity mismatch of the two
 rotated rays, -2i*theta*g^2).  The photon norm carried by the tapered tail
 is restored by a closed-form channel so the probability bookkeeping still
-closes to <1e-6.  The detector response r never feeds back into the
+closes to <1e-6.  Over the taper ramp that channel is a fixed rule of
+64-node Gauss-Legendre panels, three nodes per period of cos(k*T), built
+once with the grid.  The detector response r never feeds back into the
 amplitudes, so it is not stepped: it is the time integral of the absorbed
 flux sum_j 2 pi eta_j |F_j|^2, recorded after every step.
 """
@@ -34,6 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.optimize import minimize_scalar
 
 from ._phi import free_tail_moments, gauss_legendre, phi_functions
 from .errors import NoResponse, RevivalGuardViolated, ToleranceNotMet, WindowTooNarrow
@@ -50,13 +53,14 @@ __all__ = [
 
 REVIVAL_MARGIN = 4.0     # discrete recurrence must lie beyond this many horizons
 DEFECT_TOL = 1e-5        # largest norm defect propagate() accepts
-_DELAY_XTOL = 1e-6       # response_delay bracket width, relative to the horizon
+_DELAY_XTOL = 1e-6       # response_delay tolerance in d, relative to the horizon
 _DELAY_NODES = 64        # Gauss-Legendre nodes of the response_delay objective
 _THETA = math.pi / 4.0   # rotation angle of the beyond-K contour
 _N_ARC = 48              # quadrature nodes on the taper-ramp contour (per side)
 _N_RAY = 48              # quadrature nodes on the beyond-K ray (per side)
 _SCHED = 32.0            # step-doubling schedule: h <= t/_SCHED until cruise
-_TAIL_BLOCK = 2 ** 14    # elements per block of the tail-norm trapezoid
+_TAIL_GL = 64            # Gauss-Legendre nodes per tail-norm ramp panel
+_TAIL_PER_PERIOD = 3.0   # tail-norm ramp nodes per period of cos(k*T)
 
 
 def _ramp_poly(u):
@@ -78,7 +82,9 @@ class DiscretizedModel:
     ``tail_poles``/``tail_weights`` are the complex quadrature poles carrying
     the exact out-of-window self-energy; they are bookkeeping-free and their
     probability content is restored analytically through the tail-norm
-    channel (``tail_k``/``tail_profile``/``tail_j2``).
+    channel: ``tail_k`` are Gauss-Legendre nodes on the taper ramp [K0, K]
+    and ``tail_k_weights`` their weights times (1 - W)/k^2, so that
+    Int_K0^K (1-W) cos(kt)/k^2 dk = cos(t*tail_k) @ tail_k_weights.
     """
 
     k_grid: np.ndarray
@@ -92,9 +98,8 @@ class DiscretizedModel:
     atom_shift: complex          # arc counter-term, enters as diagonal energy
     tail_poles: np.ndarray       # offsets from omega, Im <= 0
     tail_weights: np.ndarray     # complex c^2 weights of the pseudo-modes
-    tail_k: np.ndarray           # sampling of the ramp for the norm channel
-    tail_profile: np.ndarray     # (1 - W) on tail_k
-    tail_j2: float               # one-sided Int (1-W)/k^2 dk over [K0, inf)
+    tail_k: np.ndarray           # ramp quadrature nodes of the norm channel
+    tail_k_weights: np.ndarray   # node weights times (1 - W)/k^2
     step: float
 
 
@@ -184,16 +189,19 @@ def discretize_continuum(m: ValidatedModel) -> DiscretizedModel:
 
     poles, weights, atom_shift = _tail_contours(g2, K, K0)
 
-    n_ramp = max(2000, int(np.ceil((K - K0) * T / 0.2)))
-    tail_k = np.linspace(K0, K, n_ramp)
-    tail_profile = 1.0 - _taper((tail_k - K0) / (K - K0))
-    tail_j2 = float(np.trapezoid(tail_profile / tail_k ** 2, tail_k)) + 1.0 / K
+    # (1-W)/k^2 is smooth, so the cost is set by cos(kt) up to t = T
+    panels = math.ceil(_TAIL_PER_PERIOD * (K - K0) * T / (2.0 * math.pi * _TAIL_GL))
+    x, w = gauss_legendre(_TAIL_GL)
+    width = (K - K0) / panels
+    tail_k = (K0 + width * (np.arange(panels)[:, None] + x)).ravel()
+    tail_k_weights = (np.tile(width * w, panels) * _ramp_poly((tail_k - K0) / (K - K0))
+                      / tail_k ** 2)
 
     return DiscretizedModel(
         k_grid=k, mode_energy=mode_energy, coupling=coupling, horizon=T,
         gamma=m.gamma, omega=m.omega, cutoff=K, taper_start=K0,
         atom_shift=atom_shift, tail_poles=poles, tail_weights=weights,
-        tail_k=tail_k, tail_profile=tail_profile, tail_j2=tail_j2,
+        tail_k=tail_k, tail_k_weights=tail_k_weights,
         step=num.step,
     )
 
@@ -266,19 +274,15 @@ def _tail_norm(dm: DiscretizedModel, t: np.ndarray, F: np.ndarray) -> np.ndarray
         eps_tail(t) = 2 g2 J2 (|F|^2 + 1) - 4 g2 Re[F(t) conj(F0)] Phi(t)
 
     with J2 the one-sided Int (1-W)/k^2 and Phi its cos(kt)-weighted version
-    (ramp numerically, beyond-K part via Si).  Exact at t = 0, where Phi = J2.
+    (ramp by the Gauss-Legendre rule of ``tail_k``, beyond K via Si).  Exact
+    at t = 0, where Phi = J2.
     """
     g2 = dm.gamma / (2.0 * math.pi)
-    kk, prof = dm.tail_k, dm.tail_profile
-    wk = prof / kk ** 2
-    rows = max(1, _TAIL_BLOCK // len(kk))
-    ramp = np.concatenate([
-        np.trapezoid(wk * np.cos(kk * t[i:i + rows, None]), kk, axis=1)
-        for i in range(0, len(t), rows)])
-    phi = np.array([free_tail_moments(dm.cutoff, tt, head=hd)[0]
-                    for tt, hd in zip(t, ramp)])
-    return (2.0 * g2 * (np.abs(F) ** 2 + 1.0) * dm.tail_j2
-            - 4.0 * g2 * F.real * phi)
+    kk, wk = dm.tail_k, dm.tail_k_weights
+    ramp = np.array([np.cos(tt * kk) @ wk for tt in t])  # no (times x nodes) matrix
+    phi = ramp + free_tail_moments(dm.cutoff, t)[0]
+    j2 = wk.sum() + 1.0 / dm.cutoff
+    return 2.0 * g2 * (np.abs(F) ** 2 + 1.0) * j2 - 4.0 * g2 * F.real * phi
 
 
 def propagate(dm: DiscretizedModel,
@@ -336,7 +340,7 @@ def propagate(dm: DiscretizedModel,
 def response_delay(trace: ProbabilityTrace) -> float:
     """Delay d minimizing the mean-square gap between r(t) and 1 - s(t - d).
 
-    Golden-section search on d in [0, T/2].  The objective is
+    Bounded Brent search on d in [0, T/2].  The objective is
     (1/(T - d)) Int_d^T (r(t) - 1 + s(t - d))^2 dt on cubic splines of the
     samples, by fixed Gauss-Legendre nodes on [d, T], so it is continuous in
     d.  Raises :class:`NoResponse` when r never reaches 0.5 inside the
@@ -353,21 +357,9 @@ def response_delay(trace: ProbabilityTrace) -> float:
         tt = d + (T - d) * u
         return float(w @ (r_of(tt) - 1.0 + s_of(tt - d)) ** 2)
 
-    lo, hi = 0.0, T / 2.0
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = mse(x1), mse(x2)
-    while hi - lo > _DELAY_XTOL * T:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = mse(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = mse(x2)
-    return 0.5 * (lo + hi)
+    res = minimize_scalar(mse, bounds=(0.0, T / 2.0), method="bounded",
+                          options={"xatol": _DELAY_XTOL * T})
+    return float(res.x)
 
 
 def decay_rate_trace(trace: ProbabilityTrace):

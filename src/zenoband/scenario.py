@@ -193,20 +193,27 @@ def _window(dm) -> str:
     return f"cutoff={dm.cutoff:.6g}, core_modes={len(dm.k_grid)}"
 
 
-def product_evolve(cfg: ScenarioConfig, out_dir: str):
+def _propagated(cfg: ScenarioConfig):
+    """(model, discretization, trace at the evolve samples, response delay or None)."""
     m = validate_params(cfg.params)
     dm = discretize_continuum(m)
     trace = propagate(dm, _evolve_samples(m))
+    try:  # eta = 0 leaves r identically 0, which raises NoResponse
+        delay = response_delay(trace)
+    except NoResponse:
+        delay = None
+    return m, dm, trace, delay
+
+
+def product_evolve(cfg: ScenarioConfig, out_dir: str):
+    _, dm, trace, delay = _propagated(cfg)
     path = write_csv(os.path.join(out_dir, "evolve.csv"),
                      ["t", "s", "eps", "r", "norm_defect"],
                      [trace.t, trace.s, trace.eps, trace.r, trace.norm_defect])
-    summary = (f"evolve: s(T)={trace.s[-1]:.6f}, r(T)={trace.r[-1]:.6f}, "
-               f"max_norm_defect={trace.norm_defect.max():.3e}")
-    try:
-        summary += f", response_delay={response_delay(trace):.4f}"
-    except NoResponse:
-        summary += ", response_delay=n/a"
-    return [path], [f"{summary}, {_window(dm)}"]
+    delay_txt = "n/a" if delay is None else f"{delay:.4f}"
+    return [path], [f"evolve: s(T)={trace.s[-1]:.6f}, r(T)={trace.r[-1]:.6f}, "
+                    f"max_norm_defect={trace.norm_defect.max():.3e}, "
+                    f"response_delay={delay_txt}, {_window(dm)}"]
 
 
 def product_spectral(cfg: ScenarioConfig, out_dir: str):
@@ -227,18 +234,14 @@ def product_spectral(cfg: ScenarioConfig, out_dir: str):
 
 
 def product_fig1(cfg: ScenarioConfig, out_dir: str):
-    m = validate_params(cfg.params)
-    dm = discretize_continuum(m)
-    trace = propagate(dm, _evolve_samples(m))
+    m, dm, trace, delay = _propagated(cfg)
     path = write_csv(os.path.join(out_dir, "fig1.csv"),
                      ["t", "one_minus_s", "eps", "r"],
                      [trace.t, 1.0 - trace.s, trace.eps, trace.r])
-    try:  # eta = 0 leaves r identically 0, which raises NoResponse
-        delay = response_delay(trace)
+    delay_txt = "n/a"
+    if delay is not None:
         tau = 1.0 / m.band.eta
         delay_txt = f"{delay:.4f} (tau={tau:.4f}, delay/tau={delay / tau:.3f})"
-    except NoResponse:
-        delay_txt = "n/a"
     return [path], [f"fig1: r(T)={trace.r[-1]:.4f}, response_delay={delay_txt}, {_window(dm)}"]
 
 
@@ -347,10 +350,13 @@ def run_scenario(cfg: ScenarioConfig) -> Tuple[List[str], List[str]]:
     """Execute every requested product; returns (output files, summary lines)."""
     if not cfg.products:
         raise ConfigError("no products requested")
+    if cfg.threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {cfg.threads}")
     if not (cfg.sweep_eta or cfg.sweep_delta or cfg.sweep_detuning):
         return _run_point((cfg, cfg.out_dir))
     points = list(_sweep_points(cfg))  # tag collisions raise before any point runs
-    if cfg.threads > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+    workers = min(cfg.threads, len(points))  # a fork pool starts every worker at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return _concat(pool.map(_run_point, points))
     return _concat(map(_run_point, points))

@@ -147,12 +147,11 @@ def survival_amplitude_spectral(sf: SpectralFunction, t) -> np.ndarray:
         m0 = w * p1
         m1 = w ** 2 * (p1 - p2)
         cells = np.exp(-1j * tt * E[:-1]) * (a * m0 + b * m1)
-        val = cells.sum()
-        # analytic tails: A ~ (gamma/2pi)/(E-omega)^2 outside the window
-        for sgn, W in ((+1, Wp), (-1, Wm)):
-            c_int, s_int = free_tail_moments(W, tt)
-            val += pref * np.exp(-1j * tt * sf.omega) * (c_int - 1j * sgn * s_int)
-        out[i] = val
+        out[i] = cells.sum()
+    # analytic tails: A ~ (gamma/2pi)/(E-omega)^2 outside the window
+    for sgn, W in ((+1, Wp), (-1, Wm)):
+        c_int, s_int = free_tail_moments(W, t_arr)
+        out += pref * np.exp(-1j * t_arr * sf.omega) * (c_int - 1j * sgn * s_int)
     return out if np.ndim(t) else out[0]
 
 

@@ -119,6 +119,30 @@ class TestScenarioProducts:
             run_scenario(cfg)
         assert not (tmp_path / "out").exists()  # raised before any point ran
 
+    def test_sweep_pool_is_sized_to_the_points(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(zenoband.scenario, "ProcessPoolExecutor", SerialPool)
+        cfg = load_scenario(overrides={"delta": "15.9", "products": "report",
+                                       "sweep_eta": "50, 100"},
+                            out_dir=str(tmp_path / "out"), threads=8)
+        files, _ = run_scenario(cfg)
+        assert sizes == [2]
+        assert len(files) == 2
+
 
 class TestCli:
     def test_report_exit_zero(self, tmp_path, capsys):
@@ -141,6 +165,15 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert "config error" in err and "eta" in err
+
+    def test_sweep_threads_below_one_exit_one(self, tmp_path, capsys):
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text("delta = 15.9\nproducts = report\nsweep_eta = 50, 100\n")
+        rc = run_cli(["sweep", "--config", str(cfg_file), "--out", str(tmp_path / "out"),
+                      "--threads", "0"])
+        assert rc == 1
+        assert "threads" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # raised before any point ran
 
     def test_missing_config_file_exit_one(self, tmp_path, capsys):
         rc = run_cli(["report", "--config", str(tmp_path / "nope.cfg")])
