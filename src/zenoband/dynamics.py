@@ -39,7 +39,8 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 
 from ._phi import free_tail_moments, gauss_legendre, phi_functions
-from .errors import NoResponse, RevivalGuardViolated, ToleranceNotMet, WindowTooNarrow
+from .errors import (NoResponse, RevivalGuardViolated, ToleranceNotMet, ValidationError,
+                     WindowTooNarrow)
 from .model import ValidatedModel, default_cutoff, detector_response
 
 __all__ = [
@@ -53,6 +54,8 @@ __all__ = [
 
 REVIVAL_MARGIN = 4.0     # discrete recurrence must lie beyond this many horizons
 DEFECT_TOL = 1e-5        # largest norm defect propagate() accepts
+_MODE_BYTES = 400        # peak bytes per core mode of discretize + propagate (356-409 measured)
+_MAX_CORE_BYTES = 2 ** 30  # largest core-mode footprint discretize_continuum builds
 _DELAY_XTOL = 1e-6       # response_delay tolerance in d, relative to the horizon
 _DELAY_NODES = 64        # Gauss-Legendre nodes of the response_delay objective
 _THETA = math.pi / 4.0   # rotation angle of the beyond-K contour
@@ -153,13 +156,20 @@ def _tail_contours(g2: float, K: float, K0: float):
     return poles, weights, atom_shift
 
 
+def _core_bytes(K: float, dk: float) -> float:
+    """Estimated peak memory of the ~2K/dk core modes, before any is allocated."""
+    return 2.0 * K / dk * _MODE_BYTES
+
+
 def discretize_continuum(m: ValidatedModel) -> DiscretizedModel:
     """Build the propagation target from a validated scenario.
 
     Raises :class:`RevivalGuardViolated` when the grid spacing would place
     the discrete recurrence 2*pi/dk inside ``REVIVAL_MARGIN`` horizons, and
     :class:`WindowTooNarrow` when the cutoff is below
-    :func:`~zenoband.model.default_cutoff` without an explicit override.
+    :func:`~zenoband.model.default_cutoff` without an explicit override, and
+    :class:`ValidationError` (code ``horizon``) when the core modes would
+    need more than ``_MAX_CORE_BYTES``.
     """
     num = m.numerics
     K, dk, T = num.cutoff, num.dk, num.horizon
@@ -172,6 +182,12 @@ def discretize_continuum(m: ValidatedModel) -> DiscretizedModel:
         raise WindowTooNarrow(
             f"cutoff K={K:g} below the band-derived window {need:g}; "
             "set allow_narrow_window to override")
+
+    if _core_bytes(K, dk) > _MAX_CORE_BYTES:
+        raise ValidationError([("horizon", (
+            f"horizon T={T:g} with dk={dk:g} and cutoff K={K:g} needs ~{2.0 * K / dk:.3g} "
+            f"core modes, ~{_core_bytes(K, dk) / 2 ** 30:.3g} GiB over the "
+            f"{_MAX_CORE_BYTES / 2 ** 30:g} GiB limit"))])
 
     g2 = m.gamma / (2.0 * math.pi)
     offs = np.arange(dk / 2.0, K, dk)

@@ -15,9 +15,9 @@ from typing import Tuple
 
 import numpy as np
 
-from ._phi import free_tail_moments, kernel_antiderivatives, phi_functions
+from ._phi import _SMALL, free_tail_moments, kernel_antiderivatives, phi_functions
 from .errors import HorizonExceeded, WindowTooNarrow
-from .formfactor import (FormFactorGrid, _ladder, _self_energy, free_value,
+from .formfactor import (_BLOCK, FormFactorGrid, _ladder, _self_energy, free_value,
                          renormalized_form_factor)
 from .model import ValidatedModel
 
@@ -32,6 +32,7 @@ __all__ = [
 
 _PERT_REFINE = 8          # perturbative_decay interpolation nodes per grid cell
 _LINE_POINTS = 1200       # uniform energies across the dressed line
+_MOMENTS = 16             # Taylor terms of phi2 on the nodes with |t x| < 0.5
 
 
 @dataclass(frozen=True)
@@ -111,13 +112,18 @@ def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
 
 
 def survival_amplitude_spectral(sf: SpectralFunction, t) -> np.ndarray:
-    """f(t) = Int A(E) e^{-iEt} dE, piecewise-exact against the linear interpolant.
+    """f(t) = Int A(E) e^{-iEt} dE, exact against the piecewise-linear A.
 
-    Each cell integrates (linear A) * e^{-iEt} in closed form, so the cell
-    size is limited by how well A is linear, not by the phase t*dE.  The
-    analytic free-tail transform is added for |E - omega| beyond the window.
-    Times beyond the resolution horizon of the mass-carrying region raise
-    :class:`HorizonExceeded`.
+    Integrating by parts twice puts it on the slope jumps c_k = b_{k-1} - b_k
+    of A (cell slopes b, zero outside) at the nodes x_k = E_k - omega:
+    f e^{i omega t} = [A x phi1(-itx)]_ends - Sum_k c_k x_k^2 phi2(-itx_k),
+    so the cell size is limited by how well A is linear, not by t*dE.  Where
+    |t x| >= 0.5, phi2 is closed-form: cos and sin of t*x in (times x nodes)
+    blocks, with suffix sums for its constant and linear parts.  The other
+    nodes are a prefix in |x| order, summed as a Taylor series in cumulative
+    moments Sum c x^{m+2}.  The analytic free-tail transform is added beyond
+    the window.  Times beyond the resolution horizon of the mass-carrying
+    region raise :class:`HorizonExceeded`.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     E, A = sf.E, sf.A
@@ -133,25 +139,44 @@ def survival_amplitude_spectral(sf: SpectralFunction, t) -> np.ndarray:
         raise HorizonExceeded(
             f"t up to {t_arr.max():g} exceeds the spectral horizon {horizon:g}")
 
-    w = np.diff(E)
-    a = A[:-1]
-    b = np.diff(A) / w
-    lo, hi = sf.window
-    Wp = hi - sf.omega
-    Wm = sf.omega - lo
-    pref = free_value(sf.gamma)
-    out = np.empty(len(t_arr), dtype=complex)
-    for i, tt in enumerate(t_arr):
-        z = -1j * tt * w
-        _, p1, p2 = phi_functions(z, 2)
-        m0 = w * p1
-        m1 = w ** 2 * (p1 - p2)
-        cells = np.exp(-1j * tt * E[:-1]) * (a * m0 + b * m1)
-        out[i] = cells.sum()
+    x = E - sf.omega
+    p1 = phi_functions(-1j * t_arr[:, None] * x[[0, -1]], 1)[1]
+    ends = p1[:, 1] * (A[-1] * x[-1]) - p1[:, 0] * (A[0] * x[0])
+    c = -np.diff(np.diff(A) / np.diff(E), prepend=0.0, append=0.0)
+    order = np.argsort(np.abs(x), kind="stable")
+    x, c = x[order], c[order]
+    n = len(x)
+    lim = np.divide(_SMALL, t_arr, out=np.full_like(t_arr, np.inf), where=t_arr > 0.0)
+    n_small = np.searchsorted(np.abs(x), lim)  # |t x| < 0.5 on the first n_small nodes
+    moments = np.zeros((_MOMENTS, n + 1))  # [m, j]: Sum_{k<j} c x^{m+2}
+    term = c * x * x
+    for row in moments:
+        np.cumsum(term, out=row[1:])
+        term *= x
+    m = np.arange(_MOMENTS)
+    taylor = (moments[:, n_small].T * t_arr[:, None] ** m
+              * (np.array([1.0, -1j, -1.0, 1j])[m % 4] / np.cumprod(m + 2.0))).sum(axis=1)
+    suffix = np.zeros((2, n + 1))  # column j: Sum_{k>=j} of c and c x
+    suffix[:, :-1] = np.cumsum(np.stack([c, c * x])[:, ::-1], axis=1)[:, ::-1]
+    # the other nodes add c (e^{-itx} - 1 + itx)/t^2
+    cos_sum, sin_sum = np.empty((2, len(t_arr)))
+    rows = max(1, _BLOCK // n)
+    for s in range(0, len(t_arr), rows):
+        sl = slice(s, s + rows)
+        j0 = n_small[sl].min()
+        cw = np.where(np.arange(j0, n) >= n_small[sl, None], c[j0:], 0.0)
+        y = t_arr[sl, None] * x[j0:]
+        cos_sum[sl] = (np.cos(y) * cw).sum(axis=1)
+        sin_sum[sl] = (np.sin(y) * cw).sum(axis=1)
+    far = cos_sum - suffix[0, n_small] + 1j * (t_arr * suffix[1, n_small] - sin_sum)
+    far = np.divide(far, t_arr ** 2, out=np.zeros_like(far), where=n_small < n)
+    out = ends - taylor + far
     # analytic tails: A ~ (gamma/2pi)/(E-omega)^2 outside the window
-    for sgn, W in ((+1, Wp), (-1, Wm)):
+    lo, hi = sf.window
+    for sgn, W in ((+1, hi - sf.omega), (-1, sf.omega - lo)):
         c_int, s_int = free_tail_moments(W, t_arr)
-        out += pref * np.exp(-1j * t_arr * sf.omega) * (c_int - 1j * sgn * s_int)
+        out += free_value(sf.gamma) * (c_int - 1j * sgn * s_int)
+    out *= np.exp(-1j * t_arr * sf.omega)
     return out if np.ndim(t) else out[0]
 
 

@@ -6,8 +6,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from zenoband import detector_response
-from zenoband._phi import phi_functions
+from zenoband import detector_response, free_value
+from zenoband._phi import free_tail_moments, phi_functions
 from zenoband.dynamics import _SCHED, _tail_norm
 
 # One line per acceptance criterion, printed in the terminal summary so the
@@ -233,3 +233,28 @@ def krogstad_reference(dm, ts):
     eps = CubicSpline(rec_t, rec_eps)(ts) + _tail_norm(dm, ts, F)
     r = CubicSpline(rec_t, rec_J).antiderivative()(ts)
     return np.abs(F) ** 2, eps, r, CubicSpline(rec_t, rec_r)(ts)
+
+
+def survival_cellwise_reference(sf, t):
+    """Survival amplitude of ``sf`` at times ``t`` (an array), cell by cell.
+
+    The former production loop of ``survival_amplitude_spectral``: at every
+    time each cell integrates its linear piece of A against e^{-iEt} through
+    phi1 and phi2 of -i t w, so it shares no algebra with the slope-jump
+    form.  The analytic free tails beyond the window are added as there.
+    """
+    t_arr = np.asarray(t, dtype=float)
+    E = sf.E
+    w = np.diff(E)
+    a = sf.A[:-1]
+    b = np.diff(sf.A) / w
+    out = np.empty(len(t_arr), dtype=complex)
+    for i, tt in enumerate(t_arr):
+        _, p1, p2 = phi_functions(-1j * tt * w, 2)
+        cells = np.exp(-1j * tt * E[:-1]) * (a * w * p1 + b * w ** 2 * (p1 - p2))
+        out[i] = cells.sum()
+    lo, hi = sf.window
+    for sgn, W in ((+1, hi - sf.omega), (-1, sf.omega - lo)):
+        c_int, s_int = free_tail_moments(W, t_arr)
+        out += free_value(sf.gamma) * np.exp(-1j * t_arr * sf.omega) * (c_int - 1j * sgn * s_int)
+    return out

@@ -15,6 +15,7 @@ from zenoband import (
     NumericalControls,
     ProbabilityTrace,
     RevivalGuardViolated,
+    ValidationError,
     WindowTooNarrow,
     decay_rate_trace,
     discretize_continuum,
@@ -22,7 +23,8 @@ from zenoband import (
     response_delay,
     validate_params,
 )
-from zenoband.dynamics import _tail_norm, _taper
+from zenoband import dynamics
+from zenoband.dynamics import _core_bytes, _tail_norm, _taper
 
 FIG1_DELTA = 100.0 / (2 * math.pi)
 
@@ -51,6 +53,26 @@ class TestDiscretize:
         m = model(eta=1.0, delta=10.0, dk=0.5)  # 2*pi/0.5 = 12.6 < 4*T = 20
         with pytest.raises(RevivalGuardViolated):
             discretize_continuum(m)
+
+    def test_memory_estimate_rejects_long_horizon(self):
+        # broken Fig. 3 set at horizon 1e4: dk ~ 1.26e-4 on K ~ 3122 gives
+        # ~5e7 core modes; only the estimate is evaluated, nothing is built
+        m = model(eta=1000.0, delta=1000.0 / (2 * math.pi), horizon=1e4)
+        K, dk = m.numerics.cutoff, m.numerics.dk
+        assert 2 * K / dk > 4e7
+        assert _core_bytes(K, dk) > dynamics._MAX_CORE_BYTES
+        # the Fig. 3 horizon of the same set stays far inside the limit
+        m5 = model(eta=1000.0, delta=1000.0 / (2 * math.pi))
+        assert _core_bytes(m5.numerics.cutoff, m5.numerics.dk) < 0.05 * dynamics._MAX_CORE_BYTES
+
+    def test_memory_guard_raises_before_building(self, monkeypatch):
+        # a limit below this small grid's estimate must refuse it, naming horizon
+        m = model(eta=1.0, delta=10.0)
+        monkeypatch.setattr(dynamics, "_MAX_CORE_BYTES",
+                            0.5 * _core_bytes(m.numerics.cutoff, m.numerics.dk))
+        with pytest.raises(ValidationError) as err:
+            discretize_continuum(m)
+        assert [code for code, _ in err.value.violations] == ["horizon"]
 
     def test_fig1_cutoff_covers_ten_bandwidths(self):
         m = model(eta=1.5, delta=FIG1_DELTA)

@@ -280,6 +280,15 @@ class TestSumRule:
         assert d50 == pytest.approx(want50, rel=0.05)
         assert d100 == pytest.approx(d50 / 2, rel=0.1)
 
+    def test_default_grid_meets_analytic_tail(self):
+        # n = 6, eta = 100, 2 pi Delta = 100 on the default 400-point +-1000
+        # window: the far cells are coarse for the 1/mu^2 tail, where a
+        # trapezoid is ~4% off gamma*eta*delta/(3 pi X)
+        band = DetectorBand(eta=100.0, delta=100.0 / (2 * math.pi), n=6, center=0.0)
+        g = form_factor_grid(band, GAMMA, window=(-1000.0, 1000.0), n_points=400, tol=1e-9)
+        want = -GAMMA * band.eta * band.delta / (3 * math.pi * 1000.0)
+        assert sum_rule_defect(g, GAMMA) == pytest.approx(want, rel=0.01)
+
     def test_narrow_window_rejected(self):
         # wide enough to build the grid, but the edges have not reached the
         # free-value asymptote within 1e-3 relative

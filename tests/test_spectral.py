@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import flat_sigma_oracle, g2_quad_oracle, re_sigma_oracle
+from conftest import (flat_sigma_oracle, g2_quad_oracle, re_sigma_oracle,
+                      survival_cellwise_reference)
 from zenoband import (
     DetectorBand,
     HorizonExceeded,
@@ -153,6 +154,26 @@ class TestSurvivalAmplitude:
         s = np.abs(survival_amplitude_spectral(sf, t)) ** 2
         s_oracle = np.abs(survival_amplitude_spectral(oracle, t)) ** 2
         assert np.abs(s - s_oracle).max() < 2e-5
+
+    @pytest.mark.parametrize("band", [
+        None,
+        FLAT_BAND,
+        DetectorBand(eta=100.0, delta=FIG_DELTA, n=2, center=0.0),
+        DetectorBand(eta=100.0, delta=FIG_DELTA, n=6, center=2.0 * FIG_DELTA),
+    ], ids=["solid", "flat", "n2", "detuned-2delta"])
+    def test_matches_cellwise_reference(self, band, solid_grid):
+        grid = solid_grid if band is None else form_factor_grid(band, GAMMA, tol=1e-9)
+        sf = spectral_function(grid, 0.0)
+        core = sf.A > 1e-3 * sf.A.max()
+        horizon = 2 * math.pi / (4 * np.diff(sf.E)[core[:-1] & core[1:]].max())
+        # 215 times, not a multiple of the rows in one block of phases; the
+        # geometric run covers t < 1, where many nodes sit near |t x| = 0.5
+        t = np.concatenate([[0.0, 1e-12, 1e-8, 1e-5, 1e-3], np.geomspace(1e-2, 1.0, 60),
+                            np.linspace(0.0, horizon, 151)[1:]])
+        want = survival_cellwise_reference(sf, t)
+        assert np.abs(survival_amplitude_spectral(sf, t) - want).max() <= 1e-13
+        f = survival_amplitude_spectral(sf, t[-7])
+        assert np.ndim(f) == 0 and abs(f - want[-7]) <= 1e-13
 
     def test_horizon_guard(self, free_grid):
         sf = spectral_function(free_grid, 0.0)
