@@ -5,8 +5,8 @@ The library covers four layers:
 
 * :mod:`zenoband.model` -- scenario types, validation, detector response,
   and the monitoring-regime condition report;
-* :mod:`zenoband.formfactor` -- the renormalized form factor |g_mu|^2, its
-  flat-band closed form, dense grids, and the sum-rule check;
+* :mod:`zenoband.formfactor` -- the renormalized form factor |g_mu|^2 (the
+  flat band in closed form), dense grids, and the sum-rule check;
 * :mod:`zenoband.dynamics` -- propagation of the single-excitation
   amplitudes on a discretized photon continuum, giving the survival, error,
   and response probabilities s, eps, r;
@@ -19,16 +19,10 @@ runs that reproduce the paper-style figure data as CSV files.
 """
 
 from .errors import (
-    BadWindow,
-    BandEdge,
     ConfigError,
     HorizonExceeded,
-    NoDetector,
-    NonPositiveRate,
     NoResponse,
-    OddExponent,
     QuadratureFailure,
-    RevivalGuardViolated,
     ToleranceNotMet,
     ValidationError,
     WindowTooNarrow,
@@ -46,7 +40,6 @@ from .model import (
 )
 from .formfactor import (
     FormFactorGrid,
-    analytic_flat_band,
     form_factor_grid,
     free_value,
     renormalized_form_factor,

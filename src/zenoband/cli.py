@@ -5,9 +5,11 @@ Subcommands: formfactor, evolve, spectral, report, fig1, fig2, fig3, sweep.
 Exit codes and the stderr line of each failure:
 
   0  success
-  1  ``config error: ...``: ConfigError, ValidationError and its subclasses,
-     NoDetector, a missing config file
-  2  ``numerical failure [Class]: ...``: every other ZenobandError
+  1  ``config error: ...``: the inputs failed a check made before any
+     numerics ran (ValidationError, naming the key), the config is malformed
+     (ConfigError) or the config file is missing
+  2  ``numerical failure [Class]: ...``: a failure found while computing,
+     reported under its own ZenobandError class
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, NoDetector, ValidationError, ZenobandError
+from .errors import ConfigError, ValidationError, ZenobandError
 from .scenario import FIG_DEFAULTS, PRODUCTS, load_scenario, run_scenario
 
 
@@ -65,7 +67,7 @@ def main(argv=None) -> int:
                 cfg.sweep_eta or cfg.sweep_delta or cfg.sweep_detuning):
             raise ConfigError("sweep requires at least one sweep_* key in the config")
         files, lines = run_scenario(cfg)
-    except (ConfigError, ValidationError, NoDetector, FileNotFoundError) as exc:
+    except (ConfigError, ValidationError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except ZenobandError as exc:

@@ -8,10 +8,10 @@ typo cannot silently fall back to a default.
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import replace
 
 from .errors import ConfigError
-from .model import DetectorBand, ModelParams, NumericalControls
+from .model import ModelParams
 
 MODEL_KEYS = {
     "gamma", "omega", "eta", "delta", "n", "flat", "center",
@@ -54,7 +54,11 @@ def _as_bool(key, value) -> bool:
 
 
 def model_params_from_dict(kv: dict) -> ModelParams:
-    """Build :class:`ModelParams` from parsed key-value pairs (model keys only)."""
+    """Build :class:`ModelParams` from parsed key-value pairs (model keys only).
+
+    Only the keys present are passed on; every other field keeps the default
+    of :class:`ModelParams`, its default band and its numerical controls.
+    """
     unknown = sorted(set(kv) - MODEL_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
@@ -63,30 +67,19 @@ def model_params_from_dict(kv: dict) -> ModelParams:
     if "flat" in kv and "n" in kv:
         raise ConfigError("keys 'n' and 'flat' are mutually exclusive")
 
-    n: Optional[int] = 6
+    band = {k: _as_float(k, kv[k]) for k in ("eta", "delta", "center") if k in kv}
     if "flat" in kv:
-        n = None if _as_bool("flat", kv["flat"]) else 6
+        if _as_bool("flat", kv["flat"]):
+            band["n"] = None
     elif "n" in kv:
         try:
-            n = int(kv["n"])
+            band["n"] = int(kv["n"])
         except ValueError:
             raise ConfigError(f"key 'n': expected an integer, got {kv['n']!r}") from None
-
-    band = DetectorBand(
-        eta=_as_float("eta", kv.get("eta", "0")),
-        delta=_as_float("delta", kv.get("delta", "1")),
-        n=n,
-        center=_as_float("center", kv["center"]) if "center" in kv else None,
-    )
-    numerics = NumericalControls(
-        **{k: _as_float(k, kv[k]) for k in ("cutoff", "dk", "horizon", "step") if k in kv},
-        quad_tol=_as_float("quad_tol", kv.get("quad_tol", "1e-9")),
-        allow_narrow_window=_as_bool("allow_narrow_window", kv["allow_narrow_window"])
-        if "allow_narrow_window" in kv else False,
-    )
-    return ModelParams(
-        gamma=_as_float("gamma", kv["gamma"]),
-        omega=_as_float("omega", kv.get("omega", "0")),
-        band=band,
-        numerics=numerics,
-    )
+    numerics = {k: _as_float(k, kv[k])
+                for k in ("cutoff", "dk", "horizon", "step", "quad_tol") if k in kv}
+    if "allow_narrow_window" in kv:
+        numerics["allow_narrow_window"] = _as_bool("allow_narrow_window",
+                                                   kv["allow_narrow_window"])
+    p = ModelParams(**{k: _as_float(k, kv[k]) for k in ("gamma", "omega") if k in kv})
+    return replace(p, band=replace(p.band, **band), numerics=replace(p.numerics, **numerics))

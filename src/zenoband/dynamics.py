@@ -39,8 +39,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 
 from ._phi import free_tail_moments, gauss_legendre, phi_functions
-from .errors import (NoResponse, RevivalGuardViolated, ToleranceNotMet, ValidationError,
-                     WindowTooNarrow)
+from .errors import NoResponse, ToleranceNotMet, ValidationError
 from .model import ValidatedModel, default_cutoff, detector_response
 
 __all__ = [
@@ -122,7 +121,6 @@ class ProbabilityTrace:
     r: np.ndarray
     norm_defect: np.ndarray
     gamma: float
-    amplitude: np.ndarray  # complex survival amplitude (rotating frame)
 
 
 def _tail_contours(g2: float, K: float, K0: float):
@@ -164,24 +162,26 @@ def _core_bytes(K: float, dk: float) -> float:
 def discretize_continuum(m: ValidatedModel) -> DiscretizedModel:
     """Build the propagation target from a validated scenario.
 
-    Raises :class:`RevivalGuardViolated` when the grid spacing would place
-    the discrete recurrence 2*pi/dk inside ``REVIVAL_MARGIN`` horizons, and
-    :class:`WindowTooNarrow` when the cutoff is below
+    Three input checks run before anything is allocated, each raising
+    :class:`ValidationError` with the code of the key to change: ``dk`` when
+    the grid spacing would place the discrete recurrence 2*pi/dk inside
+    ``REVIVAL_MARGIN`` horizons, ``cutoff`` when the cutoff is below
     :func:`~zenoband.model.default_cutoff` without an explicit override, and
-    :class:`ValidationError` (code ``horizon``) when the core modes would
-    need more than ``_MAX_CORE_BYTES``.
+    ``horizon`` when the core modes would need more than ``_MAX_CORE_BYTES``.
+    They live here, not in :func:`~zenoband.model.validate_params`, because
+    only the propagator uses K and dk.
     """
     num = m.numerics
     K, dk, T = num.cutoff, num.dk, num.horizon
     if 2.0 * math.pi / dk <= REVIVAL_MARGIN * T:
-        raise RevivalGuardViolated(
+        raise ValidationError([("dk", (
             f"dk={dk:g} puts the recurrence 2pi/dk={2 * math.pi / dk:g} inside "
-            f"{REVIVAL_MARGIN}*T={REVIVAL_MARGIN * T:g}")
+            f"{REVIVAL_MARGIN}*T={REVIVAL_MARGIN * T:g}"))])
     need = default_cutoff(m.gamma, m.band, m.omega)
     if K < need and not num.allow_narrow_window:
-        raise WindowTooNarrow(
+        raise ValidationError([("cutoff", (
             f"cutoff K={K:g} below the band-derived window {need:g}; "
-            "set allow_narrow_window to override")
+            "set allow_narrow_window to override"))])
 
     if _core_bytes(K, dk) > _MAX_CORE_BYTES:
         raise ValidationError([("horizon", (
@@ -349,8 +349,7 @@ def propagate(dm: DiscretizedModel,
     if defect.max() > DEFECT_TOL:
         raise ToleranceNotMet(
             f"norm defect {defect.max():.3e} exceeds {DEFECT_TOL:.1e}")
-    return ProbabilityTrace(t=ts, s=s, eps=eps, r=r, norm_defect=defect,
-                            gamma=dm.gamma, amplitude=F_s)
+    return ProbabilityTrace(t=ts, s=s, eps=eps, r=r, norm_defect=defect, gamma=dm.gamma)
 
 
 def response_delay(trace: ProbabilityTrace) -> float:

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+One rule sorts them: a check on the inputs, made before any numerics run,
+raises :class:`ValidationError` naming the key (or :class:`ConfigError` for
+a malformed config); a failure found while computing has its own class.
+"""
 
 
 class ZenobandError(Exception):
@@ -16,50 +21,22 @@ class ValidationError(ZenobandError):
         self.violations = list(violations)
         super().__init__("; ".join(msg for _, msg in self.violations))
 
-
-class NonPositiveRate(ValidationError):
-    """gamma <= 0."""
-
-
-class OddExponent(ValidationError):
-    """Band profile exponent n is odd (or < 2)."""
-
-
-class BadWindow(ValidationError):
-    """Photon cutoff K is smaller than the detection half-bandwidth."""
+    def __reduce__(self):
+        # rebuilt from the violations, not from the joined message in args,
+        # so the error survives the pickling of a process-pool sweep
+        return type(self), (self.violations,)
 
 
 class ConfigError(ZenobandError):
     """Malformed scenario config file (unknown key, bad value, ...)."""
 
 
-class NoDetector(ZenobandError):
-    """Operation requires eta > 0 (detector response time undefined)."""
-
-
 class QuadratureFailure(ZenobandError):
     """Adaptive quadrature did not reach the requested tolerance."""
 
 
-class BandEdge(ZenobandError):
-    """Flat-band value requested exactly at |mu - center| = Delta.
-
-    The strict infinite-exponent limit is two-valued there; both one-sided
-    values are attached.
-    """
-
-    def __init__(self, msg, inside, outside):
-        super().__init__(msg)
-        self.inside = inside
-        self.outside = outside
-
-
 class WindowTooNarrow(ZenobandError):
     """Grid/window does not cover enough of the relevant energy range."""
-
-
-class RevivalGuardViolated(ZenobandError):
-    """Grid spacing would put the discrete-continuum recurrence inside the horizon."""
 
 
 class ToleranceNotMet(ZenobandError):

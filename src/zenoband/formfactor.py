@@ -24,13 +24,12 @@ from scipy.integrate import quad  # noqa: F401
 from scipy.interpolate import CubicSpline
 
 from ._phi import gauss_legendre
-from .errors import BandEdge, QuadratureFailure, WindowTooNarrow
+from .errors import QuadratureFailure, WindowTooNarrow
 from .model import DetectorBand, _flat_band_log
 
 __all__ = [
     "FormFactorGrid",
     "renormalized_form_factor",
-    "analytic_flat_band",
     "form_factor_grid",
     "sum_rule_defect",
     "free_value",
@@ -70,35 +69,17 @@ def renormalized_form_factor(band: DetectorBand, gamma: float, mu: float,
                              tol: float = 1e-10) -> float:
     """g2(mu) = -Im Sigma(mu + i0)/pi from the band-edge integral of :func:`_self_energy`.
 
+    On the flat band this is the closed form
+    (gamma/2pi^2) [arctan((mu - c + delta)/(eta/2)) - arctan((mu - c - delta)/(eta/2))]
+    plus gamma/2pi outside the band, which it also takes exactly at the edge
+    |mu - c| = delta, where the infinite-exponent limit is two-valued.
+
     Raises :class:`QuadratureFailure` if the error estimate exceeds the
     budget 20*tol*max(g2, gamma/2pi).
     """
     if band.center is None:
         band = replace(band, center=0.0)
     return float(-_self_energy(band, gamma, mu, tol)[0].imag / math.pi)
-
-
-def analytic_flat_band(gamma: float, eta: float, delta: float, mu: float,
-                       center: float = 0.0) -> float:
-    """Closed form of g2(mu) for the flat infinite-exponent band.
-
-    (gamma/2pi^2) * [arctan((mu - c + delta)/(eta/2))
-                     - arctan((mu - c - delta)/(eta/2))]
-    plus gamma/2pi outside the band, where the undamped modes contribute a
-    delta-function term: -1/pi times the imaginary part of the flat-band
-    self-energy.  Exactly at the band edge the infinite-exponent limit is
-    two-valued; :class:`BandEdge` carries both one-sided values.
-    """
-    pref = free_value(gamma)
-    d = mu - center
-    if eta == 0.0:
-        return pref
-    g2 = -pref / math.pi * float(_flat_band_log(d, eta, delta).imag)
-    if abs(d) == delta:
-        raise BandEdge(
-            f"mu - center = {d:+g} is exactly at the band edge (delta={delta})",
-            inside=g2 - pref, outside=g2)
-    return g2
 
 
 def _profile(x, n):

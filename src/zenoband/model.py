@@ -16,13 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BadWindow,
-    NoDetector,
-    NonPositiveRate,
-    OddExponent,
-    ValidationError,
-)
+from .errors import ValidationError
 
 __all__ = [
     "DetectorBand",
@@ -168,8 +162,8 @@ def _default_dk(gamma, band: DetectorBand, horizon: float) -> float:
 def validate_params(p: ModelParams) -> ValidatedModel:
     """Validate a scenario and fill defaulted numerics.
 
-    Raises the most specific :class:`ValidationError` subclass for the first
-    violation found (all violations are attached to the exception).
+    Raises :class:`ValidationError` carrying every violation found, each
+    ``(code, message)`` pair naming its key.
     """
     violations = []
     if not np.isfinite(p.gamma) or p.gamma <= 0.0:
@@ -190,13 +184,6 @@ def validate_params(p: ModelParams) -> ValidatedModel:
         )
 
     if violations:
-        codes = {c for c, _ in violations}
-        if "gamma" in codes:
-            raise NonPositiveRate(violations)
-        if "n" in codes:
-            raise OddExponent(violations)
-        if "cutoff" in codes:
-            raise BadWindow(violations)
         raise ValidationError(violations)
 
     horizon = num.horizon if num.horizon is not None else 5.0 / p.gamma
@@ -251,11 +238,12 @@ def qze_condition_report(m: ValidatedModel) -> ConditionReport:
     of :func:`_flat_band_log`, which reduces to (2/pi) * arctan(2*delta/eta)
     for a centered band.  A band that misses the atomic line entirely
     (|center - omega| > delta) is reported as ``no-detection-overlap``
-    regardless of the ratios.
+    regardless of the ratios.  Raises :class:`ValidationError` (code ``eta``)
+    at eta = 0, where there is no measurement to report on.
     """
     band = m.band
     if band.eta <= 0.0:
-        raise NoDetector("eta = 0: no measurement, condition report undefined")
+        raise ValidationError([("eta", "eta = 0: no measurement, condition report undefined")])
     ratio_lw = m.gamma / band.delta
     ratio_rs = band.delta / band.eta
     d = m.omega - band.center

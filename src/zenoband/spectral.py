@@ -47,13 +47,10 @@ class SpectralFunction:
     window: Tuple[float, float]
 
 
-def _refined_nodes(grid: FormFactorGrid, per_cell: int) -> np.ndarray:
-    """Grid nodes plus uniform subdivision of every cell into ``per_cell`` parts."""
-    mu = grid.mu
-    parts = [mu]
-    for j in range(1, per_cell):
-        parts.append(mu[:-1] + np.diff(mu) * (j / per_cell))
-    return np.sort(np.concatenate(parts))
+def _subdivide(x: np.ndarray, parts: int) -> np.ndarray:
+    """Sorted nodes ``x`` plus every cell split uniformly into ``parts`` cells."""
+    inner = [x[:-1] + np.diff(x) * (j / parts) for j in range(1, parts)]
+    return np.unique(np.concatenate([x] + inner))
 
 
 def self_energy(grid: FormFactorGrid, E: float) -> complex:
@@ -93,8 +90,7 @@ def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
              grid.mu]
     E = np.unique(np.concatenate([np.asarray(p, dtype=float) for p in parts]))
     # 4x refinement so linear interpolants of A are quadrature-grade
-    mids = [E[:-1] + np.diff(E) * f for f in (0.25, 0.5, 0.75)]
-    E = np.unique(np.concatenate([E] + mids))
+    E = _subdivide(E, 4)
     # midpoint insertion can round onto an existing float; drop zero cells
     E = E[np.concatenate([[True], np.diff(E) > 1e-13 * (hi - lo)])]
 
@@ -194,7 +190,7 @@ def perturbative_decay(grid: FormFactorGrid, omega: float, t) -> np.ndarray:
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr < 0.0):
         raise ValueError("t must be >= 0")
-    nodes = _refined_nodes(grid, _PERT_REFINE)
+    nodes = _subdivide(grid.mu, _PERT_REFINE)
     dev = grid.interpolator()(nodes) - free_value(grid.gamma)
     x = nodes - omega
     slope = np.diff(dev) / np.diff(x)

@@ -1,6 +1,6 @@
 import pytest
 
-from zenoband import ConfigError
+from zenoband import ConfigError, DetectorBand, ModelParams
 from zenoband.config import model_params_from_dict, parse_kv_text
 from zenoband.scenario import load_scenario
 
@@ -23,6 +23,12 @@ def test_parse_and_build():
     assert p.band.eta == 1.5
     assert p.band.n == 6
     assert p.numerics.horizon == 5.0
+
+
+def test_absent_keys_take_the_dataclass_defaults():
+    assert model_params_from_dict({"gamma": "1"}) == ModelParams(gamma=1.0)
+    flat_off = model_params_from_dict({"gamma": "1", "flat": "false"})
+    assert flat_off.band.n == DetectorBand(eta=0.0, delta=1.0).n
 
 
 def test_unknown_key_is_error():

@@ -14,9 +14,7 @@ from zenoband import (
     NoResponse,
     NumericalControls,
     ProbabilityTrace,
-    RevivalGuardViolated,
     ValidationError,
-    WindowTooNarrow,
     decay_rate_trace,
     discretize_continuum,
     propagate,
@@ -51,8 +49,9 @@ class TestDiscretize:
 
     def test_revival_guard_violation(self):
         m = model(eta=1.0, delta=10.0, dk=0.5)  # 2*pi/0.5 = 12.6 < 4*T = 20
-        with pytest.raises(RevivalGuardViolated):
+        with pytest.raises(ValidationError) as err:
             discretize_continuum(m)
+        assert [code for code, _ in err.value.violations] == ["dk"]
 
     def test_memory_estimate_rejects_long_horizon(self):
         # broken Fig. 3 set at horizon 1e4: dk ~ 1.26e-4 on K ~ 3122 gives
@@ -82,8 +81,9 @@ class TestDiscretize:
 
     def test_narrow_window_needs_override(self):
         m = model(eta=1.0, delta=30.0, cutoff=150.0)
-        with pytest.raises(WindowTooNarrow):
+        with pytest.raises(ValidationError) as err:
             discretize_continuum(m)
+        assert [code for code, _ in err.value.violations] == ["cutoff"]
         m2 = model(eta=1.0, delta=30.0, cutoff=150.0, allow_narrow_window=True)
         assert discretize_continuum(m2).cutoff == 150.0
 
@@ -242,8 +242,7 @@ class TestResponseDelay:
         r = np.where(t > d0, 1.0 - np.exp(-(t - d0)), 0.0)
         eps = 1.0 - s - r
         return ProbabilityTrace(t=t, s=s, eps=eps, r=r,
-                                norm_defect=np.zeros_like(t), gamma=1.0,
-                                amplitude=np.sqrt(s).astype(complex))
+                                norm_defect=np.zeros_like(t), gamma=1.0)
 
     @pytest.mark.parametrize("d0", [0.3, 0.8, 2.0])
     def test_recovers_constructed_shift(self, d0):

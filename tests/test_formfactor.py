@@ -6,11 +6,9 @@ import pytest
 from conftest import flat_sigma_oracle, g2_oracle, g2_quad_oracle
 from zenoband import formfactor
 from zenoband import (
-    BandEdge,
     DetectorBand,
     QuadratureFailure,
     WindowTooNarrow,
-    analytic_flat_band,
     form_factor_grid,
     renormalized_form_factor,
     sum_rule_defect,
@@ -110,33 +108,42 @@ class TestRenormalizedFormFactor:
         assert v7 == pytest.approx(7.0 * v1, rel=1e-8)
 
 
+def flat_g2(eta, delta, mu, center=0.0):
+    """g2 of the flat band, whose closed form renormalized_form_factor evaluates."""
+    return renormalized_form_factor(DetectorBand(eta=eta, delta=delta, n=None, center=center),
+                                    GAMMA, mu)
+
+
 class TestAnalyticFlatBand:
     def test_center_value_is_arctan(self):
-        got = analytic_flat_band(GAMMA, 3.0, 1.0, 0.0)
+        got = flat_g2(3.0, 1.0, 0.0)
         assert got == pytest.approx((GAMMA / math.pi ** 2) * math.atan(2.0 / 3.0), rel=1e-14)
 
     def test_free_limit_small_eta(self):
-        got = analytic_flat_band(GAMMA, 1e-12, 1.0, 0.0)
+        got = flat_g2(1e-12, 1.0, 0.0)
         assert got == pytest.approx(FREE, rel=1e-9)
-        assert analytic_flat_band(GAMMA, 0.0, 1.0, 0.5) == FREE
+        assert flat_g2(0.0, 1.0, 0.5) == FREE
 
     def test_half_suppression_at_eta_twice_delta(self):
         # arctan(1) = pi/4 makes the suppression factor exactly one half
-        got = analytic_flat_band(GAMMA, 2.0, 1.0, 0.0)
+        got = flat_g2(2.0, 1.0, 0.0)
         assert got == pytest.approx(GAMMA / (4 * math.pi), rel=1e-14)
         assert got / FREE == pytest.approx(0.5, rel=1e-14)
 
     def test_band_edge_is_two_valued(self):
-        with pytest.raises(BandEdge) as exc:
-            analytic_flat_band(GAMMA, 1.0, 1.0, 1.0, 0.0)
-        assert exc.value.outside - exc.value.inside == pytest.approx(FREE, rel=1e-14)
+        # the one-sided limits differ by the free value; exactly at
+        # |mu - center| = delta the outside one is returned
+        at_edge = flat_g2(1.0, 1.0, 3.0, center=2.0)
+        outside, inside = flat_g2(1.0, 1.0, 3.0 + 1e-12, 2.0), flat_g2(1.0, 1.0, 3.0 - 1e-12, 2.0)
+        assert at_edge == pytest.approx(outside, rel=1e-10)
+        assert at_edge - inside == pytest.approx(FREE, rel=1e-10)
 
     def test_outside_band_exceeds_free(self):
-        assert analytic_flat_band(GAMMA, 1.0, 1.0, 1.5) > FREE
+        assert flat_g2(1.0, 1.0, 1.5) > FREE
 
     def test_free_limit_monotone_inside_band(self):
         etas = np.geomspace(4.0, 1e-4, 25)
-        vals = np.array([analytic_flat_band(GAMMA, e, 1.0, 0.3) for e in etas])
+        vals = np.array([flat_g2(e, 1.0, 0.3) for e in etas])
         assert np.all(np.diff(vals) > 0.0)       # toward free value as eta drops
         assert np.all(vals < FREE)
 
@@ -260,7 +267,7 @@ class TestSumRule:
                 edge_hug,  # localize the delta-term jump at the band edges
             ]))
             mu = mu[np.abs(np.abs(mu) - delta) > 1e-10]
-            g2 = np.array([analytic_flat_band(GAMMA, eta, delta, m) for m in mu])
+            g2 = np.array([flat_g2(eta, delta, m) for m in mu])
             residuals.append(abs(np.trapezoid(g2 - FREE, mu)))
         # piecewise integration of the arctan profile gives
         # |defect(X)| -> gamma*eta*delta/(pi^2 X) for X >> delta

@@ -1,17 +1,14 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from zenoband import (
-    BadWindow,
     DetectorBand,
     ModelParams,
-    NoDetector,
-    NonPositiveRate,
     NumericalControls,
-    OddExponent,
-    WindowTooNarrow,
+    ValidationError,
     detector_response,
     discretize_continuum,
     qze_condition_report,
@@ -78,24 +75,36 @@ class TestValidateParams:
         assert m.band.eta == 0.0
 
     def test_odd_exponent_rejected(self):
-        with pytest.raises(OddExponent):
+        with pytest.raises(ValidationError) as exc:
             validate_params(ModelParams(gamma=1.0, band=DetectorBand(eta=1.0, delta=1.0, n=5)))
+        assert [c for c, _ in exc.value.violations] == ["n"]
 
     def test_nonpositive_rate_rejected(self):
-        with pytest.raises(NonPositiveRate):
+        with pytest.raises(ValidationError) as exc:
             validate_params(ModelParams(gamma=0.0))
+        assert [c for c, _ in exc.value.violations] == ["gamma"]
 
     def test_cutoff_below_delta_rejected(self):
         p = ModelParams(gamma=1.0, band=DetectorBand(eta=1.0, delta=10.0, n=6),
                         numerics=NumericalControls(cutoff=5.0))
-        with pytest.raises(BadWindow):
+        with pytest.raises(ValidationError) as exc:
             validate_params(p)
+        assert [c for c, _ in exc.value.violations] == ["cutoff"]
 
     def test_violations_collected(self):
-        with pytest.raises(NonPositiveRate) as exc:
+        with pytest.raises(ValidationError) as exc:
             validate_params(ModelParams(gamma=-1.0, band=DetectorBand(eta=1.0, delta=1.0, n=3)))
         codes = {c for c, _ in exc.value.violations}
         assert {"gamma", "n"} <= codes
+
+    def test_validation_error_survives_pickling(self):
+        # sweep workers hand their errors back to the parent through pickle
+        with pytest.raises(ValidationError) as exc:
+            validate_params(ModelParams(gamma=-1.0, band=DetectorBand(eta=1.0, delta=1.0, n=3)))
+        back = pickle.loads(pickle.dumps(exc.value))
+        assert type(back) is ValidationError
+        assert back.violations == exc.value.violations
+        assert str(back) == str(exc.value)
 
     def test_center_defaults_to_omega(self):
         m = validate_params(ModelParams(gamma=1.0, omega=7.0,
@@ -124,8 +133,10 @@ class TestConditionReport:
 
     def test_no_detector(self):
         m = validate_params(ModelParams(gamma=1.0, band=DetectorBand(eta=0.0, delta=1.0, n=6)))
-        with pytest.raises(NoDetector):
+        with pytest.raises(ValidationError) as exc:
             qze_condition_report(m)
+        assert exc.value.violations == [
+            ("eta", "eta = 0: no measurement, condition report undefined")]
 
     def test_suppression_estimate_centered(self):
         rep = qze_condition_report(self.fig3_solid())
@@ -197,6 +208,7 @@ class TestCutoffRule:
         def at(cutoff):
             return validate_params(ModelParams(gamma=1.0, band=b,
                                                numerics=NumericalControls(cutoff=cutoff)))
-        with pytest.raises(WindowTooNarrow):
+        with pytest.raises(ValidationError) as exc:
             discretize_continuum(at(K * (1.0 - 1e-9)))
+        assert [c for c, _ in exc.value.violations] == ["cutoff"]
         assert discretize_continuum(at(K)).cutoff == K

@@ -18,11 +18,9 @@ def run_cli(argv):
 # The exit-code table of the zenoband.cli docstring: 1 for a config error,
 # 2 for a numerical failure.
 EXIT_CODES = {
-    "ConfigError": 1, "ValidationError": 1, "NonPositiveRate": 1, "OddExponent": 1,
-    "BadWindow": 1, "NoDetector": 1,
-    "ZenobandError": 2, "QuadratureFailure": 2, "BandEdge": 2, "WindowTooNarrow": 2,
-    "RevivalGuardViolated": 2, "ToleranceNotMet": 2, "NoResponse": 2,
-    "HorizonExceeded": 2,
+    "ConfigError": 1, "ValidationError": 1,
+    "ZenobandError": 2, "QuadratureFailure": 2, "WindowTooNarrow": 2,
+    "ToleranceNotMet": 2, "NoResponse": 2, "HorizonExceeded": 2,
 }
 EXPORTED_ERRORS = sorted(
     (obj for obj in vars(zenoband).values()
@@ -184,13 +182,25 @@ class TestCli:
                       "--override", "eta=1", "--override", "delta=1"])
         assert rc == 1
 
-    def test_numerical_failure_exit_two(self, tmp_path, capsys):
-        # dk chosen to violate the revival guard
+    def test_revival_guard_exit_one(self, tmp_path, capsys):
+        # dk chosen to violate the revival guard: an input check, named by its key
         rc = run_cli(["evolve", "--out", str(tmp_path),
                       "--override", "eta=1", "--override", "delta=10",
                       "--override", "dk=0.5"])
-        assert rc == 2
-        assert "RevivalGuardViolated" in capsys.readouterr().err
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: dk=0.5 ")
+
+    def test_sweep_validation_error_crosses_the_pool(self, tmp_path, capsys):
+        # both points fail validation inside the two workers, before any numerics
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text("delta = 15.9\nproducts = evolve\nsweep_eta = -1, -2\n")
+        rc = run_cli(["sweep", "--config", str(cfg_file), "--out", str(tmp_path / "out"),
+                      "--threads", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: eta must be >= 0, got -")
+        assert "Traceback" not in err
 
     def test_quadrature_failure_exit_two(self, tmp_path, capsys):
         rc = run_cli(["formfactor", "--out", str(tmp_path), "--override", "eta=1",
@@ -203,8 +213,6 @@ class TestCli:
         assert cls.__name__ in EXIT_CODES, "add the new error class to the exit-code table"
         if issubclass(cls, zenoband.ValidationError):
             exc = cls([("x", "boom")])
-        elif cls is zenoband.BandEdge:
-            exc = cls("boom", inside=0.0, outside=1.0)
         else:
             exc = cls("boom")
 
