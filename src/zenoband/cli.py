@@ -63,8 +63,7 @@ def main(argv=None) -> int:
             threads=args.threads,
             defaults=FIG_DEFAULTS.get(args.command),
         )
-        if args.command == "sweep" and not (
-                cfg.sweep_eta or cfg.sweep_delta or cfg.sweep_detuning):
+        if args.command == "sweep" and not cfg.sweeps:
             raise ConfigError("sweep requires at least one sweep_* key in the config")
         files, lines = run_scenario(cfg)
     except (ConfigError, ValidationError, FileNotFoundError) as exc:

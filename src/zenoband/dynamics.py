@@ -305,11 +305,13 @@ def propagate(dm: DiscretizedModel,
               sample_times: Optional[Sequence[float]] = None) -> ProbabilityTrace:
     """Propagate |x,0,0> and sample (s, eps, r) at the requested times.
 
-    Deterministic for fixed inputs.  The step grows as t/32 from the fastest
-    pseudo-mode timescale up to the cruise step, every scale being resolved
-    while it is still active; requested times are filled from the step
-    records by cubic interpolation, and r by integrating the interpolated
-    flux.  Raises :class:`ToleranceNotMet` if the bookkeeping defect exceeds
+    Deterministic for fixed inputs.  The step starts at the fastest
+    pseudo-mode timescale, h0 = min(0.25/max|L|, step), and doubles once
+    h <= t/64, so every scale is resolved while it is still active; since it
+    doubles only while 2h <= step, it cruises at the largest h0*2^j <= step,
+    generally below step.  Requested times are filled from the step records
+    by cubic interpolation, and r by integrating the interpolated flux.
+    Raises :class:`ToleranceNotMet` if the bookkeeping defect exceeds
     ``DEFECT_TOL`` at any sample time.
     """
     T = dm.horizon

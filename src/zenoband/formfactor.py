@@ -216,7 +216,7 @@ def form_factor_grid(band: DetectorBand, gamma: float,
         window = (c - half, c + half)
     lo, hi = window
     need = max(5.0 * delta, 5.0 * band.eta)
-    if lo > c - need or hi < c + need:
+    if not (lo <= c - need and hi >= c + need):  # a NaN bound fails too
         raise WindowTooNarrow(
             f"window {window} must cover center +- {need:g}")
 

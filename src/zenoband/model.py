@@ -65,6 +65,8 @@ class DetectorBand:
             out.append(("delta", f"delta must be > 0, got {self.delta}"))
         if self.n is not None and (self.n < 2 or self.n % 2 != 0):
             out.append(("n", f"band exponent must be even and >= 2, got {self.n}"))
+        if self.center is not None and not np.isfinite(self.center):
+            out.append(("center", f"center must be finite, got {self.center}"))
         return out
 
 
@@ -75,7 +77,8 @@ class NumericalControls:
     cutoff   -- half-width K of the retained photon energies around omega
     dk       -- uniform spacing of the photon grid
     horizon  -- propagation horizon T
-    step     -- cruise step of the propagator
+    step     -- cap on the propagator's step, which cruises at the largest
+                h0*2^j <= step (h0 = min(0.25/max|L|, step)), not at step
     quad_tol -- relative tolerance of form-factor quadratures
     allow_narrow_window -- waive the K >= default_cutoff(...) window rule
     """

@@ -1,6 +1,8 @@
 """Scenario orchestration: products, figure reproductions, sweeps, CSV output.
 
-Each product is a pure function of a scenario; outputs are plot-ready CSV
+A run is a list of points, one per combination of sweep values (a single
+run is the one point of an empty sweep), all validated before any product
+starts.  Each product is a pure function of its point; outputs are plot-ready CSV
 files written atomically (temp file + rename) with deterministic formatting,
 so reruns with the same config are byte-identical.
 """
@@ -19,7 +21,7 @@ import numpy as np
 from .config import MODEL_KEYS, model_params_from_dict, parse_kv_text
 from .errors import ConfigError, NoResponse, WindowTooNarrow
 from .formfactor import form_factor_grid, free_value, renormalized_form_factor, sum_rule_defect
-from .model import DetectorBand, ModelParams, validate_params, qze_condition_report
+from .model import DetectorBand, ModelParams, ValidatedModel, validate_params, qze_condition_report
 from .dynamics import discretize_continuum, propagate, response_delay, decay_rate_trace
 from .spectral import perturbative_decay, spectral_function, stage_rates, survival_amplitude_spectral
 
@@ -37,7 +39,10 @@ __all__ = [
 
 PRODUCTS = ("formfactor", "evolve", "spectral", "report", "fig1", "fig2", "fig3")
 
-SCENARIO_KEYS = {"products", "sweep_eta", "sweep_delta", "sweep_detuning", "out"}
+# Sweep key -> subdirectory tag prefix, eta outermost; each sets the band
+# field of its prefix, and "det" sets center = omega + value.
+SWEEP_KEYS = {"sweep_eta": "eta", "sweep_delta": "delta", "sweep_detuning": "det"}
+SCENARIO_KEYS = {"products", "out", *SWEEP_KEYS}
 
 # Figure defaults in units of gamma = 1 (band half-width from 2*pi*Delta/gamma),
 # keyed by the CLI command that starts from them.
@@ -54,7 +59,8 @@ FIG3_SETS = ((100.0, 100.0), (100.0, 10.0), (1000.0, 1000.0))  # {2piDelta/gamma
 class ScenarioConfig:
     """A parsed scenario: model parameters plus what to run and where.
 
-    ``explicit`` records which model keys the user actually wrote (config
+    ``sweeps`` pairs each :data:`SWEEP_KEYS` key the config sets with its
+    values.  ``explicit`` records which model keys the user actually wrote (config
     file or --override); figure products keep their cited parameter sets for
     everything the user did not explicitly pin.
     """
@@ -62,9 +68,7 @@ class ScenarioConfig:
     params: ModelParams
     products: Tuple[str, ...]
     out_dir: str = "out"
-    sweep_eta: Tuple[float, ...] = ()
-    sweep_delta: Tuple[float, ...] = ()
-    sweep_detuning: Tuple[float, ...] = ()
+    sweeps: Tuple[Tuple[str, Tuple[float, ...]], ...] = ()
     threads: int = 1
     explicit: frozenset = frozenset()
 
@@ -86,8 +90,6 @@ def load_scenario(path=None, overrides: Optional[Dict[str, str]] = None,
     params = model_params_from_dict(model_kv)
 
     def _floats(key):
-        if key not in kv:
-            return ()
         try:
             vals = tuple(float(x) for x in kv[key].split(",") if x.strip())
         except ValueError:
@@ -105,9 +107,7 @@ def load_scenario(path=None, overrides: Optional[Dict[str, str]] = None,
         params=params,
         products=prods,
         out_dir=out_dir or kv.get("out", "out"),
-        sweep_eta=_floats("sweep_eta"),
-        sweep_delta=_floats("sweep_delta"),
-        sweep_detuning=_floats("sweep_detuning"),
+        sweeps=tuple((key, _floats(key)) for key in SWEEP_KEYS if key in kv),
         threads=threads,
         explicit=frozenset(explicit_kv) & MODEL_KEYS,
     )
@@ -152,8 +152,7 @@ def _fig3_samples(m) -> np.ndarray:
     return np.unique(np.concatenate([[0.0], log_part, np.linspace(0.0, T, 501)]))
 
 
-def product_report(cfg: ScenarioConfig, out_dir: str):
-    m = validate_params(cfg.params)
+def product_report(m: ValidatedModel, out_dir: str):
     rep = qze_condition_report(m)
     lines = [
         f"gamma/Delta = {rep.ratio_linewidth:.6g}",
@@ -176,8 +175,7 @@ def _formfactor_csv(m, band: DetectorBand, path: str):
     return path, grid, renormalized_form_factor(band, m.gamma, m.omega, tol)
 
 
-def product_formfactor(cfg: ScenarioConfig, out_dir: str):
-    m = validate_params(cfg.params)
+def product_formfactor(m: ValidatedModel, out_dir: str):
     path, grid, g2_line = _formfactor_csv(m, m.band, os.path.join(out_dir, "formfactor.csv"))
     summary = (f"formfactor: g2(omega)={g2_line:.6e}, "
                f"suppression={2 * math.pi * g2_line / m.gamma:.6f}")
@@ -193,20 +191,19 @@ def _window(dm) -> str:
     return f"cutoff={dm.cutoff:.6g}, core_modes={len(dm.k_grid)}"
 
 
-def _propagated(cfg: ScenarioConfig):
-    """(model, discretization, trace at the evolve samples, response delay or None)."""
-    m = validate_params(cfg.params)
+def _propagated(m: ValidatedModel):
+    """(discretization, trace at the evolve samples, response delay or None)."""
     dm = discretize_continuum(m)
     trace = propagate(dm, _evolve_samples(m))
     try:  # eta = 0 leaves r identically 0, which raises NoResponse
         delay = response_delay(trace)
     except NoResponse:
         delay = None
-    return m, dm, trace, delay
+    return dm, trace, delay
 
 
-def product_evolve(cfg: ScenarioConfig, out_dir: str):
-    _, dm, trace, delay = _propagated(cfg)
+def product_evolve(m: ValidatedModel, out_dir: str):
+    dm, trace, delay = _propagated(m)
     path = write_csv(os.path.join(out_dir, "evolve.csv"),
                      ["t", "s", "eps", "r", "norm_defect"],
                      [trace.t, trace.s, trace.eps, trace.r, trace.norm_defect])
@@ -216,8 +213,7 @@ def product_evolve(cfg: ScenarioConfig, out_dir: str):
                     f"response_delay={delay_txt}, {_window(dm)}"]
 
 
-def product_spectral(cfg: ScenarioConfig, out_dir: str):
-    m = validate_params(cfg.params)
+def product_spectral(m: ValidatedModel, out_dir: str):
     grid = form_factor_grid(m.band, m.gamma, tol=m.numerics.quad_tol)
     sf = spectral_function(grid, m.omega)
     paths = [write_csv(os.path.join(out_dir, "spectral.csv"), ["E", "A"], [sf.E, sf.A])]
@@ -233,8 +229,8 @@ def product_spectral(cfg: ScenarioConfig, out_dir: str):
                     f"rates free={free:.6g} suppressed={supp:.6g}")]
 
 
-def product_fig1(cfg: ScenarioConfig, out_dir: str):
-    m, dm, trace, delay = _propagated(cfg)
+def product_fig1(m: ValidatedModel, out_dir: str):
+    dm, trace, delay = _propagated(m)
     path = write_csv(os.path.join(out_dir, "fig1.csv"),
                      ["t", "one_minus_s", "eps", "r"],
                      [trace.t, 1.0 - trace.s, trace.eps, trace.r])
@@ -245,8 +241,7 @@ def product_fig1(cfg: ScenarioConfig, out_dir: str):
     return [path], [f"fig1: r(T)={trace.r[-1]:.4f}, response_delay={delay_txt}, {_window(dm)}"]
 
 
-def product_fig2(cfg: ScenarioConfig, out_dir: str):
-    m = validate_params(cfg.params)
+def product_fig2(m: ValidatedModel, out_dir: str):
     paths, lines = [], []
     for ratio in FIG2_RATIOS:
         band = replace(m.band, eta=ratio * 2.0 * math.pi * m.band.delta)
@@ -258,22 +253,19 @@ def product_fig2(cfg: ScenarioConfig, out_dir: str):
     return paths, lines
 
 
-def _fig3_band(cfg: ScenarioConfig, two_pi_delta: float, eta: float) -> DetectorBand:
-    """Cited parameter set, except where the user pinned eta/delta explicitly."""
-    gamma = cfg.params.gamma
-    band = cfg.params.band
-    return replace(
-        band,
-        eta=band.eta if "eta" in cfg.explicit else eta * gamma,
-        delta=band.delta if "delta" in cfg.explicit else two_pi_delta * gamma / (2 * math.pi),
-    )
+def _fig3_models(params: ModelParams, pinned) -> Tuple[ValidatedModel, ...]:
+    """The validated FIG3_SETS models: cited eta/delta, except where ``pinned``."""
+    gamma, band = params.gamma, params.band
+    bands = (replace(band, eta=band.eta if "eta" in pinned else eta * gamma,
+                     delta=band.delta if "delta" in pinned else tpd * gamma / (2 * math.pi))
+             for tpd, eta in FIG3_SETS)  # tpd = 2 pi Delta / gamma
+    return tuple(validate_params(replace(params, band=b)) for b in bands)
 
 
-def product_fig3(cfg: ScenarioConfig, out_dir: str):
+def product_fig3(models: Sequence[ValidatedModel], out_dir: str):
+    """One curve per FIG3_SETS entry, from its validated model in ``models``."""
     paths, lines = [], []
-    for two_pi_delta, eta in FIG3_SETS:
-        band = _fig3_band(cfg, two_pi_delta, eta)
-        m = validate_params(replace(cfg.params, band=band))
+    for (two_pi_delta, eta), m in zip(FIG3_SETS, models):
         trace = propagate(discretize_continuum(m), _fig3_samples(m))
         t_pos, rate = decay_rate_trace(trace)
         _, supp = stage_rates(m)
@@ -308,53 +300,55 @@ def _concat(results) -> Tuple[List[str], List[str]]:
     return files, lines
 
 
-def _run_point(args):
-    cfg, out_dir = args
-    return _concat(_PRODUCT_FUNCS[prod](cfg, out_dir) for prod in cfg.products)
+def _run_point(point):
+    products, out_dir, model, fig3 = point
+    return _concat(_PRODUCT_FUNCS[prod](fig3 if prod == "fig3" else model, out_dir)
+                   for prod in products)
 
 
-def _sweep_points(cfg: ScenarioConfig):
-    """(point config, output directory) per sweep point, eta outermost.
+def _points(cfg: ScenarioConfig):
+    """Every ``(products, out_dir, model, fig3 models)`` point, eta outermost.
 
-    Raises :class:`ConfigError`, before yielding anything, when two values
-    of one sweep key format to the same subdirectory tag.
+    ``out_dir`` is second: perfbench names each sweep operation by its
+    basename.  The models are the validated parameters the products run:
+    ``model`` is the point's own (None if fig3 is the only product), and
+    fig3, which replaces eta and delta, runs one per FIG3_SETS entry.
+    Raises :class:`ConfigError` on a subdirectory tag collision and
+    :class:`ValidationError` on an invalid point, before any point runs.
     """
     axes = []
-    for key, prefix in (("sweep_eta", "eta"), ("sweep_delta", "delta"),
-                        ("sweep_detuning", "det")):
+    for key, values in cfg.sweeps:
+        prefix = SWEEP_KEYS[key]
         tagged = {}
-        for v in getattr(cfg, key):
+        for v in values:
             tag = f"{prefix}{v:g}"
             if tag in tagged:
                 raise ConfigError(f"{key} values {tagged[tag]!r} and {v!r} both "
                                   f"write to the subdirectory tag {tag!r}")
             tagged[tag] = v
-        axes.append(list(tagged.items()) or [("", None)])
-    band = cfg.params.band
-    for (t_eta, eta), (t_delta, delta), (t_det, det) in itertools.product(*axes):
-        new_band = replace(
-            band,
-            eta=band.eta if eta is None else eta,
-            delta=band.delta if delta is None else delta,
-            center=band.center if det is None else cfg.params.omega + det,
-        )
-        sub = "_".join(t for t in (t_eta, t_delta, t_det) if t)
-        params = replace(cfg.params, band=new_band)
-        explicit = cfg.explicit | ({"eta"} if eta is not None else set()) \
-            | ({"delta"} if delta is not None else set())
-        yield (replace(cfg, params=params, explicit=frozenset(explicit)),
-               os.path.join(cfg.out_dir, sub))
+        axes.append([(tag, prefix, v) for tag, v in tagged.items()])
+    prods = set(cfg.products)
+    points = []
+    for combo in itertools.product(*axes):
+        swept = {prefix: v for _, prefix, v in combo}
+        if "det" in swept:
+            swept["center"] = cfg.params.omega + swept.pop("det")
+        params = replace(cfg.params, band=replace(cfg.params.band, **swept))
+        model = validate_params(params) if prods - {"fig3"} else None
+        fig3 = _fig3_models(params, cfg.explicit | set(swept)) if "fig3" in prods else ()
+        sub = "_".join(tag for tag, _, _ in combo)
+        points.append((cfg.products, os.path.join(cfg.out_dir, sub) if sub else cfg.out_dir,
+                       model, fig3))
+    return points
 
 
 def run_scenario(cfg: ScenarioConfig) -> Tuple[List[str], List[str]]:
-    """Execute every requested product; returns (output files, summary lines)."""
+    """Execute every requested product at every point; returns (output files, summary lines)."""
     if not cfg.products:
         raise ConfigError("no products requested")
     if cfg.threads < 1:
         raise ConfigError(f"threads must be at least 1, got {cfg.threads}")
-    if not (cfg.sweep_eta or cfg.sweep_delta or cfg.sweep_detuning):
-        return _run_point((cfg, cfg.out_dir))
-    points = list(_sweep_points(cfg))  # tag collisions raise before any point runs
+    points = _points(cfg)
     workers = min(cfg.threads, len(points))  # a fork pool starts every worker at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

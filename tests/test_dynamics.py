@@ -169,6 +169,36 @@ class TestPropagate:
         np.testing.assert_array_equal(a.r, b.r)
 
 
+class TestSymmetries:
+    """Invariances of the model that the propagator must keep (2 pi Delta = 100)."""
+
+    # measured: s, eps and r agree to <= 5.6e-16
+    @pytest.mark.parametrize("flat", [False, True], ids=["n6", "flat"])
+    @pytest.mark.parametrize("eta", [10.0, 100.0])
+    def test_detuning_mirror(self, eta, flat):
+        up, down = (propagate(discretize_continuum(
+            model(eta=eta, delta=FIG1_DELTA, flat=flat, center=sign * 2.5 * FIG1_DELTA)))
+            for sign in (1.0, -1.0))
+        for a, b in ((up.s, down.s), (up.eps, down.eps), (up.r, down.r)):
+            assert np.abs(a - b).max() <= 1e-12
+
+    # (gamma, eta, Delta, center) -> lam * (...) maps t -> t/lam; measured:
+    # lam = 2 and 0.5 exact, lam = 3 to 6.9e-15, lam = 1e-3 to 1.2e-11
+    @pytest.mark.parametrize("lam", [2.0, 0.5, 3.0, 1e-3])
+    @pytest.mark.parametrize("detuning", [0.0, 2.5], ids=["centred", "detuned"])
+    def test_time_rescaling(self, lam, detuning):
+        def trace(scale):
+            band = DetectorBand(eta=100.0 * scale, delta=FIG1_DELTA * scale,
+                                center=detuning * FIG1_DELTA * scale)
+            return propagate(discretize_continuum(
+                validate_params(ModelParams(gamma=scale, band=band))))
+
+        ref, scaled = trace(1.0), trace(lam)
+        np.testing.assert_allclose(scaled.t * lam, ref.t, rtol=1e-12, atol=0.0)
+        for a, b in ((scaled.s, ref.s), (scaled.eps, ref.eps), (scaled.r, ref.r)):
+            assert np.abs(a - b).max() <= 1e-10
+
+
 class TestStructuredStepper:
     """The arrowhead stepper against a generic ERK4 that builds N(x) in full."""
 

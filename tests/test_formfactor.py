@@ -210,6 +210,12 @@ class TestFormFactorGrid:
         with pytest.raises(WindowTooNarrow):
             form_factor_grid(pl_band(1.0), GAMMA, window=(-3.0, 3.0))
 
+    @pytest.mark.parametrize("window", [(math.nan, 100.0), (-100.0, math.nan)])
+    def test_nan_window_bound_is_too_narrow(self, window):
+        # a NaN bound passed the coverage check and the edge ladders never ended
+        with pytest.raises(WindowTooNarrow):
+            form_factor_grid(DetectorBand(eta=1.0, delta=10.0, center=0.0), GAMMA, window=window)
+
 
 class TestSteepBands:
     # 2 pi Delta = 100 as in Fig. 3; n up to 3200 approaches the flat band

@@ -106,6 +106,13 @@ class TestValidateParams:
         assert back.violations == exc.value.violations
         assert str(back) == str(exc.value)
 
+    @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
+    def test_non_finite_center_rejected(self, center):
+        with pytest.raises(ValidationError) as exc:
+            validate_params(ModelParams(gamma=1.0, band=DetectorBand(eta=1.0, delta=10.0,
+                                                                      center=center)))
+        assert [c for c, _ in exc.value.violations] == ["center"]
+
     def test_center_defaults_to_omega(self):
         m = validate_params(ModelParams(gamma=1.0, omega=7.0,
                                         band=DetectorBand(eta=1.0, delta=1.0, n=6)))

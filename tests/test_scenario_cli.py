@@ -6,9 +6,11 @@ import pytest
 
 import zenoband
 import zenoband.cli
-from zenoband import ConfigError, DetectorBand, ModelParams, discretize_continuum, validate_params
+from zenoband import (ConfigError, DetectorBand, ModelParams, ValidationError,
+                      discretize_continuum, validate_params)
 from zenoband.cli import main
-from zenoband.scenario import load_scenario, read_csv, run_scenario, write_csv
+from zenoband.scenario import (FIG_DEFAULTS, _points, load_scenario, read_csv, run_scenario,
+                               write_csv)
 
 
 def run_cli(argv):
@@ -117,6 +119,20 @@ class TestScenarioProducts:
             run_scenario(cfg)
         assert not (tmp_path / "out").exists()  # raised before any point ran
 
+    def test_fig3_point_is_validated_on_its_sets(self):
+        # fig3 replaces eta and delta, so a cutoff below the default delta = 1
+        # but above every set's delta (gamma = 0.005: 0.080, 0.080, 0.80) is
+        # valid for fig3 alone, and invalid once a product runs the base band
+        ov = {"gamma": "0.005", "cutoff": "0.9"}
+        [(_, _, model, fig3)] = _points(load_scenario(
+            overrides=ov, products=("fig3",), defaults=FIG_DEFAULTS["fig3"]))
+        assert model is None
+        assert [m.numerics.cutoff for m in fig3] == [0.9] * 3
+        with pytest.raises(ValidationError) as exc:
+            _points(load_scenario(overrides=ov, products=("fig3", "report"),
+                                  defaults=FIG_DEFAULTS["fig3"]))
+        assert [c for c, _ in exc.value.violations] == ["cutoff"]
+
     def test_sweep_pool_is_sized_to_the_points(self, tmp_path, monkeypatch):
         sizes = []
 
@@ -192,15 +208,37 @@ class TestCli:
         assert err.startswith("config error: dk=0.5 ")
 
     def test_sweep_validation_error_crosses_the_pool(self, tmp_path, capsys):
-        # both points fail validation inside the two workers, before any numerics
+        # dk breaks the revival guard, which discretize_continuum checks inside
+        # each of the two workers, before any numerics
         cfg_file = tmp_path / "sweep.cfg"
-        cfg_file.write_text("delta = 15.9\nproducts = evolve\nsweep_eta = -1, -2\n")
+        cfg_file.write_text("delta = 15.9\nproducts = evolve\ndk = 0.5\nsweep_eta = 1, 2\n")
         rc = run_cli(["sweep", "--config", str(cfg_file), "--out", str(tmp_path / "out"),
                       "--threads", "2"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: eta must be >= 0, got -")
+        assert err.startswith("config error: dk=0.5 ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("product", ["evolve", "fig3"])
+    def test_invalid_sweep_value_writes_nothing(self, tmp_path, capsys, product, threads):
+        # every point is validated before the first one runs
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text(f"gamma = 1\ndelta = 15.9\nproducts = {product}\nhorizon = 1\n"
+                            "sweep_eta = 1, -2\n")
+        rc = run_cli(["sweep", "--config", str(cfg_file), "--out", str(tmp_path / "out"),
+                      "--threads", str(threads)])
+        assert rc == 1
+        assert capsys.readouterr().err == "config error: eta must be >= 0, got -2.0\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("center", ["nan", "inf"])
+    def test_non_finite_center_exit_one(self, tmp_path, capsys, center):
+        rc = run_cli(["report", "--out", str(tmp_path / "out"), "--override", "eta=1",
+                      "--override", "delta=10", "--override", f"center={center}"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error: center must be finite")
+        assert not (tmp_path / "out").exists()
 
     def test_quadrature_failure_exit_two(self, tmp_path, capsys):
         rc = run_cli(["formfactor", "--out", str(tmp_path), "--override", "eta=1",
