@@ -335,6 +335,8 @@ def _points(cfg: ScenarioConfig):
             swept["center"] = cfg.params.omega + swept.pop("det")
         params = replace(cfg.params, band=replace(cfg.params.band, **swept))
         model = validate_params(params) if prods - {"fig3"} else None
+        if "report" in prods:
+            qze_condition_report(model)  # refuses eta = 0, before any point runs
         fig3 = _fig3_models(params, cfg.explicit | set(swept)) if "fig3" in prods else ()
         sub = "_".join(tag for tag, _, _ in combo)
         points.append((cfg.products, os.path.join(cfg.out_dir, sub) if sub else cfg.out_dir,

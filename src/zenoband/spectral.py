@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
-from ._phi import _SMALL, free_tail_moments, kernel_antiderivatives, phi_functions
+from ._phi import free_tail_moments, kernel_antiderivatives, phi_functions
 from .errors import HorizonExceeded, WindowTooNarrow
 from .formfactor import (_BLOCK, FormFactorGrid, _ladder, _self_energy, free_value,
                          renormalized_form_factor)
@@ -32,7 +33,8 @@ __all__ = [
 
 _PERT_REFINE = 8          # perturbative_decay interpolation nodes per grid cell
 _LINE_POINTS = 1200       # uniform energies across the dressed line
-_MOMENTS = 16             # Taylor terms of phi2 on the nodes with |t x| < 0.5
+_MOMENTS = 16             # Taylor terms of phi4 on the nodes with |t x| < _NEAR
+_NEAR = 1.0               # |t x| below which phi4 is summed from moments, not cos/sin
 
 
 @dataclass(frozen=True)
@@ -47,12 +49,6 @@ class SpectralFunction:
     window: Tuple[float, float]
 
 
-def _subdivide(x: np.ndarray, parts: int) -> np.ndarray:
-    """Sorted nodes ``x`` plus every cell split uniformly into ``parts`` cells."""
-    inner = [x[:-1] + np.diff(x) * (j / parts) for j in range(1, parts)]
-    return np.unique(np.concatenate([x] + inner))
-
-
 def self_energy(grid: FormFactorGrid, E: float) -> complex:
     """Sigma(E + i0) over the renormalized continuum of ``grid``'s band.
 
@@ -63,16 +59,24 @@ def self_energy(grid: FormFactorGrid, E: float) -> complex:
     return complex(_self_energy(grid.band, grid.gamma, E, grid.tol)[0])
 
 
+def _line_pieces(E: np.ndarray, A: np.ndarray, cut=None) -> list:
+    """Not-a-knot cubic splines of A on E split before indices ``cut``, by
+    default at each repeated energy, a breakpoint with two one-sided values."""
+    cut = np.flatnonzero(np.diff(E) == 0.0) + 1 if cut is None else cut
+    return [CubicSpline(e, a) for e, a in zip(np.split(E, cut), np.split(A, cut))]
+
+
 def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
     """Normalized line shape A(E) = g2 / ((E - omega - Re Sigma)^2 + (pi g2)^2).
 
-    The energy grid is dense across the dressed line (whose width can be far
-    below the free linewidth when the decay is suppressed), marches
-    geometrically out to the window edges, and is refined 4x everywhere so
-    that piecewise-linear quadratures of A stay inside the normalization
-    budget.  Sigma comes from the band-edge integral at every energy.  The
-    unit-area check adds the analytic 1/(E-omega)^2 tail mass for the region
-    beyond the window.
+    The energies are dense across the dressed line (whose width can be far
+    below the free linewidth when the decay is suppressed), march out to the
+    window edges and hold the form-factor grid; Sigma comes from the
+    band-edge integral at each.  A flat band's edges appear twice, breaking
+    the cubic spline of A; Re Sigma's log cusp takes A to 0 there only within
+    ~exp(-2 pi |E - omega|/gamma), so each side's value is extrapolated from
+    its own nodes.  The unit-area check integrates the spline and adds the
+    analytic 1/(E-omega)^2 tail mass beyond the window.
     """
     lo, hi = grid.window
     sigma = self_energy(grid, omega)
@@ -82,94 +86,87 @@ def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
         raise WindowTooNarrow(
             f"window {(lo, hi)} cannot hold the line region {center}+-{span:g}")
 
-    fine = np.linspace(center - span, center + span, _LINE_POINTS)
     step0 = 2.0 * span / _LINE_POINTS * 4.0
-    parts = [fine,
-             _ladder(center + span, hi, step0, 1.05),
-             _ladder(center - span, lo, step0, 1.05),
-             grid.mu]
-    E = np.unique(np.concatenate([np.asarray(p, dtype=float) for p in parts]))
-    # 4x refinement so linear interpolants of A are quadrature-grade
-    E = _subdivide(E, 4)
-    # midpoint insertion can round onto an existing float; drop zero cells
-    E = E[np.concatenate([[True], np.diff(E) > 1e-13 * (hi - lo)])]
+    parts = [np.linspace(center - span, center + span, _LINE_POINTS), grid.mu,
+             _ladder(center + span, hi, step0, 1.05), _ladder(center - span, lo, step0, 1.05)]
+    edges = grid.band.center + np.array([-1.0, 1.0] if grid.band.is_flat else []) * grid.band.delta
+    E = np.setdiff1d(np.concatenate([np.asarray(p, dtype=float) for p in parts]), edges)
 
     sigma = _self_energy(grid.band, grid.gamma, E, grid.tol)
     A = -sigma.imag / math.pi / ((E - omega - sigma.real) ** 2 + sigma.imag ** 2)
+    if edges.size:
+        cut = np.repeat(np.searchsorted(E, edges), 2)
+        lower, inner, upper = _line_pieces(E, A, cut[::2])
+        ends = [lower(edges[0]), inner(edges[0]), inner(edges[1]), upper(edges[1])]
+        E, A = np.insert(E, cut, np.repeat(edges, 2)), np.insert(A, cut, ends)
     if A[0] > 1e-6 * A.max() or A[-1] > 1e-6 * A.max():
         raise WindowTooNarrow(
             "A(E) has not decayed to 1e-6 of its peak at the spectral window edge")
-    area = float(np.trapezoid(A, E))
+    area = sum(float(sp.integrate(sp.x[0], sp.x[-1])) for sp in _line_pieces(E, A))
     # analytic mass of the (gamma/2pi)/(E-omega)^2 tails beyond the window
     tail = free_value(grid.gamma) * (1.0 / (hi - omega) + 1.0 / (omega - lo))
-    defect = abs(1.0 - (area + tail))
-    return SpectralFunction(E=E, A=A, normalization_defect=defect,
+    return SpectralFunction(E=E, A=A, normalization_defect=abs(1.0 - (area + tail)),
                             omega=omega, gamma=grid.gamma, window=(lo, hi))
 
 
 def survival_amplitude_spectral(sf: SpectralFunction, t) -> np.ndarray:
-    """f(t) = Int A(E) e^{-iEt} dE, exact against the piecewise-linear A.
+    """f(t) = Int A(E) e^{-iEt} dE, exact against the cubic spline of A.
 
-    Integrating by parts twice puts it on the slope jumps c_k = b_{k-1} - b_k
-    of A (cell slopes b, zero outside) at the nodes x_k = E_k - omega:
-    f e^{i omega t} = [A x phi1(-itx)]_ends - Sum_k c_k x_k^2 phi2(-itx_k),
-    so the cell size is limited by how well A is linear, not by t*dE.  Where
-    |t x| >= 0.5, phi2 is closed-form: cos and sin of t*x in (times x nodes)
-    blocks, with suffix sums for its constant and linear parts.  The other
-    nodes are a prefix in |x| order, summed as a Taylor series in cumulative
-    moments Sum c x^{m+2}.  The analytic free-tail transform is added beyond
-    the window.  Times beyond the resolution horizon of the mass-carrying
-    region raise :class:`HorizonExceeded`.
+    Integrating by parts four times puts it on the jumps J_j of the spline's
+    j-th derivative (0 outside the window) at the nodes x_k = E_k - omega:
+    f e^{i omega t} = Sum_k Sum_j J_jk (-x_k)^{j+1} phi_{j+1}(-i t x_k); the
+    phi's polynomial parts cancel as A has compact support.  The spline is
+    C^2, so J_0..J_2 live at the ends of its pieces and every node carries a
+    J_3.  Where |t x| >= 1 the J_3 terms are closed-form: cos and sin of t*x
+    in (times x nodes) blocks, with suffix sums for the cubic part.  The
+    other nodes are a prefix in |x| order, a Taylor series in cumulative
+    moments Sum J_3 x^{m+4}.  The analytic free-tail transform is added
+    beyond the window.  Times beyond 2 pi over the largest cell of the
+    mass-carrying region raise :class:`HorizonExceeded`.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    E, A = sf.E, sf.A
-    core = A > 1e-3 * A.max()
-    if core.sum() >= 2:
-        d_core = np.diff(E)[core[:-1] & core[1:]]
-        horizon = 2.0 * np.pi / (4.0 * d_core.max()) if d_core.size else np.inf
-    else:
-        horizon = np.inf
+    core = sf.A > 1e-3 * sf.A.max()
+    d_core = np.diff(sf.E)[core[:-1] & core[1:]]
+    horizon = 2.0 * np.pi / d_core.max() if d_core.size else np.inf
     if np.any(t_arr < 0.0):
         raise ValueError("t must be >= 0")
     if np.any(t_arr > horizon):
         raise HorizonExceeded(
             f"t up to {t_arr.max():g} exceeds the spectral horizon {horizon:g}")
 
-    x = E - sf.omega
-    p1 = phi_functions(-1j * t_arr[:, None] * x[[0, -1]], 1)[1]
-    ends = p1[:, 1] * (A[-1] * x[-1]) - p1[:, 0] * (A[0] * x[0])
-    c = -np.diff(np.diff(A) / np.diff(E), prepend=0.0, append=0.0)
+    pieces = _line_pieces(sf.E - sf.omega, sf.A)
+    out = np.zeros(len(t_arr), dtype=complex)
+    for sp in pieces:  # J_0..J_2: +S, S', S'' at a piece's left end, - at its right
+        xb = sp.x[[0, -1]]
+        phi = phi_functions(-1j * t_arr[:, None] * xb, 3)
+        out += sum((-xb) ** (j + 1) * sp(xb, j) * [1.0, -1.0] * phi[j + 1] for j in range(3)).sum(1)
+    x = np.concatenate([sp.x for sp in pieces])  # J_3: the jumps of S''' = 6 * cubic coefficient
+    c = np.concatenate([np.diff(6.0 * sp.c[0], prepend=0.0, append=0.0) for sp in pieces])
     order = np.argsort(np.abs(x), kind="stable")
-    x, c = x[order], c[order]
-    n = len(x)
-    lim = np.divide(_SMALL, t_arr, out=np.full_like(t_arr, np.inf), where=t_arr > 0.0)
-    n_small = np.searchsorted(np.abs(x), lim)  # |t x| < 0.5 on the first n_small nodes
-    moments = np.zeros((_MOMENTS, n + 1))  # [m, j]: Sum_{k<j} c x^{m+2}
-    term = c * x * x
-    for row in moments:
-        np.cumsum(term, out=row[1:])
-        term *= x
+    x, c, n = x[order], c[order], len(x)
+    lim = np.divide(_NEAR, t_arr, out=np.full_like(t_arr, np.inf), where=t_arr > 0.0)
+    n_small = np.searchsorted(np.abs(x), lim)  # |t x| < _NEAR on the first n_small nodes
+    powers = c * x ** np.arange(_MOMENTS + 4)[:, None]
+    # column j: the moments Sum_{k<j} c x^{m+4}, and Sum_{k>=j} c x^p for p < 4
+    prefix = np.pad(np.cumsum(powers[4:], axis=1), ((0, 0), (1, 0)))
+    suffix = np.pad(np.cumsum(powers[:4, ::-1], axis=1)[:, ::-1], ((0, 0), (0, 1)))
     m = np.arange(_MOMENTS)
-    taylor = (moments[:, n_small].T * t_arr[:, None] ** m
-              * (np.array([1.0, -1j, -1.0, 1j])[m % 4] / np.cumprod(m + 2.0))).sum(axis=1)
-    suffix = np.zeros((2, n + 1))  # column j: Sum_{k>=j} of c and c x
-    suffix[:, :-1] = np.cumsum(np.stack([c, c * x])[:, ::-1], axis=1)[:, ::-1]
-    # the other nodes add c (e^{-itx} - 1 + itx)/t^2
-    cos_sum, sin_sum = np.empty((2, len(t_arr)))
+    coef = (-1j * t_arr[:, None]) ** m / (6.0 * np.cumprod(m + 4.0))  # (-it)^m / (m+4)!
+    out += (prefix[:, n_small].T * coef).sum(axis=1)
+    # the other nodes add c (e^{-itx} - 1 + itx + (tx)^2/2 - i(tx)^3/6)/t^4
+    far = np.empty(len(t_arr), dtype=complex)
     rows = max(1, _BLOCK // n)
     for s in range(0, len(t_arr), rows):
         sl = slice(s, s + rows)
         j0 = n_small[sl].min()
         cw = np.where(np.arange(j0, n) >= n_small[sl, None], c[j0:], 0.0)
         y = t_arr[sl, None] * x[j0:]
-        cos_sum[sl] = (np.cos(y) * cw).sum(axis=1)
-        sin_sum[sl] = (np.sin(y) * cw).sum(axis=1)
-    far = cos_sum - suffix[0, n_small] + 1j * (t_arr * suffix[1, n_small] - sin_sum)
-    far = np.divide(far, t_arr ** 2, out=np.zeros_like(far), where=n_small < n)
-    out = ends - taylor + far
+        far[sl] = (np.cos(y) * cw).sum(axis=1) - 1j * (np.sin(y) * cw).sum(axis=1)
+    s0, s1, s2, s3 = suffix[:, n_small]
+    far += t_arr ** 2 * s2 / 2.0 - s0 + 1j * (t_arr * s1 - t_arr ** 3 * s3 / 6.0)
+    out += np.divide(far, t_arr ** 4, out=np.zeros_like(far), where=n_small < n)
     # analytic tails: A ~ (gamma/2pi)/(E-omega)^2 outside the window
-    lo, hi = sf.window
-    for sgn, W in ((+1, hi - sf.omega), (-1, sf.omega - lo)):
+    for sgn, W in ((+1, sf.window[1] - sf.omega), (-1, sf.omega - sf.window[0])):
         c_int, s_int = free_tail_moments(W, t_arr)
         out += free_value(sf.gamma) * (c_int - 1j * sgn * s_int)
     out *= np.exp(-1j * t_arr * sf.omega)
@@ -190,7 +187,8 @@ def perturbative_decay(grid: FormFactorGrid, omega: float, t) -> np.ndarray:
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr < 0.0):
         raise ValueError("t must be >= 0")
-    nodes = _subdivide(grid.mu, _PERT_REFINE)
+    cells = np.diff(grid.mu)[:, None] * (np.arange(_PERT_REFINE) / _PERT_REFINE)
+    nodes = np.unique(np.append(grid.mu[:-1, None] + cells, grid.mu[-1]))
     dev = grid.interpolator()(nodes) - free_value(grid.gamma)
     x = nodes - omega
     slope = np.diff(dev) / np.diff(x)

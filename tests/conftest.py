@@ -238,21 +238,26 @@ def krogstad_reference(dm, ts):
 def survival_cellwise_reference(sf, t):
     """Survival amplitude of ``sf`` at times ``t`` (an array), cell by cell.
 
-    The former production loop of ``survival_amplitude_spectral``: at every
-    time each cell integrates its linear piece of A against e^{-iEt} through
-    phi1 and phi2 of -i t w, so it shares no algebra with the slope-jump
-    form.  The analytic free tails beyond the window are added as there.
+    A is splined as the transform reads it: not-a-knot cubics, one per piece
+    between repeated energies.  At every time each cell integrates its own
+    cubic piece a0 + a1 u + a2 u^2 + a3 u^3 (u = E - E_k) against e^{-iEt}:
+    Int_0^w u^p e^{-itu} du = w^{p+1} Int_0^1 (1 - (1 - s))^p e^{zs} ds with
+    z = -itw, which the binomial expansion puts on phi1..phi4 of z.  It
+    shares no algebra with the jump-sum form.  The analytic free tails
+    beyond the window are added as there.
     """
     t_arr = np.asarray(t, dtype=float)
-    E = sf.E
-    w = np.diff(E)
-    a = sf.A[:-1]
-    b = np.diff(sf.A) / w
-    out = np.empty(len(t_arr), dtype=complex)
-    for i, tt in enumerate(t_arr):
-        _, p1, p2 = phi_functions(-1j * tt * w, 2)
-        cells = np.exp(-1j * tt * E[:-1]) * (a * w * p1 + b * w ** 2 * (p1 - p2))
-        out[i] = cells.sum()
+    cut = np.flatnonzero(np.diff(sf.E) == 0.0) + 1
+    out = np.zeros(len(t_arr), dtype=complex)
+    for E, A in zip(np.split(sf.E, cut), np.split(sf.A, cut)):
+        a = CubicSpline(E, A).c[::-1]  # a[p] multiplies (E - E_k)^p on cell k
+        w = np.diff(E)
+        for i, tt in enumerate(t_arr):
+            _, p1, p2, p3, p4 = phi_functions(-1j * tt * w, 4)
+            moments = (p1, p1 - p2, p1 - 2.0 * p2 + 2.0 * p3,
+                       p1 - 3.0 * p2 + 6.0 * p3 - 6.0 * p4)  # Int_0^1 s^p e^{zs} ds
+            cells = sum(a[p] * w ** (p + 1) * moments[p] for p in range(4))
+            out[i] += (np.exp(-1j * tt * E[:-1]) * cells).sum()
     lo, hi = sf.window
     for sgn, W in ((+1, hi - sf.omega), (-1, sf.omega - lo)):
         c_int, s_int = free_tail_moments(W, t_arr)

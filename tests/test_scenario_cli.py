@@ -232,6 +232,16 @@ class TestCli:
         assert capsys.readouterr().err == "config error: eta must be >= 0, got -2.0\n"
         assert not (tmp_path / "out").exists()
 
+    def test_report_at_eta_zero_writes_nothing(self, tmp_path, capsys):
+        # the eta = 0 point's evolve would run first if report refused it only itself
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text("gamma = 1\ndelta = 15.9\nproducts = evolve, report\nhorizon = 1\n"
+                            "sweep_eta = 0, 3\n")
+        rc = run_cli(["sweep", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error: eta = 0: no measurement")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("center", ["nan", "inf"])
     def test_non_finite_center_exit_one(self, tmp_path, capsys, center):
         rc = run_cli(["report", "--out", str(tmp_path / "out"), "--override", "eta=1",

@@ -89,21 +89,26 @@ class TestSelfEnergy:
         assert sig.imag == pytest.approx(-math.pi * G2_REGRESSION_N6_RATIO1, rel=1e-4)
 
 
+def full_width_at_half_maximum(sf):
+    """Width of the line at half its peak, each crossing interpolated linearly."""
+    half = sf.A.max() / 2
+    i, j = np.flatnonzero(sf.A >= half)[[0, -1]]
+    left = np.interp(half, sf.A[i - 1:i + 1], sf.E[i - 1:i + 1])
+    right = np.interp(half, sf.A[j + 1:j - 1:-1], sf.E[j + 1:j - 1:-1])
+    return right - left
+
+
 class TestSpectralFunction:
     def test_free_case_is_unit_lorentzian(self, free_grid):
         sf = spectral_function(free_grid, 0.0)
         assert sf.normalization_defect < 1e-4
         assert np.all(sf.A >= 0.0)
-        half = sf.A.max() / 2
-        above = sf.E[sf.A >= half]
-        assert above.max() - above.min() == pytest.approx(GAMMA, rel=0.02)
+        assert full_width_at_half_maximum(sf) == pytest.approx(GAMMA, rel=0.02)
 
     def test_monitored_line_is_narrowed(self, solid_grid):
         sf = spectral_function(solid_grid, 0.0)
         assert sf.normalization_defect < 1e-4
-        half = sf.A.max() / 2
-        above = sf.E[sf.A >= half]
-        width = above.max() - above.min()
+        width = full_width_at_half_maximum(sf)
         _, supp = stage_rates(validate_params(ModelParams(
             gamma=GAMMA, band=DetectorBand(eta=100.0, delta=FIG_DELTA, n=6))))
         assert width == pytest.approx(supp, rel=0.05)
@@ -130,13 +135,13 @@ class TestSurvivalAmplitude:
     def test_normalization_at_t_zero(self, free_grid):
         sf = spectral_function(free_grid, 0.0)
         f0 = survival_amplitude_spectral(sf, 0.0)
-        assert abs(f0) == pytest.approx(1.0, abs=2e-4)
+        assert abs(f0) == pytest.approx(1.0, abs=5e-8)
 
     def test_free_survival_is_exponential(self, free_grid):
         sf = spectral_function(free_grid, 0.0)
         t = np.linspace(0.0, 5.0, 101)
         s = np.abs(survival_amplitude_spectral(sf, t)) ** 2
-        assert np.abs(s - np.exp(-GAMMA * t)).max() < 1e-4
+        assert np.abs(s - np.exp(-GAMMA * t)).max() < 1e-7
 
     def test_flat_band_matches_oracle_line(self):
         # Filon transform of the closed-form line shape on a grid refined 8x
@@ -155,25 +160,25 @@ class TestSurvivalAmplitude:
         s_oracle = np.abs(survival_amplitude_spectral(oracle, t)) ** 2
         assert np.abs(s - s_oracle).max() < 2e-5
 
-    @pytest.mark.parametrize("band", [
-        None,
-        FLAT_BAND,
-        DetectorBand(eta=100.0, delta=FIG_DELTA, n=2, center=0.0),
-        DetectorBand(eta=100.0, delta=FIG_DELTA, n=6, center=2.0 * FIG_DELTA),
+    @pytest.mark.parametrize("band,bound", [
+        (None, 1e-12),
+        (FLAT_BAND, 2e-12),
+        (DetectorBand(eta=100.0, delta=FIG_DELTA, n=2, center=0.0), 1e-12),
+        (DetectorBand(eta=100.0, delta=FIG_DELTA, n=6, center=2.0 * FIG_DELTA), 1e-12),
     ], ids=["solid", "flat", "n2", "detuned-2delta"])
-    def test_matches_cellwise_reference(self, band, solid_grid):
+    def test_matches_cellwise_reference(self, band, bound, solid_grid):
         grid = solid_grid if band is None else form_factor_grid(band, GAMMA, tol=1e-9)
         sf = spectral_function(grid, 0.0)
         core = sf.A > 1e-3 * sf.A.max()
-        horizon = 2 * math.pi / (4 * np.diff(sf.E)[core[:-1] & core[1:]].max())
+        horizon = 2 * math.pi / np.diff(sf.E)[core[:-1] & core[1:]].max()
         # 215 times, not a multiple of the rows in one block of phases; the
-        # geometric run covers t < 1, where many nodes sit near |t x| = 0.5
+        # geometric run covers t < 1, where many nodes sit near |t x| = 1
         t = np.concatenate([[0.0, 1e-12, 1e-8, 1e-5, 1e-3], np.geomspace(1e-2, 1.0, 60),
                             np.linspace(0.0, horizon, 151)[1:]])
         want = survival_cellwise_reference(sf, t)
-        assert np.abs(survival_amplitude_spectral(sf, t) - want).max() <= 1e-13
+        assert np.abs(survival_amplitude_spectral(sf, t) - want).max() <= bound
         f = survival_amplitude_spectral(sf, t[-7])
-        assert np.ndim(f) == 0 and abs(f - want[-7]) <= 1e-13
+        assert np.ndim(f) == 0 and abs(f - want[-7]) <= bound
 
     def test_horizon_guard(self, free_grid):
         sf = spectral_function(free_grid, 0.0)
@@ -269,11 +274,17 @@ class TestCrossMethod:
 
     def test_solid_set_routes_agree(self, solid_grid):
         band = DetectorBand(eta=100.0, delta=FIG_DELTA, n=6)
-        assert self.gap(band, solid_grid) < 1e-3
+        assert self.gap(band, solid_grid) < 3e-7
 
-    @pytest.mark.parametrize("band", [
-        DetectorBand(eta=100.0, delta=FIG_DELTA, n=6, center=2.0 * FIG_DELTA),
-        DetectorBand(eta=100.0, delta=FIG_DELTA, n=None, center=0.0),
-    ], ids=["detuned-2delta", "flat"])
-    def test_routes_agree(self, band):
-        assert self.gap(band, form_factor_grid(band, GAMMA, tol=1e-9)) < 1e-3
+    # bounds ~3x the measured gaps; the flat band's 3.3e-4 and n = 2's 3.4e-6
+    # are on the propagator side (4x the line or grid points moves n = 2's
+    # spectral route by <= 2.4e-8)
+    @pytest.mark.parametrize("band,bound", [
+        (DetectorBand(eta=100.0, delta=FIG_DELTA, n=6, center=2.0 * FIG_DELTA), 5e-7),
+        (DetectorBand(eta=100.0, delta=FIG_DELTA, n=None, center=0.0), 1e-3),
+        (DetectorBand(eta=100.0, delta=FIG_DELTA, n=6, center=5.0 * FIG_DELTA), 6e-7),
+        (DetectorBand(eta=1.5, delta=FIG_DELTA, n=6, center=0.0), 5e-7),
+        (DetectorBand(eta=100.0, delta=FIG_DELTA, n=2, center=0.0), 1e-5),
+    ], ids=["detuned-2delta", "flat", "detuned-5delta", "fig1", "n2"])
+    def test_routes_agree(self, band, bound):
+        assert self.gap(band, form_factor_grid(band, GAMMA, tol=1e-9)) < bound
