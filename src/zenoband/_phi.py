@@ -59,10 +59,11 @@ def free_tail_moments(W: float, t):
 
 
 def kernel_antiderivatives(x, t: float):
-    """Antiderivatives in x of (1 - cos(xt))/x^2 and (1 - cos(xt))/x, t >= 0.
+    """Antiderivatives in x of x^k (1 - cos(xt))/x^2, k = 0..3, for t >= 0.
 
-    With y = x*t they are t*(Si(y) - (1 - cos y)/y) and
-    Cin(y) = gamma_E + ln|y| - Ci(|y|), both taken as 0 at y = 0.
+    With y = x*t they are t*(Si(y) - (1 - cos y)/y),
+    Cin(y) = gamma_E + ln|y| - Ci(|y|), x - sin(y)/t and
+    x^2/2 - x sin(y)/t + 2 sin^2(y/2)/t^2, all taken as 0 at y = 0.
     """
     y = x * t
     at0 = y == 0.0
@@ -70,4 +71,5 @@ def kernel_antiderivatives(x, t: float):
     si, ci = sici(ay)
     f0 = t * np.sign(y) * (si - 2.0 * np.sin(ay / 2.0) ** 2 / ay)
     f1 = np.where(at0, 0.0, np.euler_gamma + np.log(ay) - ci)
-    return f0, f1
+    s1, s2 = x * np.sinc(y / np.pi), x * np.sinc(y / (2.0 * np.pi))  # sin(y)/t, 2 sin(y/2)/t
+    return f0, f1, x - s1, x * x / 2.0 - x * s1 + s2 * s2 / 2.0

@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 # unused here, but bound: perfbench/spans.py wraps formfactor.quad under --trace 1
 from scipy.integrate import quad  # noqa: F401
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from ._phi import gauss_legendre
 from .errors import QuadratureFailure, WindowTooNarrow
@@ -50,9 +50,28 @@ def free_value(gamma: float) -> float:
     return gamma / (2.0 * math.pi)
 
 
+def _split_cubic(x, y, edges=()):
+    """(x, y, pieces): not-a-knot cubic splines of y on x, broken at each
+    repeated x.  Each of the sorted ``edges`` (none in x) is first put in x
+    twice, each copy with the value its own side's spline extrapolates to."""
+    def pieces(x, y, cut):
+        return [CubicSpline(a, b) for a, b in zip(np.split(x, cut), np.split(y, cut))]
+
+    if len(edges):
+        at = np.repeat(np.searchsorted(x, edges), 2)
+        sides = pieces(x, y, at[::2])
+        ends = [sp(e) for i, e in enumerate(edges) for sp in sides[i:i + 2]]
+        x, y = np.insert(x, at, np.repeat(edges, 2)), np.insert(y, at, ends)
+    return x, y, pieces(x, y, np.flatnonzero(np.diff(x) == 0.0) + 1)
+
+
 @dataclass(frozen=True)
 class FormFactorGrid:
-    """Tabulated |g_mu|^2 with the window and quadrature tolerance it was built at."""
+    """Tabulated |g_mu|^2 with the window and quadrature tolerance it was built at.
+
+    A repeated ``mu`` (a flat band's edge) holds g2's two one-sided values and
+    is a zero-width interval of :meth:`interpolator`, the :func:`_split_cubic`
+    line as one piecewise cubic (right-continuous there)."""
 
     mu: np.ndarray
     g2: np.ndarray
@@ -61,8 +80,9 @@ class FormFactorGrid:
     band: DetectorBand
     tol: float
 
-    def interpolator(self):
-        return CubicSpline(self.mu, self.g2)
+    def interpolator(self) -> PPoly:
+        c = [a for sp in _split_cubic(self.mu, self.g2)[2] for a in (np.zeros((4, 1)), sp.c)]
+        return PPoly(np.hstack(c[1:]), self.mu)
 
 
 def renormalized_form_factor(band: DetectorBand, gamma: float, mu: float,
@@ -184,16 +204,11 @@ def _self_energy(band: DetectorBand, gamma: float, E, tol: float = 1e-9) -> np.n
 
 def _ladder(start, stop, s0, ratio):
     """Geometric march from ``start`` toward ``stop`` with initial step s0."""
-    pts = []
-    x, s = start, s0
-    sgn = 1.0 if stop > start else -1.0
-    while True:
-        x = x + sgn * s
-        if (stop - x) * sgn <= 0:
-            break
-        pts.append(x)
+    pts, s, sgn = [start], s0, 1.0 if stop > start else -1.0
+    while (stop - (pts[-1] + sgn * s)) * sgn > 0:
+        pts.append(pts[-1] + sgn * s)
         s *= ratio
-    return pts
+    return pts[1:]
 
 
 def form_factor_grid(band: DetectorBand, gamma: float,
@@ -203,10 +218,12 @@ def form_factor_grid(band: DetectorBand, gamma: float,
 
     The grid clusters geometrically (ratio 1.2) into both band edges, where
     the curvature of g2 is largest, and covers the rest of the window
-    uniformly.  ``window`` must span center +- 5*max(delta, eta); the default
-    is center +- max(50*delta, 10*eta, 550*gamma), the gamma term keeping
-    even an unsuppressed Lorentzian line inside the window with its wings
-    decayed to the 1e-6 level needed by the spectral route.
+    uniformly; a flat band's edges, where g2 jumps, are held twice with the
+    one-sided values of :func:`_split_cubic`.  ``window`` must span
+    center +- 5*max(delta, eta); the default is center +- max(50*delta,
+    10*eta, 550*gamma), the gamma term keeping even an unsuppressed
+    Lorentzian line inside the window with its wings decayed to the 1e-6
+    level needed by the spectral route.
     """
     if band.center is None:
         band = replace(band, center=0.0)
@@ -220,24 +237,19 @@ def form_factor_grid(band: DetectorBand, gamma: float,
         raise WindowTooNarrow(
             f"window {window} must cover center +- {need:g}")
 
-    ratio = 1.2
-    s_min = delta / 200.0
     pts = {lo, hi, c, c - delta, c + delta}
     for edge in (c - delta, c + delta):
         for limit in (hi, lo):
-            pts.update(_ladder(edge, limit, s_min, ratio))
+            pts.update(_ladder(edge, limit, delta / 200.0, 1.2))
     base = np.asarray(sorted(pts))
     # top up with uniform coverage so large gaps between ladders are filled
-    n_fill = max(n_points - len(base), 0)
-    if n_fill:
-        gaps = np.diff(base)
-        add = np.rint(gaps / gaps.sum() * n_fill).astype(int)
-        fill = [np.linspace(base[i], base[i + 1], add[i] + 2)[1:-1]
-                for i in range(len(gaps)) if add[i] > 0]
-        if fill:
-            base = np.unique(np.concatenate([base] + fill))
-    g2 = -_self_energy(band, gamma, base, tol).imag / math.pi
-    return FormFactorGrid(mu=base, g2=g2, window=(lo, hi), gamma=gamma, band=band, tol=tol)
+    gaps = np.diff(base)
+    add = np.rint(gaps / gaps.sum() * max(n_points - len(base), 0)).astype(int)
+    fill = [np.linspace(base[i], base[i + 1], add[i] + 2)[1:-1] for i in range(len(gaps))]
+    edges = c + np.array([-delta, delta] if band.is_flat else [])
+    base = np.setdiff1d(np.concatenate([base] + fill), edges)
+    mu, g2, _ = _split_cubic(base, -_self_energy(band, gamma, base, tol).imag / math.pi, edges)
+    return FormFactorGrid(mu=mu, g2=g2, window=(lo, hi), gamma=gamma, band=band, tol=tol)
 
 
 def sum_rule_defect(grid: FormFactorGrid, gamma: float) -> float:
@@ -245,10 +257,9 @@ def sum_rule_defect(grid: FormFactorGrid, gamma: float) -> float:
 
     Over the whole line the deviations cancel exactly; the window integral is
     the residual carried by the tails outside and shrinks like 1/window.  It
-    integrates the cubic spline of :meth:`FormFactorGrid.interpolator`, taken
-    of the deviation so that a free line gives exactly 0: a trapezoid is ~4%
-    off on the coarse far-window cells of the 1/mu^2 tail.  Requires the grid
-    to have reached its free-value asymptote at the edges (within 1e-3
+    integrates :meth:`FormFactorGrid.interpolator`, less gamma/2pi on its
+    constant coefficients so that a free line gives exactly 0.  Requires the
+    grid to have reached its free-value asymptote at the edges (within 1e-3
     relative), otherwise :class:`WindowTooNarrow` is raised.
     """
     pref = free_value(gamma)
@@ -257,4 +268,6 @@ def sum_rule_defect(grid: FormFactorGrid, gamma: float) -> float:
         raise WindowTooNarrow(
             f"|g2 - gamma/2pi| = {edge_dev:.3e} at the window edge; "
             f"needs < {1e-3 * pref:.3e}")
-    return float(CubicSpline(grid.mu, grid.g2 - pref).integrate(grid.mu[0], grid.mu[-1]))
+    line = grid.interpolator()
+    line.c[-1] -= pref
+    return float(line.integrate(grid.mu[0], grid.mu[-1]))

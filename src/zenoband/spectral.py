@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._phi import free_tail_moments, kernel_antiderivatives, phi_functions
 from .errors import HorizonExceeded, WindowTooNarrow
-from .formfactor import (_BLOCK, FormFactorGrid, _ladder, _self_energy, free_value,
-                         renormalized_form_factor)
+from .formfactor import (_BLOCK, FormFactorGrid, _ladder, _self_energy, _split_cubic,
+                         free_value, renormalized_form_factor)
 from .model import ValidatedModel
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "stage_rates",
 ]
 
-_PERT_REFINE = 8          # perturbative_decay interpolation nodes per grid cell
 _LINE_POINTS = 1200       # uniform energies across the dressed line
 _MOMENTS = 16             # Taylor terms of phi4 on the nodes with |t x| < _NEAR
 _NEAR = 1.0               # |t x| below which phi4 is summed from moments, not cos/sin
@@ -59,24 +57,17 @@ def self_energy(grid: FormFactorGrid, E: float) -> complex:
     return complex(_self_energy(grid.band, grid.gamma, E, grid.tol)[0])
 
 
-def _line_pieces(E: np.ndarray, A: np.ndarray, cut=None) -> list:
-    """Not-a-knot cubic splines of A on E split before indices ``cut``, by
-    default at each repeated energy, a breakpoint with two one-sided values."""
-    cut = np.flatnonzero(np.diff(E) == 0.0) + 1 if cut is None else cut
-    return [CubicSpline(e, a) for e, a in zip(np.split(E, cut), np.split(A, cut))]
-
-
 def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
     """Normalized line shape A(E) = g2 / ((E - omega - Re Sigma)^2 + (pi g2)^2).
 
     The energies are dense across the dressed line (whose width can be far
     below the free linewidth when the decay is suppressed), march out to the
     window edges and hold the form-factor grid; Sigma comes from the
-    band-edge integral at each.  A flat band's edges appear twice, breaking
-    the cubic spline of A; Re Sigma's log cusp takes A to 0 there only within
-    ~exp(-2 pi |E - omega|/gamma), so each side's value is extrapolated from
-    its own nodes.  The unit-area check integrates the spline and adds the
-    analytic 1/(E-omega)^2 tail mass beyond the window.
+    band-edge integral at each.  A's cubic spline breaks where the grid's
+    does, at a flat band's edges; Re Sigma's log cusp takes A to 0 there only
+    within ~exp(-2 pi |E - omega|/gamma), so each side's value is
+    extrapolated from its own nodes.  The unit-area check integrates the
+    spline and adds the analytic 1/(E-omega)^2 tail mass beyond the window.
     """
     lo, hi = grid.window
     sigma = self_energy(grid, omega)
@@ -89,20 +80,16 @@ def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
     step0 = 2.0 * span / _LINE_POINTS * 4.0
     parts = [np.linspace(center - span, center + span, _LINE_POINTS), grid.mu,
              _ladder(center + span, hi, step0, 1.05), _ladder(center - span, lo, step0, 1.05)]
-    edges = grid.band.center + np.array([-1.0, 1.0] if grid.band.is_flat else []) * grid.band.delta
+    edges = grid.mu[1:][np.diff(grid.mu) == 0.0]
     E = np.setdiff1d(np.concatenate([np.asarray(p, dtype=float) for p in parts]), edges)
 
     sigma = _self_energy(grid.band, grid.gamma, E, grid.tol)
     A = -sigma.imag / math.pi / ((E - omega - sigma.real) ** 2 + sigma.imag ** 2)
-    if edges.size:
-        cut = np.repeat(np.searchsorted(E, edges), 2)
-        lower, inner, upper = _line_pieces(E, A, cut[::2])
-        ends = [lower(edges[0]), inner(edges[0]), inner(edges[1]), upper(edges[1])]
-        E, A = np.insert(E, cut, np.repeat(edges, 2)), np.insert(A, cut, ends)
+    E, A, pieces = _split_cubic(E, A, edges)
     if A[0] > 1e-6 * A.max() or A[-1] > 1e-6 * A.max():
         raise WindowTooNarrow(
             "A(E) has not decayed to 1e-6 of its peak at the spectral window edge")
-    area = sum(float(sp.integrate(sp.x[0], sp.x[-1])) for sp in _line_pieces(E, A))
+    area = sum(float(sp.integrate(sp.x[0], sp.x[-1])) for sp in pieces)
     # analytic mass of the (gamma/2pi)/(E-omega)^2 tails beyond the window
     tail = free_value(grid.gamma) * (1.0 / (hi - omega) + 1.0 / (omega - lo))
     return SpectralFunction(E=E, A=A, normalization_defect=abs(1.0 - (area + tail)),
@@ -134,7 +121,7 @@ def survival_amplitude_spectral(sf: SpectralFunction, t) -> np.ndarray:
         raise HorizonExceeded(
             f"t up to {t_arr.max():g} exceeds the spectral horizon {horizon:g}")
 
-    pieces = _line_pieces(sf.E - sf.omega, sf.A)
+    pieces = _split_cubic(sf.E - sf.omega, sf.A)[2]
     out = np.zeros(len(t_arr), dtype=complex)
     for sp in pieces:  # J_0..J_2: +S, S', S'' at a piece's left end, - at its right
         xb = sp.x[[0, -1]]
@@ -179,25 +166,23 @@ def perturbative_decay(grid: FormFactorGrid, omega: float, t) -> np.ndarray:
     1 - s(t) = Int dmu g2(mu) sin^2(xt/2) / (x/2)^2 with x = mu - omega.
 
     The free part integrates to gamma*t exactly and is added in closed form.
-    The deviation (g2 - gamma/2pi) over the window is interpolated linearly
-    on every grid cell split into eight, and each cell is integrated exactly
-    against the kernel 2(1 - cos xt)/x^2 through its Si/Ci antiderivatives,
-    so the cost does not grow with t.
+    The deviation (g2 - gamma/2pi) is the grid's own cubic line, whose powers
+    x^k on each cell meet the kernel 2(1 - cos xt)/x^2 exactly through
+    :func:`~zenoband._phi.kernel_antiderivatives`, so the cost does not grow
+    with t.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr < 0.0):
         raise ValueError("t must be >= 0")
-    cells = np.diff(grid.mu)[:, None] * (np.arange(_PERT_REFINE) / _PERT_REFINE)
-    nodes = np.unique(np.append(grid.mu[:-1, None] + cells, grid.mu[-1]))
-    dev = grid.interpolator()(nodes) - free_value(grid.gamma)
-    x = nodes - omega
-    slope = np.diff(dev) / np.diff(x)
-    offset = dev[:-1] - slope * x[:-1]  # dev = offset + slope*x on each cell
-    out = np.empty(len(t_arr))
-    for i, tt in enumerate(t_arr):
-        f0, f1 = kernel_antiderivatives(x, tt)
-        cells = offset * np.diff(f0) + slope * np.diff(f1)
-        out[i] = grid.gamma * tt + 2.0 * cells.sum()
+    line = grid.interpolator()
+    x = line.x - omega
+    d3, d2, d1, d0 = line.c  # in powers of x - u on the cell from u; coef in powers of x
+    u = x[:-1]
+    coef = (d0 - u * (d1 - u * (d2 - u * d3)) - free_value(grid.gamma),
+            d1 - u * (2.0 * d2 - 3.0 * u * d3), d2 - 3.0 * u * d3, d3)
+    dev = [sum(a @ np.diff(f) for a, f in zip(coef, kernel_antiderivatives(x, tt)))
+           for tt in t_arr]
+    out = grid.gamma * t_arr + 2.0 * np.array(dev)
     return out if np.ndim(t) else out[0]
 
 

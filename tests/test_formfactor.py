@@ -164,6 +164,21 @@ class TestFormFactorGrid:
             for v in (g.g2[0], g.g2[-1]):
                 assert v == pytest.approx(FREE, rel=1e-3)
 
+    @pytest.mark.parametrize("eta,bound", [(1.0, 6e-4), (100.0, 3e-12)])
+    def test_flat_band_edges_are_breakpoints(self, eta, bound):
+        # each edge twice, its one-sided values extrapolated from each side's
+        # nodes (measured 1.8e-4 and 1e-12 off the closed form)
+        band = DetectorBand(eta=eta, delta=100.0 / (2 * math.pi), n=None, center=3.0)
+        g = form_factor_grid(band, GAMMA, tol=1e-9)
+        line = g.interpolator()
+        for sgn in (-1.0, 1.0):
+            edge = band.center + sgn * band.delta
+            assert np.count_nonzero(g.mu == edge) == 2
+            for side in (-1.0, 1.0):  # just inside, just outside
+                mu = edge + side * sgn * 1e-9 * band.delta
+                want = flat_g2(eta, band.delta, mu, center=band.center)
+                assert abs(line(mu) - want) < bound
+
     def test_shallow_dip_for_weak_monitoring(self, grids):
         g = grids[0.01]
         center = g.g2[np.argmin(np.abs(g.mu))]
@@ -300,6 +315,15 @@ class TestSumRule:
         band = DetectorBand(eta=100.0, delta=100.0 / (2 * math.pi), n=6, center=0.0)
         g = form_factor_grid(band, GAMMA, window=(-1000.0, 1000.0), n_points=400, tol=1e-9)
         want = -GAMMA * band.eta * band.delta / (3 * math.pi * 1000.0)
+        assert sum_rule_defect(g, GAMMA) == pytest.approx(want, rel=0.01)
+
+    @pytest.mark.parametrize("n_points", [400, 4000])
+    def test_flat_band_meets_analytic_tail(self, n_points):
+        # eta = 1, 2 pi Delta = 100 on +-1000: g2 jumps at the edges, which
+        # are breakpoints of the grid's line; spread over a cell they read +0.0105
+        band = DetectorBand(eta=1.0, delta=100.0 / (2 * math.pi), n=None, center=0.0)
+        g = form_factor_grid(band, GAMMA, window=(-1000.0, 1000.0), n_points=n_points, tol=1e-9)
+        want = -GAMMA * band.eta * band.delta / (math.pi ** 2 * 1000.0)
         assert sum_rule_defect(g, GAMMA) == pytest.approx(want, rel=0.01)
 
     def test_narrow_window_rejected(self):

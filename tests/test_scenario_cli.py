@@ -101,6 +101,16 @@ class TestScenarioProducts:
         assert np.all(g2 > 0)
         np.testing.assert_allclose(rel, g2 / (1.0 / (2 * math.pi)), rtol=1e-12)
 
+    def test_flat_formfactor_csv_holds_each_edge_twice(self, tmp_path):
+        cfg = load_scenario(overrides={"eta": "1", "delta": "15.9155", "flat": "true"},
+                            products=("formfactor",), out_dir=str(tmp_path))
+        run_scenario(cfg)
+        header, (mu, g2, rel) = read_csv(tmp_path / "formfactor.csv")
+        assert np.all(np.diff(mu) >= 0.0)
+        for edge in (-15.9155, 15.9155):  # the inside and the outside value
+            jump = np.diff(g2[mu == edge]) * np.sign(edge)
+            assert jump == pytest.approx([1.0 / (2 * math.pi)], rel=0.01)
+
     def test_sweep_creates_subdirectories(self, tmp_path):
         cfg_text = "gamma = 1\ndelta = 15.9\nn = 6\nproducts = report\nsweep_eta = 50, 100\n"
         cfg_file = tmp_path / "sweep.cfg"
