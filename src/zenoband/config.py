@@ -1,22 +1,24 @@
 """Flat key-value scenario config files.
 
 One ``key = value`` pair per line, ``#`` comments, blank lines ignored.
-Model keys: gamma, omega, eta, delta, n, flat, center, cutoff, dk, horizon,
-step, quad_tol, allow_narrow_window.  Unknown keys are an error so that a
-typo cannot silently fall back to a default.
+The model keys are the fields of :class:`~zenoband.model.ModelParams`,
+:class:`~zenoband.model.DetectorBand` and
+:class:`~zenoband.model.NumericalControls`, plus ``flat`` (``n = None``).
+Unknown keys are an error so that a typo cannot silently fall back to a
+default.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .errors import ConfigError
-from .model import ModelParams
+from .model import DetectorBand, ModelParams, NumericalControls
 
-MODEL_KEYS = {
-    "gamma", "omega", "eta", "delta", "n", "flat", "center",
-    "cutoff", "dk", "horizon", "step", "quad_tol", "allow_narrow_window",
-}
+# model key -> the dataclass whose field it sets
+_OWNER = {f.name: cls for cls in (ModelParams, DetectorBand, NumericalControls)
+          for f in fields(cls) if f.name not in ("band", "numerics")}
+MODEL_KEYS = {*_OWNER, "flat"}
 
 _BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -39,18 +41,18 @@ def parse_kv_text(text: str) -> dict:
     return out
 
 
-def _as_float(key, value) -> float:
+def _parse(key, value):
+    """A config value as its field's type: n an integer, flags booleans, else a number."""
+    if key in ("flat", "allow_narrow_window"):
+        try:
+            return _BOOL[value.lower()]
+        except KeyError:
+            raise ConfigError(f"key {key!r}: expected a boolean, got {value!r}") from None
     try:
-        return float(value)
+        return int(value) if key == "n" else float(value)
     except ValueError:
-        raise ConfigError(f"key {key!r}: expected a number, got {value!r}") from None
-
-
-def _as_bool(key, value) -> bool:
-    try:
-        return _BOOL[value.lower()]
-    except KeyError:
-        raise ConfigError(f"key {key!r}: expected a boolean, got {value!r}") from None
+        kind = "an integer" if key == "n" else "a number"
+        raise ConfigError(f"key {key!r}: expected {kind}, got {value!r}") from None
 
 
 def model_params_from_dict(kv: dict) -> ModelParams:
@@ -67,19 +69,11 @@ def model_params_from_dict(kv: dict) -> ModelParams:
     if "flat" in kv and "n" in kv:
         raise ConfigError("keys 'n' and 'flat' are mutually exclusive")
 
-    band = {k: _as_float(k, kv[k]) for k in ("eta", "delta", "center") if k in kv}
-    if "flat" in kv:
-        if _as_bool("flat", kv["flat"]):
-            band["n"] = None
-    elif "n" in kv:
-        try:
-            band["n"] = int(kv["n"])
-        except ValueError:
-            raise ConfigError(f"key 'n': expected an integer, got {kv['n']!r}") from None
-    numerics = {k: _as_float(k, kv[k])
-                for k in ("cutoff", "dk", "horizon", "step", "quad_tol") if k in kv}
-    if "allow_narrow_window" in kv:
-        numerics["allow_narrow_window"] = _as_bool("allow_narrow_window",
-                                                   kv["allow_narrow_window"])
-    p = ModelParams(**{k: _as_float(k, kv[k]) for k in ("gamma", "omega") if k in kv})
-    return replace(p, band=replace(p.band, **band), numerics=replace(p.numerics, **numerics))
+    values = {k: _parse(k, v) for k, v in kv.items()}
+    if values.pop("flat", False):
+        values["n"] = None
+    part = {cls: {k: v for k, v in values.items() if _OWNER[k] is cls}
+            for cls in (ModelParams, DetectorBand, NumericalControls)}
+    p = ModelParams(**part[ModelParams])
+    return replace(p, band=replace(p.band, **part[DetectorBand]),
+                   numerics=replace(p.numerics, **part[NumericalControls]))

@@ -39,8 +39,8 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 
 from ._phi import free_tail_moments, gauss_legendre, phi_functions
-from .errors import NoResponse, ToleranceNotMet, ValidationError
-from .model import ValidatedModel, default_cutoff, detector_response
+from .errors import NoResponse, ToleranceNotMet
+from .model import ValidatedModel, detector_response
 
 __all__ = [
     "DiscretizedModel",
@@ -51,10 +51,7 @@ __all__ = [
     "decay_rate_trace",
 ]
 
-REVIVAL_MARGIN = 4.0     # discrete recurrence must lie beyond this many horizons
 DEFECT_TOL = 1e-5        # largest norm defect propagate() accepts
-_MODE_BYTES = 400        # peak bytes per core mode of discretize + propagate (356-409 measured)
-_MAX_CORE_BYTES = 2 ** 30  # largest core-mode footprint discretize_continuum builds
 _DELAY_XTOL = 1e-6       # response_delay tolerance in d, relative to the horizon
 _DELAY_NODES = 64        # Gauss-Legendre nodes of the response_delay objective
 _THETA = math.pi / 4.0   # rotation angle of the beyond-K contour
@@ -154,41 +151,15 @@ def _tail_contours(g2: float, K: float, K0: float):
     return poles, weights, atom_shift
 
 
-def _core_bytes(K: float, dk: float) -> float:
-    """Estimated peak memory of the ~2K/dk core modes, before any is allocated."""
-    return 2.0 * K / dk * _MODE_BYTES
-
-
 def discretize_continuum(m: ValidatedModel) -> DiscretizedModel:
     """Build the propagation target from a validated scenario.
 
-    Three input checks run before anything is allocated, each raising
-    :class:`ValidationError` with the code of the key to change: ``dk`` when
-    the grid spacing would place the discrete recurrence 2*pi/dk inside
-    ``REVIVAL_MARGIN`` horizons, ``cutoff`` when the cutoff is below
-    :func:`~zenoband.model.default_cutoff` without an explicit override, and
-    ``horizon`` when the core modes would need more than ``_MAX_CORE_BYTES``.
-    They live here, not in :func:`~zenoband.model.validate_params`, because
-    only the propagator uses K and dk.
+    It only builds: :func:`~zenoband.model.validate_params` has already
+    checked the revival guard on dk, the window rule on K and the memory
+    the core modes need.
     """
     num = m.numerics
     K, dk, T = num.cutoff, num.dk, num.horizon
-    if 2.0 * math.pi / dk <= REVIVAL_MARGIN * T:
-        raise ValidationError([("dk", (
-            f"dk={dk:g} puts the recurrence 2pi/dk={2 * math.pi / dk:g} inside "
-            f"{REVIVAL_MARGIN}*T={REVIVAL_MARGIN * T:g}"))])
-    need = default_cutoff(m.gamma, m.band, m.omega)
-    if K < need and not num.allow_narrow_window:
-        raise ValidationError([("cutoff", (
-            f"cutoff K={K:g} below the band-derived window {need:g}; "
-            "set allow_narrow_window to override"))])
-
-    if _core_bytes(K, dk) > _MAX_CORE_BYTES:
-        raise ValidationError([("horizon", (
-            f"horizon T={T:g} with dk={dk:g} and cutoff K={K:g} needs ~{2.0 * K / dk:.3g} "
-            f"core modes, ~{_core_bytes(K, dk) / 2 ** 30:.3g} GiB over the "
-            f"{_MAX_CORE_BYTES / 2 ** 30:g} GiB limit"))])
-
     g2 = m.gamma / (2.0 * math.pi)
     offs = np.arange(dk / 2.0, K, dk)
     offs = np.concatenate([-offs[::-1], offs])          # midpoint grid, symmetric

@@ -237,10 +237,12 @@ def form_factor_grid(band: DetectorBand, gamma: float,
         raise WindowTooNarrow(
             f"window {window} must cover center +- {need:g}")
 
+    # a flat band's arctan terms vary on eta/2 about each edge (eta = 0 is free)
+    scale = min(delta, band.eta / 2.0) if band.is_flat and band.eta > 0.0 else delta
     pts = {lo, hi, c, c - delta, c + delta}
     for edge in (c - delta, c + delta):
         for limit in (hi, lo):
-            pts.update(_ladder(edge, limit, delta / 200.0, 1.2))
+            pts.update(_ladder(edge, limit, scale / 200.0, 1.2))
     base = np.asarray(sorted(pts))
     # top up with uniform coverage so large gaps between ladders are filled
     gaps = np.diff(base)

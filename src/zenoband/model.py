@@ -36,6 +36,9 @@ __all__ = [
 LINEWIDTH_RATIO_MAX = 0.1   # gamma/Delta
 RESPONSE_RATIO_MAX = 1.0    # tau*Delta = Delta/eta
 BAND_TAIL_TOL = 1e-4        # pi*eta_k/gamma below which a photon mode counts as free
+REVIVAL_MARGIN = 4.0        # discrete recurrence must lie beyond this many horizons
+_MODE_BYTES = 400           # peak bytes per core mode of discretize + propagate (356-409 measured)
+_MAX_CORE_BYTES = 2 ** 30   # largest core-mode footprint a validated model may need
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,8 @@ class NumericalControls:
     step     -- cap on the propagator's step, which cruises at the largest
                 h0*2^j <= step (h0 = min(0.25/max|L|, step)), not at step
     quad_tol -- relative tolerance of form-factor quadratures
-    allow_narrow_window -- waive the K >= default_cutoff(...) window rule
+    allow_narrow_window -- waive the K >= default_cutoff(...) window rule,
+                which validate_params checks with dk and T for every model
     """
 
     cutoff: Optional[float] = None
@@ -165,8 +169,15 @@ def _default_dk(gamma, band: DetectorBand, horizon: float) -> float:
 def validate_params(p: ModelParams) -> ValidatedModel:
     """Validate a scenario and fill defaulted numerics.
 
-    Raises :class:`ValidationError` carrying every violation found, each
-    ``(code, message)`` pair naming its key.
+    Every rule a model must meet, each violation a ``(code, message)`` pair
+    whose code is the key to change.  The raw fields come first and raise
+    before any default is resolved: gamma > 0, omega finite, eta >= 0,
+    delta > 0, n even and >= 2, center finite, cutoff/dk/horizon/step > 0
+    where set, quad_tol in (0, 1), cutoff >= delta.  Then the resolved
+    numerics: dk (recurrence 2*pi/dk beyond ``REVIVAL_MARGIN`` horizons),
+    cutoff (K >= :func:`default_cutoff` unless ``allow_narrow_window``) and
+    horizon (the ~2K/dk core modes within ``_MAX_CORE_BYTES``).  Each stage
+    raises one :class:`ValidationError` carrying all its violations.
     """
     violations = []
     if not np.isfinite(p.gamma) or p.gamma <= 0.0:
@@ -189,11 +200,30 @@ def validate_params(p: ModelParams) -> ValidatedModel:
     if violations:
         raise ValidationError(violations)
 
-    horizon = num.horizon if num.horizon is not None else 5.0 / p.gamma
-    cutoff = num.cutoff if num.cutoff is not None else default_cutoff(p.gamma, band, p.omega)
-    dk = num.dk if num.dk is not None else _default_dk(p.gamma, band, horizon)
+    T = num.horizon if num.horizon is not None else 5.0 / p.gamma
+    need = default_cutoff(p.gamma, band, p.omega)
+    K = num.cutoff if num.cutoff is not None else need
+    dk = num.dk if num.dk is not None else _default_dk(p.gamma, band, T)
     step = num.step if num.step is not None else 0.01 / p.gamma
-    num = replace(num, cutoff=cutoff, dk=dk, horizon=horizon, step=step)
+
+    if 2.0 * np.pi / dk <= REVIVAL_MARGIN * T:
+        violations.append(("dk", (
+            f"dk={dk:g} puts the recurrence 2pi/dk={2 * np.pi / dk:g} inside "
+            f"{REVIVAL_MARGIN}*T={REVIVAL_MARGIN * T:g}")))
+    if K < need and not num.allow_narrow_window:
+        violations.append(("cutoff", (
+            f"cutoff K={K:g} below the band-derived window {need:g}; "
+            "set allow_narrow_window to override")))
+    modes = 2.0 * K / dk
+    if modes * _MODE_BYTES > _MAX_CORE_BYTES:
+        violations.append(("horizon", (
+            f"horizon T={T:g} with dk={dk:g} and cutoff K={K:g} needs ~{modes:.3g} "
+            f"core modes, ~{modes * _MODE_BYTES / 2 ** 30:.3g} GiB over the "
+            f"{_MAX_CORE_BYTES / 2 ** 30:g} GiB limit")))
+    if violations:
+        raise ValidationError(violations)
+
+    num = replace(num, cutoff=K, dk=dk, horizon=T, step=step)
     return ValidatedModel(gamma=p.gamma, omega=p.omega, band=band, numerics=num)
 
 

@@ -21,8 +21,8 @@ from zenoband import (
     response_delay,
     validate_params,
 )
-from zenoband import dynamics
-from zenoband.dynamics import _core_bytes, _tail_norm, _taper
+from zenoband import model as model_rules
+from zenoband.dynamics import _tail_norm, _taper
 
 FIG1_DELTA = 100.0 / (2 * math.pi)
 
@@ -48,29 +48,29 @@ class TestDiscretize:
         assert 2 * math.pi / m.numerics.dk > 4 * dm.horizon
 
     def test_revival_guard_violation(self):
-        m = model(eta=1.0, delta=10.0, dk=0.5)  # 2*pi/0.5 = 12.6 < 4*T = 20
         with pytest.raises(ValidationError) as err:
-            discretize_continuum(m)
+            model(eta=1.0, delta=10.0, dk=0.5)  # 2*pi/0.5 = 12.6 < 4*T = 20
         assert [code for code, _ in err.value.violations] == ["dk"]
 
     def test_memory_estimate_rejects_long_horizon(self):
         # broken Fig. 3 set at horizon 1e4: dk ~ 1.26e-4 on K ~ 3122 gives
-        # ~5e7 core modes; only the estimate is evaluated, nothing is built
-        m = model(eta=1000.0, delta=1000.0 / (2 * math.pi), horizon=1e4)
-        K, dk = m.numerics.cutoff, m.numerics.dk
-        assert 2 * K / dk > 4e7
-        assert _core_bytes(K, dk) > dynamics._MAX_CORE_BYTES
+        # ~5e7 core modes; validation refuses it before anything is built
+        with pytest.raises(ValidationError) as err:
+            model(eta=1000.0, delta=1000.0 / (2 * math.pi), horizon=1e4)
+        assert [code for code, _ in err.value.violations] == ["horizon"]
+        assert "~4.97e+07 core modes" in str(err.value)
         # the Fig. 3 horizon of the same set stays far inside the limit
         m5 = model(eta=1000.0, delta=1000.0 / (2 * math.pi))
-        assert _core_bytes(m5.numerics.cutoff, m5.numerics.dk) < 0.05 * dynamics._MAX_CORE_BYTES
+        core_bytes = 2 * m5.numerics.cutoff / m5.numerics.dk * model_rules._MODE_BYTES
+        assert core_bytes < 0.05 * model_rules._MAX_CORE_BYTES
 
     def test_memory_guard_raises_before_building(self, monkeypatch):
         # a limit below this small grid's estimate must refuse it, naming horizon
         m = model(eta=1.0, delta=10.0)
-        monkeypatch.setattr(dynamics, "_MAX_CORE_BYTES",
-                            0.5 * _core_bytes(m.numerics.cutoff, m.numerics.dk))
+        core_bytes = 2 * m.numerics.cutoff / m.numerics.dk * model_rules._MODE_BYTES
+        monkeypatch.setattr(model_rules, "_MAX_CORE_BYTES", 0.5 * core_bytes)
         with pytest.raises(ValidationError) as err:
-            discretize_continuum(m)
+            model(eta=1.0, delta=10.0)
         assert [code for code, _ in err.value.violations] == ["horizon"]
 
     def test_fig1_cutoff_covers_ten_bandwidths(self):
@@ -80,12 +80,16 @@ class TestDiscretize:
         assert dm.k_grid.max() >= 10 * FIG1_DELTA
 
     def test_narrow_window_needs_override(self):
-        m = model(eta=1.0, delta=30.0, cutoff=150.0)
         with pytest.raises(ValidationError) as err:
-            discretize_continuum(m)
+            model(eta=1.0, delta=30.0, cutoff=150.0)
         assert [code for code, _ in err.value.violations] == ["cutoff"]
         m2 = model(eta=1.0, delta=30.0, cutoff=150.0, allow_narrow_window=True)
         assert discretize_continuum(m2).cutoff == 150.0
+
+    def test_resolved_violations_are_reported_together(self):
+        with pytest.raises(ValidationError) as err:
+            model(eta=1.0, delta=30.0, cutoff=150.0, dk=0.5)
+        assert [code for code, _ in err.value.violations] == ["dk", "cutoff"]
 
     def test_mode_energies_are_damped(self):
         m = model(eta=2.0, delta=5.0)

@@ -164,10 +164,11 @@ class TestFormFactorGrid:
             for v in (g.g2[0], g.g2[-1]):
                 assert v == pytest.approx(FREE, rel=1e-3)
 
-    @pytest.mark.parametrize("eta,bound", [(1.0, 6e-4), (100.0, 3e-12)])
+    @pytest.mark.parametrize("eta,bound", [(0.1, 3e-11), (1.0, 3e-11), (100.0, 3e-12)])
     def test_flat_band_edges_are_breakpoints(self, eta, bound):
         # each edge twice, its one-sided values extrapolated from each side's
-        # nodes (measured 1.8e-4 and 1e-12 off the closed form)
+        # nodes, whose ladders start at min(delta, eta/2)/200 (measured 9.7e-12,
+        # 9.7e-12 and 1e-12 off the closed form)
         band = DetectorBand(eta=eta, delta=100.0 / (2 * math.pi), n=None, center=3.0)
         g = form_factor_grid(band, GAMMA, tol=1e-9)
         line = g.interpolator()

@@ -132,8 +132,9 @@ class TestScenarioProducts:
     def test_fig3_point_is_validated_on_its_sets(self):
         # fig3 replaces eta and delta, so a cutoff below the default delta = 1
         # but above every set's delta (gamma = 0.005: 0.080, 0.080, 0.80) is
-        # valid for fig3 alone, and invalid once a product runs the base band
-        ov = {"gamma": "0.005", "cutoff": "0.9"}
+        # valid for fig3 alone, and invalid once a product runs the base band;
+        # the narrow window waives each set's default window (>= 300 gamma)
+        ov = {"gamma": "0.005", "cutoff": "0.9", "allow_narrow_window": "true"}
         [(_, _, model, fig3)] = _points(load_scenario(
             overrides=ov, products=("fig3",), defaults=FIG_DEFAULTS["fig3"]))
         assert model is None
@@ -217,16 +218,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: dk=0.5 ")
 
-    def test_sweep_validation_error_crosses_the_pool(self, tmp_path, capsys):
-        # dk breaks the revival guard, which discretize_continuum checks inside
-        # each of the two workers, before any numerics
-        cfg_file = tmp_path / "sweep.cfg"
-        cfg_file.write_text("delta = 15.9\nproducts = evolve\ndk = 0.5\nsweep_eta = 1, 2\n")
-        rc = run_cli(["sweep", "--config", str(cfg_file), "--out", str(tmp_path / "out"),
-                      "--threads", "2"])
-        assert rc == 1
+    def test_sweep_numerical_failure_crosses_the_pool(self, tmp_path, capsys):
+        # quad_tol passes validation; the quadrature fails inside the two workers
+        rc = run_cli(["sweep", "--out", str(tmp_path / "out"), "--threads", "2",
+                      "--override", "products=formfactor", "--override", "eta=1",
+                      "--override", "delta=1", "--override", "quad_tol=1e-16",
+                      "--override", "sweep_eta=1,2"])
+        assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: dk=0.5 ")
+        assert err.startswith("numerical failure [QuadratureFailure]")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -240,6 +240,23 @@ class TestCli:
                       "--threads", str(threads)])
         assert rc == 1
         assert capsys.readouterr().err == "config error: eta must be >= 0, got -2.0\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("overrides,err", [
+        # dk breaks the revival guard at T = 5, which formfactor never uses
+        (["products=formfactor,evolve", "sweep_eta=1,2", "dk=0.5"], "config error: dk=0.5 "),
+        # the second point's band needs a window K >= 1000
+        (["products=evolve", "eta=1", "cutoff=300", "horizon=1", "sweep_delta=10,100"],
+         "config error: cutoff K=300 below the band-derived window 1000;"),
+    ], ids=["dk", "window"])
+    def test_window_rules_refuse_a_sweep_before_it_runs(self, tmp_path, capsys, overrides,
+                                                        err, threads):
+        argv = ["sweep", "--out", str(tmp_path / "out"), "--threads", str(threads)]
+        for ov in overrides:
+            argv += ["--override", ov]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err.startswith(err)
         assert not (tmp_path / "out").exists()
 
     def test_report_at_eta_zero_writes_nothing(self, tmp_path, capsys):
