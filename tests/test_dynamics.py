@@ -22,7 +22,7 @@ from zenoband import (
     validate_params,
 )
 from zenoband import model as model_rules
-from zenoband.dynamics import _tail_norm, _taper
+from zenoband.dynamics import _ArrowheadKrogstad, _tail_norm, _taper
 
 FIG1_DELTA = 100.0 / (2 * math.pi)
 
@@ -171,6 +171,30 @@ class TestPropagate:
         b = propagate(dm, ts)
         np.testing.assert_array_equal(a.s, b.s)
         np.testing.assert_array_equal(a.r, b.r)
+
+    def test_solid_fig3_work_is_pinned(self, monkeypatch):
+        # The step schedule of the solid Fig. 3 set, so that a faster
+        # propagate cannot come from fewer or larger steps unnoticed; ROADMAP
+        # item 4 (landing the ladder on ``step``) changes it on purpose.
+        steps, sizes = [0], []
+        step, set_step = _ArrowheadKrogstad.step, _ArrowheadKrogstad.set_step
+
+        def counting_step(self, f, u):
+            steps[0] += 1
+            return step(self, f, u)
+
+        def recording_set_step(self, h):
+            sizes.append(h)
+            set_step(self, h)
+
+        monkeypatch.setattr(_ArrowheadKrogstad, "step", counting_step)
+        monkeypatch.setattr(_ArrowheadKrogstad, "set_step", recording_set_step)
+        dm = discretize_continuum(model(eta=100.0, delta=FIG1_DELTA))
+        assert len(dm.k_grid) == 4000
+        propagate(dm)
+        assert steps[0] == 1045 and len(sizes) == 15
+        assert sizes == [sizes[0] * 2 ** j for j in range(15)]
+        assert sizes[-1] == pytest.approx(0.0083914, abs=1e-7)
 
 
 class TestSymmetries:
