@@ -161,12 +161,13 @@ def discretize_continuum(m: ValidatedModel) -> DiscretizedModel:
     num = m.numerics
     K, dk, T = num.cutoff, num.dk, num.horizon
     g2 = m.gamma / (2.0 * math.pi)
-    offs = np.arange(dk / 2.0, K, dk)
-    offs = np.concatenate([-offs[::-1], offs])          # midpoint grid, symmetric
+    det = m.band.center - m.omega
+    j = np.arange(-math.ceil(K / dk) - 1, math.ceil(K / dk) + 1)
+    offs = math.remainder(det, dk) + dk * (j + 0.5)  # cell boundaries at center + j*dk
+    offs = offs[np.abs(offs) < K]
     k = m.omega + offs
 
-    det = abs(m.band.center - m.omega)
-    K0 = max(2.0 * K / 3.0, min(det + 3.0 * m.band.delta, 0.9 * K))
+    K0 = max(2.0 * K / 3.0, min(abs(det) + 3.0 * m.band.delta, 0.9 * K))
     W = _taper((np.abs(offs) - K0) / (K - K0))
     keep = W > 1e-300
     k, offs, W = k[keep], offs[keep], W[keep]

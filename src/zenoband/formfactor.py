@@ -237,8 +237,9 @@ def form_factor_grid(band: DetectorBand, gamma: float,
         raise WindowTooNarrow(
             f"window {window} must cover center +- {need:g}")
 
-    # a flat band's arctan terms vary on eta/2 about each edge (eta = 0 is free)
-    scale = min(delta, band.eta / 2.0) if band.is_flat and band.eta > 0.0 else delta
+    # edge feature widths: eta/2 on a flat band (eta = 0 is free), delta/n on a power-law one
+    flat = min(delta, band.eta / 2.0) if band.eta > 0.0 else delta
+    scale = flat if band.is_flat else min(delta, 6.0 * delta / band.n)
     pts = {lo, hi, c, c - delta, c + delta}
     for edge in (c - delta, c + delta):
         for limit in (hi, lo):

@@ -37,6 +37,8 @@ LINEWIDTH_RATIO_MAX = 0.1   # gamma/Delta
 RESPONSE_RATIO_MAX = 1.0    # tau*Delta = Delta/eta
 BAND_TAIL_TOL = 1e-4        # pi*eta_k/gamma below which a photon mode counts as free
 REVIVAL_MARGIN = 4.0        # discrete recurrence must lie beyond this many horizons
+STRIP_BUDGET = 20.7         # photon grid aliases exp(-2*pi*s/dk) <= exp(-20.7) ~ 1e-9
+FLAT_CELLS = 128            # least grid cells per flat-band half-width (edge error ~1/m^2)
 _MODE_BYTES = 400           # peak bytes per core mode of discretize + propagate (356-409 measured)
 _MAX_CORE_BYTES = 2 ** 30   # largest core-mode footprint a validated model may need
 
@@ -78,7 +80,7 @@ class NumericalControls:
     """Numerical knobs; ``None`` fields are filled from the scenario scales.
 
     cutoff   -- half-width K of the retained photon energies around omega
-    dk       -- uniform spacing of the photon grid
+    dk       -- uniform spacing of the photon grid (default: ``_default_dk``)
     horizon  -- propagation horizon T
     step     -- cap on the propagator's step, which cruises at the largest
                 h0*2^j <= step (h0 = min(0.25/max|L|, step)), not at step
@@ -158,12 +160,15 @@ def default_cutoff(gamma, band: DetectorBand, omega: float) -> float:
     return base
 
 
-def _default_dk(gamma, band: DetectorBand, horizon: float) -> float:
-    # Revival guard with a 1.25 safety factor on top of 2*pi/dk > 4*T, a cap
-    # that keeps discrete-comb corrections below the propagation tolerance,
-    # and enough points across the band profile.
-    guard = 2.0 * np.pi / (4.0 * horizon) / 1.25
-    return min(guard, 0.15 * gamma, band.delta / 8.0)
+def _default_dk(band: DetectorBand, guard: float) -> float:
+    # The midpoint grid is a trapezoid rule: aliases fall off as exp(-2*pi*s/dk), eta_k's
+    # poles at s = delta*sin(pi/n) (Trefethen and Weideman, SIAM Rev. 56, 385 (2014)).
+    # A flat band (s = 0) takes dk = delta/m, its edges on cell boundaries.
+    if band.eta == 0.0:
+        return guard
+    if band.is_flat:
+        return band.delta / max(FLAT_CELLS, np.ceil(band.delta / guard))
+    return min(guard, 2.0 * np.pi * band.delta * np.sin(np.pi / band.n) / STRIP_BUDGET)
 
 
 def validate_params(p: ModelParams) -> ValidatedModel:
@@ -176,7 +181,7 @@ def validate_params(p: ModelParams) -> ValidatedModel:
     where set, quad_tol in (0, 1), cutoff >= delta.  Then the resolved
     numerics: dk (recurrence 2*pi/dk beyond ``REVIVAL_MARGIN`` horizons),
     cutoff (K >= :func:`default_cutoff` unless ``allow_narrow_window``) and
-    horizon (the ~2K/dk core modes within ``_MAX_CORE_BYTES``).  Each stage
+    horizon or dk (the ~2K/dk core modes within ``_MAX_CORE_BYTES``).  Each stage
     raises one :class:`ValidationError` carrying all its violations.
     """
     violations = []
@@ -203,7 +208,8 @@ def validate_params(p: ModelParams) -> ValidatedModel:
     T = num.horizon if num.horizon is not None else 5.0 / p.gamma
     need = default_cutoff(p.gamma, band, p.omega)
     K = num.cutoff if num.cutoff is not None else need
-    dk = num.dk if num.dk is not None else _default_dk(p.gamma, band, T)
+    guard = 2.0 * np.pi / (REVIVAL_MARGIN * T) / 1.25  # 2pi/dk beyond 1.25*REVIVAL_MARGIN*T
+    dk = num.dk if num.dk is not None else _default_dk(band, guard)
     step = num.step if num.step is not None else 0.01 / p.gamma
 
     if 2.0 * np.pi / dk <= REVIVAL_MARGIN * T:
@@ -216,7 +222,7 @@ def validate_params(p: ModelParams) -> ValidatedModel:
             "set allow_narrow_window to override")))
     modes = 2.0 * K / dk
     if modes * _MODE_BYTES > _MAX_CORE_BYTES:
-        violations.append(("horizon", (
+        violations.append(("dk" if (num.dk or _default_dk(band, np.inf)) < guard else "horizon", (
             f"horizon T={T:g} with dk={dk:g} and cutoff K={K:g} needs ~{modes:.3g} "
             f"core modes, ~{modes * _MODE_BYTES / 2 ** 30:.3g} GiB over the "
             f"{_MAX_CORE_BYTES / 2 ** 30:g} GiB limit")))

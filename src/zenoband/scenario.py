@@ -280,15 +280,7 @@ def product_fig3(models: Sequence[ValidatedModel], out_dir: str):
     return paths, lines
 
 
-_PRODUCT_FUNCS = {
-    "report": product_report,
-    "formfactor": product_formfactor,
-    "evolve": product_evolve,
-    "spectral": product_spectral,
-    "fig1": product_fig1,
-    "fig2": product_fig2,
-    "fig3": product_fig3,
-}
+_PRODUCT_FUNCS = {name: globals()[f"product_{name}"] for name in PRODUCTS}
 
 
 def _concat(results) -> Tuple[List[str], List[str]]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,37 @@ class TestDiscretize:
         with pytest.raises(ValidationError) as err:
             model(eta=1.0, delta=10.0)
         assert [code for code, _ in err.value.violations] == ["horizon"]
+
+    @pytest.mark.parametrize("n", [6, 24, 400, 1600])
+    def test_band_strip_sets_dk(self, n):
+        # dk = min(revival guard, 2 pi s/STRIP_BUDGET) with s = delta sin(pi/n)
+        m = model(eta=100.0, delta=FIG1_DELTA, n=n)
+        guard = 2 * math.pi / (5 * m.numerics.horizon)
+        strip = 2 * math.pi * FIG1_DELTA * math.sin(math.pi / n) / model_rules.STRIP_BUDGET
+        assert m.numerics.dk == pytest.approx(min(guard, strip), rel=1e-12)
+
+    @pytest.mark.parametrize("center", [0.0, 0.37, -2.37, 2.5])
+    def test_flat_band_edges_are_cell_boundaries(self, center):
+        m = model(eta=100.0, delta=FIG1_DELTA, flat=True, center=center * FIG1_DELTA)
+        dk = m.numerics.dk
+        assert FIG1_DELTA / dk == pytest.approx(model_rules.FLAT_CELLS, abs=1e-9)
+        boundaries = discretize_continuum(m).k_grid - dk / 2.0
+        for edge in (m.band.center - FIG1_DELTA, m.band.center + FIG1_DELTA):
+            assert np.abs(boundaries - edge).min() <= 1e-12 * FIG1_DELTA
+
+    def test_steep_narrow_band_is_refused_before_allocation(self):
+        # n = 20000 on delta = 1: s = 1.6e-4 asks for dk ~ 4.8e-5 on K = 300,
+        # ~1.3e7 core modes or ~4.7 GiB; the band's spacing is the key named
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError) as err:
+                model(eta=1.0, delta=1.0, n=20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [code for code, _ in err.value.violations] == ["dk"]
+        assert "~1.26e+07 core modes" in str(err.value)
+        assert peak < 2 ** 20
 
     def test_fig1_cutoff_covers_ten_bandwidths(self):
         m = model(eta=1.5, delta=FIG1_DELTA)
@@ -174,8 +206,9 @@ class TestPropagate:
 
     def test_solid_fig3_work_is_pinned(self, monkeypatch):
         # The step schedule of the solid Fig. 3 set, so that a faster
-        # propagate cannot come from fewer or larger steps unnoticed; ROADMAP
-        # item 4 (landing the ladder on ``step``) changes it on purpose.
+        # propagate cannot come from fewer or larger steps unnoticed.  The
+        # revival guard sets dk here (2,388 core modes); the steps depend on
+        # max|L|, which is set by K, not by dk.
         steps, sizes = [0], []
         step, set_step = _ArrowheadKrogstad.step, _ArrowheadKrogstad.set_step
 
@@ -190,7 +223,7 @@ class TestPropagate:
         monkeypatch.setattr(_ArrowheadKrogstad, "step", counting_step)
         monkeypatch.setattr(_ArrowheadKrogstad, "set_step", recording_set_step)
         dm = discretize_continuum(model(eta=100.0, delta=FIG1_DELTA))
-        assert len(dm.k_grid) == 4000
+        assert len(dm.k_grid) == 2388
         propagate(dm)
         assert steps[0] == 1045 and len(sizes) == 15
         assert sizes == [sizes[0] * 2 ** j for j in range(15)]
@@ -209,6 +242,16 @@ class TestSymmetries:
             for sign in (1.0, -1.0))
         for a, b in ((up.s, down.s), (up.eps, down.eps), (up.r, down.r)):
             assert np.abs(a - b).max() <= 1e-12
+
+    # +-0.37 delta and +-2.37 delta shift the grid off omega's cells; measured
+    # s, eps and r agree to <= 1.3e-15, and 1e-9 is the benchmark's mirror gate
+    @pytest.mark.parametrize("detuning", [0.37, 2.37])
+    def test_flat_band_detuning_mirror_off_grid(self, detuning):
+        up, down = (propagate(discretize_continuum(
+            model(eta=100.0, delta=FIG1_DELTA, flat=True, center=sign * detuning * FIG1_DELTA)))
+            for sign in (1.0, -1.0))
+        for a, b in ((up.s, down.s), (up.eps, down.eps), (up.r, down.r)):
+            assert np.abs(a - b).max() <= 1e-9
 
     # (gamma, eta, Delta, center) -> lam * (...) maps t -> t/lam; measured:
     # lam = 2 and 0.5 exact, lam = 3 to 6.9e-15, lam = 1e-3 to 1.2e-11

@@ -301,6 +301,15 @@ class TestCli:
         assert rc == EXIT_CODES[cls.__name__]
         assert capsys.readouterr().err == f"{prefix}boom\n"
 
+    def test_steep_narrow_band_evolve_writes_nothing(self, tmp_path, capsys):
+        # the band's spacing needs ~1.3e7 core modes (~4.7 GiB): an input check
+        rc = run_cli(["evolve", "--out", str(tmp_path / "out"), "--override", "n=20000",
+                      "--override", "eta=1", "--override", "delta=1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "GiB over the 1 GiB limit" in err
+        assert not (tmp_path / "out").exists()
+
     def test_steep_band_formfactor_is_finite(self, tmp_path, capsys):
         rc = run_cli(["formfactor", "--out", str(tmp_path), "--override", "n=3200",
                       "--override", "eta=100", "--override", f"delta={100 / (2 * math.pi)!r}"])

@@ -309,15 +309,26 @@ class TestCrossMethod:
         band = DetectorBand(eta=100.0, delta=FIG_DELTA, n=6)
         assert self.gap(band, solid_grid) < 3e-7
 
-    # bounds ~3x the measured gaps; the flat band's 3.3e-4 and n = 2's 3.4e-6
-    # are on the propagator side (4x the line or grid points moves n = 2's
-    # spectral route by <= 2.4e-8)
+    # bounds ~3x the measured gaps.  The flat band's 4.4e-6 is the O(1/m^2)
+    # error of its edges on the photon grid at dk = delta/128 (1.8e-5 at
+    # delta/64, 1.4e-6 at delta/256); n = 2's 3.4e-6 is on the propagator side
+    # too (4x the line or grid points moves its spectral route by <= 2.4e-8).
+    # At 0.37 delta only the grid's offset puts the flat band's edges on cell
+    # boundaries (2.3e-4 without it); at 2.5 delta a grid centred on omega does.
     @pytest.mark.parametrize("band,bound", [
         (DetectorBand(eta=100.0, delta=FIG_DELTA, n=6, center=2.0 * FIG_DELTA), 5e-7),
-        (DetectorBand(eta=100.0, delta=FIG_DELTA, n=None, center=0.0), 1e-3),
+        (DetectorBand(eta=100.0, delta=FIG_DELTA, n=None, center=0.0), 1.5e-5),
         (DetectorBand(eta=100.0, delta=FIG_DELTA, n=6, center=5.0 * FIG_DELTA), 6e-7),
         (DetectorBand(eta=1.5, delta=FIG_DELTA, n=6, center=0.0), 5e-7),
         (DetectorBand(eta=100.0, delta=FIG_DELTA, n=2, center=0.0), 1e-5),
-    ], ids=["detuned-2delta", "flat", "detuned-5delta", "fig1", "n2"])
+        (DetectorBand(eta=100.0, delta=FIG_DELTA, n=None, center=2.5 * FIG_DELTA), 1.5e-6),
+        (DetectorBand(eta=100.0, delta=FIG_DELTA, n=None, center=0.37 * FIG_DELTA), 2e-5),
+        # steep bands: dk = min(revival guard, 2 pi delta sin(pi/n)/20.7)
+        (DetectorBand(eta=100.0, delta=FIG_DELTA, n=24, center=0.0), 2e-6),
+        (DetectorBand(eta=100.0, delta=FIG_DELTA, n=96, center=0.0), 5e-6),
+        (DetectorBand(eta=100.0, delta=FIG_DELTA, n=400, center=0.0), 6e-7),
+        (DetectorBand(eta=100.0, delta=FIG_DELTA, n=1600, center=0.0), 1.2e-6),
+    ], ids=["detuned-2delta", "flat", "detuned-5delta", "fig1", "n2", "flat-detuned-2.5delta",
+            "flat-detuned-0.37delta", "n24", "n96", "n400", "n1600"])
     def test_routes_agree(self, band, bound):
         assert self.gap(band, form_factor_grid(band, GAMMA, tol=1e-9)) < bound
