@@ -38,7 +38,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 
-from ._phi import free_tail_moments, gauss_legendre, phi_functions
+from ._phi import free_tail_moments, gauss_legendre, phi_functions, ramp_poly, taper_start
 from .errors import NoResponse, ToleranceNotMet
 from .model import ValidatedModel, detector_response
 
@@ -60,16 +60,6 @@ _N_RAY = 48              # quadrature nodes on the beyond-K ray (per side)
 _SCHED = 32.0            # step-doubling schedule: h <= t/_SCHED until cruise
 _TAIL_GL = 64            # Gauss-Legendre nodes per tail-norm ramp panel
 _TAIL_PER_PERIOD = 3.0   # tail-norm ramp nodes per period of cos(k*T)
-
-
-def _ramp_poly(u):
-    """Analytic continuation of (1 - taper) for complex arguments."""
-    return u ** 4 * (35.0 - 84.0 * u + 70.0 * u ** 2 - 20.0 * u ** 3)
-
-
-def _taper(u):
-    """C^3 ramp from 1 at u<=0 to 0 at u>=1 (order-7 smoothstep complement)."""
-    return 1.0 - _ramp_poly(np.clip(u, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -134,7 +124,7 @@ def _tail_contours(g2: float, K: float, K0: float):
     u = x - 1j * x * (1.0 - x)
     k_arc = K0 + span * u
     dk_arc = span * (1.0 - 1j * (1.0 - 2.0 * x))
-    w_arc = g2 * _ramp_poly(u) * dk_arc * wx
+    w_arc = g2 * ramp_poly(u) * dk_arc * wx
 
     y, wy = gauss_legendre(_N_RAY)
     s = K * y / (1.0 - y)
@@ -164,16 +154,12 @@ def discretize_continuum(m: ValidatedModel) -> DiscretizedModel:
     det = m.band.center - m.omega
     j = np.arange(-math.ceil(K / dk) - 1, math.ceil(K / dk) + 1)
     offs = math.remainder(det, dk) + dk * (j + 0.5)  # cell boundaries at center + j*dk
-    offs = offs[np.abs(offs) < K]
-    k = m.omega + offs
-
-    K0 = max(2.0 * K / 3.0, min(abs(det) + 3.0 * m.band.delta, 0.9 * K))
-    W = _taper((np.abs(offs) - K0) / (K - K0))
+    K0 = taper_start(K, det, m.band.delta)
+    W = 1.0 - ramp_poly(np.clip((np.abs(offs) - K0) / (K - K0), 0.0, 1.0))  # C^3, 0 from K on
     keep = W > 1e-300
-    k, offs, W = k[keep], offs[keep], W[keep]
+    k, W = m.omega + offs[keep], W[keep]
     coupling = np.sqrt(g2 * dk * W)
-    eta = detector_response(m.band, k)
-    mode_energy = k - 1j * math.pi * np.asarray(eta)
+    mode_energy = k - 1j * math.pi * detector_response(m.band, k)
 
     poles, weights, atom_shift = _tail_contours(g2, K, K0)
 
@@ -182,7 +168,7 @@ def discretize_continuum(m: ValidatedModel) -> DiscretizedModel:
     x, w = gauss_legendre(_TAIL_GL)
     width = (K - K0) / panels
     tail_k = (K0 + width * (np.arange(panels)[:, None] + x)).ravel()
-    tail_k_weights = (np.tile(width * w, panels) * _ramp_poly((tail_k - K0) / (K - K0))
+    tail_k_weights = (np.tile(width * w, panels) * ramp_poly((tail_k - K0) / (K - K0))
                       / tail_k ** 2)
 
     return DiscretizedModel(
@@ -299,25 +285,27 @@ def propagate(dm: DiscretizedModel,
 
     stepper = _ArrowheadKrogstad(dm)
     h = min(0.25 / np.abs(stepper.L).max(), dm.step)
-    stepper.set_step(h)
+    times, hs = [0.0], []  # the step schedule, fixed before the first step
+    while times[-1] < T - 1e-12:
+        if times[-1] / _SCHED >= 2.0 * h and 2.0 * h <= dm.step:
+            h = 2.0 * h
+        hs.append(h)
+        times.append(times[-1] + h)
 
     f = 1.0 + 0.0j
     u = np.zeros(len(stepper.cF), dtype=complex)
-    uc = u[:len(dm.k_grid)]
-    eta2pi = 2.0 * (-dm.mode_energy.imag)  # = 2*pi*eta_j, the absorption rate
-    rec = [(0.0, f.real, f.imag, 0.0, 0.0)]  # t, Re F, Im F, eps, absorbed flux J
-    t = 0.0
-    while t < T - 1e-12:
-        if t / _SCHED >= 2.0 * h and 2.0 * h <= dm.step:
-            h = 2.0 * h
+    v = u[:len(dm.k_grid)].view(float)  # core modes, Re and Im interleaved
+    rate = np.repeat(2.0 * (-dm.mode_energy.imag), 2)  # 2*pi*eta_j, the absorption rate
+    rec = np.zeros((len(times), 4))  # Re F, Im F, eps, absorbed flux J
+    rec[0, 0] = 1.0
+    for i, h in enumerate(hs, 1):
+        if i == 1 or h != hs[i - 2]:
             stepper.set_step(h)
         f = stepper.step(f, u)
-        t += h
-        abs2 = uc.real ** 2 + uc.imag ** 2
-        rec.append((t, f.real, f.imag, abs2.sum(), np.dot(eta2pi, abs2)))
+        # one pass each and no temporaries; einsum is not BLAS, so starts no threads
+        rec[i] = f.real, f.imag, np.dot(v, v), np.einsum("i,i,i", rate, v, v)
 
-    rec = np.array(rec)
-    spline = CubicSpline(rec[:, 0], rec[:, 1:])
+    spline = CubicSpline(times, rec)
     re_F, im_F, eps, _ = spline(ts).T
     r = spline.antiderivative()(ts)[:, 3]  # r = Int J dt
     F_s = re_F + 1j * im_F

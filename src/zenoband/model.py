@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._phi import gauss_legendre, ramp_poly, taper_start
 from .errors import ValidationError
 
 __all__ = [
@@ -35,7 +36,9 @@ __all__ = [
 # ratios are always reported alongside.
 LINEWIDTH_RATIO_MAX = 0.1   # gamma/Delta
 RESPONSE_RATIO_MAX = 1.0    # tau*Delta = Delta/eta
-BAND_TAIL_TOL = 1e-4        # pi*eta_k/gamma below which a photon mode counts as free
+SIGMA_BUDGET = 5e-8         # |Sigma| the window may drop at omega + 4i/T, in units of gamma
+_LADDER = 1.05              # ratio between the windows default_cutoff tries
+_DEFECT_NODES = gauss_legendre(64)  # nodes of _window_defect, per ramp and beyond K
 REVIVAL_MARGIN = 4.0        # discrete recurrence must lie beyond this many horizons
 STRIP_BUDGET = 20.7         # photon grid aliases exp(-2*pi*s/dk) <= exp(-20.7) ~ 1e-9
 FLAT_CELLS = 128            # least grid cells per flat-band half-width (edge error ~1/m^2)
@@ -79,14 +82,14 @@ class DetectorBand:
 class NumericalControls:
     """Numerical knobs; ``None`` fields are filled from the scenario scales.
 
-    cutoff   -- half-width K of the retained photon energies around omega
+    cutoff   -- half-width K of the photon window around omega (default: ``default_cutoff``)
     dk       -- uniform spacing of the photon grid (default: ``_default_dk``)
     horizon  -- propagation horizon T
     step     -- cap on the propagator's step, which cruises at the largest
                 h0*2^j <= step (h0 = min(0.25/max|L|, step)), not at step
     quad_tol -- relative tolerance of form-factor quadratures
-    allow_narrow_window -- waive the K >= default_cutoff(...) window rule,
-                which validate_params checks with dk and T for every model
+    allow_narrow_window -- accept a cutoff below ``default_cutoff`` at the model's T,
+                which validate_params otherwise refuses (code ``cutoff``)
     """
 
     cutoff: Optional[float] = None
@@ -137,27 +140,36 @@ class ConditionReport:
     verdict: str                 # "QZE-regime" | "weak-suppression" | "no-detection-overlap"
 
 
-def default_cutoff(gamma, band: DetectorBand, omega: float) -> float:
+def _window_defect(gamma, band: DetectorBand, omega: float, K: float, eps: complex) -> float:
+    """|Sigma(omega + eps)|, Im eps > 0, that window K drops: the band damping of 1 - W.
+
+    (gamma/2pi) |Int_{|k| > K0} (1 - W) [1/(eps - k) - 1/(eps - k + i pi eta_k)] dk|, k from
+    omega, by Gauss-Legendre on the ramps [K0, K] and in u = K/|k| beyond K.
+    """
+    K0 = taper_start(K, band.center - omega, band.delta)
+    u, w = _DEFECT_NODES
+    k = np.outer([1.0, -1.0], np.concatenate([K0 + (K - K0) * u, K / u]))  # both sides
+    wk = np.concatenate([(K - K0) * w * ramp_poly(u), K * w / u ** 2])
+    damp = 1j * np.pi * detector_response(band, omega + k)
+    return gamma / (2.0 * np.pi) * abs(((damp / ((eps - k) * (eps - k + damp))) @ wk).sum())
+
+
+def default_cutoff(gamma, band: DetectorBand, omega: float,
+                   horizon: Optional[float] = None) -> float:
     """Smallest photon window K the propagator accepts without an override.
 
-    Ten half-bandwidths (and ten linewidths), widened to reach ten response
-    widths ``10*eta`` only as far as the band still damps its modes: beyond
-    ``K_band = 1.5*delta*(eta/(2*gamma*BAND_TAIL_TOL))**(1/n)`` the taper start
-    2K/3 sits where pi*eta_k/gamma has fallen to ``BAND_TAIL_TOL``, and the
-    modes there are free, which the contour tail poles carry exactly.  The
-    flat band damps nothing outside the band, so ``K_band = 0`` there.
+    The first K up the ladder floor * ``_LADDER``**j whose :func:`_window_defect` at
+    omega + 4i/T (T = ``horizon``, default 5/gamma; the grid aliases there ~e^-20) is
+    within ``SIGMA_BUDGET``*gamma.  Floor: 300 gamma and a band's offset plus ten of
+    delta or gamma; the ladder stops at ten of delta, eta and gamma.
     """
-    k_band = 0.0
-    if not band.is_flat:
-        k_band = 1.5 * band.delta * (band.eta / (2.0 * gamma * BAND_TAIL_TOL)) ** (1.0 / band.n)
-    base = max(10.0 * band.delta, min(10.0 * band.eta, k_band), 10.0 * gamma)
-    # Tail machinery in the propagator needs a minimum absolute window, and a
-    # detuned band must still sit well inside the un-tapered core.
-    base = max(base, 300.0 * gamma)
-    off = abs(band.center - omega)
-    if off > 0.0:
-        base = max(base, off + 10.0 * max(band.delta, gamma))
-    return base
+    T = horizon if horizon is not None else 5.0 / gamma
+    # the tail contours need 300 gamma; a detuned band must sit well inside the untapered core
+    K = max(300.0 * gamma, abs(band.center - omega) + 10.0 * max(band.delta, gamma))
+    top = max(K, 10.0 * max(band.delta, band.eta, gamma))
+    while K < top and _window_defect(gamma, band, omega, K, 4j / T) > SIGMA_BUDGET * gamma:
+        K = min(K * _LADDER, top)
+    return K
 
 
 def _default_dk(band: DetectorBand, guard: float) -> float:
@@ -180,7 +192,7 @@ def validate_params(p: ModelParams) -> ValidatedModel:
     delta > 0, n even and >= 2, center finite, cutoff/dk/horizon/step > 0
     where set, quad_tol in (0, 1), cutoff >= delta.  Then the resolved
     numerics: dk (recurrence 2*pi/dk beyond ``REVIVAL_MARGIN`` horizons),
-    cutoff (K >= :func:`default_cutoff` unless ``allow_narrow_window``) and
+    cutoff (K >= :func:`default_cutoff` at this T unless ``allow_narrow_window``) and
     horizon or dk (the ~2K/dk core modes within ``_MAX_CORE_BYTES``).  Each stage
     raises one :class:`ValidationError` carrying all its violations.
     """
@@ -206,7 +218,7 @@ def validate_params(p: ModelParams) -> ValidatedModel:
         raise ValidationError(violations)
 
     T = num.horizon if num.horizon is not None else 5.0 / p.gamma
-    need = default_cutoff(p.gamma, band, p.omega)
+    need = default_cutoff(p.gamma, band, p.omega, T)
     K = num.cutoff if num.cutoff is not None else need
     guard = 2.0 * np.pi / (REVIVAL_MARGIN * T) / 1.25  # 2pi/dk beyond 1.25*REVIVAL_MARGIN*T
     dk = num.dk if num.dk is not None else _default_dk(band, guard)

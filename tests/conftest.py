@@ -106,6 +106,36 @@ def g2_quad_oracle(band, gamma, mu):
     return total
 
 
+def sigma_quad_oracle(band, gamma, omega, eps):
+    """Sigma(omega + eps) for Im eps > 0 by adaptive scalar ``quad`` of its defining integral.
+
+    (gamma/2pi) Int dk / (eps - k + i pi eta_{omega+k}), the two sides folded
+    onto k >= 0, where their sum falls off as 1/k^2.  Split at the line, at
+    the band edges and on a decade ladder from Im eps; real and imaginary
+    parts are separate quadratures.  Shares no code with the photon grid,
+    the contour poles or the window rule.
+    """
+    def f(k, part):  # 1/(eps - k + i pi eta_+) + 1/(eps + k + i pi eta_-), without cancellation
+        up, down = (1j * math.pi * detector_response(band, omega + s * k) for s in (1.0, -1.0))
+        z = (2.0 * eps + up + down) / ((eps - k + up) * (eps + k + down))
+        return z.imag if part else z.real
+
+    def beyond(u, part):  # k = top/u maps the last piece onto (0, 1]
+        return f(top / u, part) * top / u ** 2
+
+    d = abs(band.center - omega)
+    br = sorted({0.0, abs(eps.real), d, d + band.delta, abs(d - band.delta)}
+                | {eps.imag * 10.0 ** m for m in range(9)})
+    top = br[-1]
+    total = 0.0
+    for part, unit in ((0, 1.0), (1, 1j)):
+        pieces = [(f, a, b) for a, b in zip(br, br[1:])] + [(beyond, 0.0, 1.0)]
+        for g, a, b in pieces:
+            total += unit * quad(g, a, b, args=(part,), limit=400, epsabs=1e-14,
+                                 epsrel=1e-13)[0]
+    return gamma / (2.0 * math.pi) * total
+
+
 def flat_sigma_oracle(gamma, eta, delta, E, center=0.0):
     """Sigma(E + i0) of the flat band from its two edge jumps, in closed form.
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import krogstad_reference
+from conftest import krogstad_reference, sigma_quad_oracle
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
@@ -23,7 +23,9 @@ from zenoband import (
     validate_params,
 )
 from zenoband import model as model_rules
-from zenoband.dynamics import _ArrowheadKrogstad, _tail_norm, _taper
+from zenoband._phi import ramp_poly
+from zenoband.dynamics import _ArrowheadKrogstad, _tail_norm
+from zenoband.model import _window_defect
 
 FIG1_DELTA = 100.0 / (2 * math.pi)
 
@@ -54,12 +56,12 @@ class TestDiscretize:
         assert [code for code, _ in err.value.violations] == ["dk"]
 
     def test_memory_estimate_rejects_long_horizon(self):
-        # broken Fig. 3 set at horizon 1e4: dk ~ 1.26e-4 on K ~ 3122 gives
-        # ~5e7 core modes; validation refuses it before anything is built
+        # broken Fig. 3 set at horizon 1e4: dk ~ 1.26e-4 on K ~ 1671 gives
+        # ~2.7e7 core modes; validation refuses it before anything is built
         with pytest.raises(ValidationError) as err:
             model(eta=1000.0, delta=1000.0 / (2 * math.pi), horizon=1e4)
         assert [code for code, _ in err.value.violations] == ["horizon"]
-        assert "~4.97e+07 core modes" in str(err.value)
+        assert "~2.66e+07 core modes" in str(err.value)
         # the Fig. 3 horizon of the same set stays far inside the limit
         m5 = model(eta=1000.0, delta=1000.0 / (2 * math.pi))
         core_bytes = 2 * m5.numerics.cutoff / m5.numerics.dk * model_rules._MODE_BYTES
@@ -140,6 +142,63 @@ class TestDiscretize:
         np.testing.assert_allclose(dm.coupling[inner] ** 2, g2dk, rtol=1e-12)
         outer = np.abs(dm.k_grid) > dm.taper_start
         assert np.all(dm.coupling[outer] ** 2 < g2dk)
+
+
+class TestWindowDefect:
+    """The window rule's premise: the discretized Sigma misses the exact one by D(K) alone.
+
+    The model's own self-energy, atom shift plus core modes plus tail poles,
+    is compared with ``sigma_quad_oracle`` at omega + x + 4i/T across the line.
+    Two grid terms the window does not set are taken out where they are
+    above 1e-9: the midpoint alias -(gamma/2)(tan(pi eps/dk) - i) of an
+    undamped line (e^-20 ~ 2.1e-9 at Im eps = 4/T), and the flat band's
+    Euler-Maclaurin edge term (dk^2/24) sum [d/dk g2/(eps - k + i pi eta_k)]
+    over the jumps (~2e-7).
+    """
+
+    @staticmethod
+    def sigma_d(dm, eps):
+        return (dm.atom_shift + np.sum(dm.coupling ** 2 / (eps - (dm.mode_energy - dm.omega)))
+                + np.sum(dm.tail_weights / (eps - dm.tail_poles)))
+
+    @pytest.mark.parametrize("kw", [
+        dict(eta=100.0, delta=FIG1_DELTA),
+        dict(eta=100.0, delta=FIG1_DELTA, cutoff=150.0),
+        dict(eta=10.0, delta=FIG1_DELTA),
+        dict(eta=10.0, delta=FIG1_DELTA, cutoff=150.0),
+        dict(eta=1000.0, delta=10 * FIG1_DELTA),
+        dict(eta=1000.0, delta=10 * FIG1_DELTA, cutoff=1200.0),
+        dict(eta=100.0, delta=FIG1_DELTA, center=3 * FIG1_DELTA),
+        dict(eta=100.0, delta=FIG1_DELTA, center=3 * FIG1_DELTA, cutoff=150.0),
+        dict(eta=1000.0, delta=FIG1_DELTA, n=2),
+        dict(eta=100.0, delta=FIG1_DELTA, flat=True),
+        dict(eta=100.0, delta=FIG1_DELTA, flat=True, center=0.37 * FIG1_DELTA),
+        dict(eta=0.0),
+    ], ids=["solid", "solid-K150", "dotted", "dotted-K150", "broken", "broken-K1200",
+            "detuned-3delta", "detuned-3delta-K150", "n2", "flat", "flat-detuned", "eta0"])
+    def test_sigma_misses_by_the_window_defect(self, kw):
+        m = model(**kw, allow_narrow_window=True)
+        dm, b, dk, K = discretize_continuum(m), m.band, m.numerics.dk, m.numerics.cutoff
+        for x in (-2.0, 0.0, 1.5):
+            eps = x + 4j / m.numerics.horizon
+            miss = self.sigma_d(dm, eps) - sigma_quad_oracle(b, 1.0, 0.0, eps)
+            if b.eta == 0.0:
+                miss -= -0.5 * (np.tan(math.pi * eps / dk) - 1j)
+            if b.is_flat:
+                for edge, side in ((b.center + b.delta, 1.0), (b.center - b.delta, -1.0)):
+                    jump = 1.0 / (eps - edge) ** 2 - 1.0 / (eps - edge + 0.5j * b.eta) ** 2
+                    miss -= side * dk ** 2 / 24.0 * jump / (2.0 * math.pi)
+            assert abs(abs(miss) - _window_defect(1.0, b, 0.0, K, eps)) <= 1e-9
+
+    def test_default_window_is_within_a_wider_one(self):
+        # the broken Fig. 3 set at the rule's K (D <= SIGMA_BUDGET) against 1.5 K
+        kw = dict(eta=1000.0, delta=10 * FIG1_DELTA)
+        m = model(**kw)
+        assert m.numerics.cutoff <= 1700.0
+        a = propagate(discretize_continuum(m))
+        b = propagate(discretize_continuum(model(**kw, cutoff=1.5 * m.numerics.cutoff)))
+        for x, y in ((a.s, b.s), (a.eps, b.eps), (a.r, b.r)):
+            assert np.abs(x - y).max() <= 1e-6
 
 
 class TestPropagate:
@@ -299,7 +358,7 @@ class TestTailNorm:
         K0, K = dm.taper_start, dm.cutoff
 
         def profile(k):  # (1 - W)/k^2 on the ramp
-            return (1.0 - _taper((k - K0) / (K - K0))) / k ** 2
+            return ramp_poly((k - K0) / (K - K0)) / k ** 2
 
         j2 = quad(profile, K0, K, epsabs=0.0, epsrel=1e-12)[0] + 1.0 / K
         out = np.empty(len(t))

@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from zenoband import (
     qze_condition_report,
     validate_params,
 )
-from zenoband.model import BAND_TAIL_TOL, default_cutoff
+from zenoband.model import _LADDER, SIGMA_BUDGET, _window_defect, default_cutoff
 
 
 def band(eta=1.0, delta=1.0, n=6, center=0.0):
@@ -194,13 +195,27 @@ class TestCutoffRule:
                         assert K <= ten_width_cutoff(gamma, b, 0.0)
                         assert K >= max(300.0 * gamma, 10.0 * max(delta, gamma))
 
-    def test_band_sets_the_window_where_damping_fades(self):
-        # broken Fig. 3 set: K0 = 2K/3 sits where pi*eta_k/gamma = BAND_TAIL_TOL
+    def test_band_sets_the_window_by_its_sigma_defect(self):
+        # broken Fig. 3 set: the first rung above the 10 delta floor within the budget
         b = band(eta=1000.0, delta=1000 / (2 * math.pi))
         K = default_cutoff(1.0, b, 0.0)
-        assert 3000.0 < K < 3200.0
-        assert math.pi * detector_response(b, 2.0 * K / 3.0) == pytest.approx(BAND_TAIL_TOL,
-                                                                              rel=1e-2)
+        assert 10.0 * b.delta < K <= 1700.0
+        assert _window_defect(1.0, b, 0.0, K, 0.8j) <= SIGMA_BUDGET
+        assert _window_defect(1.0, b, 0.0, K / _LADDER, 0.8j) > SIGMA_BUDGET
+
+    def test_narrow_broken_set_window_is_refused_before_allocation(self):
+        # cutoff 1200 on the broken set drops 4.2e-7 of Sigma, over the budget
+        b = DetectorBand(eta=1000.0, delta=1000 / (2 * math.pi))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError) as exc:
+                validate_params(ModelParams(gamma=1.0, band=b,
+                                            numerics=NumericalControls(cutoff=1200.0)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [c for c, _ in exc.value.violations] == ["cutoff"]
+        assert peak < 2 ** 20
 
     def test_flat_band_window_ignores_eta(self):
         Ks = {default_cutoff(1.0, band(eta=eta, delta=50.0, n=None), 0.0)
@@ -208,7 +223,7 @@ class TestCutoffRule:
         assert Ks == {500.0}
 
     def test_explicit_cutoff_at_the_rule_edge(self):
-        b = DetectorBand(eta=1e3, delta=20.0, n=6)
+        b = DetectorBand(eta=1e4, delta=20.0, n=6)
         K = default_cutoff(1.0, validate_params(ModelParams(gamma=1.0, band=b)).band, 0.0)
         assert K > max(300.0, 10.0 * 20.0)  # the band term sets this window
 

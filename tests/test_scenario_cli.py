@@ -336,13 +336,13 @@ class TestCli:
     @pytest.mark.parametrize("product", ["evolve", "fig1"])
     def test_summary_shows_resolved_window(self, tmp_path, capsys, product):
         rc = run_cli([product, "--out", str(tmp_path), "--override", "gamma=1",
-                      "--override", "delta=20", "--override", "eta=1000"])
+                      "--override", "delta=20", "--override", "eta=10000"])
         assert rc == 0
         line = next(ln for ln in capsys.readouterr().out.splitlines()
                     if ln.startswith(f"{product}:"))
-        m = validate_params(ModelParams(gamma=1.0, band=DetectorBand(eta=1000.0, delta=20.0)))
+        m = validate_params(ModelParams(gamma=1.0, band=DetectorBand(eta=1e4, delta=20.0)))
         dm = discretize_continuum(m)
-        assert 300.0 < dm.cutoff < 10 * 1000.0  # the band, not 10*eta, set the window
+        assert 300.0 < dm.cutoff < 10 * 1e4  # the band, not 10*eta, set the window
         assert line.endswith(f", cutoff={dm.cutoff:.6g}, core_modes={len(dm.k_grid)}")
 
     def test_fig2_emits_three_ordered_curves(self, tmp_path):
