@@ -5,7 +5,7 @@ exponential integrators and of exact oscillatory moments.  Built from e^z
 they cancel for small |z|, where a Taylor series takes over.
 The free 1/E^2 tail beyond a window edge and the lowest-order decay kernel
 have their moments in closed form through the sine and cosine integrals.
-Gauss-Legendre rules serve the smooth integrals.  The window taper is here too.
+Gauss-Legendre rules serve the smooth integrals.
 """
 
 from __future__ import annotations
@@ -28,16 +28,6 @@ def gauss_legendre(order: int):
     """Gauss-Legendre nodes and weights on [0, 1]."""
     t, w = np.polynomial.legendre.leggauss(order)
     return 0.5 * (t + 1.0), 0.5 * w
-
-
-def taper_start(K: float, det: float, delta: float) -> float:
-    """Where the couplings of a window K start to taper: 2K/3, or past a band detuned by det."""
-    return max(2.0 * K / 3.0, min(abs(det) + 3.0 * delta, 0.9 * K))
-
-
-def ramp_poly(u):
-    """1 - W on the taper ramp u = (|k| - K0)/(K - K0) in [0, 1]; analytic for complex u."""
-    return u ** 4 * (35.0 - 84.0 * u + 70.0 * u ** 2 - 20.0 * u ** 3)
 
 
 def phi_functions(z, nmax: int = 3):

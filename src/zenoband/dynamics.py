@@ -1,31 +1,23 @@
 """Single-excitation dynamics of the monitored atom.
 
 The detector continua are eliminated exactly (flat, unbounded coupling),
-leaving each photon mode with the complex energy k - i*pi*eta_k.  The atom
-plus photon modes then form a linear arrowhead system
+leaving each photon mode with the complex energy k - i*pi*eta_k.  The free
+photon line is flat and unbounded too, so its self-energy is exactly
+-i*gamma/2: the atom row carries that Markov term, and only what the band
+changes goes on a grid.  Each cell of a uniform grid of half-width K around
+the band centre holds a damped photon mode F_j (weight c^2 = g2*dk) and an
+undamped ghost G_j at the same k (weight -c^2).  The pair adds
+g2*dk [1/(E - k + i pi eta_k) - 1/(E - k)] to the self-energy, which
+vanishes with eta_k at the window edge.  In a frame rotating at omega
 
-    dF/dt   = -i sum_j c_j F_j
-    dF_j/dt = -i (k_j - i pi eta_{k_j}) F_j - i c_j F
+    dF/dt   = -(gamma/2) F - i c sum_j (F_j - G_j)
+    dF_j/dt = -i (k_j - i pi eta_{k_j}) F_j - i c F,    dG_j/dt = -i k_j G_j - i c F
 
-propagated in a frame rotating at the transition energy.
-
-Discretizing the photon line on a finite uniform grid alone is not good
-enough: a sharp cutoff K distorts both the decay rate and the amplitude at
-relative order gamma/K, and reaching the 1e-6 oracle against exp(-gamma*t)
-that way costs millions of modes.  Instead the grid's couplings are tapered
-smoothly to zero over the outer third of the window, and the exact remainder
-of the continuum (taper ramp complement plus everything beyond K) enters as
-a few hundred quadrature poles on contours rotated into the lower half
-plane.  Those pseudo-modes reproduce the analytic tail self-energy to near
-machine precision while decaying too fast to ring, at the price of one exact
-counter-term on the atom diagonal (the arc-at-infinity mismatch of the two
-rotated rays, -2i*theta*g^2).  The photon norm carried by the tapered tail
-is restored by a closed-form channel so the probability bookkeeping still
-closes to <1e-6.  Over the taper ramp that channel is a fixed rule of
-64-node Gauss-Legendre panels, three nodes per period of cos(k*T), built
-once with the grid.  The detector response r never feeds back into the
-amplitudes, so it is not stepped: it is the time integral of the absorbed
-flux sum_j 2 pi eta_j |F_j|^2, recorded after every step.
+conserves s + eps + r, with the photon norm eps = sum |F_j|^2 -
+sum |G_j|^2 + gamma Int |F|^2 and the detector response
+r = Int sum_j 2 pi eta_j |F_j|^2, so the norm defect checks the stepping and
+the records.  r never feeds back into the amplitudes, so it is not stepped:
+r and the Markov outflow integrate fluxes recorded after every step.
 """
 
 from __future__ import annotations
@@ -38,7 +30,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 
-from ._phi import free_tail_moments, gauss_legendre, phi_functions, ramp_poly, taper_start
+from ._phi import gauss_legendre, phi_functions
 from .errors import NoResponse, ToleranceNotMet
 from .model import ValidatedModel, detector_response
 
@@ -54,26 +46,19 @@ __all__ = [
 DEFECT_TOL = 1e-5        # largest norm defect propagate() accepts
 _DELAY_XTOL = 1e-6       # response_delay tolerance in d, relative to the horizon
 _DELAY_NODES = 64        # Gauss-Legendre nodes of the response_delay objective
-_THETA = math.pi / 4.0   # rotation angle of the beyond-K contour
-_N_ARC = 48              # quadrature nodes on the taper-ramp contour (per side)
-_N_RAY = 48              # quadrature nodes on the beyond-K ray (per side)
-_SCHED = 32.0            # step-doubling schedule: h <= t/_SCHED until cruise
-_TAIL_GL = 64            # Gauss-Legendre nodes per tail-norm ramp panel
-_TAIL_PER_PERIOD = 3.0   # tail-norm ramp nodes per period of cos(k*T)
+_RAMP = 32               # steps at each size below step (twice that at the first)
 
 
 @dataclass(frozen=True)
 class DiscretizedModel:
-    """Truncated photon grid plus the contour representation of its tails.
+    """The atom's Markov term plus the band's photon/ghost pairs on a grid.
 
-    ``k_grid``/``mode_energy``/``coupling`` describe the physical core modes
-    (energies absolute, mode_energy = k - i*pi*eta_k, couplings tapered).
-    ``tail_poles``/``tail_weights`` are the complex quadrature poles carrying
-    the exact out-of-window self-energy; they are bookkeeping-free and their
-    probability content is restored analytically through the tail-norm
-    channel: ``tail_k`` are Gauss-Legendre nodes on the taper ramp [K0, K]
-    and ``tail_k_weights`` their weights times (1 - W)/k^2, so that
-    Int_K0^K (1-W) cos(kt)/k^2 dk = cos(t*tail_k) @ tail_k_weights.
+    ``k_grid``/``mode_energy``/``coupling`` are the damped photon modes, one
+    per cell of the grid of half-width ``cutoff`` around the band centre
+    (energies absolute, mode_energy = k - i*pi*eta_k, coupling c =
+    sqrt(g2*dk)).  Each has an undamped ghost at the same k, which the
+    ``tail_*`` properties read from these fields.  ``atom_shift`` =
+    -i*gamma/2 is the free line's self-energy.  At eta = 0 there are no modes.
     """
 
     k_grid: np.ndarray
@@ -83,23 +68,28 @@ class DiscretizedModel:
     gamma: float
     omega: float
     cutoff: float
-    taper_start: float
-    atom_shift: complex          # arc counter-term, enters as diagonal energy
-    tail_poles: np.ndarray       # offsets from omega, Im <= 0
-    tail_weights: np.ndarray     # complex c^2 weights of the pseudo-modes
-    tail_k: np.ndarray           # ramp quadrature nodes of the norm channel
-    tail_k_weights: np.ndarray   # node weights times (1 - W)/k^2
+    atom_shift: complex          # the Markov term, enters as diagonal energy
     step: float
+
+    @property
+    def tail_poles(self) -> np.ndarray:  # the ghosts' energies, offsets from omega
+        return self.k_grid - self.omega
+
+    @property
+    def tail_weights(self) -> np.ndarray:  # the ghosts' weights in the self-energy
+        return -self.coupling ** 2
+
+    @property
+    def tail_k(self) -> np.ndarray:  # the ghosts' absolute energies: k_grid itself
+        return self.k_grid
 
 
 @dataclass(frozen=True)
 class ProbabilityTrace:
     """Sampled probabilities with an independent bookkeeping channel.
 
-    ``r`` is the antiderivative of the cubic spline through the absorbed flux
-    sum_j 2 pi eta_j |F_j|^2 recorded after every step, the same records
-    that give F and eps.  It is never formed from 1 - s - eps, so
-    ``norm_defect`` is a genuine consistency check.
+    ``r`` integrates the recorded absorbed flux and is never formed from
+    1 - s - eps, so ``norm_defect`` is a genuine consistency check.
     """
 
     t: np.ndarray
@@ -110,94 +100,44 @@ class ProbabilityTrace:
     gamma: float
 
 
-def _tail_contours(g2: float, K: float, K0: float):
-    """Quadrature poles/weights for g2 * Int_{tail} (1-W(k)) / (E-k) dk.
-
-    The taper ramp [K0, K] is integrated on a parabolic dip into the lower
-    half plane; beyond K the two rays rotate by +-theta.  Mirror poles are
-    -conj of the right-side ones with conjugate weights.  Deforming the two
-    log-divergent rays in opposite senses leaves an exact E-independent arc
-    mismatch of +2i*theta*g2, returned as the compensating atom shift.
-    """
-    span = K - K0
-    x, wx = gauss_legendre(_N_ARC)
-    u = x - 1j * x * (1.0 - x)
-    k_arc = K0 + span * u
-    dk_arc = span * (1.0 - 1j * (1.0 - 2.0 * x))
-    w_arc = g2 * ramp_poly(u) * dk_arc * wx
-
-    y, wy = gauss_legendre(_N_RAY)
-    s = K * y / (1.0 - y)
-    ds = K / (1.0 - y) ** 2 * wy
-    rot = np.exp(-1j * _THETA)
-    k_ray = K + s * rot
-    w_ray = g2 * rot * ds
-
-    poles = np.concatenate([k_arc, k_ray])
-    weights = np.concatenate([w_arc, w_ray])
-    poles = np.concatenate([poles, -np.conj(poles)])
-    weights = np.concatenate([weights, np.conj(weights)])
-    atom_shift = -2j * _THETA * g2
-    return poles, weights, atom_shift
-
-
 def discretize_continuum(m: ValidatedModel) -> DiscretizedModel:
     """Build the propagation target from a validated scenario.
 
     It only builds: :func:`~zenoband.model.validate_params` has already
     checked the revival guard on dk, the window rule on K and the memory
-    the core modes need.
+    the modes need.  The cells' boundaries sit at center + j*dk.
     """
     num = m.numerics
-    K, dk, T = num.cutoff, num.dk, num.horizon
+    K, dk = num.cutoff, num.dk
     g2 = m.gamma / (2.0 * math.pi)
-    det = m.band.center - m.omega
-    j = np.arange(-math.ceil(K / dk) - 1, math.ceil(K / dk) + 1)
-    offs = math.remainder(det, dk) + dk * (j + 0.5)  # cell boundaries at center + j*dk
-    K0 = taper_start(K, det, m.band.delta)
-    W = 1.0 - ramp_poly(np.clip((np.abs(offs) - K0) / (K - K0), 0.0, 1.0))  # C^3, 0 from K on
-    keep = W > 1e-300
-    k, W = m.omega + offs[keep], W[keep]
-    coupling = np.sqrt(g2 * dk * W)
-    mode_energy = k - 1j * math.pi * detector_response(m.band, k)
-
-    poles, weights, atom_shift = _tail_contours(g2, K, K0)
-
-    # (1-W)/k^2 is smooth, so the cost is set by cos(kt) up to t = T
-    panels = math.ceil(_TAIL_PER_PERIOD * (K - K0) * T / (2.0 * math.pi * _TAIL_GL))
-    x, w = gauss_legendre(_TAIL_GL)
-    width = (K - K0) / panels
-    tail_k = (K0 + width * (np.arange(panels)[:, None] + x)).ravel()
-    tail_k_weights = (np.tile(width * w, panels) * ramp_poly((tail_k - K0) / (K - K0))
-                      / tail_k ** 2)
-
+    # K on a cell boundary (a flat band's K = delta = m*dk) takes m cells, not m + 1
+    cells = math.ceil(K / dk * (1.0 - 1e-12)) if m.band.eta > 0.0 else 0
+    k = m.omega + ((m.band.center - m.omega) + dk * (np.arange(-cells, cells) + 0.5))
     return DiscretizedModel(
-        k_grid=k, mode_energy=mode_energy, coupling=coupling, horizon=T,
-        gamma=m.gamma, omega=m.omega, cutoff=K, taper_start=K0,
-        atom_shift=atom_shift, tail_poles=poles, tail_weights=weights,
-        tail_k=tail_k, tail_k_weights=tail_k_weights,
-        step=num.step,
+        k_grid=k, mode_energy=k - 1j * math.pi * detector_response(m.band, k),
+        coupling=np.full(len(k), math.sqrt(g2 * dk)), horizon=num.horizon, gamma=m.gamma,
+        omega=m.omega, cutoff=K, atom_shift=-0.5j * m.gamma, step=num.step,
     )
 
 
 class _ArrowheadKrogstad:
     """Exponential RK4 (Krogstad stages) specialised to the arrowhead system.
 
-    The state is the atom amplitude f and the mode amplitudes u.  The mode
-    rows of the nonlinear part are always f*C with C = -i*[c_core, 1...1], so
-    a stage's mode rows are E*u + f*v + d*w with a scalar d per stage and
-    vectors v, w that depend on h alone.  The atom row only needs cF.x, so
-    ``set_step`` precomputes cF*E, cF.v and cF.w from one phi table, at h/2,
-    doubled to h; a step is three dot products, scalar arithmetic and one
-    in-place update of u.
+    The state is the atom amplitude f and the mode amplitudes u, photons
+    then ghosts.  The mode rows of the nonlinear part are always f*C with
+    C = -i*c, so a stage's mode rows are E*u + f*v + d*w with a scalar d per
+    stage and vectors v, w that depend on h alone.  The atom row only needs
+    cF.x, so ``set_step`` precomputes cF*E, cF.v and cF.w from one phi table,
+    at h/2, doubled to h; a step is three dot products, scalar arithmetic
+    and one in-place update of u.
     """
 
     def __init__(self, dm: DiscretizedModel):
-        # rows: atom, then core modes and tail pseudo-modes
+        # rows: atom, then photon modes and ghosts; the atom row reads c*(F_j - G_j)
         self.L = -1j * np.concatenate([[dm.atom_shift], dm.mode_energy - dm.omega,
-                                       dm.tail_poles])
-        self.cF = np.concatenate([dm.coupling.astype(complex), dm.tail_weights])
-        self.C = -1j * np.concatenate([dm.coupling, np.ones(len(dm.tail_poles))])
+                                       dm.k_grid - dm.omega])
+        self.cF = np.concatenate([dm.coupling, -dm.coupling]).astype(complex)
+        self.C = -1j * np.concatenate([dm.coupling, dm.coupling])
 
     def set_step(self, h):
         # Drop the old rows, then build one stage family at a time, so that
@@ -210,12 +150,12 @@ class _ArrowheadKrogstad:
         # The full step's phi_j from the half step's, by doubling:
         # 2^j phi_j(z) = e^{z/2} phi_j(z/2) + sum_{i=1..j} phi_i(z/2)/(j-i)!
         # e^z keeps its own exp: squaring e^{z/2} drifts s by 3e-14 in a run.
-        e = E2 + 1.0
+        e = np.add(E2, 1.0, out=E2)  # e^{z/2} + 1, in place: the half step's rows are built
         p3x4 = (e * q3 + q2 + 0.5 * q1) * 0.5  # 4 phi3
         p2 = (e * q2 + q1) * 0.25
         p1 = e * q1 * 0.5
+        del E2, e, q1, q2, q3
         E1 = np.exp(self.L * h)
-        del E2, q1, q2, q3, e
         self.cd = (cF * E1[1:], h * np.dot(cF, p1[1:] * C), 2.0 * h * np.dot(cF, p2[1:] * C))
         f3 = p3x4 - p2  # 4 phi3 - phi2
         fs = (p1 - 2.0 * p2 + f3, p2 - f3, f3)  # phi1 - 3 phi2 + 4 phi3, 2 phi2 - 4 phi3, f3
@@ -223,7 +163,7 @@ class _ArrowheadKrogstad:
         del p1, p2, p3x4, f3
         self.E1 = E1[1:]
         hC = h * C
-        self.F = tuple(f[1:] * hC for f in fs)
+        self.F = tuple(np.multiply(f[1:], hC, out=f[1:]) for f in fs)  # in place
 
     def step(self, f, u):
         """Advance by one step, ``u`` in place; returns the new f."""
@@ -243,78 +183,68 @@ class _ArrowheadKrogstad:
         return e1 * f + f1 * n1 + f2 * (n2 + n3) + f3 * n4
 
 
-def _tail_norm(dm: DiscretizedModel, t: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Closed-form photon norm in the tapered tail of the continuum.
+def _step_schedule(max_rate: float, step: float, T: float):
+    """Record times and the runs (h, count) of :func:`propagate`'s steps.
 
-    Integration by parts of the driven-mode amplitudes gives, per +-k pair,
-    |f_k|^2 = (g2/k^2) |F(t) - F(0) e^{-i k t}|^2 + O(gamma/k^3), so
-
-        eps_tail(t) = 2 g2 J2 (|F|^2 + 1) - 4 g2 Re[F(t) conj(F0)] Phi(t)
-
-    with J2 the one-sided Int (1-W)/k^2 and Phi its cos(kt)-weighted version
-    (ramp by the Gauss-Legendre rule of ``tail_k``, beyond K via Si).  Exact
-    at t = 0, where Phi = J2.
+    64 steps at h0 = step/2^J, the largest such value <= 0.25/max_rate, 32
+    at each doubled size below step, then step, cut at the first record >= T.
+    Below step, h <= t/32, so every transient is resolved while it is
+    active; the ramp ends at t = 32*step.
     """
-    g2 = dm.gamma / (2.0 * math.pi)
-    kk, wk = dm.tail_k, dm.tail_k_weights
-    ramp = np.array([np.cos(tt * kk) @ wk for tt in t])  # no (times x nodes) matrix
-    phi = ramp + free_tail_moments(dm.cutoff, t)[0]
-    j2 = wk.sum() + 1.0 / dm.cutoff
-    return 2.0 * g2 * (np.abs(F) ** 2 + 1.0) * j2 - 4.0 * g2 * F.real * phi
+    sizes = [step]
+    while sizes[-1] > 0.25 / max_rate:
+        sizes.append(sizes[-1] / 2.0)
+    h = sizes[::-1]
+    counts = [2 * _RAMP] + [_RAMP] * (len(h) - 2) + [math.ceil(T / step) + 1]
+    counts = counts[-len(h):]  # no ramp when step <= 0.25/max_rate already
+    times = np.concatenate([[0.0], np.cumsum(np.repeat(h, counts))])
+    end = int(np.searchsorted(times, T * (1.0 - 1e-12)))
+    counts = np.diff(np.minimum(np.cumsum([0] + counts), end))
+    return times[:end + 1], [(hi, int(c)) for hi, c in zip(h, counts) if c]
 
 
 def propagate(dm: DiscretizedModel,
               sample_times: Optional[Sequence[float]] = None) -> ProbabilityTrace:
     """Propagate |x,0,0> and sample (s, eps, r) at the requested times.
 
-    Deterministic for fixed inputs.  The step starts at the fastest
-    pseudo-mode timescale, h0 = min(0.25/max|L|, step), and doubles once
-    h <= t/64, so every scale is resolved while it is still active; since it
-    doubles only while 2h <= step, it cruises at the largest h0*2^j <= step,
-    generally below step.  Requested times are filled from the step records
-    by cubic interpolation, and r by integrating the interpolated flux.
-    Raises :class:`ToleranceNotMet` if the bookkeeping defect exceeds
-    ``DEFECT_TOL`` at any sample time.
+    Deterministic for fixed inputs.  The step ramps up from the fastest
+    row's timescale and cruises at ``step`` (:func:`_step_schedule`).
+    Requested times are filled from the step records by cubic
+    interpolation, and r and the Markov term's share of eps by integrating
+    the interpolated fluxes.  Raises :class:`ToleranceNotMet` if the
+    bookkeeping defect exceeds ``DEFECT_TOL`` at any sample time.
     """
     T = dm.horizon
-    if sample_times is None:
-        sample_times = np.linspace(0.0, T, 501)
-    ts = np.asarray(sample_times, dtype=float)
+    ts = np.linspace(0.0, T, 501) if sample_times is None else np.asarray(sample_times, float)
     if np.any(ts < 0.0) or np.any(ts > T * (1 + 1e-12)):
         raise ValueError("sample_times must lie in [0, horizon]")
 
     stepper = _ArrowheadKrogstad(dm)
-    h = min(0.25 / np.abs(stepper.L).max(), dm.step)
-    times, hs = [0.0], []  # the step schedule, fixed before the first step
-    while times[-1] < T - 1e-12:
-        if times[-1] / _SCHED >= 2.0 * h and 2.0 * h <= dm.step:
-            h = 2.0 * h
-        hs.append(h)
-        times.append(times[-1] + h)
+    times, runs = _step_schedule(np.abs(stepper.L).max(), dm.step, T)
 
     f = 1.0 + 0.0j
     u = np.zeros(len(stepper.cF), dtype=complex)
-    v = u[:len(dm.k_grid)].view(float)  # core modes, Re and Im interleaved
+    n = len(dm.k_grid)
+    photons, ghosts = u[:n].view(float), u[n:].view(float)  # Re and Im interleaved
     rate = np.repeat(2.0 * (-dm.mode_energy.imag), 2)  # 2*pi*eta_j, the absorption rate
-    rec = np.zeros((len(times), 4))  # Re F, Im F, eps, absorbed flux J
+    rec = np.zeros((len(times), 5))  # Re F, Im F, mode norm, absorbed flux, gamma |F|^2
     rec[0, 0] = 1.0
-    for i, h in enumerate(hs, 1):
-        if i == 1 or h != hs[i - 2]:
-            stepper.set_step(h)
-        f = stepper.step(f, u)
-        # one pass each and no temporaries; einsum is not BLAS, so starts no threads
-        rec[i] = f.real, f.imag, np.dot(v, v), np.einsum("i,i,i", rate, v, v)
+    i = 0
+    for h, count in runs:
+        stepper.set_step(h)
+        for i in range(i + 1, i + count + 1):
+            f = stepper.step(f, u)
+            # one pass each and no temporaries; einsum is not BLAS, so starts no threads
+            rec[i, :4] = (f.real, f.imag, np.dot(photons, photons) - np.dot(ghosts, ghosts),
+                          np.einsum("i,i,i", rate, photons, photons))
+    rec[:, 4] = dm.gamma * (rec[:, 0] ** 2 + rec[:, 1] ** 2)
 
-    spline = CubicSpline(times, rec)
-    re_F, im_F, eps, _ = spline(ts).T
-    r = spline.antiderivative()(ts)[:, 3]  # r = Int J dt
-    F_s = re_F + 1j * im_F
-    s = np.abs(F_s) ** 2
-    eps = eps + _tail_norm(dm, ts, F_s)
+    re_F, im_F, eps = CubicSpline(times, rec[:, :3])(ts).T
+    r, markov = CubicSpline(times, rec[:, 3:]).antiderivative()(ts).T  # r = Int J dt
+    s, eps = re_F ** 2 + im_F ** 2, eps + markov
     defect = np.abs(1.0 - (s + eps + r))
     if defect.max() > DEFECT_TOL:
-        raise ToleranceNotMet(
-            f"norm defect {defect.max():.3e} exceeds {DEFECT_TOL:.1e}")
+        raise ToleranceNotMet(f"norm defect {defect.max():.3e} exceeds {DEFECT_TOL:.1e}")
     return ProbabilityTrace(t=ts, s=s, eps=eps, r=r, norm_defect=defect, gamma=dm.gamma)
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._phi import gauss_legendre, ramp_poly, taper_start
+from ._phi import gauss_legendre
 from .errors import ValidationError
 
 __all__ = [
@@ -38,12 +38,13 @@ LINEWIDTH_RATIO_MAX = 0.1   # gamma/Delta
 RESPONSE_RATIO_MAX = 1.0    # tau*Delta = Delta/eta
 SIGMA_BUDGET = 5e-8         # |Sigma| the window may drop at omega + 4i/T, in units of gamma
 _LADDER = 1.05              # ratio between the windows default_cutoff tries
-_DEFECT_NODES = gauss_legendre(64)  # nodes of _window_defect, per ramp and beyond K
+_DEFECT_NODES = gauss_legendre(64)  # nodes of _window_defect, per side
 REVIVAL_MARGIN = 4.0        # discrete recurrence must lie beyond this many horizons
 STRIP_BUDGET = 20.7         # photon grid aliases exp(-2*pi*s/dk) <= exp(-20.7) ~ 1e-9
 FLAT_CELLS = 128            # least grid cells per flat-band half-width (edge error ~1/m^2)
-_MODE_BYTES = 400           # peak bytes per core mode of discretize + propagate (356-409 measured)
-_MAX_CORE_BYTES = 2 ** 30   # largest core-mode footprint a validated model may need
+_MODE_BYTES = 560           # peak bytes per cell (photon + ghost) of discretize + propagate (547-550 measured)
+_STEP_BYTES = 380           # peak bytes per step record of propagate (368 measured)
+_MAX_CORE_BYTES = 2 ** 30   # largest footprint of modes and step records a validated model may need
 
 
 @dataclass(frozen=True)
@@ -82,11 +83,12 @@ class DetectorBand:
 class NumericalControls:
     """Numerical knobs; ``None`` fields are filled from the scenario scales.
 
-    cutoff   -- half-width K of the photon window around omega (default: ``default_cutoff``)
+    cutoff   -- half-width K of the photon window around the band centre
+                (default: ``default_cutoff``)
     dk       -- uniform spacing of the photon grid (default: ``_default_dk``)
     horizon  -- propagation horizon T
-    step     -- cap on the propagator's step, which cruises at the largest
-                h0*2^j <= step (h0 = min(0.25/max|L|, step)), not at step
+    step     -- the propagator's cruise step, reached by doubling from
+                step/2^J <= 0.25/max|L|
     quad_tol -- relative tolerance of form-factor quadratures
     allow_narrow_window -- accept a cutoff below ``default_cutoff`` at the model's T,
                 which validate_params otherwise refuses (code ``cutoff``)
@@ -141,34 +143,30 @@ class ConditionReport:
 
 
 def _window_defect(gamma, band: DetectorBand, omega: float, K: float, eps: complex) -> float:
-    """|Sigma(omega + eps)|, Im eps > 0, that window K drops: the band damping of 1 - W.
+    """|Sigma(omega + eps)|, Im eps > 0, that window K drops: the band damping beyond it.
 
-    (gamma/2pi) |Int_{|k| > K0} (1 - W) [1/(eps - k) - 1/(eps - k + i pi eta_k)] dk|, k from
-    omega, by Gauss-Legendre on the ramps [K0, K] and in u = K/|k| beyond K.
+    (gamma/2pi) |Int_{|k - c| > K} [1/(eps - k) - 1/(eps - k + i pi eta_k)] dk|, k from
+    omega, c the band centre, by Gauss-Legendre in u = K/|k - c|.
     """
-    K0 = taper_start(K, band.center - omega, band.delta)
     u, w = _DEFECT_NODES
-    k = np.outer([1.0, -1.0], np.concatenate([K0 + (K - K0) * u, K / u]))  # both sides
-    wk = np.concatenate([(K - K0) * w * ramp_poly(u), K * w / u ** 2])
+    k = band.center - omega + np.outer([1.0, -1.0], K / u)  # both sides
     damp = 1j * np.pi * detector_response(band, omega + k)
+    wk = K * w / u ** 2
     return gamma / (2.0 * np.pi) * abs(((damp / ((eps - k) * (eps - k + damp))) @ wk).sum())
 
 
 def default_cutoff(gamma, band: DetectorBand, omega: float,
                    horizon: Optional[float] = None) -> float:
-    """Smallest photon window K the propagator accepts without an override.
+    """Smallest half-width K around the band centre the propagator accepts without an override.
 
-    The first K up the ladder floor * ``_LADDER``**j whose :func:`_window_defect` at
+    The first K up the ladder delta * ``_LADDER``**j whose :func:`_window_defect` at
     omega + 4i/T (T = ``horizon``, default 5/gamma; the grid aliases there ~e^-20) is
-    within ``SIGMA_BUDGET``*gamma.  Floor: 300 gamma and a band's offset plus ten of
-    delta or gamma; the ladder stops at ten of delta, eta and gamma.
+    within ``SIGMA_BUDGET``*gamma.
     """
     T = horizon if horizon is not None else 5.0 / gamma
-    # the tail contours need 300 gamma; a detuned band must sit well inside the untapered core
-    K = max(300.0 * gamma, abs(band.center - omega) + 10.0 * max(band.delta, gamma))
-    top = max(K, 10.0 * max(band.delta, band.eta, gamma))
-    while K < top and _window_defect(gamma, band, omega, K, 4j / T) > SIGMA_BUDGET * gamma:
-        K = min(K * _LADDER, top)
+    K = band.delta
+    while _window_defect(gamma, band, omega, K, 4j / T) > SIGMA_BUDGET * gamma:
+        K *= _LADDER
     return K
 
 
@@ -191,10 +189,10 @@ def validate_params(p: ModelParams) -> ValidatedModel:
     before any default is resolved: gamma > 0, omega finite, eta >= 0,
     delta > 0, n even and >= 2, center finite, cutoff/dk/horizon/step > 0
     where set, quad_tol in (0, 1), cutoff >= delta.  Then the resolved
-    numerics: dk (recurrence 2*pi/dk beyond ``REVIVAL_MARGIN`` horizons),
-    cutoff (K >= :func:`default_cutoff` at this T unless ``allow_narrow_window``) and
-    horizon or dk (the ~2K/dk core modes within ``_MAX_CORE_BYTES``).  Each stage
-    raises one :class:`ValidationError` carrying all its violations.
+    numerics: dk (recurrence 2*pi/dk beyond ``REVIVAL_MARGIN`` horizons), cutoff
+    (K >= :func:`default_cutoff` at this T unless ``allow_narrow_window``) and horizon,
+    dk or step (~2K/dk cells, none at eta = 0, and ~T/step step records within
+    ``_MAX_CORE_BYTES``).  Each stage raises one :class:`ValidationError`.
     """
     violations = []
     if not np.isfinite(p.gamma) or p.gamma <= 0.0:
@@ -232,12 +230,18 @@ def validate_params(p: ModelParams) -> ValidatedModel:
         violations.append(("cutoff", (
             f"cutoff K={K:g} below the band-derived window {need:g}; "
             "set allow_narrow_window to override")))
-    modes = 2.0 * K / dk
-    if modes * _MODE_BYTES > _MAX_CORE_BYTES:
-        violations.append(("dk" if (num.dk or _default_dk(band, np.inf)) < guard else "horizon", (
-            f"horizon T={T:g} with dk={dk:g} and cutoff K={K:g} needs ~{modes:.3g} "
-            f"core modes, ~{modes * _MODE_BYTES / 2 ** 30:.3g} GiB over the "
-            f"{_MAX_CORE_BYTES / 2 ** 30:g} GiB limit")))
+    modes = 2.0 * K / dk if band.eta > 0.0 else 0.0
+    records = T / step  # the ramp below step adds 32 per halving, well inside the margin
+    core, rec = modes * _MODE_BYTES, records * _STEP_BYTES
+    if core + rec > _MAX_CORE_BYTES:
+        if core > rec:
+            key = "dk" if (num.dk or _default_dk(band, np.inf)) < guard else "horizon"
+        else:
+            key = "step" if num.step is not None else "horizon"
+        violations.append((key, (
+            f"horizon T={T:g} with dk={dk:g} and cutoff K={K:g} needs ~{modes:.3g} core modes "
+            f"and ~{records:.3g} step records of step={step:g}, ~{(core + rec) / 2 ** 30:.3g} "
+            f"GiB over the {_MAX_CORE_BYTES / 2 ** 30:g} GiB limit")))
     if violations:
         raise ValidationError(violations)
 

@@ -8,7 +8,7 @@ from scipy.interpolate import CubicSpline
 
 from zenoband import detector_response, free_value
 from zenoband._phi import free_tail_moments
-from zenoband.dynamics import _SCHED, _tail_norm
+from zenoband.dynamics import _step_schedule
 
 # One line per acceptance criterion, printed in the terminal summary so the
 # pass/fail table is visible regardless of output capture.
@@ -248,9 +248,11 @@ def krogstad_reference(dm, ts):
     The full state [F, modes, r_row] is stepped with the nonlinear part N
     built as a whole vector at every stage, on the same step schedule.  Slow,
     but it shares no algebra with the structured production stepper, and its
-    phi tables, two per step size, come from :func:`phi_reference`.  ``r``
-    integrates the spline through the flux recorded after every step, the
-    rule ``propagate`` uses; ``r_row`` is the stepped flux ODE row.
+    phi tables, two per step size, come from :func:`phi_reference`.  A
+    pseudo-mode row v with real weight w carries the norm w |v|^2.  ``r``
+    and the Markov term's gamma Int |F|^2 integrate the splines through the
+    fluxes recorded after every step, the rule ``propagate`` uses; ``r_row``
+    is the stepped flux ODE row.
     """
     n_core = len(dm.k_grid)
     c_core = dm.coupling
@@ -275,25 +277,23 @@ def krogstad_reference(dm, ts):
 
     u = np.zeros(2 + len(cF), dtype=complex)
     u[0] = 1.0
+    norm = np.concatenate([np.ones(n_core), dm.tail_weights.real])
     stepper = _Krogstad(L)
-    h = min(0.25 / np.abs(L).max(), dm.step)
-    stepper.set_step(h)
-    rec = [(0.0, 1.0 + 0.0j, 0.0, 0.0, 0.0)]
-    t = 0.0
-    while t < dm.horizon - 1e-12:
-        if t / _SCHED >= 2.0 * h and 2.0 * h <= dm.step:
-            h = 2.0 * h
-            stepper.set_step(h)
-        u = stepper.step(u, N)
-        t += h
-        abs2 = np.abs(u[sl_core]) ** 2
-        rec.append((t, complex(u[0]), float(np.sum(abs2)), float(np.dot(eta2pi, abs2)),
-                    u[-1].real))
-    rec_t, rec_F, rec_eps, rec_J, rec_r = (np.array(x) for x in zip(*rec))
-    F = CubicSpline(rec_t, rec_F.real)(ts) + 1j * CubicSpline(rec_t, rec_F.imag)(ts)
-    eps = CubicSpline(rec_t, rec_eps)(ts) + _tail_norm(dm, ts, F)
-    r = CubicSpline(rec_t, rec_J).antiderivative()(ts)
-    return np.abs(F) ** 2, eps, r, CubicSpline(rec_t, rec_r)(ts)
+    times, runs = _step_schedule(np.abs(L).max(), dm.step, dm.horizon)
+    rec = [(1.0 + 0.0j, 0.0, 0.0, 0.0)]
+    for h, count in runs:
+        stepper.set_step(h)
+        for _ in range(count):
+            u = stepper.step(u, N)
+            abs2 = np.abs(u[sl_modes]) ** 2
+            rec.append((complex(u[0]), float(np.dot(norm, abs2)),
+                        float(np.dot(eta2pi, abs2[:n_core])), u[-1].real))
+    rec_F, rec_eps, rec_J, rec_r = (np.array(x) for x in zip(*rec))
+    F = CubicSpline(times, rec_F.real)(ts) + 1j * CubicSpline(times, rec_F.imag)(ts)
+    markov = CubicSpline(times, dm.gamma * np.abs(rec_F) ** 2).antiderivative()(ts)
+    eps = CubicSpline(times, rec_eps)(ts) + markov
+    r = CubicSpline(times, rec_J).antiderivative()(ts)
+    return np.abs(F) ** 2, eps, r, CubicSpline(times, rec_r)(ts)
 
 
 def survival_cellwise_reference(sf, t):

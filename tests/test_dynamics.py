@@ -15,6 +15,7 @@ from zenoband import (
     NoResponse,
     NumericalControls,
     ProbabilityTrace,
+    ToleranceNotMet,
     ValidationError,
     decay_rate_trace,
     discretize_continuum,
@@ -23,8 +24,7 @@ from zenoband import (
     validate_params,
 )
 from zenoband import model as model_rules
-from zenoband._phi import ramp_poly
-from zenoband.dynamics import _ArrowheadKrogstad, _tail_norm
+from zenoband.dynamics import _ArrowheadKrogstad
 from zenoband.model import _window_defect
 
 FIG1_DELTA = 100.0 / (2 * math.pi)
@@ -56,12 +56,12 @@ class TestDiscretize:
         assert [code for code, _ in err.value.violations] == ["dk"]
 
     def test_memory_estimate_rejects_long_horizon(self):
-        # broken Fig. 3 set at horizon 1e4: dk ~ 1.26e-4 on K ~ 1671 gives
-        # ~2.7e7 core modes; validation refuses it before anything is built
+        # broken Fig. 3 set at horizon 1e4: dk ~ 1.26e-4 on K ~ 1362 gives
+        # ~2.2e7 core modes; validation refuses it before anything is built
         with pytest.raises(ValidationError) as err:
             model(eta=1000.0, delta=1000.0 / (2 * math.pi), horizon=1e4)
         assert [code for code, _ in err.value.violations] == ["horizon"]
-        assert "~2.66e+07 core modes" in str(err.value)
+        assert "~2.17e+07 core modes" in str(err.value)
         # the Fig. 3 horizon of the same set stays far inside the limit
         m5 = model(eta=1000.0, delta=1000.0 / (2 * math.pi))
         core_bytes = 2 * m5.numerics.cutoff / m5.numerics.dk * model_rules._MODE_BYTES
@@ -89,40 +89,82 @@ class TestDiscretize:
         m = model(eta=100.0, delta=FIG1_DELTA, flat=True, center=center * FIG1_DELTA)
         dk = m.numerics.dk
         assert FIG1_DELTA / dk == pytest.approx(model_rules.FLAT_CELLS, abs=1e-9)
-        boundaries = discretize_continuum(m).k_grid - dk / 2.0
+        k = discretize_continuum(m).k_grid
+        boundaries = np.append(k - dk / 2.0, k[-1] + dk / 2.0)
         for edge in (m.band.center - FIG1_DELTA, m.band.center + FIG1_DELTA):
             assert np.abs(boundaries - edge).min() <= 1e-12 * FIG1_DELTA
 
     def test_steep_narrow_band_is_refused_before_allocation(self):
-        # n = 20000 on delta = 1: s = 1.6e-4 asks for dk ~ 4.8e-5 on K = 300,
-        # ~1.3e7 core modes or ~4.7 GiB; the band's spacing is the key named
+        # n = 2e6 on delta = 1: s = 1.6e-6 asks for dk ~ 4.8e-7 on K = delta,
+        # ~4.2e6 cells or ~2.2 GiB; the band's spacing is the key named
         tracemalloc.start()
         try:
             with pytest.raises(ValidationError) as err:
-                model(eta=1.0, delta=1.0, n=20000)
+                model(eta=1.0, delta=1.0, n=2_000_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert [code for code, _ in err.value.violations] == ["dk"]
-        assert "~1.26e+07 core modes" in str(err.value)
+        assert "~4.19e+06 core modes" in str(err.value)
         assert peak < 2 ** 20
 
-    def test_fig1_cutoff_covers_ten_bandwidths(self):
-        m = model(eta=1.5, delta=FIG1_DELTA)
-        assert m.numerics.cutoff >= 10 * FIG1_DELTA
-        dm = discretize_continuum(m)
-        assert dm.k_grid.max() >= 10 * FIG1_DELTA
+    def test_long_free_horizon_is_refused_before_allocation(self):
+        # eta = 0 builds no modes, but T = 1e7 at step 0.01 is 1e9 step records
+        # (~354 GiB of records and splines); the horizon is the key named
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError) as err:
+                model(eta=0.0, horizon=1e7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [code for code, _ in err.value.violations] == ["horizon"]
+        assert "~1e+09 step records" in str(err.value)
+        assert peak < 2 ** 20
+
+    def test_fine_step_is_refused_naming_step(self):
+        # 5e7 steps on the default T = 5: a step set that fine is the key to change
+        with pytest.raises(ValidationError) as err:
+            model(eta=0.0, step=1e-7)
+        assert [code for code, _ in err.value.violations] == ["step"]
+
+    def test_step_record_estimate_covers_propagate(self):
+        # 20,000 steps of the bare atom: propagate's peak is its step records
+        # and their splines, 368 B a step measured
+        dm = discretize_continuum(model(eta=0.0, horizon=200.0))
+        tracemalloc.start()
+        try:
+            propagate(dm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= dm.horizon / dm.step * model_rules._STEP_BYTES
+
+    @pytest.mark.parametrize("center", [0.0, 3.0 * FIG1_DELTA, -2.37 * FIG1_DELTA])
+    def test_grid_spans_the_window_around_the_band(self, center):
+        # cutoff is the half-width around the band centre, rounded up to whole cells
+        m = model(eta=1.5, delta=FIG1_DELTA, center=center)
+        dk, K = m.numerics.dk, m.numerics.cutoff
+        k = discretize_continuum(m).k_grid
+        lo, hi = k[0] - dk / 2.0 - center, k[-1] + dk / 2.0 - center
+        assert hi == pytest.approx(-lo, abs=1e-9)
+        assert K <= hi < K + dk
+
+    def test_no_modes_without_a_band(self):
+        dm = discretize_continuum(model(eta=0.0, delta=1e6))
+        assert len(dm.k_grid) == len(dm.tail_poles) == 0
+        assert dm.atom_shift == -0.5j
 
     def test_narrow_window_needs_override(self):
         with pytest.raises(ValidationError) as err:
-            model(eta=1.0, delta=30.0, cutoff=150.0)
+            model(eta=1.0, delta=30.0, cutoff=100.0)
         assert [code for code, _ in err.value.violations] == ["cutoff"]
-        m2 = model(eta=1.0, delta=30.0, cutoff=150.0, allow_narrow_window=True)
-        assert discretize_continuum(m2).cutoff == 150.0
+        m2 = model(eta=1.0, delta=30.0, cutoff=100.0, allow_narrow_window=True)
+        assert discretize_continuum(m2).cutoff == 100.0
 
     def test_resolved_violations_are_reported_together(self):
         with pytest.raises(ValidationError) as err:
-            model(eta=1.0, delta=30.0, cutoff=150.0, dk=0.5)
+            model(eta=1.0, delta=30.0, cutoff=100.0, dk=0.5)
         assert [code for code, _ in err.value.violations] == ["dk", "cutoff"]
 
     def test_mode_energies_are_damped(self):
@@ -134,26 +176,29 @@ class TestDiscretize:
         j = np.argmin(np.abs(dm.k_grid))
         assert -dm.mode_energy.imag[j] == pytest.approx(math.pi * 2.0 / (2 * math.pi), rel=1e-3)
 
-    def test_couplings_follow_taper(self):
-        m = model(eta=0.0)
+    def test_ghosts_pair_the_photon_modes(self):
+        # one undamped ghost of weight -c^2 at each photon mode's k
+        m = model(eta=2.0, delta=5.0, center=1.5)
         dm = discretize_continuum(m)
         g2dk = dm.gamma / (2 * math.pi) * m.numerics.dk
-        inner = np.abs(dm.k_grid) < dm.taper_start
-        np.testing.assert_allclose(dm.coupling[inner] ** 2, g2dk, rtol=1e-12)
-        outer = np.abs(dm.k_grid) > dm.taper_start
-        assert np.all(dm.coupling[outer] ** 2 < g2dk)
+        np.testing.assert_allclose(dm.coupling ** 2, g2dk, rtol=1e-12)
+        np.testing.assert_array_equal(dm.tail_weights, -dm.coupling ** 2)
+        assert dm.tail_k is dm.k_grid
+        np.testing.assert_array_equal(dm.mode_energy.real, dm.k_grid)
+        np.testing.assert_allclose(dm.tail_poles, dm.k_grid - dm.omega, rtol=0, atol=1e-12)
 
 
 class TestWindowDefect:
     """The window rule's premise: the discretized Sigma misses the exact one by D(K) alone.
 
-    The model's own self-energy, atom shift plus core modes plus tail poles,
-    is compared with ``sigma_quad_oracle`` at omega + x + 4i/T across the line.
-    Two grid terms the window does not set are taken out where they are
-    above 1e-9: the midpoint alias -(gamma/2)(tan(pi eps/dk) - i) of an
-    undamped line (e^-20 ~ 2.1e-9 at Im eps = 4/T), and the flat band's
-    Euler-Maclaurin edge term (dk^2/24) sum [d/dk g2/(eps - k + i pi eta_k)]
-    over the jumps (~2e-7).
+    The model's own self-energy, Markov term plus photon modes plus ghosts,
+    is compared with ``sigma_quad_oracle`` at omega + x + 4i/T across the
+    line, and D is taken at the grid's own half-width (K rounded up to whole
+    cells).  Two grid terms the window does not set are taken out: the
+    midpoint alias (gamma/2)(tan(pi (eps - (c - omega))/dk)
+    - i) of the undamped ghost line (e^-20 ~ 2.1e-9 at Im eps = 4/T), and the
+    flat band's Euler-Maclaurin edge term (dk^2/24) sum [d/dk g2/(eps - k + i pi
+    eta_k)] over the jumps (~2e-7).
     """
 
     @staticmethod
@@ -161,44 +206,60 @@ class TestWindowDefect:
         return (dm.atom_shift + np.sum(dm.coupling ** 2 / (eps - (dm.mode_energy - dm.omega)))
                 + np.sum(dm.tail_weights / (eps - dm.tail_poles)))
 
+    # measured <= 5.2e-10 (the 3-delta detuned band, whose line leaves the
+    # photon grid's own alias), <= 6.5e-11 elsewhere.  The K100, K60 and
+    # K1200 windows are below the rule's K (136, 97, 1,362 and 143); K150 is
+    # above it, except for the detuned band.
     @pytest.mark.parametrize("kw", [
         dict(eta=100.0, delta=FIG1_DELTA),
         dict(eta=100.0, delta=FIG1_DELTA, cutoff=150.0),
+        dict(eta=100.0, delta=FIG1_DELTA, cutoff=100.0),
         dict(eta=10.0, delta=FIG1_DELTA),
         dict(eta=10.0, delta=FIG1_DELTA, cutoff=150.0),
+        dict(eta=10.0, delta=FIG1_DELTA, cutoff=60.0),
         dict(eta=1000.0, delta=10 * FIG1_DELTA),
         dict(eta=1000.0, delta=10 * FIG1_DELTA, cutoff=1200.0),
         dict(eta=100.0, delta=FIG1_DELTA, center=3 * FIG1_DELTA),
         dict(eta=100.0, delta=FIG1_DELTA, center=3 * FIG1_DELTA, cutoff=150.0),
+        dict(eta=100.0, delta=FIG1_DELTA, center=3 * FIG1_DELTA, cutoff=100.0),
         dict(eta=1000.0, delta=FIG1_DELTA, n=2),
         dict(eta=100.0, delta=FIG1_DELTA, flat=True),
         dict(eta=100.0, delta=FIG1_DELTA, flat=True, center=0.37 * FIG1_DELTA),
         dict(eta=0.0),
-    ], ids=["solid", "solid-K150", "dotted", "dotted-K150", "broken", "broken-K1200",
-            "detuned-3delta", "detuned-3delta-K150", "n2", "flat", "flat-detuned", "eta0"])
+    ], ids=["solid", "solid-K150", "solid-K100", "dotted", "dotted-K150", "dotted-K60",
+            "broken", "broken-K1200", "detuned-3delta", "detuned-3delta-K150",
+            "detuned-3delta-K100", "n2", "flat", "flat-detuned", "eta0"])
     def test_sigma_misses_by_the_window_defect(self, kw):
         m = model(**kw, allow_narrow_window=True)
-        dm, b, dk, K = discretize_continuum(m), m.band, m.numerics.dk, m.numerics.cutoff
+        dm, b, dk = discretize_continuum(m), m.band, m.numerics.dk
         for x in (-2.0, 0.0, 1.5):
             eps = x + 4j / m.numerics.horizon
             miss = self.sigma_d(dm, eps) - sigma_quad_oracle(b, 1.0, 0.0, eps)
-            if b.eta == 0.0:
-                miss -= -0.5 * (np.tan(math.pi * eps / dk) - 1j)
+            if len(dm.k_grid):
+                miss -= 0.5 * (np.tan(math.pi * (eps - b.center) / dk) - 1j)
             if b.is_flat:
                 for edge, side in ((b.center + b.delta, 1.0), (b.center - b.delta, -1.0)):
                     jump = 1.0 / (eps - edge) ** 2 - 1.0 / (eps - edge + 0.5j * b.eta) ** 2
                     miss -= side * dk ** 2 / 24.0 * jump / (2.0 * math.pi)
-            assert abs(abs(miss) - _window_defect(1.0, b, 0.0, K, eps)) <= 1e-9
+            D = _window_defect(1.0, b, 0.0, len(dm.k_grid) * dk / 2.0, eps)
+            assert abs(abs(miss) - D) <= 1e-9
 
     def test_default_window_is_within_a_wider_one(self):
-        # the broken Fig. 3 set at the rule's K (D <= SIGMA_BUDGET) against 1.5 K
-        kw = dict(eta=1000.0, delta=10 * FIG1_DELTA)
-        m = model(**kw)
-        assert m.numerics.cutoff <= 1700.0
-        a = propagate(discretize_continuum(m))
-        b = propagate(discretize_continuum(model(**kw, cutoff=1.5 * m.numerics.cutoff)))
-        for x, y in ((a.s, b.s), (a.eps, b.eps), (a.r, b.r)):
-            assert np.abs(x - y).max() <= 1e-6
+        # Each band at the rule's K (D <= SIGMA_BUDGET) against 1.5 K.  Measured
+        # max |ds|, |deps|, |dr|: 8.9e-8/4.0e-7/4.8e-7 (solid), 4.3e-8/4.3e-7/4.4e-7
+        # (dotted), 9.5e-8/4.0e-7/4.7e-7 (broken), 4.2e-8/3.1e-7/3.2e-7 and
+        # 4.6e-8/3.2e-7/3.4e-7 (n = 2), 4.1e-7 at most (3-delta detuned) and
+        # 2.5e-7 at most (delta = 1 detuned by 2000, K = 1.8).
+        for kw in (dict(eta=100.0, delta=FIG1_DELTA), dict(eta=10.0, delta=FIG1_DELTA),
+                   dict(eta=1000.0, delta=10 * FIG1_DELTA),
+                   dict(eta=30.0, delta=FIG1_DELTA, n=2), dict(eta=100.0, delta=FIG1_DELTA, n=2),
+                   dict(eta=100.0, delta=FIG1_DELTA, center=3 * FIG1_DELTA),
+                   dict(eta=100.0, delta=1.0, center=2000.0)):
+            m = model(**kw)
+            a = propagate(discretize_continuum(m))
+            b = propagate(discretize_continuum(model(**kw, cutoff=1.5 * m.numerics.cutoff)))
+            for x, y in ((a.s, b.s), (a.eps, b.eps), (a.r, b.r)):
+                assert np.abs(x - y).max() <= 1e-6, kw
 
 
 class TestPropagate:
@@ -213,6 +274,15 @@ class TestPropagate:
 
     def test_free_norm_defect(self, free_trace):
         assert free_trace.norm_defect.max() < 1e-6
+
+    def test_vanishing_band_cancels_pair_by_pair(self):
+        # eta = 1e-6 builds 128 photon/ghost pairs that must cancel, leaving
+        # exp(-gamma t): measured 8.7e-9, norm defect 1.2e-11
+        dm = discretize_continuum(model(eta=1e-6, delta=FIG1_DELTA))
+        tr = propagate(dm)
+        assert len(dm.k_grid) == len(dm.tail_poles) == 128
+        assert np.abs(tr.s - np.exp(-tr.t)).max() <= 3e-8
+        assert tr.norm_defect.max() <= 1e-10
 
     def test_no_detector_leaves_r_zero(self, free_trace):
         assert np.all(free_trace.r == 0.0)
@@ -266,8 +336,9 @@ class TestPropagate:
     def test_solid_fig3_work_is_pinned(self, monkeypatch):
         # The step schedule of the solid Fig. 3 set, so that a faster
         # propagate cannot come from fewer or larger steps unnoticed.  The
-        # revival guard sets dk here (2,388 core modes); the steps depend on
-        # max|L|, which is set by K, not by dk.
+        # revival guard sets dk here (1,084 photon modes and as many ghosts);
+        # the ramp depends on max|L| ~ K: 64 steps at step/8, 32 each at
+        # step/4 and step/2, then 468 at step from t = 32*step to T = 5.
         steps, sizes = [0], []
         step, set_step = _ArrowheadKrogstad.step, _ArrowheadKrogstad.set_step
 
@@ -282,17 +353,26 @@ class TestPropagate:
         monkeypatch.setattr(_ArrowheadKrogstad, "step", counting_step)
         monkeypatch.setattr(_ArrowheadKrogstad, "set_step", recording_set_step)
         dm = discretize_continuum(model(eta=100.0, delta=FIG1_DELTA))
-        assert len(dm.k_grid) == 2388
+        assert len(dm.k_grid) == len(dm.tail_poles) == 1084
         propagate(dm)
-        assert steps[0] == 1045 and len(sizes) == 15
-        assert sizes == [sizes[0] * 2 ** j for j in range(15)]
-        assert sizes[-1] == pytest.approx(0.0083914, abs=1e-7)
+        assert steps[0] == 596 and len(sizes) == 4
+        assert sizes == [dm.step / 2 ** j for j in (3, 2, 1, 0)]
+
+
+    def test_cruise_step_is_step_and_the_gate_judges_it(self):
+        # The schedule cruises at step itself, never at a shorter h0*2^j, so a
+        # step too coarse for the norm gate is refused rather than shortened:
+        # on the broken Fig. 3 set the defect is 3.3e-6 at 0.02 and 2.2e-5 at 0.04.
+        kw = dict(eta=1000.0, delta=1000.0 / (2 * math.pi))
+        assert propagate(discretize_continuum(model(**kw, step=0.02))).norm_defect.max() < 1e-5
+        with pytest.raises(ToleranceNotMet):
+            propagate(discretize_continuum(model(**kw, step=0.04)))
 
 
 class TestSymmetries:
     """Invariances of the model that the propagator must keep (2 pi Delta = 100)."""
 
-    # measured: s, eps and r agree to <= 5.6e-16
+    # measured: s, eps and r agree to <= 8.9e-16
     @pytest.mark.parametrize("flat", [False, True], ids=["n6", "flat"])
     @pytest.mark.parametrize("eta", [10.0, 100.0])
     def test_detuning_mirror(self, eta, flat):
@@ -313,7 +393,7 @@ class TestSymmetries:
             assert np.abs(a - b).max() <= 1e-9
 
     # (gamma, eta, Delta, center) -> lam * (...) maps t -> t/lam; measured:
-    # lam = 2 and 0.5 exact, lam = 3 to 6.9e-15, lam = 1e-3 to 1.2e-11
+    # lam = 2 and 0.5 exact, lam = 3 to 2.7e-14, lam = 1e-3 to 2.6e-14
     @pytest.mark.parametrize("lam", [2.0, 0.5, 3.0, 1e-3])
     @pytest.mark.parametrize("detuning", [0.0, 2.5], ids=["centred", "detuned"])
     def test_time_rescaling(self, lam, detuning):
@@ -333,7 +413,7 @@ class TestStructuredStepper:
     """The arrowhead stepper against a generic ERK4 that builds N(x) in full."""
 
     # The stepped flux row differs from the integrated flux records by the
-    # spline's quadrature error: measured 0, 1.8e-9 and 3.7e-10.
+    # spline's quadrature error: measured 0, 5.4e-10 and 9.1e-10.
     @pytest.mark.parametrize("kw, r_gap", [
         (dict(eta=0.0), 0.0),
         (dict(eta=1.5, delta=FIG1_DELTA, horizon=1.0), 5e-9),
@@ -348,40 +428,6 @@ class TestStructuredStepper:
         assert np.abs(tr.eps - eps).max() <= 1e-12
         assert np.abs(tr.r - r).max() <= 1e-12
         assert np.abs(r - r_row).max() <= r_gap
-
-
-class TestTailNorm:
-    @staticmethod
-    def reference(dm, t, F):
-        """The tail norm with its ramp moments from adaptive oscillatory quadrature."""
-        g2 = dm.gamma / (2.0 * math.pi)
-        K0, K = dm.taper_start, dm.cutoff
-
-        def profile(k):  # (1 - W)/k^2 on the ramp
-            return ramp_poly((k - K0) / (K - K0)) / k ** 2
-
-        j2 = quad(profile, K0, K, epsabs=0.0, epsrel=1e-12)[0] + 1.0 / K
-        out = np.empty(len(t))
-        for i, tt in enumerate(t):
-            phi = j2
-            if tt > 0.0:
-                ramp = quad(profile, K0, K, weight="cos", wvar=tt,
-                            epsabs=0.0, epsrel=1e-12, limit=200)[0]
-                phi = ramp + math.cos(K * tt) / K - tt * (math.pi / 2.0 - sici(K * tt)[0])
-            out[i] = (2.0 * g2 * (abs(F[i]) ** 2 + 1.0) * j2
-                      - 4.0 * g2 * F[i].real * phi)
-        return out
-
-    # measured 1.5e-18 (eta0) and 1.6e-19 (broken); the ramp trapezoid this
-    # rule replaced was ~1e-9 off
-    @pytest.mark.parametrize("kw", [dict(eta=0.0), dict(eta=1000.0, delta=1000 / (2 * math.pi))],
-                             ids=["eta0", "broken"])
-    def test_matches_oscillatory_quad(self, kw):
-        dm = discretize_continuum(model(**kw))
-        t = np.linspace(0.0, dm.horizon, 41)
-        F = np.exp(-(0.5 + 0.3j) * t)
-        np.testing.assert_allclose(_tail_norm(dm, t, F), self.reference(dm, t, F),
-                                   rtol=0, atol=1e-15)
 
 
 class TestDecayRateTrace:

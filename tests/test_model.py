@@ -66,8 +66,8 @@ class TestValidateParams:
         m = validate_params(p)
         assert m.band.center == 0.0
         assert m.numerics.horizon == pytest.approx(5.0)
-        # default cutoff covers at least ten half-bandwidths
-        assert m.numerics.cutoff >= 10 * delta
+        # the default cutoff is the window rule's at this T
+        assert m.numerics.cutoff == default_cutoff(1.0, m.band, 0.0, 5.0)
         # revival guard dk <= pi/(2T)
         assert m.numerics.dk <= math.pi / (2 * m.numerics.horizon)
 
@@ -176,35 +176,40 @@ class TestConditionReport:
         assert rep.suppression_estimate > 1.0
 
 
-def ten_width_cutoff(gamma, b, omega):
-    """The rule before the band-derived window: ten widths of delta, eta, gamma."""
-    base = max(10.0 * max(b.delta, b.eta, gamma), 300.0 * gamma)
-    off = abs(b.center - omega)
-    return max(base, off + 10.0 * max(b.delta, gamma)) if off > 0.0 else base
-
-
 class TestCutoffRule:
     @pytest.mark.parametrize("n", [2, 6, None], ids=["n2", "n6", "flat"])
-    def test_between_floor_and_ten_width_rule(self, n):
+    def test_first_rung_within_the_budget(self, n):
+        # K = delta * _LADDER**j for the least j with D(K) <= SIGMA_BUDGET*gamma at 4i/T
         for gamma in (1.0, 2.5):
+            eps = 4j * gamma / 5.0
             for eta in (0.0, 0.5, 10.0, 100.0, 1e3, 1e4, 1e5):
                 for delta in (0.1, 1.0, 100 / (2 * math.pi), 1e3 / (2 * math.pi), 1e3):
                     for det in (0.0, 2.0 * delta, -7.0 * delta):
                         b = band(eta=eta, delta=delta, n=n, center=det)
                         K = default_cutoff(gamma, b, 0.0)
-                        assert K <= ten_width_cutoff(gamma, b, 0.0)
-                        assert K >= max(300.0 * gamma, 10.0 * max(delta, gamma))
+                        assert _window_defect(gamma, b, 0.0, K, eps) <= SIGMA_BUDGET * gamma
+                        if K > delta:
+                            D = _window_defect(gamma, b, 0.0, K / _LADDER, eps)
+                            assert D > SIGMA_BUDGET * gamma
+                        else:
+                            assert K == delta
 
+    # The rule before this one stopped at 10*max(delta, eta, gamma), where n = 2
+    # at eta = 100 kept D = 48 B, and floored a detuned band at its offset plus
+    # 10*max(delta, gamma): K = 2,010 for delta = 1 at 2000.
     def test_band_sets_the_window_by_its_sigma_defect(self):
-        # broken Fig. 3 set: the first rung above the 10 delta floor within the budget
-        b = band(eta=1000.0, delta=1000 / (2 * math.pi))
-        K = default_cutoff(1.0, b, 0.0)
-        assert 10.0 * b.delta < K <= 1700.0
-        assert _window_defect(1.0, b, 0.0, K, 0.8j) <= SIGMA_BUDGET
-        assert _window_defect(1.0, b, 0.0, K / _LADDER, 0.8j) > SIGMA_BUDGET
+        # the broken Fig. 3 set, n = 2 and a narrow band far off the line
+        for b, top in ((band(eta=1000.0, delta=1000 / (2 * math.pi)), 1400.0),
+                       (band(eta=30.0, delta=100 / (2 * math.pi), n=2), 2100.0),
+                       (band(eta=100.0, delta=100 / (2 * math.pi), n=2), 3100.0),
+                       (band(eta=100.0, delta=1.0, center=2000.0), 1.8)):
+            K = default_cutoff(1.0, b, 0.0)
+            assert b.delta < K <= top
+            assert _window_defect(1.0, b, 0.0, K, 0.8j) <= SIGMA_BUDGET
+            assert _window_defect(1.0, b, 0.0, K / _LADDER, 0.8j) > SIGMA_BUDGET
 
     def test_narrow_broken_set_window_is_refused_before_allocation(self):
-        # cutoff 1200 on the broken set drops 4.2e-7 of Sigma, over the budget
+        # cutoff 1200 on the broken set drops 1.0e-7 of Sigma, over the budget
         b = DetectorBand(eta=1000.0, delta=1000 / (2 * math.pi))
         tracemalloc.start()
         try:
@@ -220,7 +225,7 @@ class TestCutoffRule:
     def test_flat_band_window_ignores_eta(self):
         Ks = {default_cutoff(1.0, band(eta=eta, delta=50.0, n=None), 0.0)
               for eta in (0.0, 1.0, 100.0, 1e4, 1e6)}
-        assert Ks == {500.0}
+        assert Ks == {50.0}  # eta_k is 0 beyond the band, so K = delta
 
     def test_explicit_cutoff_at_the_rule_edge(self):
         b = DetectorBand(eta=1e4, delta=20.0, n=6)

@@ -68,6 +68,15 @@ class TestScenarioProducts:
         i = np.argmin(np.abs(t - 1.0))
         assert s[i] == pytest.approx(math.exp(-1.0), abs=1e-6)
 
+    def test_evolve_vanishing_band_is_free_decay(self, tmp_path):
+        # eta -> 0 through the CLI: the grid's photon/ghost pairs cancel (8.7e-9 measured)
+        rc = run_cli(["evolve", "--out", str(tmp_path), "--override", "gamma=1",
+                      "--override", "eta=1e-6", "--override", f"delta={100 / (2 * math.pi)!r}"])
+        assert rc == 0
+        header, (t, s, eps, r, defect) = read_csv(tmp_path / "evolve.csv")
+        assert np.abs(s - np.exp(-t)).max() <= 3e-8
+        assert defect.max() <= 1e-10
+
     def test_evolve_csv_reingested_invariants(self, tmp_path):
         cfg = load_scenario(overrides={"gamma": "1", "eta": "2", "delta": "5", "n": "6"},
                             products=("evolve",), out_dir=str(tmp_path))
@@ -246,9 +255,9 @@ class TestCli:
     @pytest.mark.parametrize("overrides,err", [
         # dk breaks the revival guard at T = 5, which formfactor never uses
         (["products=formfactor,evolve", "sweep_eta=1,2", "dk=0.5"], "config error: dk=0.5 "),
-        # the second point's band needs a window K >= 1000
+        # the second point's band needs a window K >= 338.6 at T = 1
         (["products=evolve", "eta=1", "cutoff=300", "horizon=1", "sweep_delta=10,100"],
-         "config error: cutoff K=300 below the band-derived window 1000;"),
+         "config error: cutoff K=300 below the band-derived window 338.635;"),
     ], ids=["dk", "window"])
     def test_window_rules_refuse_a_sweep_before_it_runs(self, tmp_path, capsys, overrides,
                                                         err, threads):
@@ -302,12 +311,22 @@ class TestCli:
         assert capsys.readouterr().err == f"{prefix}boom\n"
 
     def test_steep_narrow_band_evolve_writes_nothing(self, tmp_path, capsys):
-        # the band's spacing needs ~1.3e7 core modes (~4.7 GiB): an input check
-        rc = run_cli(["evolve", "--out", str(tmp_path / "out"), "--override", "n=20000",
+        # the band's spacing needs ~4.2e6 cells (~2.2 GiB): an input check
+        rc = run_cli(["evolve", "--out", str(tmp_path / "out"), "--override", "n=2000000",
                       "--override", "eta=1", "--override", "delta=1"])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "GiB over the 1 GiB limit" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_long_free_horizon_evolve_writes_nothing(self, tmp_path, capsys):
+        # no band, no modes, but T = 1e7 needs ~1e9 step records: an input check
+        rc = run_cli(["evolve", "--out", str(tmp_path / "out"), "--override", "eta=0",
+                      "--override", "horizon=1e7"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "GiB over the 1 GiB limit" in err
+        assert "~1e+09 step records" in err
         assert not (tmp_path / "out").exists()
 
     def test_steep_band_formfactor_is_finite(self, tmp_path, capsys):
