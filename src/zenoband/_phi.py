@@ -10,6 +10,7 @@ Gauss-Legendre rules serve the smooth integrals.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -24,10 +25,13 @@ _KERNEL_SERIES = np.array([[0.0] * 3] + [[(-1) ** (k + 1) * a for a in (
     (2 * k + 1) / math.factorial(2 * k + 2))] for k in range(1, 11)])
 
 
+@functools.cache
 def gauss_legendre(order: int):
-    """Gauss-Legendre nodes and weights on [0, 1]."""
+    """Gauss-Legendre nodes and weights on [0, 1], solved once per order and read-only."""
     t, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (t + 1.0), 0.5 * w
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 def phi_functions(z, nmax: int = 3):
@@ -85,9 +89,9 @@ def kernel_antiderivatives(x, t: float):
     y = x * t
     ay = np.where(y == 0.0, 1.0, np.abs(y))
     si, ci = sici(ay)
-    f0 = t * np.sign(y) * (si - 2.0 * np.sin(ay / 2.0) ** 2 / ay)
-    s1, s2 = x * np.sinc(y / np.pi), x * np.sinc(y / (2.0 * np.pi))  # sin(y)/t, 2 sin(y/2)/t
-    f = [np.euler_gamma + np.log(ay) - ci, x - s1, x * x / 2.0 - x * s1 + s2 * s2 / 2.0]
+    v, c = 2.0 * np.sin(ay / 2.0) / ay, np.cos(ay / 2.0)  # sin y = y v c, 1 - cos y = (y v)^2/2
+    f0 = t * np.sign(y) * (si - ay * v * v / 2.0)
+    f = [np.euler_gamma + np.log(ay) - ci, x * (1.0 - v * c), x * x * (0.5 - v * c + v * v / 2.0)]
     small = np.abs(y) < 1.0
     if small.any():
         xs = np.broadcast_to(x, y.shape)[small]

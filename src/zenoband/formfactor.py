@@ -35,11 +35,11 @@ __all__ = [
     "free_value",
 ]
 
-# Band-edge rule for Sigma: Gauss-Legendre orders of the reported rule and of
-# the coarser rule whose difference from it is the error estimate, the ratio
-# of the ladder toward each energy and its smallest step relative to the
-# panel it starts in, and the (energy x node) elements evaluated per block.
-_ORDERS = (20, 16)
+# Band-edge rule for Sigma: Gauss-Legendre order pairs, cheap first, of a reported
+# rule and a coarser one whose difference is its error estimate, the ratio of the
+# ladder toward each energy and its smallest step relative to the panel it starts
+# in (or |eps|, if larger), and the (energy x node) elements evaluated per block.
+_ORDERS = ((12, 8), (20, 16))
 _LADDER_RATIO = 4.0
 _LADDER_FLOOR = 1e-13
 _BLOCK = 2 ** 14
@@ -75,6 +75,7 @@ class FormFactorGrid:
 
     mu: np.ndarray
     g2: np.ndarray
+    sigma: np.ndarray  # Sigma(mu + i0), at a flat band's edge its own value at both copies
     window: Tuple[float, float]
     gamma: float
     band: DetectorBand
@@ -123,50 +124,56 @@ def _edge_integral(n, beta, eps, order):
     -i pi h'(eps) added back.  The rest keeps a feature of width w at
     x = eps, so each energy adds a geometric ladder toward eps, down to w, to
     panels shared by all energies: 0, both edges, and steps 1/n, 2/n, 4/n,
-    ... away from each edge.  Where beta*|h'| ~ beta*n*exp(-n|y|) at
-    distance y from an edge exceeds ~1, the denominator has further zeros
-    ~1/n off the real axis, so the steps stay at 2/n out to
-    n|y| = ln(beta*n) + 1/2 before doubling again; for n = 6 and beta <= 5.5
-    that changes no breakpoint.  Past the last breakpoint X, x = +-X/u maps
-    both tails onto u in (0, 1], where the subtracted poles cancel in pairs.
+    ... away from each edge.  Where beta*|h'| ~ beta*n*|x|^-n exceeds ~1
+    outside an edge, the denominator has further zeros ~1/n off the real
+    axis, so the steps stay at 2/n out to n ln|x| = ln(beta*n) + 1/2 before
+    doubling again.  Past the last breakpoint X, x = +-X/u maps both tails
+    onto u in (0, 1], where the subtracted poles cancel in pairs into
+    2X(eps + iw)/((eps + iw)^2 u^2 - X^2); X is the first breakpoint past
+    1 + max(4, 2|eps|, w), which keeps its pole off the interval.  Energies
+    of one X and ladder length are summed together, so no value depends on
+    its batch.
     """
     t, w = gauss_legendre(order)
-    steep = 2.0 * max(1, math.ceil(0.5 * (math.log(max(beta * n, 1.0)) + 0.5)))
+    steep = 2.0 * max(1, math.ceil(0.5 * n * math.expm1((math.log(max(beta * n, 1.0)) + 0.5) / n)))
     steps = np.concatenate([[0.0, 1.0], np.arange(2.0, steep + 1.0, 2.0),
                             steep * 2.0 ** np.arange(1, 64)]) / n
-    reach = max(4.0, 2.0 * np.abs(eps).max())
-    half = np.concatenate([[0.0], 1.0 - steps[steps < 1.0],
-                           1.0 + steps[:np.searchsorted(steps, reach) + 1]])
-    br = np.unique(np.concatenate([-half, half]))
-    X = br[-1]
-    tail_x = np.concatenate([X / t, -X / t])
-    tail_w = np.tile(X / t ** 2 * w, 2)
     hE, dhE = _profile(eps, n)
     wE = beta * hE
+    reach = np.searchsorted(steps, np.maximum(np.maximum(2.0 * np.abs(eps), wE), 4.0))
+    half = np.concatenate([[0.0], 1.0 - steps[steps < 1.0],
+                           1.0 + steps[:reach.max(initial=0) + 1]])
+    br = np.unique(np.concatenate([-half, half]))
     p = np.searchsorted(br, eps) - 1
     top = br[p + 1] - br[p]  # the ladder starts at the width of eps's panel
-    # no ladder where w underflows: nothing to resolve, and a node at eps is 0/0
-    floor = np.where(wE > 0.0, np.clip(wE, _LADDER_FLOOR * top, top), top)
-    rungs = np.ceil(np.log(top / floor) / math.log(_LADDER_RATIO))
-    per_energy = (len(br) + 2 * rungs.max() + 4) * order  # nodes, at most
-    step = max(1, int(_BLOCK // per_energy))
+    # no ladder where w underflows: nothing to resolve, and a node at eps is 0/0; nor
+    # rungs below ~450 float spacings of eps, from which a node would round onto it
+    floor = np.where(wE > 0.0, np.clip(wE, _LADDER_FLOOR * np.maximum(top, np.abs(eps)), top), top)
+    rungs = np.ceil(np.log(top / floor) / math.log(_LADDER_RATIO)).astype(int)
     out = np.empty(len(eps), dtype=complex)
-    for s in range(0, len(eps), step):
-        sl = slice(s, s + step)
-        e = eps[sl, None]
-        lad = np.maximum(top[sl, None] * _LADDER_RATIO ** -np.arange(rungs[sl].max() + 1),
-                         floor[sl, None])
-        ends = np.sort(np.concatenate([np.broadcast_to(br, (len(e), len(br))),
-                                       np.clip(e - lad, -X, X), np.clip(e + lad, -X, X)],
-                                      axis=1), axis=1)
-        width = np.diff(ends, axis=1)[..., None]
-        x = np.concatenate([(ends[:, :-1, None] + width * t).reshape(len(e), -1),
-                            np.broadcast_to(tail_x, (len(e), len(tail_x)))], axis=1)
-        wx = np.concatenate([(width * w).reshape(len(e), -1),
-                             np.broadcast_to(tail_w, (len(e), len(tail_w)))], axis=1)
-        h, dh = _profile(x, n)
-        g = dh / (e - x + 1j * beta * h) - dhE[sl, None] / (e - x + 1j * wE[sl, None])
-        out[sl] = (g * wx).sum(axis=1)
+    layout = np.lexsort((rungs, reach))  # energies of one (X, rungs) share a row length
+    cut = np.flatnonzero(np.diff(reach[layout]) | np.diff(rungs[layout])) + 1
+    for at in filter(len, np.split(layout, cut)):  # an empty eps splits into one empty piece
+        X, k = 1.0 + steps[reach[at[0]]], rungs[at[0]]
+        own = br[np.abs(br) <= X]
+        tail_x, tail_w = np.concatenate([X / t, -X / t]), np.tile(X / t ** 2 * w, 2)
+        step = max(1, int(_BLOCK // ((len(own) + 2 * k + 4) * order)))
+        for s in range(0, len(at), step):
+            ix = at[s:s + step]
+            e = eps[ix, None]
+            lad = np.maximum(top[ix, None] * _LADDER_RATIO ** -np.arange(k + 1), floor[ix, None])
+            ends = np.sort(np.concatenate([np.broadcast_to(own, (len(e), len(own))),
+                                           np.clip(e - lad, -X, X), np.clip(e + lad, -X, X)],
+                                          axis=1), axis=1)
+            width = np.diff(ends, axis=1)[..., None]
+            x = np.concatenate([(ends[:, :-1, None] + width * t).reshape(len(e), -1),
+                                np.broadcast_to(tail_x, (len(e), len(tail_x)))], axis=1)
+            wx = np.concatenate([(width * w).reshape(len(e), -1),
+                                 np.broadcast_to(tail_w, (len(e), len(tail_w)))], axis=1)
+            h, dh = _profile(x, n)
+            d, a, b = e - x, beta * h, wE[ix, None]  # 1/(d + ia) = (d - ia)/(d^2 + a^2)
+            q, qE = dh * wx / (d * d + a * a), dhE[ix, None] * wx / (d * d + b * b)
+            out[ix] = ((q - qE) * d).sum(axis=1) - 1j * (q * a - qE * b).sum(axis=1)
     return beta / math.pi * (out - 1j * math.pi * dhE)
 
 
@@ -177,9 +184,9 @@ def _self_energy(band: DetectorBand, gamma: float, E, tol: float = 1e-9) -> np.n
     Sigma(E) = -i gamma/2 + (i gamma/2) Int dk eta'_k / (E - k + i pi eta_k),
     whose integrand lives at the band edges; g2 = -Im Sigma/pi.  The flat
     band's eta'_k is two delta functions: :func:`~zenoband.model._flat_band_log`.
-    Power-law bands raise :class:`QuadratureFailure` where the two rules of
-    ``_ORDERS`` differ by more than 20*tol*max(g2, gamma/2pi) in g2, or by a
-    non-finite amount.
+    On a power-law band each energy reports the finer rule of the first pair
+    of ``_ORDERS`` whose two differ by at most 20*tol*max(g2, gamma/2pi) in
+    g2; where none does, or not finitely, :class:`QuadratureFailure` is raised.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -192,11 +199,13 @@ def _self_energy(band: DetectorBand, gamma: float, E, tol: float = 1e-9) -> np.n
         return free_value(gamma) * z.real + 1j * free_value(gamma) * z.imag
     eps = (E - band.center) / band.delta
     beta = band.eta / (2.0 * band.delta)
-    fine, coarse = (_edge_integral(band.n, beta, eps, order) for order in _ORDERS)
-    err = np.abs(fine - coarse)
-    bad = np.flatnonzero(~(err <= 20.0 * tol * np.maximum(1.0 - fine.real, 1.0)))
-    if bad.size:
-        i = bad[0]
+    todo, fine, err = np.arange(len(E)), np.empty(len(E), dtype=complex), np.empty(len(E))
+    for pair in _ORDERS:
+        fine[todo], coarse = (_edge_integral(band.n, beta, eps[todo], order) for order in pair)
+        err[todo] = np.abs(fine[todo] - coarse)
+        todo = todo[~(err[todo] <= 20.0 * tol * np.maximum(1.0 - fine[todo].real, 1.0))]
+    if todo.size:
+        i = todo[0]
         raise QuadratureFailure(f"self-energy at E={E[i]}: error estimate {err[i]:.3e} "
                                 f"exceeds budget for tol={tol:.1e}")
     return 0.5j * gamma * (fine - 1.0)
@@ -251,8 +260,11 @@ def form_factor_grid(band: DetectorBand, gamma: float,
     fill = [np.linspace(base[i], base[i + 1], add[i] + 2)[1:-1] for i in range(len(gaps))]
     edges = c + np.array([-delta, delta] if band.is_flat else [])
     base = np.setdiff1d(np.concatenate([base] + fill), edges)
-    mu, g2, _ = _split_cubic(base, -_self_energy(band, gamma, base, tol).imag / math.pi, edges)
-    return FormFactorGrid(mu=mu, g2=g2, window=(lo, hi), gamma=gamma, band=band, tol=tol)
+    sigma = _self_energy(band, gamma, base, tol)
+    mu, g2, _ = _split_cubic(base, -sigma.imag / math.pi, edges)
+    sigma = _self_energy(band, gamma, mu, tol) if band.is_flat else sigma  # closed form
+    return FormFactorGrid(mu=mu, g2=g2, sigma=sigma, window=(lo, hi), gamma=gamma,
+                          band=band, tol=tol)
 
 
 def sum_rule_defect(grid: FormFactorGrid, gamma: float) -> float:

@@ -38,7 +38,6 @@ LINEWIDTH_RATIO_MAX = 0.1   # gamma/Delta
 RESPONSE_RATIO_MAX = 1.0    # tau*Delta = Delta/eta
 SIGMA_BUDGET = 5e-8         # |Sigma| the window may drop at omega + 4i/T, in units of gamma
 _LADDER = 1.05              # ratio between the windows default_cutoff tries
-_DEFECT_NODES = gauss_legendre(64)  # nodes of _window_defect, per side
 REVIVAL_MARGIN = 4.0        # discrete recurrence must lie beyond this many horizons
 STRIP_BUDGET = 20.7         # photon grid aliases exp(-2*pi*s/dk) <= exp(-20.7) ~ 1e-9
 FLAT_CELLS = 128            # least grid cells per flat-band half-width (edge error ~1/m^2)
@@ -148,7 +147,7 @@ def _window_defect(gamma, band: DetectorBand, omega: float, K: float, eps: compl
     (gamma/2pi) |Int_{|k - c| > K} [1/(eps - k) - 1/(eps - k + i pi eta_k)] dk|, k from
     omega, c the band centre, by Gauss-Legendre in u = K/|k - c|.
     """
-    u, w = _DEFECT_NODES
+    u, w = gauss_legendre(64)
     k = band.center - omega + np.outer([1.0, -1.0], K / u)  # both sides
     damp = 1j * np.pi * detector_response(band, omega + k)
     wk = K * w / u ** 2

@@ -21,7 +21,7 @@ import numpy as np
 from .config import MODEL_KEYS, model_params_from_dict, parse_kv_text
 from .errors import ConfigError, NoResponse, WindowTooNarrow
 from .formfactor import form_factor_grid, free_value, renormalized_form_factor, sum_rule_defect
-from .model import DetectorBand, ModelParams, ValidatedModel, validate_params, qze_condition_report
+from .model import ModelParams, ValidatedModel, validate_params, qze_condition_report
 from .dynamics import discretize_continuum, propagate, response_delay, decay_rate_trace
 from .spectral import perturbative_decay, spectral_function, stage_rates, survival_amplitude_spectral
 
@@ -166,17 +166,22 @@ def product_report(m: ValidatedModel, out_dir: str):
                     f"suppression~{rep.suppression_estimate:.4g})"]
 
 
-def _formfactor_csv(m, band: DetectorBand, path: str):
-    """Write the g2 grid of ``band`` to ``path``; return (path, grid, g2(omega))."""
+def _formfactor_csvs(m, bands):
+    """Write the g2 grid of each ``{path: band}`` once every grid and g2(omega) is computed.
+
+    Returns ``{path: (grid, g2(omega))}``."""
     tol = m.numerics.quad_tol
-    grid = form_factor_grid(band, m.gamma, tol=tol)
-    path = write_csv(path, ["mu", "g2", "g2_over_free"],
-                     [grid.mu, grid.g2, grid.g2 / free_value(m.gamma)])
-    return path, grid, renormalized_form_factor(band, m.gamma, m.omega, tol)
+    out = {path: (form_factor_grid(b, m.gamma, tol=tol),
+                  renormalized_form_factor(b, m.gamma, m.omega, tol)) for path, b in bands.items()}
+    for path, (grid, _) in out.items():
+        write_csv(path, ["mu", "g2", "g2_over_free"],
+                  [grid.mu, grid.g2, grid.g2 / free_value(m.gamma)])
+    return out
 
 
 def product_formfactor(m: ValidatedModel, out_dir: str):
-    path, grid, g2_line = _formfactor_csv(m, m.band, os.path.join(out_dir, "formfactor.csv"))
+    path = os.path.join(out_dir, "formfactor.csv")
+    [(grid, g2_line)] = _formfactor_csvs(m, {path: m.band}).values()
     summary = (f"formfactor: g2(omega)={g2_line:.6e}, "
                f"suppression={2 * math.pi * g2_line / m.gamma:.6f}")
     try:
@@ -216,17 +221,15 @@ def product_evolve(m: ValidatedModel, out_dir: str):
 def product_spectral(m: ValidatedModel, out_dir: str):
     grid = form_factor_grid(m.band, m.gamma, tol=m.numerics.quad_tol)
     sf = spectral_function(grid, m.omega)
-    paths = [write_csv(os.path.join(out_dir, "spectral.csv"), ["E", "A"], [sf.E, sf.A])]
     t = _evolve_samples(m)
     pert = perturbative_decay(grid, m.omega, t)
-    paths.append(write_csv(os.path.join(out_dir, "perturbative.csv"),
-                           ["t", "one_minus_s_pert"], [t, pert]))
     s_spec = np.abs(survival_amplitude_spectral(sf, t)) ** 2
-    paths.append(write_csv(os.path.join(out_dir, "survival_spectral.csv"),
-                           ["t", "s"], [t, s_spec]))
-    free, supp = stage_rates(m)
+    paths = [write_csv(os.path.join(out_dir, name), header, cols) for name, header, cols in (
+        ("spectral.csv", ["E", "A"], [sf.E, sf.A]),
+        ("perturbative.csv", ["t", "one_minus_s_pert"], [t, pert]),
+        ("survival_spectral.csv", ["t", "s"], [t, s_spec]))]
     return paths, [(f"spectral: normalization_defect={sf.normalization_defect:.3e}, "
-                    f"rates free={free:.6g} suppressed={supp:.6g}")]
+                    f"rates free={m.gamma:.6g} suppressed={-2.0 * sf.sigma_omega.imag:.6g}")]
 
 
 def product_fig1(m: ValidatedModel, out_dir: str):
@@ -242,15 +245,12 @@ def product_fig1(m: ValidatedModel, out_dir: str):
 
 
 def product_fig2(m: ValidatedModel, out_dir: str):
-    paths, lines = [], []
-    for ratio in FIG2_RATIOS:
-        band = replace(m.band, eta=ratio * 2.0 * math.pi * m.band.delta)
-        tag = f"{ratio:g}".replace(".", "p")
-        path, _, g2_line = _formfactor_csv(m, band, os.path.join(out_dir, f"fig2_ratio{tag}.csv"))
-        paths.append(path)
-        lines.append(f"fig2 eta/2piDelta={ratio:g}: g2(omega)/free="
-                     f"{g2_line / free_value(m.gamma):.6f}")
-    return paths, lines
+    tags = [f"{r:g}".replace(".", "p") for r in FIG2_RATIOS]
+    paths = [os.path.join(out_dir, f"fig2_ratio{tag}.csv") for tag in tags]
+    done = _formfactor_csvs(m, {path: replace(m.band, eta=r * 2.0 * math.pi * m.band.delta)
+                                for path, r in zip(paths, FIG2_RATIOS)})
+    return paths, [f"fig2 eta/2piDelta={r:g}: g2(omega)/free={g2_line / free_value(m.gamma):.6f}"
+                   for r, (_, g2_line) in zip(FIG2_RATIOS, done.values())]
 
 
 def _fig3_models(params: ModelParams, pinned) -> Tuple[ValidatedModel, ...]:
@@ -263,13 +263,13 @@ def _fig3_models(params: ModelParams, pinned) -> Tuple[ValidatedModel, ...]:
 
 
 def product_fig3(models: Sequence[ValidatedModel], out_dir: str):
-    """One curve per FIG3_SETS entry, from its validated model in ``models``."""
+    """One curve per FIG3_SETS entry, from its model in ``models``; all computed, then written."""
+    curves = []
+    for m in models:
+        t_pos, rate = decay_rate_trace(propagate(discretize_continuum(m), _fig3_samples(m)))
+        curves.append((t_pos, rate, -stage_rates(m)[1] / m.gamma))
     paths, lines = [], []
-    for (two_pi_delta, eta), m in zip(FIG3_SETS, models):
-        trace = propagate(discretize_continuum(m), _fig3_samples(m))
-        t_pos, rate = decay_rate_trace(trace)
-        _, supp = stage_rates(m)
-        ref_s = -supp / m.gamma
+    for (two_pi_delta, eta), (t_pos, rate, ref_s) in zip(FIG3_SETS, curves):
         tag = f"{int(two_pi_delta)}_{int(eta)}"
         paths.append(write_csv(os.path.join(out_dir, f"fig3_{tag}.csv"),
                                ["t", "lns_over_gamma_t", "ref_free", "ref_suppressed"],

@@ -41,20 +41,25 @@ class SpectralFunction:
 
     E: np.ndarray
     A: np.ndarray
+    sigma_omega: complex  # Sigma(omega + i0): the dressed line sits at omega + Re, half-width -Im
     normalization_defect: float
     omega: float
     gamma: float
     window: Tuple[float, float]
 
 
-def self_energy(grid: FormFactorGrid, E: float) -> complex:
-    """Sigma(E + i0) over the renormalized continuum of ``grid``'s band.
+def self_energy(grid: FormFactorGrid, E):
+    """Sigma(E + i0) over the renormalized continuum of ``grid``'s band, at E or an array of E.
 
-    Evaluated directly from the band-edge integral of
-    :func:`zenoband.formfactor._self_energy` at the grid's ``tol``, not from
-    the tabulated g2, so it holds at any real E; Im Sigma = -pi g2(E).
+    The grid's own Sigma at its energies, elsewhere the band-edge integral of
+    :func:`zenoband.formfactor._self_energy` at the grid's ``tol``, never the
+    tabulated g2, so it holds at any real E; Im Sigma = -pi g2(E).
     """
-    return complex(_self_energy(grid.band, grid.gamma, E, grid.tol)[0])
+    E_arr = np.atleast_1d(np.asarray(E, dtype=float))
+    i = np.minimum(np.searchsorted(grid.mu, E_arr), len(grid.mu) - 1)
+    sigma, new = grid.sigma[i], grid.mu[i] != E_arr
+    sigma[new] = _self_energy(grid.band, grid.gamma, E_arr[new], grid.tol)
+    return sigma if np.ndim(E) else complex(sigma[0])
 
 
 def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
@@ -62,16 +67,15 @@ def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
 
     The energies are dense across the dressed line (whose width can be far
     below the free linewidth when the decay is suppressed), march out to the
-    window edges and hold the form-factor grid; Sigma comes from the
-    band-edge integral at each.  A's cubic spline breaks where the grid's
-    does, at a flat band's edges; Re Sigma's log cusp takes A to 0 there only
-    within ~exp(-2 pi |E - omega|/gamma), so each side's value is
-    extrapolated from its own nodes.  The unit-area check integrates the
-    spline and adds the analytic 1/(E-omega)^2 tail mass beyond the window.
+    window edges and hold the form-factor grid, whose Sigma they reuse.  A's
+    spline breaks where the grid's does, at a flat band's edges; Re Sigma's
+    log cusp takes A to 0 there only within ~exp(-2 pi |E - omega|/gamma), so
+    each side's value is extrapolated from its own nodes.  The unit-area check
+    integrates the spline and adds the 1/(E-omega)^2 tail mass beyond the window.
     """
     lo, hi = grid.window
-    sigma = self_energy(grid, omega)
-    center, half_w = omega + sigma.real, -sigma.imag  # of the dressed line
+    sigma_omega = self_energy(grid, omega)
+    center, half_w = omega + sigma_omega.real, -sigma_omega.imag  # of the dressed line
     span = 45.0 * half_w
     if center - span <= lo or center + span >= hi:
         raise WindowTooNarrow(
@@ -83,7 +87,7 @@ def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
     edges = grid.mu[1:][np.diff(grid.mu) == 0.0]
     E = np.setdiff1d(np.concatenate([np.asarray(p, dtype=float) for p in parts]), edges)
 
-    sigma = _self_energy(grid.band, grid.gamma, E, grid.tol)
+    sigma = self_energy(grid, E)
     A = -sigma.imag / math.pi / ((E - omega - sigma.real) ** 2 + sigma.imag ** 2)
     E, A, pieces = _split_cubic(E, A, edges)
     if A[0] > 1e-6 * A.max() or A[-1] > 1e-6 * A.max():
@@ -92,7 +96,8 @@ def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
     area = sum(float(sp.integrate(sp.x[0], sp.x[-1])) for sp in pieces)
     # analytic mass of the (gamma/2pi)/(E-omega)^2 tails beyond the window
     tail = free_value(grid.gamma) * (1.0 / (hi - omega) + 1.0 / (omega - lo))
-    return SpectralFunction(E=E, A=A, normalization_defect=abs(1.0 - (area + tail)),
+    return SpectralFunction(E=E, A=A, sigma_omega=sigma_omega,
+                            normalization_defect=abs(1.0 - (area + tail)),
                             omega=omega, gamma=grid.gamma, window=(lo, hi))
 
 

@@ -80,9 +80,12 @@ def g2_quad_oracle(band, gamma, mu):
     if band.is_flat:
         total = piece(f, c - delta, c + delta, [mu] if abs(mu - c) < delta else None)
         return total + (pref if abs(mu - c) >= delta else 0.0)
-    # decades into both edges, where a steep band's eta_k turns over on delta/n
+    # decades into both edges, where a steep band's eta_k turns over on delta/n, and
+    # doublings out from them: a piece past 2 delta spanning the falloff of eta_k
+    # (a peak of half-width > delta puts one there) would have quad sample beyond it
     edges = {c + s * delta + d * delta * 10.0 ** -m for s in (-1.0, 1.0)
              for d in (-1.0, 0.0, 1.0) for m in range(7)}
+    edges |= {c + s * delta * 2.0 ** j for s in (-1.0, 1.0) for j in range(2, 12)}
     w = math.pi * detector_response(band, mu)
     total, lo, hi = 0.0, mu, mu
     if w < 1e-12 * max(abs(mu - c), delta):

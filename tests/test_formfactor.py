@@ -80,19 +80,39 @@ class TestRenormalizedFormFactor:
         want = g2_quad_oracle(band, GAMMA, mu)
         assert got == pytest.approx(want, abs=20.0 * tol * max(want, FREE))
 
-    def test_non_finite_error_estimate_raises(self, monkeypatch):
-        # a NaN estimate compares False against any budget; it must still raise
-        edge_integral = formfactor._edge_integral
+    @staticmethod
+    def poison_estimates(monkeypatch, orders, at):
+        """Make the rules of ``orders`` return NaN at the offset ``at``; log every call."""
+        edge_integral, calls = formfactor._edge_integral, []
 
         def coarse_nan(n, beta, eps, order):
+            calls.append((order, eps.copy()))
             out = edge_integral(n, beta, eps, order)
-            if order == formfactor._ORDERS[1]:
-                out[3] = np.nan
+            if order in orders:
+                out[eps == at] = np.nan
             return out
 
         monkeypatch.setattr(formfactor, "_edge_integral", coarse_nan)
-        with pytest.raises(QuadratureFailure, match="nan"):
-            formfactor._self_energy(pl_band(1.0), GAMMA, np.linspace(-2.0, 2.0, 9))
+        return calls
+
+    def test_non_finite_error_estimate_raises(self, monkeypatch):
+        # a NaN estimate compares False against any budget; at the final pair it must raise
+        E = np.linspace(-2.0, 2.0, 9)  # pl_band(1.0) has delta = 1 and center 0: eps = E
+        self.poison_estimates(monkeypatch, {pair[1] for pair in formfactor._ORDERS}, E[3])
+        with pytest.raises(QuadratureFailure, match=r"E=-0\.5: error estimate nan"):
+            formfactor._self_energy(pl_band(1.0), GAMMA, E)
+
+    def test_non_finite_cheap_estimate_escalates(self, monkeypatch):
+        # at the cheap pair a NaN estimate sends the energy on to the final pair
+        E = np.linspace(-2.0, 2.0, 9)
+        cheap, last = formfactor._ORDERS
+        calls = self.poison_estimates(monkeypatch, {cheap[1]}, E[3])
+        got = formfactor._self_energy(pl_band(1.0), GAMMA, E)
+        assert [order for order, _ in calls] == [*cheap, *last]
+        assert E[3] in calls[2][1]
+        monkeypatch.undo()
+        assert np.all(np.isfinite(got))
+        assert got == pytest.approx(formfactor._self_energy(pl_band(1.0), GAMMA, E), rel=1e-12)
 
     def test_positive_everywhere(self):
         band = pl_band(1.0)
@@ -267,6 +287,51 @@ class TestSteepBands:
                 for n in ns]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert all(gap * n < 1.5 for gap, n in zip(gaps, ns))
+
+
+class TestPerEnergyReach:
+    # Upper-half indices (mirrored about 11) of linspace(-1.5, 1.5, 23) * delta,
+    # 2 pi delta = 100, at which a lone energy raised while its panels reached
+    # max(4, 2|eps|) from the batch: the subtracted pole's width w = beta h(eps)
+    # outgrew that reach, which put the paired tail map's pole X/|eps + iw| near [0, 1].
+    RAISED = {(2, 3000.0): (12, 21), (2, 1e4): (12, 22), (2, 1e5): (11, 22),
+              (6, 1000.0): (14, 17), (6, 3000.0): (12, 19), (6, 1e4): (12, 21),
+              (6, 1e5): (12, 22), (24, 3000.0): (16, 18), (24, 1e4): (15, 19),
+              (24, 1e5): (14, 21), (400, 1e4): (18, 18), (400, 1e5): (18, 18)}
+
+    @pytest.mark.parametrize("n,eta", sorted(RAISED))
+    def test_lone_wide_pole_energies_match_oracle(self, n, eta):
+        band = DetectorBand(eta=eta, delta=100.0 / (2 * math.pi), n=n, center=0.0)
+        lo, hi = self.RAISED[(n, eta)]
+        i = np.arange(lo, hi + 1)
+        tol = 1e-9
+        for mu in np.linspace(-1.5, 1.5, 23)[np.union1d(i, 22 - i)] * band.delta:
+            got = renormalized_form_factor(band, GAMMA, mu, tol)
+            want = g2_quad_oracle(band, GAMMA, mu)
+            assert got == pytest.approx(want, abs=20.0 * tol * max(want, FREE))
+
+    @pytest.mark.parametrize("eta,delta", [(1000.0, 1000.0 / (2 * math.pi)),
+                                           (1e4, 100.0 / (2 * math.pi))])
+    def test_batch_matches_lone_energies(self, eta, delta):
+        # an energy's panels and order pair depend on it alone, not on its batch
+        band = DetectorBand(eta=eta, delta=delta, n=6, center=0.0)
+        E = form_factor_grid(band, GAMMA).mu[::8]
+        batch = formfactor._self_energy(band, GAMMA, E)
+        lone = np.array([formfactor._self_energy(band, GAMMA, e)[0] for e in E])
+        assert np.all(np.abs(batch - lone) <= 1e-14 * np.abs(lone))
+
+    @pytest.mark.parametrize("band", [pl_band(1.0), DetectorBand(eta=1.7, delta=1.0, n=None,
+                                                                center=0.5)],
+                             ids=["power-law", "flat"])
+    def test_grid_carries_its_sigma(self, band):
+        # Sigma at every mu, a flat edge's own value at both copies; g2 is -Im Sigma/pi
+        # everywhere but at those copies, which hold its one-sided limits
+        grid = form_factor_grid(band, GAMMA, n_points=200)
+        assert np.array_equal(grid.sigma, formfactor._self_energy(band, GAMMA, grid.mu))
+        single = np.diff(grid.mu, prepend=-np.inf) != 0.0
+        single &= np.diff(grid.mu, append=np.inf) != 0.0
+        assert np.array_equal(grid.g2[single], -grid.sigma[single].imag / math.pi)
+        assert single.sum() == len(grid.mu) - (4 if band.is_flat else 0)
 
 
 class TestSumRule:

@@ -292,6 +292,28 @@ class TestCli:
         assert rc == 2
         assert "QuadratureFailure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("product,name,nth", [
+        ("formfactor", "renormalized_form_factor", 1),
+        ("fig2", "renormalized_form_factor", 3),
+        ("spectral", "survival_amplitude_spectral", 1),
+    ])
+    def test_late_failure_writes_no_csv(self, tmp_path, capsys, monkeypatch, product, name, nth):
+        # a product computes everything it writes before the first write: a raising
+        # g2(omega), here that of fig2's last band, or survival leaves no CSV behind
+        real, calls = getattr(zenoband.scenario, name), []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == nth:
+                raise zenoband.QuadratureFailure("boom")
+            return real(*args)
+
+        monkeypatch.setattr(zenoband.scenario, name, failing)
+        rc = run_cli([product, "--out", str(tmp_path / "out"), "--override", "eta=100",
+                      "--override", f"delta={100 / (2 * math.pi)!r}"])
+        assert rc == 2 and len(calls) == nth
+        assert not list(tmp_path.rglob("*.csv"))
+
     @pytest.mark.parametrize("cls", EXPORTED_ERRORS, ids=lambda cls: cls.__name__)
     def test_exit_code_table(self, tmp_path, capsys, monkeypatch, cls):
         assert cls.__name__ in EXIT_CODES, "add the new error class to the exit-code table"

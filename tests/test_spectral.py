@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (flat_sigma_oracle, g2_quad_oracle, re_sigma_oracle,
                       survival_cellwise_reference)
+from zenoband import formfactor, scenario
 from zenoband import (
     DetectorBand,
     HorizonExceeded,
@@ -160,6 +161,8 @@ class TestSurvivalAmplitude:
                 for side in (slice(i - 4, i), slice(i, i + 4))]
         oracle = SpectralFunction(E=np.insert(E, np.repeat(at, 2), np.repeat(edges, 2)),
                                   A=np.insert(A, np.repeat(at, 2), ends),
+                                  sigma_omega=flat_sigma_oracle(GAMMA, FLAT_BAND.eta,
+                                                                FLAT_BAND.delta, 0.0),
                                   normalization_defect=0.0, omega=0.0, gamma=GAMMA,
                                   window=sf.window)
         s = np.abs(survival_amplitude_spectral(sf, t)) ** 2
@@ -332,3 +335,20 @@ class TestCrossMethod:
             "flat-detuned-0.37delta", "n24", "n96", "n400", "n1600"])
     def test_routes_agree(self, band, bound):
         assert self.gap(band, form_factor_grid(band, GAMMA, tol=1e-9)) < bound
+
+
+class TestSigmaReuse:
+    # centred, omega is one of the grid's energies; detuned by 2 delta, it is not
+    @pytest.mark.parametrize("center", [None, 2.0 * FIG_DELTA], ids=["centred", "detuned"])
+    def test_spectral_product_evaluates_each_energy_once(self, tmp_path, monkeypatch, center):
+        edge_integral, seen = formfactor._edge_integral, []
+
+        def logged(n, beta, eps, order):
+            seen.extend((order, e) for e in eps)
+            return edge_integral(n, beta, eps, order)
+
+        monkeypatch.setattr(formfactor, "_edge_integral", logged)
+        m = validate_params(ModelParams(gamma=GAMMA, band=DetectorBand(
+            eta=100.0, delta=FIG_DELTA, n=6, center=center)))
+        scenario.product_spectral(m, str(tmp_path))
+        assert len(seen) > 2000 and len(set(seen)) == len(seen)
