@@ -21,7 +21,7 @@ for ratio in (0.01, 0.1, 1.0):
     center = grid.g2[np.argmin(np.abs(grid.mu))] / free
     outside = (np.abs(grid.mu) > delta) & (np.abs(grid.mu) < 4 * delta)
     peak = grid.g2[outside].max() / free
-    defect = sum_rule_defect(grid, gamma)
+    defect = sum_rule_defect(grid)
     print(f"   {ratio:5.2f}        {center:.4f}            {peak:.4f}            "
           f"{defect:+.2e}")
 

@@ -7,9 +7,10 @@ Exit codes and the stderr line of each failure:
   0  success
   1  ``config error: ...``: the inputs failed a check made before any
      numerics ran (ValidationError, naming the key), the config is malformed
-     (ConfigError) or the config file is missing
+     (ConfigError), or a config or output file cannot be read or written (OSError)
   2  ``numerical failure [Class]: ...``: a failure found while computing,
-     reported under its own ZenobandError class
+     reported under its own ZenobandError class; the failing point writes
+     none of its files, and earlier sweep points keep theirs
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def main(argv=None) -> int:
         if args.command == "sweep" and not cfg.sweeps:
             raise ConfigError("sweep requires at least one sweep_* key in the config")
         files, lines = run_scenario(cfg)
-    except (ConfigError, ValidationError, FileNotFoundError) as exc:
+    except (ConfigError, ValidationError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except ZenobandError as exc:

@@ -267,8 +267,8 @@ def form_factor_grid(band: DetectorBand, gamma: float,
                           band=band, tol=tol)
 
 
-def sum_rule_defect(grid: FormFactorGrid, gamma: float) -> float:
-    """Deviation integral Int_window (g2 - gamma/2pi) dmu on the grid.
+def sum_rule_defect(grid: FormFactorGrid) -> float:
+    """Deviation integral Int_window (g2 - gamma/2pi) dmu on the grid, at its own gamma.
 
     Over the whole line the deviations cancel exactly; the window integral is
     the residual carried by the tails outside and shrinks like 1/window.  It
@@ -277,7 +277,7 @@ def sum_rule_defect(grid: FormFactorGrid, gamma: float) -> float:
     grid to have reached its free-value asymptote at the edges (within 1e-3
     relative), otherwise :class:`WindowTooNarrow` is raised.
     """
-    pref = free_value(gamma)
+    pref = free_value(grid.gamma)
     edge_dev = max(abs(grid.g2[0] - pref), abs(grid.g2[-1] - pref))
     if edge_dev >= 1e-3 * pref:
         raise WindowTooNarrow(

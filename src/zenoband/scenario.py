@@ -2,9 +2,9 @@
 
 A run is a list of points, one per combination of sweep values (a single
 run is the one point of an empty sweep), all validated before any product
-starts.  Each product is a pure function of its point; outputs are plot-ready CSV
-files written atomically (temp file + rename) with deterministic formatting,
-so reruns with the same config are byte-identical.
+starts.  Products are pure functions that return their files' contents; a
+point writes its files once all of its products are done, so all or none, each
+atomically (temp file + rename) and byte-identical on a rerun of the config.
 """
 
 from __future__ import annotations
@@ -46,11 +46,8 @@ SCENARIO_KEYS = {"products", "out", *SWEEP_KEYS}
 
 # Figure defaults in units of gamma = 1 (band half-width from 2*pi*Delta/gamma),
 # keyed by the CLI command that starts from them.
-FIG_DEFAULTS = {
-    "fig1": {"gamma": "1", "delta": repr(100.0 / (2.0 * math.pi)), "eta": "1.5", "n": "6"},
-    "fig2": {"gamma": "1", "delta": repr(100.0 / (2.0 * math.pi)), "n": "6"},
-    "fig3": {"gamma": "1", "n": "6"},
-}
+FIG_DEFAULTS = {"fig1": {"delta": repr(100.0 / (2.0 * math.pi)), "eta": "1.5"},
+                "fig2": {"delta": repr(100.0 / (2.0 * math.pi))}, "fig3": {}}
 FIG2_RATIOS = (0.01, 0.1, 1.0)  # eta / (2 pi Delta)
 FIG3_SETS = ((100.0, 100.0), (100.0, 10.0), (1000.0, 1000.0))  # {2piDelta/gamma, eta/gamma}
 
@@ -114,13 +111,16 @@ def load_scenario(path=None, overrides: Optional[Dict[str, str]] = None,
 
 
 def _write_lines(path, lines: Iterable[str]) -> str:
-    """Stream ``lines`` to a temp file, then rename it onto ``path``."""
+    """Stream ``lines`` to a temp file, then rename it onto ``path``; a failure removes the temp."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(line + "\n" for line in lines)
+        os.replace(tmp, path)
+    finally:
+        if os.path.lexists(tmp):
+            os.remove(tmp)
     return path
 
 
@@ -152,105 +152,87 @@ def _fig3_samples(m) -> np.ndarray:
     return np.unique(np.concatenate([[0.0], log_part, np.linspace(0.0, T, 501)]))
 
 
-def product_report(m: ValidatedModel, out_dir: str):
+def product_report(m: ValidatedModel):
     rep = qze_condition_report(m)
-    lines = [
-        f"gamma/Delta = {rep.ratio_linewidth:.6g}",
-        f"tau*Delta   = {rep.ratio_response:.6g}",
-        f"suppression estimate 2*pi*|g_Omega|^2/gamma = {rep.suppression_estimate:.6g}",
-        f"verdict: {rep.verdict}",
-    ]
-    path = _write_lines(os.path.join(out_dir, "report.txt"), lines)
-    return [path], [f"report: {rep.verdict} (gamma/Delta={rep.ratio_linewidth:.4g}, "
-                    f"tau*Delta={rep.ratio_response:.4g}, "
-                    f"suppression~{rep.suppression_estimate:.4g})"]
+    lines = [f"gamma/Delta = {rep.ratio_linewidth:.6g}", f"tau*Delta   = {rep.ratio_response:.6g}",
+             f"suppression estimate 2*pi*|g_Omega|^2/gamma = {rep.suppression_estimate:.6g}",
+             f"verdict: {rep.verdict}"]
+    return {"report.txt": lines}, [f"report: {rep.verdict} (gamma/Delta={rep.ratio_linewidth:.4g}, "
+                                   f"tau*Delta={rep.ratio_response:.4g}, "
+                                   f"suppression~{rep.suppression_estimate:.4g})"]
 
 
-def _formfactor_csvs(m, bands):
-    """Write the g2 grid of each ``{path: band}`` once every grid and g2(omega) is computed.
-
-    Returns ``{path: (grid, g2(omega))}``."""
-    tol = m.numerics.quad_tol
-    out = {path: (form_factor_grid(b, m.gamma, tol=tol),
-                  renormalized_form_factor(b, m.gamma, m.omega, tol)) for path, b in bands.items()}
-    for path, (grid, _) in out.items():
-        write_csv(path, ["mu", "g2", "g2_over_free"],
-                  [grid.mu, grid.g2, grid.g2 / free_value(m.gamma)])
-    return out
+def _formfactor(m, band):
+    """(the g2 grid of ``band`` as a CSV table, the grid, g2(omega))."""
+    grid = form_factor_grid(band, m.gamma, tol=m.numerics.quad_tol)
+    table = (["mu", "g2", "g2_over_free"], [grid.mu, grid.g2, grid.g2 / free_value(m.gamma)])
+    return table, grid, renormalized_form_factor(band, m.gamma, m.omega, m.numerics.quad_tol)
 
 
-def product_formfactor(m: ValidatedModel, out_dir: str):
-    path = os.path.join(out_dir, "formfactor.csv")
-    [(grid, g2_line)] = _formfactor_csvs(m, {path: m.band}).values()
+def product_formfactor(m: ValidatedModel):
+    table, grid, g2_line = _formfactor(m, m.band)
     summary = (f"formfactor: g2(omega)={g2_line:.6e}, "
                f"suppression={2 * math.pi * g2_line / m.gamma:.6f}")
     try:
-        summary += f", sum_rule_defect={sum_rule_defect(grid, m.gamma):.3e}"
+        summary += f", sum_rule_defect={sum_rule_defect(grid):.3e}"
     except WindowTooNarrow:
         summary += ", sum_rule_defect=n/a (window too narrow)"
-    return [path], [summary]
-
-
-def _window(dm) -> str:
-    """The resolved photon window, for the summary lines."""
-    return f"cutoff={dm.cutoff:.6g}, core_modes={len(dm.k_grid)}"
+    return {"formfactor.csv": table}, [summary]
 
 
 def _propagated(m: ValidatedModel):
-    """(discretization, trace at the evolve samples, response delay or None)."""
+    """(trace at the evolve samples, response delay or None, the resolved photon window)."""
     dm = discretize_continuum(m)
     trace = propagate(dm, _evolve_samples(m))
     try:  # eta = 0 leaves r identically 0, which raises NoResponse
         delay = response_delay(trace)
     except NoResponse:
         delay = None
-    return dm, trace, delay
+    return trace, delay, f"cutoff={dm.cutoff:.6g}, core_modes={len(dm.k_grid)}"
 
 
-def product_evolve(m: ValidatedModel, out_dir: str):
-    dm, trace, delay = _propagated(m)
-    path = write_csv(os.path.join(out_dir, "evolve.csv"),
-                     ["t", "s", "eps", "r", "norm_defect"],
-                     [trace.t, trace.s, trace.eps, trace.r, trace.norm_defect])
+def product_evolve(m: ValidatedModel):
+    trace, delay, window = _propagated(m)
     delay_txt = "n/a" if delay is None else f"{delay:.4f}"
-    return [path], [f"evolve: s(T)={trace.s[-1]:.6f}, r(T)={trace.r[-1]:.6f}, "
-                    f"max_norm_defect={trace.norm_defect.max():.3e}, "
-                    f"response_delay={delay_txt}, {_window(dm)}"]
+    return ({"evolve.csv": (["t", "s", "eps", "r", "norm_defect"],
+                            [trace.t, trace.s, trace.eps, trace.r, trace.norm_defect])},
+            [f"evolve: s(T)={trace.s[-1]:.6f}, r(T)={trace.r[-1]:.6f}, "
+             f"max_norm_defect={trace.norm_defect.max():.3e}, "
+             f"response_delay={delay_txt}, {window}"])
 
 
-def product_spectral(m: ValidatedModel, out_dir: str):
+def product_spectral(m: ValidatedModel):
     grid = form_factor_grid(m.band, m.gamma, tol=m.numerics.quad_tol)
     sf = spectral_function(grid, m.omega)
     t = _evolve_samples(m)
     pert = perturbative_decay(grid, m.omega, t)
     s_spec = np.abs(survival_amplitude_spectral(sf, t)) ** 2
-    paths = [write_csv(os.path.join(out_dir, name), header, cols) for name, header, cols in (
-        ("spectral.csv", ["E", "A"], [sf.E, sf.A]),
-        ("perturbative.csv", ["t", "one_minus_s_pert"], [t, pert]),
-        ("survival_spectral.csv", ["t", "s"], [t, s_spec]))]
-    return paths, [(f"spectral: normalization_defect={sf.normalization_defect:.3e}, "
-                    f"rates free={m.gamma:.6g} suppressed={-2.0 * sf.sigma_omega.imag:.6g}")]
+    return ({"spectral.csv": (["E", "A"], [sf.E, sf.A]),
+             "perturbative.csv": (["t", "one_minus_s_pert"], [t, pert]),
+             "survival_spectral.csv": (["t", "s"], [t, s_spec])},
+            [f"spectral: normalization_defect={sf.normalization_defect:.3e}, "
+             f"rates free={m.gamma:.6g} suppressed={-2.0 * sf.sigma_omega.imag:.6g}"])
 
 
-def product_fig1(m: ValidatedModel, out_dir: str):
-    dm, trace, delay = _propagated(m)
-    path = write_csv(os.path.join(out_dir, "fig1.csv"),
-                     ["t", "one_minus_s", "eps", "r"],
-                     [trace.t, 1.0 - trace.s, trace.eps, trace.r])
+def product_fig1(m: ValidatedModel):
+    trace, delay, window = _propagated(m)
     delay_txt = "n/a"
     if delay is not None:
         tau = 1.0 / m.band.eta
         delay_txt = f"{delay:.4f} (tau={tau:.4f}, delay/tau={delay / tau:.3f})"
-    return [path], [f"fig1: r(T)={trace.r[-1]:.4f}, response_delay={delay_txt}, {_window(dm)}"]
+    return ({"fig1.csv": (["t", "one_minus_s", "eps", "r"],
+                          [trace.t, 1.0 - trace.s, trace.eps, trace.r])},
+            [f"fig1: r(T)={trace.r[-1]:.4f}, response_delay={delay_txt}, {window}"])
 
 
-def product_fig2(m: ValidatedModel, out_dir: str):
-    tags = [f"{r:g}".replace(".", "p") for r in FIG2_RATIOS]
-    paths = [os.path.join(out_dir, f"fig2_ratio{tag}.csv") for tag in tags]
-    done = _formfactor_csvs(m, {path: replace(m.band, eta=r * 2.0 * math.pi * m.band.delta)
-                                for path, r in zip(paths, FIG2_RATIOS)})
-    return paths, [f"fig2 eta/2piDelta={r:g}: g2(omega)/free={g2_line / free_value(m.gamma):.6f}"
-                   for r, (_, g2_line) in zip(FIG2_RATIOS, done.values())]
+def product_fig2(m: ValidatedModel):
+    files, lines = {}, []
+    for r in FIG2_RATIOS:
+        table, _, g2_line = _formfactor(m, replace(m.band, eta=r * 2.0 * math.pi * m.band.delta))
+        tag = f"{r:g}".replace(".", "p")
+        files[f"fig2_ratio{tag}.csv"] = table
+        lines.append(f"fig2 eta/2piDelta={r:g}: g2(omega)/free={g2_line / free_value(m.gamma):.6f}")
+    return files, lines
 
 
 def _fig3_models(params: ModelParams, pinned) -> Tuple[ValidatedModel, ...]:
@@ -262,22 +244,18 @@ def _fig3_models(params: ModelParams, pinned) -> Tuple[ValidatedModel, ...]:
     return tuple(validate_params(replace(params, band=b)) for b in bands)
 
 
-def product_fig3(models: Sequence[ValidatedModel], out_dir: str):
-    """One curve per FIG3_SETS entry, from its model in ``models``; all computed, then written."""
-    curves = []
-    for m in models:
+def product_fig3(models: Sequence[ValidatedModel]):
+    """One curve per FIG3_SETS entry, from its model in ``models``."""
+    files, lines = {}, []
+    for (two_pi_delta, eta), m in zip(FIG3_SETS, models):
         t_pos, rate = decay_rate_trace(propagate(discretize_continuum(m), _fig3_samples(m)))
-        curves.append((t_pos, rate, -stage_rates(m)[1] / m.gamma))
-    paths, lines = [], []
-    for (two_pi_delta, eta), (t_pos, rate, ref_s) in zip(FIG3_SETS, curves):
-        tag = f"{int(two_pi_delta)}_{int(eta)}"
-        paths.append(write_csv(os.path.join(out_dir, f"fig3_{tag}.csv"),
-                               ["t", "lns_over_gamma_t", "ref_free", "ref_suppressed"],
-                               [t_pos, rate, np.full_like(t_pos, -1.0),
-                                np.full_like(t_pos, ref_s)]))
+        ref_s = -stage_rates(m)[1] / m.gamma
+        files[f"fig3_{int(two_pi_delta)}_{int(eta)}.csv"] = (
+            ["t", "lns_over_gamma_t", "ref_free", "ref_suppressed"],
+            [t_pos, rate, np.full_like(t_pos, -1.0), np.full_like(t_pos, ref_s)])
         lines.append(f"fig3 {{2piDelta/gamma,eta/gamma}}={{{two_pi_delta:g},{eta:g}}}: "
                      f"late rate={rate[-1]:.4f}, suppressed ref={ref_s:.4f}")
-    return paths, lines
+    return files, lines
 
 
 _PRODUCT_FUNCS = {name: globals()[f"product_{name}"] for name in PRODUCTS}
@@ -292,10 +270,17 @@ def _concat(results) -> Tuple[List[str], List[str]]:
     return files, lines
 
 
-def _run_point(point):
+def _run_point(point) -> Tuple[List[str], List[str]]:
+    """Run every product of the point, then write its files: all of them, or none on a raise."""
     products, out_dir, model, fig3 = point
-    return _concat(_PRODUCT_FUNCS[prod](fig3 if prod == "fig3" else model, out_dir)
-                   for prod in products)
+    results = [_PRODUCT_FUNCS[prod](fig3 if prod == "fig3" else model) for prod in products]
+    paths = []
+    for files, _ in results:
+        for name, body in files.items():  # a CSV's (header, columns), or a text file's lines
+            path = os.path.join(out_dir, name)
+            paths.append(write_csv(path, *body) if isinstance(body, tuple)
+                         else _write_lines(path, body))
+    return paths, [line for _, summary in results for line in summary]
 
 
 def _points(cfg: ScenarioConfig):

@@ -254,7 +254,7 @@ class TestCriterion7SumRule:
                                 n=6, center=0.0)
             grid = form_factor_grid(band, GAMMA, window=(-50 * delta, 50 * delta),
                                     n_points=500, tol=1e-9)
-            defect = abs(sum_rule_defect(grid, GAMMA))
+            defect = abs(sum_rule_defect(grid))
             worst = max(worst, defect)
             details.append(f"{ratio:g}:{defect:.2e}")
         ok = worst < 1e-3 * GAMMA

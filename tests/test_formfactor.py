@@ -338,7 +338,7 @@ class TestSumRule:
     def test_no_detector_defect_is_zero(self):
         band = DetectorBand(eta=0.0, delta=1.0, n=6, center=0.0)
         g = form_factor_grid(band, GAMMA, n_points=50, tol=1e-8)
-        assert sum_rule_defect(g, GAMMA) == pytest.approx(0.0, abs=1e-15)
+        assert sum_rule_defect(g) == pytest.approx(0.0, abs=1e-15)
 
     def test_flat_band_deviation_cancels_analytically(self):
         # in-band deficit against out-of-band arctan surplus, via the
@@ -367,9 +367,9 @@ class TestSumRule:
         # analytic tail estimate: |defect(X)| ~ gamma*eta*delta/(3*pi*X)
         band = pl_band(1.0, delta=1.0)
         d50 = abs(sum_rule_defect(
-            form_factor_grid(band, GAMMA, window=(-50, 50), n_points=400, tol=1e-9), GAMMA))
+            form_factor_grid(band, GAMMA, window=(-50, 50), n_points=400, tol=1e-9)))
         d100 = abs(sum_rule_defect(
-            form_factor_grid(band, GAMMA, window=(-100, 100), n_points=500, tol=1e-9), GAMMA))
+            form_factor_grid(band, GAMMA, window=(-100, 100), n_points=500, tol=1e-9)))
         want50 = GAMMA * band.eta / (150.0 * math.pi)
         assert d50 == pytest.approx(want50, rel=0.05)
         assert d100 == pytest.approx(d50 / 2, rel=0.1)
@@ -381,7 +381,7 @@ class TestSumRule:
         band = DetectorBand(eta=100.0, delta=100.0 / (2 * math.pi), n=6, center=0.0)
         g = form_factor_grid(band, GAMMA, window=(-1000.0, 1000.0), n_points=400, tol=1e-9)
         want = -GAMMA * band.eta * band.delta / (3 * math.pi * 1000.0)
-        assert sum_rule_defect(g, GAMMA) == pytest.approx(want, rel=0.01)
+        assert sum_rule_defect(g) == pytest.approx(want, rel=0.01)
 
     @pytest.mark.parametrize("n_points", [400, 4000])
     def test_flat_band_meets_analytic_tail(self, n_points):
@@ -390,7 +390,7 @@ class TestSumRule:
         band = DetectorBand(eta=1.0, delta=100.0 / (2 * math.pi), n=None, center=0.0)
         g = form_factor_grid(band, GAMMA, window=(-1000.0, 1000.0), n_points=n_points, tol=1e-9)
         want = -GAMMA * band.eta * band.delta / (math.pi ** 2 * 1000.0)
-        assert sum_rule_defect(g, GAMMA) == pytest.approx(want, rel=0.01)
+        assert sum_rule_defect(g) == pytest.approx(want, rel=0.01)
 
     def test_narrow_window_rejected(self):
         # wide enough to build the grid, but the edges have not reached the
@@ -398,4 +398,4 @@ class TestSumRule:
         band = pl_band(1.0)
         g = form_factor_grid(band, GAMMA, window=(-40.0, 40.0), n_points=300, tol=1e-8)
         with pytest.raises(WindowTooNarrow):
-            sum_rule_defect(g, GAMMA)
+            sum_rule_defect(g)

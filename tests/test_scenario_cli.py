@@ -153,6 +153,33 @@ class TestScenarioProducts:
                                   defaults=FIG_DEFAULTS["fig3"]))
         assert [c for c, _ in exc.value.violations] == ["cutoff"]
 
+    @pytest.mark.parametrize("product,names", [
+        ("formfactor", ["formfactor.csv"]),
+        ("evolve", ["evolve.csv"]),
+        ("spectral", ["spectral.csv", "perturbative.csv", "survival_spectral.csv"]),
+        ("report", ["report.txt"]),
+        ("fig1", ["fig1.csv"]),
+        ("fig2", ["fig2_ratio0p01.csv", "fig2_ratio0p1.csv", "fig2_ratio1.csv"]),
+        ("fig3", ["fig3_100_100.csv", "fig3_100_10.csv", "fig3_1000_1000.csv"]),
+    ])
+    def test_product_returns_its_files_and_writes_none(self, tmp_path, monkeypatch, product,
+                                                       names):
+        # the explicit eta and delta pin fig3's sets to this cheap band too
+        monkeypatch.chdir(tmp_path)
+        [(_, _, model, fig3)] = _points(load_scenario(
+            overrides={"eta": "2", "delta": "5", "horizon": "1"}, products=(product,)))
+        func = getattr(zenoband.scenario, f"product_{product}")
+        files, lines = func(fig3 if product == "fig3" else model)
+        assert list(files) == names
+        assert lines and all(line.startswith(product) for line in lines)
+        assert os.listdir(tmp_path) == []
+        for name, body in files.items():
+            if name.endswith(".csv"):
+                header, cols = body
+                assert len(header) == len(cols) and len({len(c) for c in cols}) == 1
+            else:
+                assert body and all(isinstance(line, str) for line in body)
+
     def test_sweep_pool_is_sized_to_the_points(self, tmp_path, monkeypatch):
         sizes = []
 
@@ -298,7 +325,7 @@ class TestCli:
         ("spectral", "survival_amplitude_spectral", 1),
     ])
     def test_late_failure_writes_no_csv(self, tmp_path, capsys, monkeypatch, product, name, nth):
-        # a product computes everything it writes before the first write: a raising
+        # a point computes everything it writes before the first write: a raising
         # g2(omega), here that of fig2's last band, or survival leaves no CSV behind
         real, calls = getattr(zenoband.scenario, name), []
 
@@ -313,6 +340,41 @@ class TestCli:
                       "--override", f"delta={100 / (2 * math.pi)!r}"])
         assert rc == 2 and len(calls) == nth
         assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_point_whose_later_product_fails_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                            threads):
+        # formfactor finishes before evolve's propagate raises: the point writes no file
+        def failing(*args):
+            raise zenoband.ToleranceNotMet("boom")
+
+        monkeypatch.setattr(zenoband.scenario, "propagate", failing)
+        rc = run_cli(["sweep", "--out", str(tmp_path / "out"), "--threads", str(threads),
+                      "--override", "products=formfactor,evolve", "--override", "delta=15.9155",
+                      "--override", "sweep_eta=1,2"])
+        assert rc == 2
+        assert capsys.readouterr().err == "numerical failure [ToleranceNotMet]: boom\n"
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_unwritable_output_exit_one(self, tmp_path, capsys):
+        # report.txt is a directory: the rename fails, and its temp file goes with it
+        (tmp_path / "out" / "report.txt").mkdir(parents=True)
+        rc = run_cli(["report", "--out", str(tmp_path / "out"), "--override", "eta=100",
+                      "--override", "delta=15.9155"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.tmp.*"))
+
+    @pytest.mark.parametrize("command,extra", [
+        ("fig1", ["horizon=1"]), ("fig2", []), ("fig3", ["horizon=1"])])
+    def test_figure_commands_take_a_flat_band(self, tmp_path, capsys, command, extra):
+        # the figure defaults leave n to DetectorBand, so flat = true does not clash with it
+        argv = [command, "--out", str(tmp_path), "--override", "flat=true"]
+        for ov in extra:
+            argv += ["--override", ov]
+        assert run_cli(argv) == 0
 
     @pytest.mark.parametrize("cls", EXPORTED_ERRORS, ids=lambda cls: cls.__name__)
     def test_exit_code_table(self, tmp_path, capsys, monkeypatch, cls):

@@ -340,7 +340,7 @@ class TestCrossMethod:
 class TestSigmaReuse:
     # centred, omega is one of the grid's energies; detuned by 2 delta, it is not
     @pytest.mark.parametrize("center", [None, 2.0 * FIG_DELTA], ids=["centred", "detuned"])
-    def test_spectral_product_evaluates_each_energy_once(self, tmp_path, monkeypatch, center):
+    def test_spectral_product_evaluates_each_energy_once(self, monkeypatch, center):
         edge_integral, seen = formfactor._edge_integral, []
 
         def logged(n, beta, eps, order):
@@ -350,5 +350,5 @@ class TestSigmaReuse:
         monkeypatch.setattr(formfactor, "_edge_integral", logged)
         m = validate_params(ModelParams(gamma=GAMMA, band=DetectorBand(
             eta=100.0, delta=FIG_DELTA, n=6, center=center)))
-        scenario.product_spectral(m, str(tmp_path))
+        scenario.product_spectral(m)
         assert len(seen) > 2000 and len(set(seen)) == len(seen)
