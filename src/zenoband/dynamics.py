@@ -103,9 +103,9 @@ class ProbabilityTrace:
 def discretize_continuum(m: ValidatedModel) -> DiscretizedModel:
     """Build the propagation target from a validated scenario.
 
-    It only builds: :func:`~zenoband.model.validate_params` has already
-    checked the revival guard on dk, the window rule on K and the memory
-    the modes need.  The cells' boundaries sit at center + j*dk.
+    It only builds: :func:`~zenoband.model.validate_params` has already checked
+    the recurrence 2pi/dk >= T + STRIP_BUDGET/s, the window rule on K and the
+    memory the modes need.  The cells' boundaries sit at center + j*dk.
     """
     num = m.numerics
     K, dk = num.cutoff, num.dk

@@ -220,6 +220,13 @@ def _ladder(start, stop, s0, ratio):
     return pts[1:]
 
 
+def _default_window(band: DetectorBand, gamma: float, omega: float) -> Tuple[float, float]:
+    """center +- max(50*delta, 10*eta, 550*gamma), widened to hold omega +- the same: the gamma
+    term keeps even an unsuppressed line's wings to the 1e-6 the spectral route needs."""
+    half = max(50.0 * band.delta, 10.0 * band.eta, 550.0 * gamma)
+    return min(band.center, omega) - half, max(band.center, omega) + half
+
+
 def form_factor_grid(band: DetectorBand, gamma: float,
                      window: Optional[Tuple[float, float]] = None,
                      n_points: int = 400, tol: float = 1e-9) -> FormFactorGrid:
@@ -229,22 +236,16 @@ def form_factor_grid(band: DetectorBand, gamma: float,
     the curvature of g2 is largest, and covers the rest of the window
     uniformly; a flat band's edges, where g2 jumps, are held twice with the
     one-sided values of :func:`_split_cubic`.  ``window`` must span
-    center +- 5*max(delta, eta); the default is center +- max(50*delta,
-    10*eta, 550*gamma), the gamma term keeping even an unsuppressed
-    Lorentzian line inside the window with its wings decayed to the 1e-6
-    level needed by the spectral route.
+    center +- 5*max(delta, eta); the default is :func:`_default_window`'s.
     """
     if band.center is None:
         band = replace(band, center=0.0)
     c, delta = band.center, band.delta
-    if window is None:
-        half = max(50.0 * delta, 10.0 * band.eta, 550.0 * gamma)
-        window = (c - half, c + half)
-    lo, hi = window
+    lo, hi = window or _default_window(band, gamma, c)
     need = max(5.0 * delta, 5.0 * band.eta)
     if not (lo <= c - need and hi >= c + need):  # a NaN bound fails too
         raise WindowTooNarrow(
-            f"window {window} must cover center +- {need:g}")
+            f"window {(lo, hi)} must cover center +- {need:g}")
 
     # edge feature widths: eta/2 on a flat band (eta = 0 is free), delta/n on a power-law one
     flat = min(delta, band.eta / 2.0) if band.eta > 0.0 else delta

@@ -38,8 +38,8 @@ LINEWIDTH_RATIO_MAX = 0.1   # gamma/Delta
 RESPONSE_RATIO_MAX = 1.0    # tau*Delta = Delta/eta
 SIGMA_BUDGET = 5e-8         # |Sigma| the window may drop at omega + 4i/T, in units of gamma
 _LADDER = 1.05              # ratio between the windows default_cutoff tries
-REVIVAL_MARGIN = 4.0        # discrete recurrence must lie beyond this many horizons
-STRIP_BUDGET = 20.7         # photon grid aliases exp(-2*pi*s/dk) <= exp(-20.7) ~ 1e-9
+REVIVAL_MARGIN = 4.0        # flat bands and eta = 0: recurrence beyond this many horizons
+STRIP_BUDGET = 20.7         # the pair kernel's recurrence images are down by exp(-20.7) ~ 1e-9
 FLAT_CELLS = 128            # least grid cells per flat-band half-width (edge error ~1/m^2)
 _MODE_BYTES = 560           # peak bytes per cell (photon + ghost) of discretize + propagate (547-550 measured)
 _STEP_BYTES = 380           # peak bytes per step record of propagate (368 measured)
@@ -84,7 +84,7 @@ class NumericalControls:
 
     cutoff   -- half-width K of the photon window around the band centre
                 (default: ``default_cutoff``)
-    dk       -- uniform spacing of the photon grid (default: ``_default_dk``)
+    dk       -- uniform spacing of the photon grid (default: 2pi/(T + STRIP_BUDGET/s))
     horizon  -- propagation horizon T
     step     -- the propagator's cruise step, reached by doubling from
                 step/2^J <= 0.25/max|L|
@@ -159,25 +159,13 @@ def default_cutoff(gamma, band: DetectorBand, omega: float,
     """Smallest half-width K around the band centre the propagator accepts without an override.
 
     The first K up the ladder delta * ``_LADDER``**j whose :func:`_window_defect` at
-    omega + 4i/T (T = ``horizon``, default 5/gamma; the grid aliases there ~e^-20) is
-    within ``SIGMA_BUDGET``*gamma.
+    omega + 4i/T (T = ``horizon``, default 5/gamma) is within ``SIGMA_BUDGET``*gamma.
     """
     T = horizon if horizon is not None else 5.0 / gamma
     K = band.delta
     while _window_defect(gamma, band, omega, K, 4j / T) > SIGMA_BUDGET * gamma:
         K *= _LADDER
     return K
-
-
-def _default_dk(band: DetectorBand, guard: float) -> float:
-    # The midpoint grid is a trapezoid rule: aliases fall off as exp(-2*pi*s/dk), eta_k's
-    # poles at s = delta*sin(pi/n) (Trefethen and Weideman, SIAM Rev. 56, 385 (2014)).
-    # A flat band (s = 0) takes dk = delta/m, its edges on cell boundaries.
-    if band.eta == 0.0:
-        return guard
-    if band.is_flat:
-        return band.delta / max(FLAT_CELLS, np.ceil(band.delta / guard))
-    return min(guard, 2.0 * np.pi * band.delta * np.sin(np.pi / band.n) / STRIP_BUDGET)
 
 
 def validate_params(p: ModelParams) -> ValidatedModel:
@@ -187,11 +175,12 @@ def validate_params(p: ModelParams) -> ValidatedModel:
     whose code is the key to change.  The raw fields come first and raise
     before any default is resolved: gamma > 0, omega finite, eta >= 0,
     delta > 0, n even and >= 2, center finite, cutoff/dk/horizon/step > 0
-    where set, quad_tol in (0, 1), cutoff >= delta.  Then the resolved
-    numerics: dk (recurrence 2*pi/dk beyond ``REVIVAL_MARGIN`` horizons), cutoff
-    (K >= :func:`default_cutoff` at this T unless ``allow_narrow_window``) and horizon,
-    dk or step (~2K/dk cells, none at eta = 0, and ~T/step step records within
-    ``_MAX_CORE_BYTES``).  Each stage raises one :class:`ValidationError`.
+    where set, quad_tol in (0, 1), cutoff >= delta.  Then the resolved numerics:
+    dk (recurrence 2*pi/dk beyond T + ``STRIP_BUDGET``/s, or ``REVIVAL_MARGIN``*T
+    with no strip s), cutoff (K >= :func:`default_cutoff` at this T unless
+    ``allow_narrow_window``) and horizon, dk or step (~2K/dk cells, none at eta = 0,
+    and ~T/step step records within ``_MAX_CORE_BYTES``).  Each stage raises one
+    :class:`ValidationError`.
     """
     violations = []
     if not np.isfinite(p.gamma) or p.gamma <= 0.0:
@@ -217,14 +206,21 @@ def validate_params(p: ModelParams) -> ValidatedModel:
     T = num.horizon if num.horizon is not None else 5.0 / p.gamma
     need = default_cutoff(p.gamma, band, p.omega, T)
     K = num.cutoff if num.cutoff is not None else need
-    guard = 2.0 * np.pi / (REVIVAL_MARGIN * T) / 1.25  # 2pi/dk beyond 1.25*REVIVAL_MARGIN*T
-    dk = num.dk if num.dk is not None else _default_dk(band, guard)
+    # Off the Markov term only the pair kernel g2 (e^{-pi eta_k tau} - 1) recurs at 2pi/dk.  It is
+    # analytic in the strip s = delta sin(pi/n) of eta_k's poles, so its images are down by
+    # e^-STRIP_BUDGET once 2pi/dk clears T by STRIP_BUDGET/s (Trefethen and Weideman, SIAM Rev. 56,
+    # 385 (2014)).  Flat bands (s = 0) and eta = 0 keep REVIVAL_MARGIN horizons, 1.25 times over.
+    s = band.delta * np.sin(np.pi / band.n) if band.eta > 0.0 and not band.is_flat else 0.0
+    reach = T + STRIP_BUDGET / s if s else REVIVAL_MARGIN * T  # the least 2pi/dk
+    guard = 2.0 * np.pi / (1.25 * reach)  # a flat band's dk = delta/m, edges on cell boundaries
+    flat_dk = band.delta / max(FLAT_CELLS, np.ceil(band.delta / guard))
+    dk = num.dk or (2.0 * np.pi / reach if s else flat_dk if band.eta > 0.0 else guard)
     step = num.step if num.step is not None else 0.01 / p.gamma
 
-    if 2.0 * np.pi / dk <= REVIVAL_MARGIN * T:
+    if dk > 2.0 * np.pi / reach:
         violations.append(("dk", (
             f"dk={dk:g} puts the recurrence 2pi/dk={2 * np.pi / dk:g} inside "
-            f"{REVIVAL_MARGIN}*T={REVIVAL_MARGIN * T:g}")))
+            f"{'T + STRIP_BUDGET/s' if s else f'{REVIVAL_MARGIN:g}*T'}={reach:g}")))
     if K < need and not num.allow_narrow_window:
         violations.append(("cutoff", (
             f"cutoff K={K:g} below the band-derived window {need:g}; "
@@ -234,7 +230,8 @@ def validate_params(p: ModelParams) -> ValidatedModel:
     core, rec = modes * _MODE_BYTES, records * _STEP_BYTES
     if core + rec > _MAX_CORE_BYTES:
         if core > rec:
-            key = "dk" if (num.dk or _default_dk(band, np.inf)) < guard else "horizon"
+            own = 2.0 * np.pi * s / STRIP_BUDGET if s else band.delta / FLAT_CELLS  # band's alone
+            key = "dk" if (num.dk or own) < (2.0 * np.pi / T if s else guard) else "horizon"
         else:
             key = "step" if num.step is not None else "horizon"
         violations.append((key, (

@@ -20,7 +20,8 @@ import numpy as np
 
 from .config import MODEL_KEYS, model_params_from_dict, parse_kv_text
 from .errors import ConfigError, NoResponse, WindowTooNarrow
-from .formfactor import form_factor_grid, free_value, renormalized_form_factor, sum_rule_defect
+from .formfactor import (_default_window, form_factor_grid, free_value, renormalized_form_factor,
+                         sum_rule_defect)
 from .model import ModelParams, ValidatedModel, validate_params, qze_condition_report
 from .dynamics import discretize_continuum, propagate, response_delay, decay_rate_trace
 from .spectral import perturbative_decay, spectral_function, stage_rates, survival_amplitude_spectral
@@ -202,7 +203,8 @@ def product_evolve(m: ValidatedModel):
 
 
 def product_spectral(m: ValidatedModel):
-    grid = form_factor_grid(m.band, m.gamma, tol=m.numerics.quad_tol)
+    grid = form_factor_grid(m.band, m.gamma, _default_window(m.band, m.gamma, m.omega),
+                            tol=m.numerics.quad_tol)
     sf = spectral_function(grid, m.omega)
     t = _evolve_samples(m)
     pert = perturbative_decay(grid, m.omega, t)

@@ -44,24 +44,27 @@ def free_trace():
 
 class TestDiscretize:
     def test_revival_guard_arithmetic(self):
-        # horizon 5 and margin 4 force dk <= 2*pi/20 ~ 0.314
+        # s = 10 sin(pi/6) = 5: the recurrence 2*pi/dk is T + STRIP_BUDGET/s = 9.14,
+        # and a given dk is refused only beyond that default
         m = model(eta=1.0, delta=10.0)
-        assert m.numerics.dk <= 2 * math.pi / (4 * m.numerics.horizon)
-        dm = discretize_continuum(m)
-        assert 2 * math.pi / m.numerics.dk > 4 * dm.horizon
+        reach = m.numerics.horizon + model_rules.STRIP_BUDGET / 5.0
+        assert 2 * math.pi / m.numerics.dk == pytest.approx(reach, rel=1e-12)
+        assert model(eta=1.0, delta=10.0, dk=m.numerics.dk).numerics.dk == m.numerics.dk
+        with pytest.raises(ValidationError):
+            model(eta=1.0, delta=10.0, dk=m.numerics.dk * (1.0 + 1e-9))
 
     def test_revival_guard_violation(self):
         with pytest.raises(ValidationError) as err:
-            model(eta=1.0, delta=10.0, dk=0.5)  # 2*pi/0.5 = 12.6 < 4*T = 20
+            model(eta=1.0, delta=10.0, dk=1.0)  # 2*pi/1 = 6.3 < T + 20.7/5 = 9.14
         assert [code for code, _ in err.value.violations] == ["dk"]
 
     def test_memory_estimate_rejects_long_horizon(self):
-        # broken Fig. 3 set at horizon 1e4: dk ~ 1.26e-4 on K ~ 1362 gives
-        # ~2.2e7 core modes; validation refuses it before anything is built
+        # broken Fig. 3 set at horizon 1e4: dk ~ 6.28e-4 on K ~ 1362 gives
+        # ~4.3e6 core modes; validation refuses it before anything is built
         with pytest.raises(ValidationError) as err:
             model(eta=1000.0, delta=1000.0 / (2 * math.pi), horizon=1e4)
         assert [code for code, _ in err.value.violations] == ["horizon"]
-        assert "~2.17e+07 core modes" in str(err.value)
+        assert "~4.34e+06 core modes" in str(err.value)
         # the Fig. 3 horizon of the same set stays far inside the limit
         m5 = model(eta=1000.0, delta=1000.0 / (2 * math.pi))
         core_bytes = 2 * m5.numerics.cutoff / m5.numerics.dk * model_rules._MODE_BYTES
@@ -78,11 +81,13 @@ class TestDiscretize:
 
     @pytest.mark.parametrize("n", [6, 24, 400, 1600])
     def test_band_strip_sets_dk(self, n):
-        # dk = min(revival guard, 2 pi s/STRIP_BUDGET) with s = delta sin(pi/n)
+        # dk = 2 pi/(T + STRIP_BUDGET/s) with s = delta sin(pi/n), which never exceeds
+        # the strip's own 2 pi s/STRIP_BUDGET
         m = model(eta=100.0, delta=FIG1_DELTA, n=n)
-        guard = 2 * math.pi / (5 * m.numerics.horizon)
-        strip = 2 * math.pi * FIG1_DELTA * math.sin(math.pi / n) / model_rules.STRIP_BUDGET
-        assert m.numerics.dk == pytest.approx(min(guard, strip), rel=1e-12)
+        s = FIG1_DELTA * math.sin(math.pi / n)
+        reach = m.numerics.horizon + model_rules.STRIP_BUDGET / s
+        assert m.numerics.dk == pytest.approx(2 * math.pi / reach, rel=1e-12)
+        assert m.numerics.dk < 2 * math.pi * s / model_rules.STRIP_BUDGET
 
     @pytest.mark.parametrize("center", [0.0, 0.37, -2.37, 2.5])
     def test_flat_band_edges_are_cell_boundaries(self, center):
@@ -164,7 +169,7 @@ class TestDiscretize:
 
     def test_resolved_violations_are_reported_together(self):
         with pytest.raises(ValidationError) as err:
-            model(eta=1.0, delta=30.0, cutoff=100.0, dk=0.5)
+            model(eta=1.0, delta=30.0, cutoff=100.0, dk=1.5)  # 2*pi/1.5 = 4.2 < 5 + 20.7/15
         assert [code for code, _ in err.value.violations] == ["dk", "cutoff"]
 
     def test_mode_energies_are_damped(self):
@@ -192,12 +197,15 @@ class TestWindowDefect:
     """The window rule's premise: the discretized Sigma misses the exact one by D(K) alone.
 
     The model's own self-energy, Markov term plus photon modes plus ghosts,
-    is compared with ``sigma_quad_oracle`` at omega + x + 4i/T across the
-    line, and D is taken at the grid's own half-width (K rounded up to whole
-    cells).  Two grid terms the window does not set are taken out: the
-    midpoint alias (gamma/2)(tan(pi (eps - (c - omega))/dk)
-    - i) of the undamped ghost line (e^-20 ~ 2.1e-9 at Im eps = 4/T), and the
-    flat band's Euler-Maclaurin edge term (dk^2/24) sum [d/dk g2/(eps - k + i pi
+    is compared with ``sigma_quad_oracle`` at omega + x + iy across the line,
+    y = max(4/T, STRIP_BUDGET*dk/2pi), and D is taken at the grid's own
+    half-width (K rounded up to whole cells).  At that height the photon
+    line's own aliases, ~e^{-2 pi y/dk} where the modes near omega are barely
+    damped (the 3-delta detuned band), are at most e^-STRIP_BUDGET; at 4/T
+    alone, on the band's coarser grid, they missed by 1.5e-3.  Two grid terms
+    the window does not set are taken out: the midpoint alias (gamma/2)(tan(pi
+    (eps - (c - omega))/dk) - i) of the undamped ghost line, and the flat
+    band's Euler-Maclaurin edge term (dk^2/24) sum [d/dk g2/(eps - k + i pi
     eta_k)] over the jumps (~2e-7).
     """
 
@@ -206,8 +214,8 @@ class TestWindowDefect:
         return (dm.atom_shift + np.sum(dm.coupling ** 2 / (eps - (dm.mode_energy - dm.omega)))
                 + np.sum(dm.tail_weights / (eps - dm.tail_poles)))
 
-    # measured <= 5.2e-10 (the 3-delta detuned band, whose line leaves the
-    # photon grid's own alias), <= 6.5e-11 elsewhere.  The K100, K60 and
+    # measured <= 5.6e-10 (the 3-delta detuned band, whose line leaves the
+    # photon grid's own alias), <= 5.9e-11 elsewhere.  The K100, K60 and
     # K1200 windows are below the rule's K (136, 97, 1,362 and 143); K150 is
     # above it, except for the detuned band.
     @pytest.mark.parametrize("kw", [
@@ -232,8 +240,9 @@ class TestWindowDefect:
     def test_sigma_misses_by_the_window_defect(self, kw):
         m = model(**kw, allow_narrow_window=True)
         dm, b, dk = discretize_continuum(m), m.band, m.numerics.dk
+        y = max(4.0 / m.numerics.horizon, model_rules.STRIP_BUDGET * dk / (2.0 * math.pi))
         for x in (-2.0, 0.0, 1.5):
-            eps = x + 4j / m.numerics.horizon
+            eps = x + 1j * y
             miss = self.sigma_d(dm, eps) - sigma_quad_oracle(b, 1.0, 0.0, eps)
             if len(dm.k_grid):
                 miss -= 0.5 * (np.tan(math.pi * (eps - b.center) / dk) - 1j)
@@ -246,10 +255,10 @@ class TestWindowDefect:
 
     def test_default_window_is_within_a_wider_one(self):
         # Each band at the rule's K (D <= SIGMA_BUDGET) against 1.5 K.  Measured
-        # max |ds|, |deps|, |dr|: 8.9e-8/4.0e-7/4.8e-7 (solid), 4.3e-8/4.3e-7/4.4e-7
-        # (dotted), 9.5e-8/4.0e-7/4.7e-7 (broken), 4.2e-8/3.1e-7/3.2e-7 and
-        # 4.6e-8/3.2e-7/3.4e-7 (n = 2), 4.1e-7 at most (3-delta detuned) and
-        # 2.5e-7 at most (delta = 1 detuned by 2000, K = 1.8).
+        # max |ds|, |deps|, |dr|: 8.9e-8/4.0e-7/4.7e-7 (solid), 4.1e-8/4.1e-7/4.2e-7
+        # (dotted), 1.2e-7/4.0e-7/4.7e-7 (broken), 3.7e-8/3.1e-7/3.2e-7 and
+        # 4.7e-8/3.2e-7/3.4e-7 (n = 2), 4.1e-7 at most (3-delta detuned) and
+        # 2.1e-7 at most (delta = 1 detuned by 2000, K = 1.8).
         for kw in (dict(eta=100.0, delta=FIG1_DELTA), dict(eta=10.0, delta=FIG1_DELTA),
                    dict(eta=1000.0, delta=10 * FIG1_DELTA),
                    dict(eta=30.0, delta=FIG1_DELTA, n=2), dict(eta=100.0, delta=FIG1_DELTA, n=2),
@@ -276,13 +285,30 @@ class TestPropagate:
         assert free_trace.norm_defect.max() < 1e-6
 
     def test_vanishing_band_cancels_pair_by_pair(self):
-        # eta = 1e-6 builds 128 photon/ghost pairs that must cancel, leaving
-        # exp(-gamma t): measured 8.7e-9, norm defect 1.2e-11
+        # eta = 1e-6 builds 40 photon/ghost pairs that must cancel, leaving
+        # exp(-gamma t): measured 8.6e-9, norm defect 1.2e-11
         dm = discretize_continuum(model(eta=1e-6, delta=FIG1_DELTA))
         tr = propagate(dm)
-        assert len(dm.k_grid) == len(dm.tail_poles) == 128
+        assert len(dm.k_grid) == len(dm.tail_poles) == 40
         assert np.abs(tr.s - np.exp(-tr.t)).max() <= 3e-8
         assert tr.norm_defect.max() <= 1e-10
+
+    # The dk rule is not lossy: halving dk moves nothing past 1e-7.  Measured
+    # max |ds|, |deps|, |dr|: 2.1e-9/2.0e-9/3.9e-11 (solid), 3.6e-9/1.6e-8/1.4e-8
+    # (dotted), 4.7e-8/4.5e-9/8.6e-10 (broken), 1.4e-9/5.5e-11/9.2e-12 (n = 2),
+    # 2.7e-8/4.0e-8/3.4e-8 (n = 24), 2.4e-10/2.7e-10/3.2e-11 (detuned 2 delta).
+    @pytest.mark.parametrize("kw", [
+        dict(eta=100.0, delta=FIG1_DELTA), dict(eta=10.0, delta=FIG1_DELTA),
+        dict(eta=1000.0, delta=10 * FIG1_DELTA), dict(eta=100.0, delta=FIG1_DELTA, n=2),
+        dict(eta=100.0, delta=FIG1_DELTA, n=24),
+        dict(eta=100.0, delta=FIG1_DELTA, center=2 * FIG1_DELTA),
+    ], ids=["solid", "dotted", "broken", "n2", "n24", "detuned-2delta"])
+    def test_default_dk_is_within_a_finer_one(self, kw):
+        m = model(**kw)
+        a = propagate(discretize_continuum(m))
+        b = propagate(discretize_continuum(model(**kw, dk=m.numerics.dk / 2)))
+        for x, y in ((a.s, b.s), (a.eps, b.eps), (a.r, b.r)):
+            assert np.abs(x - y).max() <= 1e-7
 
     def test_no_detector_leaves_r_zero(self, free_trace):
         assert np.all(free_trace.r == 0.0)
@@ -336,7 +362,7 @@ class TestPropagate:
     def test_solid_fig3_work_is_pinned(self, monkeypatch):
         # The step schedule of the solid Fig. 3 set, so that a faster
         # propagate cannot come from fewer or larger steps unnoticed.  The
-        # revival guard sets dk here (1,084 photon modes and as many ghosts);
+        # band's recurrence rule sets dk here (330 photon modes and as many ghosts);
         # the ramp depends on max|L| ~ K: 64 steps at step/8, 32 each at
         # step/4 and step/2, then 468 at step from t = 32*step to T = 5.
         steps, sizes = [0], []
@@ -353,7 +379,7 @@ class TestPropagate:
         monkeypatch.setattr(_ArrowheadKrogstad, "step", counting_step)
         monkeypatch.setattr(_ArrowheadKrogstad, "set_step", recording_set_step)
         dm = discretize_continuum(model(eta=100.0, delta=FIG1_DELTA))
-        assert len(dm.k_grid) == len(dm.tail_poles) == 1084
+        assert len(dm.k_grid) == len(dm.tail_poles) == 330
         propagate(dm)
         assert steps[0] == 596 and len(sizes) == 4
         assert sizes == [dm.step / 2 ** j for j in (3, 2, 1, 0)]

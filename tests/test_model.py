@@ -68,8 +68,8 @@ class TestValidateParams:
         assert m.numerics.horizon == pytest.approx(5.0)
         # the default cutoff is the window rule's at this T
         assert m.numerics.cutoff == default_cutoff(1.0, m.band, 0.0, 5.0)
-        # revival guard dk <= pi/(2T)
-        assert m.numerics.dk <= math.pi / (2 * m.numerics.horizon)
+        # the recurrence 2*pi/dk clears T by STRIP_BUDGET/s, s = delta sin(pi/6)
+        assert 2 * math.pi / m.numerics.dk == pytest.approx(5.0 + 20.7 / (0.5 * delta), rel=1e-12)
 
     def test_measurement_free_allowed(self):
         m = validate_params(ModelParams(gamma=1.0, band=DetectorBand(eta=0.0, delta=1.0, n=6)))

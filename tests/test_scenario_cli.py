@@ -69,13 +69,25 @@ class TestScenarioProducts:
         assert s[i] == pytest.approx(math.exp(-1.0), abs=1e-6)
 
     def test_evolve_vanishing_band_is_free_decay(self, tmp_path):
-        # eta -> 0 through the CLI: the grid's photon/ghost pairs cancel (8.7e-9 measured)
+        # eta -> 0 through the CLI: the grid's photon/ghost pairs cancel (8.6e-9 measured)
         rc = run_cli(["evolve", "--out", str(tmp_path), "--override", "gamma=1",
                       "--override", "eta=1e-6", "--override", f"delta={100 / (2 * math.pi)!r}"])
         assert rc == 0
         header, (t, s, eps, r, defect) = read_csv(tmp_path / "evolve.csv")
         assert np.abs(s - np.exp(-t)).max() <= 3e-8
         assert defect.max() <= 1e-10
+
+    def test_spectral_runs_a_band_far_off_the_line(self, tmp_path):
+        # a band centred at 1000 with omega = 0: the spectral window holds the band and
+        # the line, each +- 1000, and the routes agree through the CLI: measured 4.1e-6
+        # over the 501 samples, set by the step (6.3e-8 at step/4), not by dk
+        ov = ["--override", "eta=100", "--override", "delta=15.9155", "--override", "center=1000"]
+        assert run_cli(["spectral", "--out", str(tmp_path)] + ov) == 0
+        assert run_cli(["evolve", "--out", str(tmp_path)] + ov) == 0
+        _, (t, s_spec) = read_csv(tmp_path / "survival_spectral.csv")
+        _, (t_dyn, s_dyn, *_) = read_csv(tmp_path / "evolve.csv")
+        np.testing.assert_array_equal(t, t_dyn)
+        assert np.abs(s_spec - s_dyn).max() <= 1e-5
 
     def test_evolve_csv_reingested_invariants(self, tmp_path):
         cfg = load_scenario(overrides={"gamma": "1", "eta": "2", "delta": "5", "n": "6"},
@@ -246,13 +258,14 @@ class TestCli:
         assert rc == 1
 
     def test_revival_guard_exit_one(self, tmp_path, capsys):
-        # dk chosen to violate the revival guard: an input check, named by its key
+        # dk chosen to put the recurrence 2*pi/dk = 6.3 inside T + 20.7/s = 9.14:
+        # an input check, named by its key
         rc = run_cli(["evolve", "--out", str(tmp_path),
                       "--override", "eta=1", "--override", "delta=10",
-                      "--override", "dk=0.5"])
+                      "--override", "dk=1.0"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: dk=0.5 ")
+        assert err.startswith("config error: dk=1 ")
 
     def test_sweep_numerical_failure_crosses_the_pool(self, tmp_path, capsys):
         # quad_tol passes validation; the quadrature fails inside the two workers
@@ -280,7 +293,8 @@ class TestCli:
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("overrides,err", [
-        # dk breaks the revival guard at T = 5, which formfactor never uses
+        # dk = 0.5 puts 2*pi/dk = 12.6 inside T + 20.7/s = 46.4 at T = 5 and delta = 1,
+        # which formfactor never uses
         (["products=formfactor,evolve", "sweep_eta=1,2", "dk=0.5"], "config error: dk=0.5 "),
         # the second point's band needs a window K >= 338.6 at T = 1
         (["products=evolve", "eta=1", "cutoff=300", "horizon=1", "sweep_delta=10,100"],

@@ -300,8 +300,11 @@ class TestStageRates:
 
 class TestCrossMethod:
     @staticmethod
-    def gap(band, grid):
+    def gap(band, grid, dk_scale=1.0):
         m = validate_params(ModelParams(gamma=GAMMA, band=band))
+        # dk_scale > 1 builds a grid coarser than validate_params accepts
+        coarse = dataclasses.replace(m.numerics, dk=dk_scale * m.numerics.dk)
+        m = dataclasses.replace(m, numerics=coarse)
         ts = np.linspace(0.0, 5.0, 101)
         s_dyn = propagate(discretize_continuum(m), ts).s
         sf = spectral_function(grid, 0.0)
@@ -326,7 +329,7 @@ class TestCrossMethod:
         (DetectorBand(eta=100.0, delta=FIG_DELTA, n=2, center=0.0), 5e-7),
         (DetectorBand(eta=100.0, delta=FIG_DELTA, n=None, center=2.5 * FIG_DELTA), 1.5e-6),
         (DetectorBand(eta=100.0, delta=FIG_DELTA, n=None, center=0.37 * FIG_DELTA), 2e-5),
-        # steep bands: dk = min(revival guard, 2 pi delta sin(pi/n)/20.7)
+        # steep bands: dk = 2 pi/(T + 20.7/s), s = delta sin(pi/n)
         (DetectorBand(eta=100.0, delta=FIG_DELTA, n=24, center=0.0), 2e-6),
         (DetectorBand(eta=100.0, delta=FIG_DELTA, n=96, center=0.0), 5e-6),
         (DetectorBand(eta=100.0, delta=FIG_DELTA, n=400, center=0.0), 6e-7),
@@ -335,6 +338,16 @@ class TestCrossMethod:
             "flat-detuned-0.37delta", "n24", "n96", "n400", "n1600"])
     def test_routes_agree(self, band, bound):
         assert self.gap(band, form_factor_grid(band, GAMMA, tol=1e-9)) < bound
+
+    def test_strip_budget_holds_the_gap(self):
+        # The dk rule is not slack either: on n = 24 (s = 2.08, 2 pi/dk = T + 10.0) the
+        # gap rises from 6.8e-7 to 4.4e-5 at 2 dk, where the recurrence still clears T
+        # but by 5.0/s, and to 2.3e-2 at 3 dk, where it falls inside T.
+        band = DetectorBand(eta=100.0, delta=FIG_DELTA, n=24, center=0.0)
+        grid = form_factor_grid(band, GAMMA, tol=1e-9)
+        base = self.gap(band, grid)
+        for scale in (2.0, 3.0):
+            assert self.gap(band, grid, dk_scale=scale) >= 10.0 * base
 
 
 class TestSigmaReuse:
