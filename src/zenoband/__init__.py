@@ -40,6 +40,7 @@ from .model import (
 )
 from .formfactor import (
     FormFactorGrid,
+    PiecewisePoly,
     form_factor_grid,
     free_value,
     renormalized_form_factor,

@@ -27,11 +27,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize_scalar
 
 from ._phi import gauss_legendre, phi_functions
 from .errors import NoResponse, ToleranceNotMet
+from .formfactor import PiecewisePoly
 from .model import ValidatedModel, detector_response
 
 __all__ = [
@@ -239,8 +238,8 @@ def propagate(dm: DiscretizedModel,
                           np.einsum("i,i,i", rate, photons, photons))
     rec[:, 4] = dm.gamma * (rec[:, 0] ** 2 + rec[:, 1] ** 2)
 
-    re_F, im_F, eps = CubicSpline(times, rec[:, :3])(ts).T
-    r, markov = CubicSpline(times, rec[:, 3:]).antiderivative()(ts).T  # r = Int J dt
+    re_F, im_F, eps = PiecewisePoly.cubic(times, rec[:, :3])(ts).T
+    r, markov = PiecewisePoly.cubic(times, rec[:, 3:]).antiderivative()(ts).T  # r = Int J dt
     s, eps = re_F ** 2 + im_F ** 2, eps + markov
     defect = np.abs(1.0 - (s + eps + r))
     if defect.max() > DEFECT_TOL:
@@ -260,7 +259,7 @@ def response_delay(trace: ProbabilityTrace) -> float:
     t, s, r = trace.t, trace.s, trace.r
     if r.max() < 0.5:
         raise NoResponse(f"r(t) peaks at {r.max():.3f} < 0.5; no usable response")
-    s_of, r_of = CubicSpline(t, s), CubicSpline(t, r)
+    s_of, r_of = PiecewisePoly.cubic(t, s), PiecewisePoly.cubic(t, r)
     u, w = gauss_legendre(_DELAY_NODES)
     T = t[-1]
 
@@ -268,9 +267,43 @@ def response_delay(trace: ProbabilityTrace) -> float:
         tt = d + (T - d) * u
         return float(w @ (r_of(tt) - 1.0 + s_of(tt - d)) ** 2)
 
-    res = minimize_scalar(mse, bounds=(0.0, T / 2.0), method="bounded",
-                          options={"xatol": _DELAY_XTOL * T})
-    return float(res.x)
+    return float(_fminbound(mse, 0.0, T / 2.0, _DELAY_XTOL * T))
+
+
+def _fminbound(f, a, b, xatol):
+    """Bounded Brent minimization of f on [a, b], step for step scipy's ``fminbound``:
+    a parabola through the best three points where its minimum falls well inside
+    the bracket, else a golden-section step; at most 500 evaluations."""
+    g = 0.5 * (3.0 - math.sqrt(5.0))
+    x = w = v = a + g * (b - a)  # the best point, the second best and the one before
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    for _ in range(499):
+        xm, tol = 0.5 * (a + b), math.sqrt(2.2e-16) * abs(x) + xatol / 3.0
+        if not abs(x - xm) > 2.0 * tol - 0.5 * (b - a):
+            break
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+        p, q = -p if q > 0.0 else p, abs(q)
+        if abs(e) > tol and abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            e, d = d, (p + 0.0) / q
+            if min(x + d - a, b - (x + d)) < 2.0 * tol:
+                d = tol if xm >= x else -tol
+        else:
+            e = a - x if x >= xm else b - x
+            d = g * e
+        u = x + math.copysign(max(abs(d), tol), d)
+        fu = f(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x
 
 
 def decay_rate_trace(trace: ProbabilityTrace):

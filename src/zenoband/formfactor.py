@@ -19,9 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
-# unused here, but bound: perfbench/spans.py wraps formfactor.quad under --trace 1
-from scipy.integrate import quad  # noqa: F401
-from scipy.interpolate import CubicSpline, PPoly
+from scipy.linalg import solve_banded
 
 from ._phi import gauss_legendre
 from .errors import QuadratureFailure, WindowTooNarrow
@@ -29,6 +27,7 @@ from .model import DetectorBand, _flat_band_log
 
 __all__ = [
     "FormFactorGrid",
+    "PiecewisePoly",
     "renormalized_form_factor",
     "form_factor_grid",
     "sum_rule_defect",
@@ -50,19 +49,86 @@ def free_value(gamma: float) -> float:
     return gamma / (2.0 * math.pi)
 
 
+def __getattr__(name):  # formfactor.quad, which perfbench/spans.py wraps, binds on first access
+    if name != "quad":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.integrate import quad
+    return quad
+
+
+@dataclass(frozen=True)
+class PiecewisePoly:
+    """Piecewise polynomial in scipy ``PPoly``'s layout: c[k, i] multiplies
+    (x - x[i])^(K-1-k) on [x[i], x[i+1]), K = len(c), and trailing axes of c
+    are the value's.  The end cells extend past the ends; a repeated x is a
+    zero-width cell, so the line is right-continuous there."""
+
+    x: np.ndarray
+    c: np.ndarray
+
+    @classmethod
+    def cubic(cls, x, y, cut=None) -> "PiecewisePoly":
+        """Not-a-knot cubic splines of y on x by scipy ``CubicSpline``'s formulas, in
+        pieces split before each index of ``cut`` (default: each repeated x); the
+        cells across a cut are 0.  A piece of fewer than 4 points raises ValueError."""
+        y = np.asarray(y, dtype=float)
+        Y, h = y.reshape(len(x), -1), np.diff(x)
+        cut = np.flatnonzero(h == 0.0) + 1 if cut is None else np.asarray(cut, dtype=int)
+        s, e = np.r_[0, cut], np.r_[cut - 1, len(x) - 1]  # each piece's first and last node
+        if np.any(e - s < 3):
+            raise ValueError("a not-a-knot cubic piece needs at least 4 points")
+        ab, b, H = np.zeros((3, len(x))), np.empty_like(Y), h[:, None]
+        ab[0, 2:], ab[1, 1:-1], ab[2, :-2] = h[:-1], 2 * (h[:-1] + h[1:]), h[1:]
+        ds, de = x[s + 2] - x[s], x[e] - x[e - 2]  # the not-a-knot rows at the ends
+        ab[1, s], ab[0, s + 1], ab[1, e], ab[2, e - 1] = h[s + 1], ds, h[e - 2], de
+        ab[0, s[1:]] = ab[2, e[:-1]] = 0.0  # no coupling across a cut
+        ds, de = ds[:, None], de[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):  # the cells across a cut
+            m = np.diff(Y, axis=0) / H
+            b[1:-1] = 3 * (H[1:] * m[:-1] + H[:-1] * m[1:])
+            b[s] = ((H[s] + 2 * ds) * H[s + 1] * m[s] + H[s] ** 2 * m[s + 1]) / ds
+            b[e] = (H[e - 1] ** 2 * m[e - 2] + (2 * de + H[e - 1]) * H[e - 2] * m[e - 1]) / de
+            v = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
+            t = (v[:-1] + v[1:] - 2 * m) / H
+            c = np.stack((t / H, (m - v[:-1]) / H - t, v[:-1], Y[:-1]))
+        c[:, cut - 1] = 0.0
+        return cls(x, c.reshape(c.shape[:2] + y.shape[1:]))
+
+    def __call__(self, x, nu=0, cell=None):
+        """The value, or its ``nu``-th derivative, at x; each x in its own cell, or in ``cell``."""
+        x = np.asarray(x, dtype=float)
+        i = cell if cell is not None else np.clip(
+            np.searchsorted(self.x, x, side="right") - 1, 0, len(self.x) - 2)
+        K, dx = len(self.c), (x - self.x[i]).reshape(x.shape + (1,) * (self.c.ndim - 2))
+        out, z = 0.0, 1.0
+        for p in range(nu, K):  # in ascending powers, as scipy sums them
+            out, z = out + self.c[K - 1 - p, i] * z * math.perm(p, nu), z * dx
+        return out
+
+    def antiderivative(self) -> "PiecewisePoly":
+        """The integral from x[0]: each cell's own, plus the running sum of the cells before."""
+        c = np.concatenate([(self.c.T / np.arange(len(self.c), 0, -1.0)).T,
+                            np.zeros_like(self.c[:1])])
+        cells = PiecewisePoly(self.x, c)(self.x[1:-1], cell=np.arange(len(self.x) - 2))
+        c[-1, 1:] = np.cumsum(cells, axis=0)
+        return PiecewisePoly(self.x, c)
+
+    def integrate(self, a, b):
+        """Int_a^b of the line, extrapolated past its ends like ``__call__``."""
+        F = self.antiderivative()
+        return F(b) - F(a)
+
+
 def _split_cubic(x, y, edges=()):
-    """(x, y, pieces): not-a-knot cubic splines of y on x, broken at each
+    """(x, y, line): :meth:`PiecewisePoly.cubic` of y on x, broken at each
     repeated x.  Each of the sorted ``edges`` (none in x) is first put in x
     twice, each copy with the value its own side's spline extrapolates to."""
-    def pieces(x, y, cut):
-        return [CubicSpline(a, b) for a, b in zip(np.split(x, cut), np.split(y, cut))]
-
     if len(edges):
-        at = np.repeat(np.searchsorted(x, edges), 2)
-        sides = pieces(x, y, at[::2])
-        ends = [sp(e) for i, e in enumerate(edges) for sp in sides[i:i + 2]]
-        x, y = np.insert(x, at, np.repeat(edges, 2)), np.insert(y, at, ends)
-    return x, y, pieces(x, y, np.flatnonzero(np.diff(x) == 0.0) + 1)
+        at = np.searchsorted(x, edges)  # from the left side's last cell and the right side's first
+        ends = PiecewisePoly.cubic(x, y, at)(np.repeat(edges, 2), cell=np.c_[at - 2, at].ravel())
+        at, edges = np.repeat(at, 2), np.repeat(edges, 2)
+        x, y = np.insert(x, at, edges), np.insert(y, at, ends)
+    return x, y, PiecewisePoly.cubic(x, y)
 
 
 @dataclass(frozen=True)
@@ -81,9 +147,8 @@ class FormFactorGrid:
     band: DetectorBand
     tol: float
 
-    def interpolator(self) -> PPoly:
-        c = [a for sp in _split_cubic(self.mu, self.g2)[2] for a in (np.zeros((4, 1)), sp.c)]
-        return PPoly(np.hstack(c[1:]), self.mu)
+    def interpolator(self) -> PiecewisePoly:
+        return _split_cubic(self.mu, self.g2)[2]
 
 
 def renormalized_form_factor(band: DetectorBand, gamma: float, mu: float,

@@ -89,11 +89,11 @@ def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
 
     sigma = self_energy(grid, E)
     A = -sigma.imag / math.pi / ((E - omega - sigma.real) ** 2 + sigma.imag ** 2)
-    E, A, pieces = _split_cubic(E, A, edges)
+    E, A, line = _split_cubic(E, A, edges)
     if A[0] > 1e-6 * A.max() or A[-1] > 1e-6 * A.max():
         raise WindowTooNarrow(
             "A(E) has not decayed to 1e-6 of its peak at the spectral window edge")
-    area = sum(float(sp.integrate(sp.x[0], sp.x[-1])) for sp in pieces)
+    area = float(line.integrate(E[0], E[-1]))
     # analytic mass of the (gamma/2pi)/(E-omega)^2 tails beyond the window
     tail = free_value(grid.gamma) * (1.0 / (hi - omega) + 1.0 / (omega - lo))
     return SpectralFunction(E=E, A=A, sigma_omega=sigma_omega,
@@ -126,14 +126,15 @@ def survival_amplitude_spectral(sf: SpectralFunction, t) -> np.ndarray:
         raise HorizonExceeded(
             f"t up to {t_arr.max():g} exceeds the spectral horizon {horizon:g}")
 
-    pieces = _split_cubic(sf.E - sf.omega, sf.A)[2]
-    out = np.zeros(len(t_arr), dtype=complex)
-    for sp in pieces:  # J_0..J_2: +S, S', S'' at a piece's left end, - at its right
-        xb = sp.x[[0, -1]]
-        phi = phi_functions(-1j * t_arr[:, None] * xb, 3)
-        out += sum((-xb) ** (j + 1) * sp(xb, j) * [1.0, -1.0] * phi[j + 1] for j in range(3)).sum(1)
-    x = np.concatenate([sp.x for sp in pieces])  # J_3: the jumps of S''' = 6 * cubic coefficient
-    c = np.concatenate([np.diff(6.0 * sp.c[0], prepend=0.0, append=0.0) for sp in pieces])
+    line = _split_cubic(sf.E - sf.omega, sf.A)[2]
+    x, cut = line.x, np.flatnonzero(np.diff(line.x) == 0.0)
+    # J_0..J_2: +S, S', S'' at a piece's left end, - at its right, each from its own end cell
+    left, right = np.r_[0, cut + 1], np.r_[cut, len(x) - 1]
+    xb, cell = x[np.r_[left, right]], np.r_[left, right - 1]
+    phi = phi_functions(-1j * t_arr[:, None] * xb, 3)
+    sign = np.repeat([1.0, -1.0], len(left))
+    out = sum((-xb) ** (j + 1) * line(xb, j, cell) * sign * phi[j + 1] for j in range(3)).sum(1)
+    c = np.diff(6.0 * line.c[0], prepend=0.0, append=0.0)  # J_3: the jumps of S''' = 6 * c[0]
     order = np.argsort(np.abs(x), kind="stable")
     x, c, n = x[order], c[order], len(x)
     lim = np.divide(_NEAR, t_arr, out=np.full_like(t_arr, np.inf), where=t_arr > 0.0)

@@ -23,7 +23,9 @@ from zenoband import (
     response_delay,
     validate_params,
 )
+from zenoband import dynamics
 from zenoband import model as model_rules
+from zenoband._phi import gauss_legendre
 from zenoband.dynamics import _ArrowheadKrogstad
 from zenoband.model import _window_defect
 
@@ -495,6 +497,39 @@ class TestResponseDelay:
         brent = minimize_scalar(gap, bounds=(0.0, T / 2.0), method="bounded",
                                 options={"xatol": 1e-7}).x
         assert response_delay(tr) == pytest.approx(brent, abs=1e-3)
+
+    @pytest.mark.parametrize("eta,two_pi_delta", [(1.5, 100.0), (100.0, 100.0), (10.0, 100.0),
+                                                  (1000.0, 1000.0)])
+    def test_matches_scipy_bounded_brent(self, eta, two_pi_delta):
+        # the fig1 band and the three Fig. 3 sets at the evolve samples: scipy's
+        # bounded Brent on the objective built from scipy's splines lands where
+        # response_delay does, to its 4-decimal summary digit
+        m = model(eta=eta, delta=two_pi_delta / (2 * math.pi))
+        T = m.numerics.horizon
+        tr = propagate(discretize_continuum(m), np.linspace(0.0, T, 501))
+        s_of, r_of = CubicSpline(tr.t, tr.s), CubicSpline(tr.t, tr.r)
+        u, w = gauss_legendre(dynamics._DELAY_NODES)
+
+        def mse(d):
+            tt = d + (T - d) * u
+            return float(w @ (r_of(tt) - 1.0 + s_of(tt - d)) ** 2)
+
+        xatol = dynamics._DELAY_XTOL * T
+        want = minimize_scalar(mse, bounds=(0.0, T / 2.0), method="bounded",
+                               options={"xatol": xatol}).x
+        got = response_delay(tr)
+        assert abs(got - want) <= 2.0 * xatol
+        assert f"{got:.4f}" == f"{want:.4f}"
+        assert abs(dynamics._fminbound(mse, 0.0, T / 2.0, xatol) - want) <= 2.0 * xatol
+
+    @pytest.mark.parametrize("f", [lambda x: (x - 0.3) ** 2, lambda x: math.cos(3.0 * x) + 0.1 * x,
+                                   lambda x: abs(x - 1.7), lambda x: -x, lambda x: x])
+    def test_fminbound_follows_scipy(self, f):
+        # smooth, kinked, and monotone toward either bound
+        for xatol in (1e-3, 1e-6):
+            want = minimize_scalar(f, bounds=(0.0, 2.5), method="bounded",
+                                   options={"xatol": xatol}).x
+            assert abs(dynamics._fminbound(f, 0.0, 2.5, xatol) - want) <= 2.0 * xatol
 
     def test_no_response_when_r_stays_low(self, free_trace):
         with pytest.raises(NoResponse):

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline, PPoly
 
 from conftest import flat_sigma_oracle, g2_oracle, g2_quad_oracle
 from zenoband import formfactor
+from zenoband.formfactor import PiecewisePoly, _split_cubic
 from zenoband import (
     DetectorBand,
     QuadratureFailure,
@@ -399,3 +401,90 @@ class TestSumRule:
         g = form_factor_grid(band, GAMMA, window=(-40.0, 40.0), n_points=300, tol=1e-8)
         with pytest.raises(WindowTooNarrow):
             sum_rule_defect(g)
+
+
+def assert_rel(got, want, rel=1e-14):
+    """Agreement to ``rel`` of the largest |want|."""
+    np.testing.assert_allclose(got, want, rtol=rel, atol=rel * np.abs(want).max())
+
+
+def restacked_ppoly(x, y):
+    """The scipy construction PiecewisePoly replaces: one CubicSpline per run of x
+    between repeated values, joined into a PPoly by zero-width zero cells."""
+    cut = np.flatnonzero(np.diff(x) == 0.0) + 1
+    splines = [CubicSpline(a, b) for a, b in zip(np.split(x, cut), np.split(y, cut))]
+    c = [a for sp in splines for a in (np.zeros((4, 1) + y.shape[1:]), sp.c)]
+    return PPoly(np.concatenate(c[1:], axis=1), x)
+
+
+@pytest.fixture(scope="module")
+def flat_line():
+    """A flat band's g2 grid: each edge a repeated mu, g2 jumping there."""
+    band = DetectorBand(eta=1.0, delta=100.0 / (2 * math.pi), n=None, center=3.0)
+    g = form_factor_grid(band, GAMMA, tol=1e-9)
+    return g.mu, np.stack([g.g2, g.g2 ** 2], axis=1), band
+
+
+class TestPiecewisePoly:
+    """PiecewisePoly against scipy's CubicSpline and PPoly, which it replaces."""
+
+    @pytest.mark.parametrize("n", [4, 50, 3000])
+    @pytest.mark.parametrize("cols", [None, 3])
+    def test_matches_cubic_spline(self, n, cols):
+        rng = np.random.default_rng(n)
+        x = np.cumsum(rng.uniform(0.5, 1.5, n)) / n
+        y = np.sin(7.0 * x) + rng.normal(scale=1e-3, size=n)
+        y = y if cols is None else y[:, None] * np.arange(1.0, cols + 1.0)
+        want, got = CubicSpline(x, y), PiecewisePoly.cubic(x, y)
+        assert got.c.shape == want.c.shape
+        assert_rel(got.c, want.c)
+        span = x[-1] - x[0]  # past both ends, and on every node
+        xs = np.concatenate([np.linspace(x[0] - span / 4, x[-1] + span / 4, 5001), x])
+        for nu in range(4):
+            assert_rel(got(xs, nu), want(xs, nu))
+        assert_rel(got.antiderivative()(xs), want.antiderivative()(xs))
+        assert_rel(got.integrate(x[0] - span / 8, x[-1]), want.integrate(x[0] - span / 8, x[-1]))
+        assert np.shape(got(0.5)) == np.shape(want(0.5))
+
+    def test_repeated_breakpoints_match_restacked_splines(self, flat_line):
+        x, y, band = flat_line
+        assert np.count_nonzero(np.diff(x) == 0.0) == 2
+        want, got = restacked_ppoly(x, y), PiecewisePoly.cubic(x, y)
+        assert_rel(got.c, want.c)
+        # right-continuous at a repeated x: the nodes themselves, then past both ends
+        xs = np.concatenate([x, np.linspace(x[0] - 50.0, x[-1] + 50.0, 20001)])
+        for nu in range(4):
+            assert_rel(got(xs, nu), want(xs, nu))
+        assert_rel(got.antiderivative()(xs), want.antiderivative()(xs))
+
+    def test_integrate_across_a_zero_width_interval(self, flat_line):
+        x, y, band = flat_line
+        want, got = restacked_ppoly(x, y[:, 0]), PiecewisePoly.cubic(x, y[:, 0])
+        edge = band.center + band.delta
+        scale = abs(want.integrate(x[0], x[-1]))
+        for a, b in [(x[0], x[-1]), (0.0, 20.0), (edge, edge - 5.0), (edge, edge),
+                     (x[0] - 5.0, x[-1] + 5.0), (edge + 1.0, x[0])]:
+            assert abs(got.integrate(a, b) - want.integrate(a, b)) <= 1e-14 * scale
+
+    def test_split_cubic_edges_take_each_sides_spline(self):
+        # each edge, absent from x, enters twice with the value that the spline of
+        # its own side (a separate CubicSpline) extrapolates to
+        x = np.linspace(-3.0, 3.0, 41)
+        y = np.where(np.abs(x) < 1.0, np.cos(x), 0.2 * np.cos(x))
+        edges = np.array([-1.0, 1.0])
+        X, Y, line = _split_cubic(x, y, edges)
+        at = np.searchsorted(x, edges)
+        sides = [CubicSpline(a, b) for a, b in zip(np.split(x, at), np.split(y, at))]
+        want = [sp(e) for i, e in enumerate(edges) for sp in sides[i:i + 2]]
+        assert np.array_equal(X[np.isin(X, edges)], np.repeat(edges, 2))
+        assert_rel(Y[np.isin(X, edges)], np.array(want))
+        assert_rel(line.c, restacked_ppoly(X, Y).c)
+
+    @pytest.mark.parametrize("sizes", [(2,), (3,), (20, 3), (2, 20)])
+    def test_pieces_below_four_points_are_refused(self, sizes):
+        # scipy special-cases 2 points (a line) and 3 (a parabola); no line of the
+        # program has such a piece, and PiecewisePoly.cubic refuses them
+        # piece k spans [k, k + 1], so each next piece starts on a repeated x
+        x = np.concatenate([np.linspace(k, k + 1.0, m) for k, m in enumerate(sizes)])
+        with pytest.raises(ValueError, match="at least 4 points"):
+            PiecewisePoly.cubic(x, np.sin(x))

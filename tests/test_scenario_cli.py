@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -481,3 +483,39 @@ class TestCli:
         assert header == ["t", "lns_over_gamma_t", "ref_free", "ref_suppressed"]
         np.testing.assert_allclose(rate, -1.0, atol=1e-4)
         np.testing.assert_allclose(ref_sup, -1.0, atol=1e-9)
+
+
+# A fresh interpreter runs evolve (with its response-delay search) and a flat band's
+# spectral product (split lines, jumps, area), then reads, patches and restores
+# formfactor.quad the way perfbench/spans.py does.
+IMPORT_GRAPH = """
+import sys
+import zenoband.cli
+band = ["--override", "eta=100", "--override", "delta=15.9155"]
+assert zenoband.cli.main(["evolve", "--out", sys.argv[1]] + band) == 0
+assert zenoband.cli.main(["spectral", "--out", sys.argv[1], "--override", "flat=true"] + band) == 0
+heavy = [m for m in ("scipy.interpolate", "scipy.optimize", "scipy.integrate") if m in sys.modules]
+assert not heavy, heavy
+import scipy.integrate
+from zenoband import formfactor
+assert formfactor.quad is scipy.integrate.quad
+saved = getattr(formfactor, "quad")
+setattr(formfactor, "quad", len)
+assert formfactor.quad is len
+setattr(formfactor, "quad", saved)
+assert formfactor.quad is scipy.integrate.quad
+assert not hasattr(formfactor, "no_such_name")
+"""
+
+
+class TestImportGraph:
+    def test_products_import_no_interpolate_optimize_or_integrate(self, tmp_path):
+        root = os.path.dirname(os.path.dirname(zenoband.__file__))  # the tested package
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [root] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        r = subprocess.run([sys.executable, "-c", IMPORT_GRAPH, str(tmp_path)], env=env,
+                           capture_output=True, text=True, timeout=300)
+        assert r.returncode == 0, r.stderr
+        assert "response_delay=0.1041" in r.stdout
+        assert {p.name for p in tmp_path.iterdir()} == {
+            "evolve.csv", "spectral.csv", "perturbative.csv", "survival_spectral.csv"}
