@@ -4,8 +4,8 @@ phi_j(z) = (e^z - sum_{m<j} z^m/m!) / z^j, the building blocks of
 exponential integrators and of exact oscillatory moments.  Built from e^z
 they cancel for small |z|, where a Taylor series takes over.
 The free 1/E^2 tail beyond a window edge and the lowest-order decay kernel
-have their moments in closed form through the sine and cosine integrals.
-Gauss-Legendre rules serve the smooth integrals.
+have their moments in closed form through the sine and cosine integrals,
+evaluated here (:func:`sici`).  Gauss-Legendre rules serve the smooth integrals.
 """
 
 from __future__ import annotations
@@ -15,14 +15,23 @@ import itertools
 import math
 
 import numpy as np
-from scipy.special import sici
 
 _SMALL = 0.5
-# Cin(y), (y - sin y)/y and (y^2/2 - y sin y + 1 - cos y)/y^2 for |y| < 1, one
-# column each: sum_{k=1..10} (-1)^(k+1) a_k y^2k, a_k = 1/(2k (2k)!), 1/(2k+1)!, (2k+1)/(2k+2)!
-_KERNEL_SERIES = np.array([[0.0] * 3] + [[(-1) ** (k + 1) * a for a in (
-    1.0 / (2 * k * math.factorial(2 * k)), 1.0 / math.factorial(2 * k + 1),
-    (2 * k + 1) / math.factorial(2 * k + 2))] for k in range(1, 11)])
+# Si(y)/y, Cin(y), (y - sin y)/y and (y^2/2 - y sin y + 1 - cos y)/y^2, one column
+# each: sum_{k=0..15} (-1)^k a_k y^2k, a_k = 1/((2k+1) (2k+1)!) for Si and, for k > 0,
+# -1/(2k (2k)!), -1/(2k+1)!, -(2k+1)/(2k+2)! for the rest; 16 terms hold to |y| = 3.75
+_SERIES = np.array([[1.0, 0.0, 0.0, 0.0]] + [[(-1) ** k * a for a in (
+    1.0 / ((2 * k + 1) * math.factorial(2 * k + 1)), -1.0 / (2 * k * math.factorial(2 * k)),
+    -1.0 / math.factorial(2 * k + 1), -(2 * k + 1) / math.factorial(2 * k + 2))]
+    for k in range(1, 16)])
+# The auxiliary functions f and g of Si and Ci past x = 64.75: x f and x^2 g from the
+# first 7 terms of their asymptotic series in 1/x^2, sum (-1)^k (2k)! / x^2k and
+# sum (-1)^k (2k+1)! / x^2k (Abramowitz & Stegun 5.2.34-35), one column each
+_AUX_ASYMPTOTIC = np.array([[(-1) ** k * math.factorial(2 * k + j) for j in (0, 1)]
+                            for k in range(7)], dtype=float)
+# Between x = 3.75 and 64.75: Taylor series of f + ig about the nearest centre j/2,
+# 8 <= j <= 129, of 13 terms each; |x - j/2| <= 1/4
+_AUX_CENTRES, _AUX_TERMS = (8, 129), 13
 
 
 @functools.cache
@@ -68,6 +77,76 @@ def phi_functions(z, nmax: int = 3):
     return phi
 
 
+def _horner(coef, z):
+    """sum_k coef[k] z^k, broadcast, on one buffer; ``coef`` has at least 2 rows."""
+    p = coef[-1] * z
+    for a in coef[-2:0:-1]:
+        p += a
+        p *= z
+    p += coef[0]
+    return p
+
+
+@functools.cache
+def _aux_taylor():
+    """Taylor coefficients of F = f + ig about the centres c = j/2: row k, column j - 8.
+
+    At each centre F(c) = i e^(ic) E1(ic), from 64 levels of the continued fraction
+    e^z E1(z) = 1/(z + 1 - 1/(z + 3 - 4/(z + 5 - 9/(z + 7 - ...)))).  As
+    F' = iF - i/x, the coefficients follow upward:
+    (k + 1) T[k + 1] = i (T[k] - (-1)^k / c^(k+1)).  Read-only.
+    """
+    c = np.arange(_AUX_CENTRES[0], _AUX_CENTRES[1] + 1) / 2.0
+    z, tail = 1j * c, 0.0
+    for k in range(64, 0, -1):
+        tail = k * k / (z + 2 * k + 1 - tail)
+    T = [1j / (z + 1 - tail)]
+    for k in range(_AUX_TERMS - 1):
+        T.append(1j * (T[k] - (-1) ** k / c ** (k + 1)) / (k + 1))
+    T = np.array(T)
+    T.flags.writeable = False
+    return T
+
+
+def sici(x, sin_x=None, cos_x=None):
+    """(Si(x), Ci(x)) elementwise for x > 0; ``sin_x`` and ``cos_x``, if given, are sin x and cos x.
+
+    Si = pi/2 - f cos x - g sin x and Ci = f sin x - g cos x through the
+    auxiliary functions f and g (Abramowitz & Stegun 5.2.8-9), from their
+    asymptotic series past x = 64.75 and from their Taylor series about the
+    nearest :func:`_aux_taylor` centre down to 3.75.  Below that Si and Ci
+    come from their series in x^2.  Each is within ~1e-15 of the exact value.
+    """
+    shape = np.shape(x)
+    x = np.ravel(np.asarray(x, dtype=float))
+    s = np.sin(x) if sin_x is None else np.ravel(sin_x)
+    c = np.cos(x) if cos_x is None else np.ravel(cos_x)
+    z = x * x
+    np.divide(1.0, z, out=z)
+    f, g = _horner(_AUX_ASYMPTOTIC[:, :, None], z)
+    f /= x
+    g *= z
+    j = np.rint(2.0 * x)
+    mid = np.flatnonzero(j <= _AUX_CENTRES[1])
+    near = mid[j[mid] >= _AUX_CENTRES[0]]
+    if near.size:
+        jn = j[near]
+        F = _horner(np.take(_aux_taylor(), jn.astype(int) - _AUX_CENTRES[0], axis=1),
+                    x[near] - jn / 2.0)
+        f[near], g[near] = F.real, F.imag
+    si = f * c
+    si += g * s
+    np.subtract(np.pi / 2.0, si, out=si)
+    ci = f * s
+    ci -= g * c
+    small = mid[j[mid] < _AUX_CENTRES[0]]
+    if small.size:
+        xs = x[small]
+        a, cin = _horner(_SERIES[:, :2, None], xs * xs)
+        si[small], ci[small] = a * xs, np.euler_gamma + np.log(xs) - cin
+    return si.reshape(shape), ci.reshape(shape)
+
+
 def free_tail_moments(W: float, t):
     """(Int_W^inf cos(Et)/E^2 dE, Int_W^inf sin(Et)/E^2 dE) for W > 0, times t >= 0."""
     t = np.asarray(t, dtype=float)
@@ -88,13 +167,14 @@ def kernel_antiderivatives(x, t: float):
     """
     y = x * t
     ay = np.where(y == 0.0, 1.0, np.abs(y))
-    si, ci = sici(ay)
     v, c = 2.0 * np.sin(ay / 2.0) / ay, np.cos(ay / 2.0)  # sin y = y v c, 1 - cos y = (y v)^2/2
+    yv = ay * v
+    si, ci = sici(ay, yv * c, 1.0 - yv * yv / 2.0)
     f0 = t * np.sign(y) * (si - ay * v * v / 2.0)
     f = [np.euler_gamma + np.log(ay) - ci, x * (1.0 - v * c), x * x * (0.5 - v * c + v * v / 2.0)]
     small = np.abs(y) < 1.0
     if small.any():
         xs = np.broadcast_to(x, y.shape)[small]
-        cin, r2, r3 = np.polynomial.polynomial.polyval(y[small] ** 2, _KERNEL_SERIES)
+        cin, r2, r3 = np.polynomial.polynomial.polyval(y[small] ** 2, _SERIES[:, 1:])
         f[0][small], f[1][small], f[2][small] = cin, xs * r2, xs * xs * r3
     return (f0, *f)

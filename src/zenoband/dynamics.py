@@ -238,8 +238,9 @@ def propagate(dm: DiscretizedModel,
                           np.einsum("i,i,i", rate, photons, photons))
     rec[:, 4] = dm.gamma * (rec[:, 0] ** 2 + rec[:, 1] ** 2)
 
-    re_F, im_F, eps = PiecewisePoly.cubic(times, rec[:, :3])(ts).T
-    r, markov = PiecewisePoly.cubic(times, rec[:, 3:]).antiderivative()(ts).T  # r = Int J dt
+    c = PiecewisePoly.cubic(times, rec).c  # one fit: the columns share the factorization
+    re_F, im_F, eps = PiecewisePoly(times, c[..., :3])(ts).T
+    r, markov = PiecewisePoly(times, c[..., 3:]).antiderivative()(ts).T  # r = Int J dt
     s, eps = re_F ** 2 + im_F ** 2, eps + markov
     defect = np.abs(1.0 - (s + eps + r))
     if defect.max() > DEFECT_TOL:
@@ -259,7 +260,8 @@ def response_delay(trace: ProbabilityTrace) -> float:
     t, s, r = trace.t, trace.s, trace.r
     if r.max() < 0.5:
         raise NoResponse(f"r(t) peaks at {r.max():.3f} < 0.5; no usable response")
-    s_of, r_of = PiecewisePoly.cubic(t, s), PiecewisePoly.cubic(t, r)
+    c = PiecewisePoly.cubic(t, np.stack([s, r], axis=1)).c
+    s_of, r_of = PiecewisePoly(t, c[..., 0]), PiecewisePoly(t, c[..., 1])
     u, w = gauss_legendre(_DELAY_NODES)
     T = t[-1]
 

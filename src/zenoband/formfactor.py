@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from ._phi import gauss_legendre
 from .errors import QuadratureFailure, WindowTooNarrow
@@ -88,9 +87,18 @@ class PiecewisePoly:
             b[1:-1] = 3 * (H[1:] * m[:-1] + H[:-1] * m[1:])
             b[s] = ((H[s] + 2 * ds) * H[s + 1] * m[s] + H[s] ** 2 * m[s + 1]) / ds
             b[e] = (H[e - 1] ** 2 * m[e - 2] + (2 * de + H[e - 1]) * H[e - 2] * m[e - 1]) / de
-            v = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
-            t = (v[:-1] + v[1:] - 2 * m) / H
-            c = np.stack((t / H, (m - v[:-1]) / H - t, v[:-1], Y[:-1]))
+            v = _solve_tridiagonal(ab, b)
+            # t/H, (m - v_i)/H - t, v_i, y_i with t = (v_i + v_i+1 - 2m)/H, on one buffer
+            c = np.empty((4,) + m.shape)
+            np.subtract(m, v[:-1], out=c[1])
+            np.add(v[:-1], v[1:], out=c[0])
+            m *= 2.0
+            c[0] -= m
+            c[0] /= H
+            c[1] /= H
+            c[1] -= c[0]
+            c[0] /= H
+            c[2], c[3] = v[:-1], Y[:-1]
         c[:, cut - 1] = 0.0
         return cls(x, c.reshape(c.shape[:2] + y.shape[1:]))
 
@@ -107,9 +115,14 @@ class PiecewisePoly:
 
     def antiderivative(self) -> "PiecewisePoly":
         """The integral from x[0]: each cell's own, plus the running sum of the cells before."""
-        c = np.concatenate([(self.c.T / np.arange(len(self.c), 0, -1.0)).T,
-                            np.zeros_like(self.c[:1])])
-        cells = PiecewisePoly(self.x, c)(self.x[1:-1], cell=np.arange(len(self.x) - 2))
+        K, tail = len(self.c), (1,) * (self.c.ndim - 2)
+        c = np.zeros((K + 1,) + self.c.shape[1:])
+        np.divide(self.c, np.arange(K, 0, -1.0).reshape((K, 1) + tail), out=c[:-1])
+        h = np.diff(self.x[:-1]).reshape((-1,) + tail)
+        cells = c[0, :-1] * h  # each cell's integral but the last, by Horner in its width
+        for row in c[1:-1, :-1]:
+            cells += row
+            cells *= h
         c[-1, 1:] = np.cumsum(cells, axis=0)
         return PiecewisePoly(self.x, c)
 
@@ -117,6 +130,44 @@ class PiecewisePoly:
         """Int_a^b of the line, extrapolated past its ends like ``__call__``."""
         F = self.antiderivative()
         return F(b) - F(a)
+
+
+def _solve_tridiagonal(ab, b):
+    """Solve A v = b for every column of the 2-D ``b``, in place, with A tridiagonal in
+    LAPACK's (1, 1)-banded layout ``ab`` (super-, main and sub-diagonal rows).
+
+    LU without pivoting, which the diagonal dominance of a spline's inner rows keeps
+    stable.  The pivots d_i = A_ii - (A_i,i-1 / d_i-1) A_i-1,i converge by sweeps of all
+    rows at once, each exact one row further and contracting the rest's error; the
+    two substitutions run by recursive doubling, each until the products of the
+    multipliers over a window fall below 2^-56.  A zero off-diagonal decouples the
+    rows either side of it, as in one banded solve.
+    """
+    up, dg, lo = ab[0, 1:], ab[1], ab[2, :-1]
+    d = dg.copy()
+    for _ in range(len(d)):
+        new = dg[1:] - lo / d[:-1] * up
+        if np.array_equal(new, d[1:]):
+            break
+        d[1:] = new
+    m = np.zeros_like(d)
+    m[1:] = -lo / d[:-1]
+    b = _linear_scan(m, b)
+    # from the last row up, w_i = b_i - A_i,i+1 v_i+1 with v = w/d
+    m[:-1], m[-1] = -up / d[1:], 0.0
+    b = _linear_scan(m[::-1], b[::-1])[::-1]
+    b /= d[:, None]
+    return b
+
+
+def _linear_scan(m, r):
+    """r_i + m_i (r_i-1 + m_i-1 (r_i-2 + ...)) along axis 0 of ``r``, in place; m_0 = 0."""
+    m, s = m.copy(), 1
+    while s < len(m) and max(m.max(), -m.min()) > 2.0 ** -56:
+        r[s:] += m[s:, None] * r[:-s]
+        m[s:] *= m[:-s]
+        s *= 2
+    return r
 
 
 def _split_cubic(x, y, edges=()):

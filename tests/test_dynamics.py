@@ -7,7 +7,6 @@ from conftest import krogstad_reference, sigma_quad_oracle
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
-from scipy.special import sici
 
 from zenoband import (
     DetectorBand,

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from conftest import phi_reference
+from scipy.special import sici as scipy_sici
 
-from zenoband._phi import kernel_antiderivatives, phi_functions
+from zenoband._phi import free_tail_moments, kernel_antiderivatives, phi_functions, sici
 
 # Largest relative gap of phi_1..phi_3 to the frozen reference formula,
 # about 3x the largest measured: 4.4e-16 (all on the disc), 1.1e-15 and
@@ -110,3 +111,57 @@ def test_kernel_antiderivatives_vanish_and_are_continuous_at_zero():
     assert np.abs(f0).max() < 1e-8 * t and np.abs(f1).max() < 1e-14
     assert np.abs(f2).max() < 1e-22 and np.abs(f3).max() < 1e-30
     assert all(np.all(f == 0.0) for f in kernel_antiderivatives(np.array([-2.0, 0.0, 5.0]), 0.0))
+
+
+# sici against scipy's, by branch: (Si absolute, Ci relative to max(1, |Ci|)), 3x the
+# largest gap measured on sici_points (8.9e-16 / 4.4e-16, 4.4e-16 / 4.7e-16 and
+# 2.2e-16 / 6.1e-17) under a ceiling of 4e-15
+SICI_BOUNDS = {"series": (2.7e-15, 1.4e-15), "taylor": (1.4e-15, 1.5e-15),
+               "asymptotic": (6.7e-16, 1.9e-16)}
+SICI_BRANCHES = {"series": (0.0, 3.75), "taylor": (3.75, 64.75), "asymptotic": (64.75, np.inf)}
+
+
+def sici_points():
+    """Log-spaced over 1e-12..1e8, and dense across every switch of branch or of
+    Taylor centre (3.75, 4.25, ..., 64.75), on both sides down to one float spacing."""
+    switches = np.arange(8, 131) / 2.0 - 0.25
+    near = (switches[:, None] + np.linspace(-1e-3, 1e-3, 41)).ravel()
+    return np.concatenate([np.logspace(-12, 8, 4001), near, np.nextafter(switches, 0.0),
+                           switches, np.nextafter(switches, np.inf)])
+
+
+@pytest.mark.parametrize("half_angles", [False, True], ids=["own-trig", "half-angle-trig"])
+@pytest.mark.parametrize("branch", list(SICI_BRANCHES))
+def test_sici_matches_scipy(branch, half_angles):
+    x = sici_points()
+    lo, hi = SICI_BRANCHES[branch]
+    x = x[(x >= lo) & (x < hi)]
+    assert len(x) > 1000
+    if half_angles:  # sin x and cos x as kernel_antiderivatives passes them
+        xv = 2.0 * np.sin(x / 2.0)
+        si, ci = sici(x, xv * np.cos(x / 2.0), 1.0 - xv * xv / 2.0)
+    else:
+        si, ci = sici(x)
+    want_si, want_ci = scipy_sici(x)
+    bound_si, bound_ci = SICI_BOUNDS[branch]
+    assert np.abs(si - want_si).max() <= bound_si
+    assert (np.abs(ci - want_ci) / np.maximum(1.0, np.abs(want_ci))).max() <= bound_ci
+
+
+def test_sici_keeps_shape():
+    x = np.array([[0.5, 10.0, 100.0], [1e-6, 4.0, 1e4]])
+    si, ci = sici(x)
+    assert si.shape == ci.shape == (2, 3)
+    np.testing.assert_array_equal(np.stack(sici(x.ravel())), np.stack([si.ravel(), ci.ravel()]))
+
+
+def test_free_tail_moments_at_zero_and_large_times():
+    W = 7.3
+    c0, s0 = free_tail_moments(W, np.array([0.0]))
+    assert c0[0] == 1.0 / W and s0[0] == 0.0  # Int_W^inf dE/E^2 and 0
+    t = np.array([1e-9, 0.5, 3.0, 1e3, 1e5, 1e6])  # W t up to 7.3e6
+    si, ci = scipy_sici(W * t)
+    want = (np.cos(W * t) / W - t * (np.pi / 2.0 - si), np.sin(W * t) / W - t * ci)
+    for got, w in zip(free_tail_moments(W, t), want):
+        # t (pi/2 - Si) cancels to ~cos(Wt)/W, so a gap in Si counts t times
+        assert np.all(np.abs(got - w) <= 1e-15 * (1.0 + t))

@@ -485,17 +485,18 @@ class TestCli:
         np.testing.assert_allclose(ref_sup, -1.0, atol=1e-9)
 
 
-# A fresh interpreter runs evolve (with its response-delay search) and a flat band's
-# spectral product (split lines, jumps, area), then reads, patches and restores
-# formfactor.quad the way perfbench/spans.py does.
+# A fresh interpreter runs evolve (with its response-delay search), fig1 and a flat
+# band's spectral product (split lines, jumps, area) with no scipy module loaded, then
+# reads, patches and restores formfactor.quad the way perfbench/spans.py does.
 IMPORT_GRAPH = """
 import sys
 import zenoband.cli
 band = ["--override", "eta=100", "--override", "delta=15.9155"]
 assert zenoband.cli.main(["evolve", "--out", sys.argv[1]] + band) == 0
+assert zenoband.cli.main(["fig1", "--out", sys.argv[1], "--override", "horizon=2"]) == 0
 assert zenoband.cli.main(["spectral", "--out", sys.argv[1], "--override", "flat=true"] + band) == 0
-heavy = [m for m in ("scipy.interpolate", "scipy.optimize", "scipy.integrate") if m in sys.modules]
-assert not heavy, heavy
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, loaded
 import scipy.integrate
 from zenoband import formfactor
 assert formfactor.quad is scipy.integrate.quad
@@ -509,7 +510,7 @@ assert not hasattr(formfactor, "no_such_name")
 
 
 class TestImportGraph:
-    def test_products_import_no_interpolate_optimize_or_integrate(self, tmp_path):
+    def test_products_import_no_scipy(self, tmp_path):
         root = os.path.dirname(os.path.dirname(zenoband.__file__))  # the tested package
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [root] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
@@ -518,4 +519,4 @@ class TestImportGraph:
         assert r.returncode == 0, r.stderr
         assert "response_delay=0.1041" in r.stdout
         assert {p.name for p in tmp_path.iterdir()} == {
-            "evolve.csv", "spectral.csv", "perturbative.csv", "survival_spectral.csv"}
+            "evolve.csv", "fig1.csv", "spectral.csv", "perturbative.csv", "survival_spectral.csv"}
