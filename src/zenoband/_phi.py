@@ -32,6 +32,9 @@ _AUX_ASYMPTOTIC = np.array([[(-1) ** k * math.factorial(2 * k + j) for j in (0, 
 # Between x = 3.75 and 64.75: Taylor series of f + ig about the nearest centre j/2,
 # 8 <= j <= 129, of 13 terms each; |x - j/2| <= 1/4
 _AUX_CENTRES, _AUX_TERMS = (8, 129), 13
+# phase_blocks: rows per direct exp, the most step tables it holds, and the elements of
+# one (times or energies x nodes) block, here and in formfactor
+_ANCHOR, _STEP_TABLES, _BLOCK = 32, 32, 2 ** 14
 
 
 @functools.cache
@@ -147,6 +150,38 @@ def sici(x, sin_x=None, cos_x=None):
     return si.reshape(shape), ci.reshape(shape)
 
 
+def phase_blocks(t, x, start=0):
+    """Yield (j, Z), Z[r] = e^{-i t[j[r]] x[-n:]}, over the increasing times ``t`` from the last.
+
+    A block of ~_BLOCK elements holds the n nodes from ``start`` (one index,
+    or one per time, not rising with t) of its latest time on.  Where the step
+    d to the next later time recurs, a row is that time's row times the
+    table e^{-i d x}, of which at most _STEP_TABLES are kept; every
+    _ANCHOR-th time, and one whose step is unique, takes a direct exp.  Rows
+    are within ~_ANCHOR ulps of the direct exp, so other batches agree to ~1e-15.
+    """
+    t, start = t[::-1], np.broadcast_to(start, np.shape(t))[::-1]
+    steps, which, uses = np.unique(np.diff(t), return_inverse=True, return_counts=True)
+    table = np.r_[-1, np.where(uses[which] > 1, which, -1)]  # a row's step table, -1: direct
+    table[::_ANCHOR] = -1
+    tables, rows = {}, max(1, _BLOCK // len(x))
+    for s in range(0, len(t), rows):
+        tab, k = table[s:s + rows], int(start[s])
+        walk = np.argsort(tab >= 0, kind="stable")  # Z's rows: the direct exps first
+        at, m = np.argsort(walk).tolist(), np.count_nonzero(tab < 0)
+        Z = np.empty((len(tab), len(x) - k), dtype=complex)
+        np.exp(-1j * t[s + walk[:m], None] * x[k:], out=Z[:m])
+        for r, i in zip(walk[m:].tolist(), tab[walk[m:]].tolist()):
+            if i not in tables:
+                if len(tables) == _STEP_TABLES:
+                    del tables[next(iter(tables))]
+                tables[i] = k, np.exp(-1j * steps[i] * x[k:])
+            k0, w = tables[i]
+            np.multiply(Z[at[r - 1]] if r else last[k - k_last:], w[k - k0:], out=Z[at[r]])
+        last, k_last = Z[at[-1]], k
+        yield len(t) - 1 - s - walk, Z
+
+
 def free_tail_moments(W: float, t):
     """(Int_W^inf cos(Et)/E^2 dE, Int_W^inf sin(Et)/E^2 dE) for W > 0, times t >= 0."""
     t = np.asarray(t, dtype=float)
@@ -155,7 +190,7 @@ def free_tail_moments(W: float, t):
     return np.cos(x) / W - t * (np.pi / 2.0 - si), np.sin(x) / W - t * ci
 
 
-def kernel_antiderivatives(x, t: float):
+def kernel_antiderivatives(x, t: float, half=None):
     """Antiderivatives in x of x^k (1 - cos(xt))/x^2, k = 0..3, for t >= 0.
 
     With y = x*t they are t*(Si(y) - (1 - cos y)/y),
@@ -163,16 +198,18 @@ def kernel_antiderivatives(x, t: float):
     x^2/2 - x sin(y)/t + 2 sin^2(y/2)/t^2, all taken as 0 at y = 0.  The
     last three cancel to O(y^2) of their terms, so below |y| = 1 they come
     from their series in y^2.  ``t`` may be a column of times, giving one
-    row per time.
+    row per time.  ``half``, if given, is e^{i|y|/2}, as :func:`phase_blocks` gives it.
     """
     y = x * t
-    ay = np.where(y == 0.0, 1.0, np.abs(y))
-    v, c = 2.0 * np.sin(ay / 2.0) / ay, np.cos(ay / 2.0)  # sin y = y v c, 1 - cos y = (y v)^2/2
-    yv = ay * v
+    a = np.abs(y)
+    half = np.exp(0.5j * a) if half is None else half
+    ay = np.where(y == 0.0, 1.0, a)
+    v, c = 2.0 * half.imag / ay, half.real  # sin y = y v c, 1 - cos y = (y v)^2/2
+    yv, vc = ay * v, v * c
     si, ci = sici(ay, yv * c, 1.0 - yv * yv / 2.0)
-    f0 = t * np.sign(y) * (si - ay * v * v / 2.0)
-    f = [np.euler_gamma + np.log(ay) - ci, x * (1.0 - v * c), x * x * (0.5 - v * c + v * v / 2.0)]
-    small = np.abs(y) < 1.0
+    f0 = t * np.sign(y) * (si - yv * v / 2.0)
+    f = [np.euler_gamma + np.log(ay) - ci, x * (1.0 - vc), x * x * (0.5 - vc + v * v / 2.0)]
+    small = a < 1.0
     if small.any():
         xs = np.broadcast_to(x, y.shape)[small]
         cin, r2, r3 = np.polynomial.polynomial.polyval(y[small] ** 2, _SERIES[:, 1:])

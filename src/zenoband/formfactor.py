@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._phi import gauss_legendre
+from ._phi import _BLOCK, gauss_legendre
 from .errors import QuadratureFailure, WindowTooNarrow
 from .model import DetectorBand, _flat_band_log
 
@@ -36,11 +36,10 @@ __all__ = [
 # Band-edge rule for Sigma: Gauss-Legendre order pairs, cheap first, of a reported
 # rule and a coarser one whose difference is its error estimate, the ratio of the
 # ladder toward each energy and its smallest step relative to the panel it starts
-# in (or |eps|, if larger), and the (energy x node) elements evaluated per block.
+# in (or |eps|, if larger).
 _ORDERS = ((12, 8), (20, 16))
 _LADDER_RATIO = 4.0
 _LADDER_FLOOR = 1e-13
-_BLOCK = 2 ** 14
 
 
 def free_value(gamma: float) -> float:

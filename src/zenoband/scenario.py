@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -323,6 +323,13 @@ def _points(cfg: ScenarioConfig):
     return points
 
 
+def __getattr__(name):  # ProcessPoolExecutor binds on first access; only a sweep on workers uses it
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 def run_scenario(cfg: ScenarioConfig) -> Tuple[List[str], List[str]]:
     """Execute every requested product at every point; returns (output files, summary lines)."""
     if not cfg.products:
@@ -332,6 +339,6 @@ def run_scenario(cfg: ScenarioConfig) -> Tuple[List[str], List[str]]:
     points = _points(cfg)
     workers = min(cfg.threads, len(points))  # a fork pool starts every worker at once
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             return _concat(pool.map(_run_point, points))
     return _concat(map(_run_point, points))

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import phi_reference
 from scipy.special import sici as scipy_sici
 
-from zenoband._phi import free_tail_moments, kernel_antiderivatives, phi_functions, sici
+from zenoband._phi import (free_tail_moments, kernel_antiderivatives, phase_blocks,
+                          phi_functions, sici)
 
 # Largest relative gap of phi_1..phi_3 to the frozen reference formula,
 # about 3x the largest measured: 4.4e-16 (all on the disc), 1.1e-15 and
@@ -165,3 +167,46 @@ def test_free_tail_moments_at_zero_and_large_times():
     for got, w in zip(free_tail_moments(W, t), want):
         # t (pi/2 - Si) cancels to ~cos(Wt)/W, so a gap in Si counts t times
         assert np.all(np.abs(got - w) <= 1e-15 * (1.0 + t))
+
+
+PHASE_NODES = np.array(sorted(np.random.default_rng(7).uniform(-2.0, 2.0, 400), key=abs))
+
+
+# phase_blocks against the direct exp.  The uniform run chains rows through its
+# recurring steps: 2.6e-15 measured, bound ~3x (2.4e-13 with no direct exp but the
+# first).  Every step of the other two is unique, so each row is the direct exp itself.
+@pytest.mark.parametrize("times,bound", [
+    (np.linspace(0.0, 5.0, 5001), 8e-15),
+    (np.geomspace(1e-3, 5.0, 2001), 0.0),
+    (np.unique(np.random.default_rng(8).uniform(0.0, 5.0, 20000)), 0.0),
+], ids=["uniform", "geometric", "random"])
+def test_phase_blocks_match_direct_exp(times, bound):
+    x = PHASE_NODES
+    start = np.searchsorted(np.abs(x), 1.0 / np.maximum(times, 1e-300))  # as survival's far nodes
+    seen, gap = [], 0.0
+    for j, Z in phase_blocks(times, x, start):
+        k = start[j].min()
+        assert Z.shape == (len(j), len(x) - k)
+        seen.extend(j)
+        gap = max(gap, np.abs(Z - np.exp(-1j * np.outer(times[j], x[k:]))).max(initial=0.0))
+    assert sorted(seen) == list(range(len(times)))
+    assert gap <= bound
+
+
+# 20,000 distinct steps on 2,000 nodes: once each (every row a direct exp), and 1,000
+# steps twice each, so that a table is kept for each while at most 32 are held, 1 MB.
+# Measured peaks 1.7 MB each: one block, the kept tables and the per-time index arrays;
+# keeping every table would take 32 MB for the second, and grow with the steps.
+@pytest.mark.parametrize("steps", [np.arange(1, 20001), np.repeat(np.arange(1, 1001), 2)],
+                         ids=["20000-once", "1000-twice"])
+def test_phase_blocks_memory_is_bounded(steps):
+    x = np.random.default_rng(9).uniform(-1e4, 1e4, 2000)
+    t = np.concatenate([[0.0], np.cumsum(steps * 2.0 ** -30)])  # exact, so the steps recur
+    tracemalloc.start()
+    try:
+        for _ in phase_blocks(t, x):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6

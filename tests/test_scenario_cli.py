@@ -497,6 +497,8 @@ assert zenoband.cli.main(["fig1", "--out", sys.argv[1], "--override", "horizon=2
 assert zenoband.cli.main(["spectral", "--out", sys.argv[1], "--override", "flat=true"] + band) == 0
 loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 assert not loaded, loaded
+pool = [m for m in sys.modules if m in ("multiprocessing", "concurrent.futures.process")]
+assert not pool, pool
 import scipy.integrate
 from zenoband import formfactor
 assert formfactor.quad is scipy.integrate.quad

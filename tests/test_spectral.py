@@ -247,6 +247,30 @@ class TestPerturbativeDecay:
         np.testing.assert_allclose(got, want, rtol=1e-6)
 
 
+class TestTimeBatches:
+    # Both transforms work on the sorted distinct times, so the order of t and its
+    # repeats change no bit; a batch of other times agrees only to ~1e-15.
+    @pytest.mark.parametrize("transform", ["survival", "perturbative"])
+    def test_shuffled_repeats_match_the_sorted_call(self, transform, solid_grid):
+        sf = spectral_function(solid_grid, 0.0)
+        f = {"survival": lambda t: survival_amplitude_spectral(sf, t),
+             "perturbative": lambda t: perturbative_decay(solid_grid, 0.0, t)}[transform]
+        t = np.linspace(0.0, 5.0, 301)
+        mixed = np.random.default_rng(4).permutation(np.concatenate([t, t[::7], [0.0, 0.0]]))
+        got, want = f(mixed), f(np.sort(mixed))
+        assert got.shape == mixed.shape
+        assert np.array_equal(got[np.argsort(mixed, kind="stable")], want)
+        one = f(mixed[5])
+        assert np.ndim(one) == 0 and abs(one - got[5]) <= 1e-14
+
+    def test_nan_time_is_refused(self, solid_grid):
+        sf = spectral_function(solid_grid, 0.0)
+        for f in (lambda t: survival_amplitude_spectral(sf, t),
+                  lambda t: perturbative_decay(solid_grid, 0.0, t)):
+            with pytest.raises(ValueError, match="t must be >= 0"):
+                f(np.array([1.0, np.nan]))
+
+
 def perturbative_sampled(grid, omega, t, per_period):
     """Frozen trapezoid form of Eq. 11: uniform samples of the sinc^2 kernel, t > 0.
 
