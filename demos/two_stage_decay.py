@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 # The Zeno effect for an exactly exponential decay: with a fast in-band
-# detector the decay rate drops from gamma to 2*pi*|g_Omega|^2 once
-# t >~ 1/Delta.  ln s(t)/(gamma t) visualizes the two stages.
+# detector the decay rate drops from gamma to 2*pi*|g_Omega|^2 = -2 Im Sigma(omega)
+# once t >~ 1/Delta.  ln s(t)/(gamma t) visualizes the two stages.
 
 import math
 
@@ -14,7 +14,7 @@ from zenoband import (
     decay_rate_trace,
     discretize_continuum,
     propagate,
-    stage_rates,
+    self_energy,
     validate_params,
 )
 
@@ -25,9 +25,9 @@ for tpd, eta in ((100.0, 100.0), (100.0, 10.0), (1000.0, 1000.0)):
     m = validate_params(ModelParams(
         gamma=1.0, band=DetectorBand(eta=eta, delta=delta, n=6),
         numerics=NumericalControls(horizon=5.0)))
-    free, supp = stage_rates(m)
+    supp = -2.0 * self_energy(m.band, m.gamma, m.omega, m.numerics.quad_tol).imag
     models[(tpd, eta)] = (m, supp)
-    print(f"      {{{tpd:6g}, {eta:6g}}}            {supp / free:.4f}")
+    print(f"      {{{tpd:6g}, {eta:6g}}}            {supp / m.gamma:.4f}")
 
 tpd, eta = 100.0, 100.0
 m, supp = models[(tpd, eta)]

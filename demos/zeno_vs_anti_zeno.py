@@ -14,7 +14,7 @@ from zenoband import (
     free_value,
     propagate,
     qze_condition_report,
-    renormalized_form_factor,
+    self_energy,
     validate_params,
 )
 
@@ -28,7 +28,7 @@ for name, center in (("centered band (Zeno)", None),
     m = validate_params(ModelParams(gamma=gamma, band=band,
                                     numerics=NumericalControls(horizon=5.0)))
     rep = qze_condition_report(m)
-    g2 = renormalized_form_factor(m.band, gamma, m.omega, 1e-9)
+    g2 = -self_energy(m.band, gamma, m.omega, 1e-9).imag / math.pi
     trace = propagate(discretize_continuum(m))
     t, rate = decay_rate_trace(trace)
     print(f"{name}:")

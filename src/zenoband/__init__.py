@@ -5,14 +5,15 @@ The library covers four layers:
 
 * :mod:`zenoband.model` -- scenario types, validation, detector response,
   and the monitoring-regime condition report;
-* :mod:`zenoband.formfactor` -- the renormalized form factor |g_mu|^2 (the
-  flat band in closed form), dense grids, and the sum-rule check;
+* :mod:`zenoband.formfactor` -- the self-energy Sigma(E + i0) over the
+  band-renormalized continuum, whose -Im/pi is the form factor |g_mu|^2 and
+  whose -2 Im at omega is the suppressed decay rate (the flat band in closed
+  form), dense grids, and the sum-rule check;
 * :mod:`zenoband.dynamics` -- propagation of the single-excitation
   amplitudes on a discretized photon continuum, giving the survival, error,
   and response probabilities s, eps, r;
-* :mod:`zenoband.spectral` -- the independent self-energy/spectral-function
-  route to s(t), the lowest-order perturbative decay law, and the two-stage
-  rates.
+* :mod:`zenoband.spectral` -- the independent spectral-function route to
+  s(t) and the lowest-order perturbative decay law.
 
 :mod:`zenoband.scenario` and :mod:`zenoband.cli` orchestrate config-driven
 runs that reproduce the paper-style figure data as CSV files.
@@ -43,7 +44,7 @@ from .formfactor import (
     PiecewisePoly,
     form_factor_grid,
     free_value,
-    renormalized_form_factor,
+    self_energy,
     sum_rule_defect,
 )
 from .dynamics import (
@@ -57,9 +58,7 @@ from .dynamics import (
 from .spectral import (
     SpectralFunction,
     perturbative_decay,
-    self_energy,
     spectral_function,
-    stage_rates,
     survival_amplitude_spectral,
 )
 from .scenario import ScenarioConfig, load_scenario, run_scenario

@@ -75,10 +75,6 @@ class DiscretizedModel:
         return self.k_grid - self.omega
 
     @property
-    def tail_weights(self) -> np.ndarray:  # the ghosts' weights in the self-energy
-        return -self.coupling ** 2
-
-    @property
     def tail_k(self) -> np.ndarray:  # the ghosts' absolute energies: k_grid itself
         return self.k_grid
 

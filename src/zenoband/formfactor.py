@@ -27,7 +27,7 @@ from .model import DetectorBand, _flat_band_log
 __all__ = [
     "FormFactorGrid",
     "PiecewisePoly",
-    "renormalized_form_factor",
+    "self_energy",
     "form_factor_grid",
     "sum_rule_defect",
     "free_value",
@@ -201,23 +201,6 @@ class FormFactorGrid:
         return _split_cubic(self.mu, self.g2)[2]
 
 
-def renormalized_form_factor(band: DetectorBand, gamma: float, mu: float,
-                             tol: float = 1e-10) -> float:
-    """g2(mu) = -Im Sigma(mu + i0)/pi from the band-edge integral of :func:`_self_energy`.
-
-    On the flat band this is the closed form
-    (gamma/2pi^2) [arctan((mu - c + delta)/(eta/2)) - arctan((mu - c - delta)/(eta/2))]
-    plus gamma/2pi outside the band, which it also takes exactly at the edge
-    |mu - c| = delta, where the infinite-exponent limit is two-valued.
-
-    Raises :class:`QuadratureFailure` if the error estimate exceeds the
-    budget 20*tol*max(g2, gamma/2pi).
-    """
-    if band.center is None:
-        band = replace(band, center=0.0)
-    return float(-_self_energy(band, gamma, mu, tol)[0].imag / math.pi)
-
-
 def _profile(x, n):
     """h = 1/(1 + x^n) and h' in band units; both 0 where x^n overflows."""
     p, sq, m = np.ones_like(x), x, n - 1
@@ -292,38 +275,44 @@ def _edge_integral(n, beta, eps, order):
     return beta / math.pi * (out - 1j * math.pi * dhE)
 
 
-def _self_energy(band: DetectorBand, gamma: float, E, tol: float = 1e-9) -> np.ndarray:
-    """Sigma(E + i0) over the damped photon continuum at an array of energies.
+def self_energy(band: DetectorBand, gamma: float, E, tol: float = 1e-9):
+    """Sigma(E + i0) over the damped photon continuum: a complex at a scalar E, else an array.
 
     Integrating (gamma/2pi) Int dk 1/(E - k + i pi eta_k) by parts in k gives
     Sigma(E) = -i gamma/2 + (i gamma/2) Int dk eta'_k / (E - k + i pi eta_k),
-    whose integrand lives at the band edges; g2 = -Im Sigma/pi.  The flat
-    band's eta'_k is two delta functions: :func:`~zenoband.model._flat_band_log`.
-    On a power-law band each energy reports the finer rule of the first pair
-    of ``_ORDERS`` whose two differ by at most 20*tol*max(g2, gamma/2pi) in
-    g2; where none does, or not finitely, :class:`QuadratureFailure` is raised.
+    whose integrand lives at the band edges; g2 = -Im Sigma/pi, and a line at E
+    decays at the rate -2 Im Sigma.  A band without a center is centred at 0.
+    The flat band's eta'_k is two delta functions, closed form in
+    :func:`~zenoband.model._flat_band_log`, whose g2 takes the outer gamma/2pi
+    exactly at an edge.  On a power-law band each energy reports the finer
+    rule of the first pair of ``_ORDERS`` whose two differ by at most
+    20*tol*max(g2, gamma/2pi) in g2; where none does, or not finitely,
+    :class:`QuadratureFailure` is raised.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    E = np.atleast_1d(np.asarray(E, dtype=float))
+    if band.center is None:
+        band = replace(band, center=0.0)
+    E_arr = np.atleast_1d(np.asarray(E, dtype=float))
     if band.eta == 0.0:
-        return np.full(E.shape, -0.5j * gamma)
-    if band.is_flat:
-        z = _flat_band_log(E - band.center, band.eta, band.delta)
+        sigma = np.full(E_arr.shape, -0.5j * gamma)
+    elif band.is_flat:
+        z = _flat_band_log(E_arr - band.center, band.eta, band.delta)
         # scaled part by part: a complex product makes Re = +-inf at an edge NaN
-        return free_value(gamma) * z.real + 1j * free_value(gamma) * z.imag
-    eps = (E - band.center) / band.delta
-    beta = band.eta / (2.0 * band.delta)
-    todo, fine, err = np.arange(len(E)), np.empty(len(E), dtype=complex), np.empty(len(E))
-    for pair in _ORDERS:
-        fine[todo], coarse = (_edge_integral(band.n, beta, eps[todo], order) for order in pair)
-        err[todo] = np.abs(fine[todo] - coarse)
-        todo = todo[~(err[todo] <= 20.0 * tol * np.maximum(1.0 - fine[todo].real, 1.0))]
-    if todo.size:
-        i = todo[0]
-        raise QuadratureFailure(f"self-energy at E={E[i]}: error estimate {err[i]:.3e} "
-                                f"exceeds budget for tol={tol:.1e}")
-    return 0.5j * gamma * (fine - 1.0)
+        sigma = free_value(gamma) * z.real + 1j * free_value(gamma) * z.imag
+    else:
+        eps, beta = (E_arr - band.center) / band.delta, band.eta / (2.0 * band.delta)
+        todo, fine, err = np.arange(len(eps)), np.empty(len(eps), dtype=complex), np.empty(len(eps))
+        for pair in _ORDERS:
+            fine[todo], coarse = (_edge_integral(band.n, beta, eps[todo], order) for order in pair)
+            err[todo] = np.abs(fine[todo] - coarse)
+            todo = todo[~(err[todo] <= 20.0 * tol * np.maximum(1.0 - fine[todo].real, 1.0))]
+        if todo.size:
+            i = todo[0]
+            raise QuadratureFailure(f"self-energy at E={E_arr[i]}: error estimate {err[i]:.3e} "
+                                    f"exceeds budget for tol={tol:.1e}")
+        sigma = 0.5j * gamma * (fine - 1.0)
+    return sigma if np.ndim(E) else complex(sigma[0])
 
 
 def _ladder(start, stop, s0, ratio):
@@ -337,7 +326,7 @@ def _ladder(start, stop, s0, ratio):
 
 def _default_window(band: DetectorBand, gamma: float, omega: float) -> Tuple[float, float]:
     """center +- max(50*delta, 10*eta, 550*gamma), widened to hold omega +- the same: the gamma
-    term keeps even an unsuppressed line's wings to the 1e-6 the spectral route needs."""
+    term holds the wings of a line no wider than the free one to the spectral route's 1e-6."""
     half = max(50.0 * band.delta, 10.0 * band.eta, 550.0 * gamma)
     return min(band.center, omega) - half, max(band.center, omega) + half
 
@@ -376,9 +365,9 @@ def form_factor_grid(band: DetectorBand, gamma: float,
     fill = [np.linspace(base[i], base[i + 1], add[i] + 2)[1:-1] for i in range(len(gaps))]
     edges = c + np.array([-delta, delta] if band.is_flat else [])
     base = np.setdiff1d(np.concatenate([base] + fill), edges)
-    sigma = _self_energy(band, gamma, base, tol)
+    sigma = self_energy(band, gamma, base, tol)
     mu, g2, _ = _split_cubic(base, -sigma.imag / math.pi, edges)
-    sigma = _self_energy(band, gamma, mu, tol) if band.is_flat else sigma  # closed form
+    sigma = self_energy(band, gamma, mu, tol) if band.is_flat else sigma  # closed form
     return FormFactorGrid(mu=mu, g2=g2, sigma=sigma, window=(lo, hi), gamma=gamma,
                           band=band, tol=tol)
 

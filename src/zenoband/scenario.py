@@ -20,11 +20,10 @@ import numpy as np
 
 from .config import MODEL_KEYS, model_params_from_dict, parse_kv_text
 from .errors import ConfigError, NoResponse, WindowTooNarrow
-from .formfactor import (_default_window, form_factor_grid, free_value, renormalized_form_factor,
-                         sum_rule_defect)
+from .formfactor import _default_window, form_factor_grid, free_value, self_energy, sum_rule_defect
 from .model import ModelParams, ValidatedModel, validate_params, qze_condition_report
 from .dynamics import discretize_continuum, propagate, response_delay, decay_rate_trace
-from .spectral import perturbative_decay, spectral_function, stage_rates, survival_amplitude_spectral
+from .spectral import perturbative_decay, spectral_function, survival_amplitude_spectral
 
 __all__ = [
     "ScenarioConfig",
@@ -167,7 +166,7 @@ def _formfactor(m, band):
     """(the g2 grid of ``band`` as a CSV table, the grid, g2(omega))."""
     grid = form_factor_grid(band, m.gamma, tol=m.numerics.quad_tol)
     table = (["mu", "g2", "g2_over_free"], [grid.mu, grid.g2, grid.g2 / free_value(m.gamma)])
-    return table, grid, renormalized_form_factor(band, m.gamma, m.omega, m.numerics.quad_tol)
+    return table, grid, -self_energy(band, m.gamma, m.omega, m.numerics.quad_tol).imag / math.pi
 
 
 def product_formfactor(m: ValidatedModel):
@@ -251,7 +250,7 @@ def product_fig3(models: Sequence[ValidatedModel]):
     files, lines = {}, []
     for (two_pi_delta, eta), m in zip(FIG3_SETS, models):
         t_pos, rate = decay_rate_trace(propagate(discretize_continuum(m), _fig3_samples(m)))
-        ref_s = -stage_rates(m)[1] / m.gamma
+        ref_s = 2.0 * self_energy(m.band, m.gamma, m.omega, m.numerics.quad_tol).imag / m.gamma
         files[f"fig3_{int(two_pi_delta)}_{int(eta)}.csv"] = (
             ["t", "lns_over_gamma_t", "ref_free", "ref_suppressed"],
             [t_pos, rate, np.full_like(t_pos, -1.0), np.full_like(t_pos, ref_s)])

@@ -17,17 +17,13 @@ import numpy as np
 
 from ._phi import free_tail_moments, kernel_antiderivatives, phase_blocks, phi_functions
 from .errors import HorizonExceeded, WindowTooNarrow
-from .formfactor import (FormFactorGrid, _ladder, _self_energy, _split_cubic, free_value,
-                         renormalized_form_factor)
-from .model import ValidatedModel
+from .formfactor import FormFactorGrid, _ladder, _split_cubic, free_value, self_energy
 
 __all__ = [
     "SpectralFunction",
-    "self_energy",
     "spectral_function",
     "survival_amplitude_spectral",
     "perturbative_decay",
-    "stage_rates",
 ]
 
 _LINE_POINTS = 1200       # uniform energies across the dressed line
@@ -48,46 +44,41 @@ class SpectralFunction:
     window: Tuple[float, float]
 
 
-def self_energy(grid: FormFactorGrid, E):
-    """Sigma(E + i0) over the renormalized continuum of ``grid``'s band, at E or an array of E.
-
-    The grid's own Sigma at its energies, elsewhere the band-edge integral of
-    :func:`zenoband.formfactor._self_energy` at the grid's ``tol``, never the
-    tabulated g2, so it holds at any real E; Im Sigma = -pi g2(E).
-    """
-    E_arr = np.atleast_1d(np.asarray(E, dtype=float))
-    i = np.minimum(np.searchsorted(grid.mu, E_arr), len(grid.mu) - 1)
-    sigma, new = grid.sigma[i], grid.mu[i] != E_arr
-    sigma[new] = _self_energy(grid.band, grid.gamma, E_arr[new], grid.tol)
-    return sigma if np.ndim(E) else complex(sigma[0])
-
-
 def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
     """Normalized line shape A(E) = g2 / ((E - omega - Re Sigma)^2 + (pi g2)^2).
 
     The energies are dense across the dressed line (whose width can be far
     below the free linewidth when the decay is suppressed), march out to the
-    window edges and hold the form-factor grid, whose Sigma they reuse.  A's
+    window edges and hold the form-factor grid, whose Sigma they reuse.  Far
+    out A's wing is ~gamma w/(2 D^2) of its peak, w = -Im Sigma(omega), so the
+    window grows to hold omega +- 550 sqrt(2 w gamma), past its 1e-6.  A's
     spline breaks where the grid's does, at a flat band's edges; Re Sigma's
     log cusp takes A to 0 there only within ~exp(-2 pi |E - omega|/gamma), so
     each side's value is extrapolated from its own nodes.  The unit-area check
     integrates the spline and adds the 1/(E-omega)^2 tail mass beyond the window.
     """
-    lo, hi = grid.window
-    sigma_omega = self_energy(grid, omega)
+    def sigma_at(E):  # the grid's own Sigma at its energies, one self_energy call for the rest
+        i = np.minimum(np.searchsorted(grid.mu, E), len(grid.mu) - 1)
+        sigma, new = grid.sigma[i], grid.mu[i] != E
+        sigma[new] = self_energy(grid.band, grid.gamma, E[new], grid.tol)
+        return sigma
+
+    sigma_omega = complex(sigma_at(np.array([omega]))[0])
     center, half_w = omega + sigma_omega.real, -sigma_omega.imag  # of the dressed line
+    reach = 550.0 * math.sqrt(2.0 * half_w * grid.gamma)
+    lo, hi = min(grid.window[0], omega - reach), max(grid.window[1], omega + reach)
     span = 45.0 * half_w
     if center - span <= lo or center + span >= hi:
         raise WindowTooNarrow(
             f"window {(lo, hi)} cannot hold the line region {center}+-{span:g}")
 
     step0 = 2.0 * span / _LINE_POINTS * 4.0
-    parts = [np.linspace(center - span, center + span, _LINE_POINTS), grid.mu,
+    parts = [np.linspace(center - span, center + span, _LINE_POINTS), grid.mu, [lo, hi],
              _ladder(center + span, hi, step0, 1.05), _ladder(center - span, lo, step0, 1.05)]
     edges = grid.mu[1:][np.diff(grid.mu) == 0.0]
     E = np.setdiff1d(np.concatenate([np.asarray(p, dtype=float) for p in parts]), edges)
 
-    sigma = self_energy(grid, E)
+    sigma = sigma_at(E)
     A = -sigma.imag / math.pi / ((E - omega - sigma.real) ** 2 + sigma.imag ** 2)
     E, A, line = _split_cubic(E, A, edges)
     if A[0] > 1e-6 * A.max() or A[-1] > 1e-6 * A.max():
@@ -195,8 +186,3 @@ def perturbative_decay(grid: FormFactorGrid, omega: float, t) -> np.ndarray:
     out = (grid.gamma * t_arr + 2.0 * dev)[back]
     return out if np.ndim(t) else out[0]
 
-
-def stage_rates(m: ValidatedModel):
-    """(free rate, suppressed rate) = (gamma, 2 pi g2(omega))."""
-    g2_line = renormalized_form_factor(m.band, m.gamma, m.omega, m.numerics.quad_tol)
-    return m.gamma, 2.0 * math.pi * g2_line

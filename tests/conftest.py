@@ -266,7 +266,7 @@ def krogstad_reference(dm, ts):
         -1j * dm.tail_poles,
         [0.0],
     ]).astype(complex)
-    cF = np.concatenate([c_core.astype(complex), dm.tail_weights])
+    cF = np.concatenate([c_core.astype(complex), -dm.coupling ** 2])
     sl_modes = slice(1, 1 + len(cF))
     sl_core = slice(1, 1 + n_core)
 
@@ -280,7 +280,7 @@ def krogstad_reference(dm, ts):
 
     u = np.zeros(2 + len(cF), dtype=complex)
     u[0] = 1.0
-    norm = np.concatenate([np.ones(n_core), dm.tail_weights.real])
+    norm = np.concatenate([np.ones(n_core), -dm.coupling ** 2])
     stepper = _Krogstad(L)
     times, runs = _step_schedule(np.abs(L).max(), dm.step, dm.horizon)
     rec = [(1.0 + 0.0j, 0.0, 0.0, 0.0)]

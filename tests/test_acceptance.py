@@ -30,10 +30,9 @@ from zenoband import (
     free_value,
     perturbative_decay,
     propagate,
-    renormalized_form_factor,
     response_delay,
+    self_energy,
     spectral_function,
-    stage_rates,
     sum_rule_defect,
     survival_amplitude_spectral,
     validate_params,
@@ -107,7 +106,7 @@ class TestCriterion2ArctanLimit:
         for ratio in (0.1, 1.0, 10.0):  # 2*Delta/eta
             delta = 1.0
             band = DetectorBand(eta=2.0 * delta / ratio, delta=delta, n=None, center=0.0)
-            got = renormalized_form_factor(band, GAMMA, 0.0, tol=1e-9)
+            got = -self_energy(band, GAMMA, 0.0, tol=1e-9).imag / math.pi
             want = (GAMMA / math.pi ** 2) * math.atan(ratio)
             worst = max(worst, abs(got / want - 1.0))
         elapsed = time.monotonic() - start
@@ -122,7 +121,7 @@ class TestCriterion2ArctanLimit:
 class TestCriterion3ExactHalfSuppression:
     def test_stage_rates_give_half(self):
         m = _model(2.0 * math.pi * 5.0, 10.0, n=None)  # delta=5, eta=10=2*delta
-        free, supp = stage_rates(m)
+        free, supp = m.gamma, -2.0 * self_energy(m.band, m.gamma, m.omega, m.numerics.quad_tol).imag
         ratio = supp / free
         ok = abs(ratio - 0.5) <= 1e-4
         record_acceptance(
@@ -186,7 +185,7 @@ class TestCriterion5Fig3TwoStage:
         "at exactly 10/Delta the deviation is ~11.4%"))
     def test_suppressed_stage_rate_at_ten_over_delta(self, fig3_runs):
         m, trace = fig3_runs["solid"]
-        _, supp = stage_rates(m)
+        supp = -2.0 * self_energy(m.band, m.gamma, m.omega, m.numerics.quad_tol).imag
         ref = -supp / GAMMA
         t, rate = decay_rate_trace(trace)
         i = np.argmin(np.abs(t - 10.0 / m.band.delta))
@@ -199,7 +198,7 @@ class TestCriterion5Fig3TwoStage:
 
     def test_suppressed_stage_rate_at_twenty_over_delta(self, fig3_runs):
         m, trace = fig3_runs["solid"]
-        _, supp = stage_rates(m)
+        supp = -2.0 * self_energy(m.band, m.gamma, m.omega, m.numerics.quad_tol).imag
         ref = -supp / GAMMA
         t, rate = decay_rate_trace(trace)
         i = np.argmin(np.abs(t - 20.0 / m.band.delta))
@@ -211,7 +210,7 @@ class TestCriterion5Fig3TwoStage:
 
     def test_transition_midpoint_near_inverse_bandwidth(self, fig3_runs):
         m, trace = fig3_runs["solid"]
-        _, supp = stage_rates(m)
+        supp = -2.0 * self_energy(m.band, m.gamma, m.omega, m.numerics.quad_tol).imag
         mid = 0.5 * (-1.0 + (-supp / GAMMA))
         t, rate = decay_rate_trace(trace)
         crossing = t[np.argmax(rate > mid)]  # rate rises from -1 toward plateau
@@ -286,7 +285,7 @@ class TestCriterion9AntiZenoDirection:
     def test_detuned_band_enhances_decay(self):
         delta = 100.0 * GAMMA / (2.0 * math.pi)
         m = _model(100.0, 100.0, center=5.0 * delta)
-        g2_line = renormalized_form_factor(m.band, GAMMA, m.omega, 1e-9)
+        g2_line = -self_energy(m.band, GAMMA, m.omega, 1e-9).imag / math.pi
         enhanced = g2_line > free_value(GAMMA)
         trace = propagate(discretize_continuum(m), _fig3_samples(m))
         t, rate = decay_rate_trace(trace)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -13,7 +14,8 @@ from zenoband import (
     QuadratureFailure,
     WindowTooNarrow,
     form_factor_grid,
-    renormalized_form_factor,
+    self_energy,
+    spectral_function,
     sum_rule_defect,
 )
 
@@ -31,55 +33,60 @@ def pl_band(ratio, delta=1.0, n=6, center=0.0):
     return DetectorBand(eta=ratio * 2 * math.pi * delta, delta=delta, n=n, center=center)
 
 
+def form_factor(band, gamma, mu, tol=1e-9):
+    """g2(mu) = -Im Sigma(mu + i0)/pi."""
+    return -self_energy(band, gamma, mu, tol).imag / math.pi
+
+
 class TestRenormalizedFormFactor:
     def test_no_detector_gives_free_value_exactly(self):
         band = DetectorBand(eta=0.0, delta=1.0, n=6, center=0.0)
-        assert renormalized_form_factor(band, GAMMA, 0.3) == FREE
+        assert form_factor(band, GAMMA, 0.3) == FREE
         band_flat = DetectorBand(eta=0.0, delta=1.0, n=None, center=0.0)
-        assert renormalized_form_factor(band_flat, GAMMA, -2.0) == FREE
+        assert form_factor(band_flat, GAMMA, -2.0) == FREE
 
     @pytest.mark.parametrize("ratio_2d_eta", [0.1, 1.0, 10.0])
     def test_flat_band_matches_arctan_limit(self, ratio_2d_eta):
         delta = 1.0
         eta = 2.0 * delta / ratio_2d_eta
         band = DetectorBand(eta=eta, delta=delta, n=None, center=0.0)
-        got = renormalized_form_factor(band, GAMMA, 0.0, tol=1e-10)
+        got = form_factor(band, GAMMA, 0.0, tol=1e-10)
         want = (GAMMA / math.pi ** 2) * math.atan(ratio_2d_eta)
         assert got == pytest.approx(want, rel=1e-8)
 
     def test_regression_value_power_law(self):
         band = pl_band(1.0)
-        got = renormalized_form_factor(band, GAMMA, 0.0, tol=1e-11)
+        got = form_factor(band, GAMMA, 0.0, tol=1e-11)
         assert got == pytest.approx(G2_REGRESSION_N6_RATIO1, rel=1e-9)
 
     @pytest.mark.parametrize("ratio", [0.01, 1.0])
     @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0, 1.5, 3.0, 10.0])
     def test_against_brute_force_oracle(self, ratio, mu):
         band = pl_band(ratio)
-        got = renormalized_form_factor(band, GAMMA, mu, tol=1e-9)
+        got = form_factor(band, GAMMA, mu, tol=1e-9)
         want = g2_oracle(band, GAMMA, mu)
         assert got == pytest.approx(want, rel=1e-5)
 
     def test_flat_band_quadrature_matches_analytic_everywhere(self):
         band = DetectorBand(eta=1.7, delta=1.0, n=None, center=0.0)
         for mu in (0.0, 0.4, 0.99, 1.01, 2.5, -6.0):
-            got = renormalized_form_factor(band, GAMMA, mu, tol=1e-10)
+            got = form_factor(band, GAMMA, mu, tol=1e-10)
             want = -flat_sigma_oracle(GAMMA, 1.7, 1.0, mu).imag / math.pi
             assert got == pytest.approx(want, rel=1e-6)
 
     def test_unreachable_tolerance_raises_quadrature_failure(self):
         band = pl_band(1.0)
         with pytest.raises(QuadratureFailure, match="E=-2.6312"):
-            renormalized_form_factor(band, GAMMA, -2.6312, tol=1e-16)
+            form_factor(band, GAMMA, -2.6312, tol=1e-16)
         # one decade looser, the same point meets its error budget
-        assert renormalized_form_factor(band, GAMMA, -2.6312, tol=1e-15) > 0.0
+        assert form_factor(band, GAMMA, -2.6312, tol=1e-15) > 0.0
 
     @pytest.mark.parametrize("mu", [-51.375, 51.375])
     def test_narrow_edge_band_value_at_tight_tolerance(self, mu):
         # pi*eta_mu ~ 3e-11 < 1e-12*|mu| here, so g2_quad_oracle takes its delta branch
         band = DetectorBand(eta=100.0, delta=100.0 / (2 * math.pi), n=24, center=0.0)
         tol = 1e-10
-        got = renormalized_form_factor(band, GAMMA, mu, tol)
+        got = form_factor(band, GAMMA, mu, tol)
         want = g2_quad_oracle(band, GAMMA, mu)
         assert got == pytest.approx(want, abs=20.0 * tol * max(want, FREE))
 
@@ -103,38 +110,48 @@ class TestRenormalizedFormFactor:
         E = np.linspace(-2.0, 2.0, 9)  # pl_band(1.0) has delta = 1 and center 0: eps = E
         self.poison_estimates(monkeypatch, {pair[1] for pair in formfactor._ORDERS}, E[3])
         with pytest.raises(QuadratureFailure, match=r"E=-0\.5: error estimate nan"):
-            formfactor._self_energy(pl_band(1.0), GAMMA, E)
+            self_energy(pl_band(1.0), GAMMA, E)
 
     def test_non_finite_cheap_estimate_escalates(self, monkeypatch):
         # at the cheap pair a NaN estimate sends the energy on to the final pair
         E = np.linspace(-2.0, 2.0, 9)
         cheap, last = formfactor._ORDERS
         calls = self.poison_estimates(monkeypatch, {cheap[1]}, E[3])
-        got = formfactor._self_energy(pl_band(1.0), GAMMA, E)
+        got = self_energy(pl_band(1.0), GAMMA, E)
         assert [order for order, _ in calls] == [*cheap, *last]
         assert E[3] in calls[2][1]
         monkeypatch.undo()
         assert np.all(np.isfinite(got))
-        assert got == pytest.approx(formfactor._self_energy(pl_band(1.0), GAMMA, E), rel=1e-12)
+        assert got == pytest.approx(self_energy(pl_band(1.0), GAMMA, E), rel=1e-12)
 
     def test_positive_everywhere(self):
         band = pl_band(1.0)
         for mu in np.linspace(-8, 8, 17):
-            assert renormalized_form_factor(band, GAMMA, mu, tol=1e-8) > 0.0
+            assert form_factor(band, GAMMA, mu, tol=1e-8) > 0.0
+
+    @pytest.mark.parametrize("n,eta", [(6, 2 * math.pi), (None, 1.7), (6, 0.0)],
+                             ids=["power-law", "flat", "free"])
+    def test_scalar_energy_and_unset_center(self, n, eta):
+        # a scalar E gives a complex, element 0 of the array call; no center is center 0
+        band = DetectorBand(eta=eta, delta=1.0, n=n, center=None)
+        E = np.array([0.3, -1.0, 2.5])
+        batch = self_energy(band, GAMMA, E)
+        lone = self_energy(band, GAMMA, 0.3)
+        assert type(lone) is complex and lone == batch[0]
+        assert np.array_equal(batch, self_energy(dataclasses.replace(band, center=0.0), GAMMA, E))
 
     def test_scale_covariance(self):
         # g2 scales like gamma, with energies scaling together
         band1 = pl_band(1.0, delta=1.0)
         band7 = pl_band(1.0, delta=7.0)
-        v1 = renormalized_form_factor(band1, 1.0, 0.5, tol=1e-10)
-        v7 = renormalized_form_factor(band7, 7.0, 3.5, tol=1e-10)
+        v1 = form_factor(band1, 1.0, 0.5, tol=1e-10)
+        v7 = form_factor(band7, 7.0, 3.5, tol=1e-10)
         assert v7 == pytest.approx(7.0 * v1, rel=1e-8)
 
 
 def flat_g2(eta, delta, mu, center=0.0):
-    """g2 of the flat band, whose closed form renormalized_form_factor evaluates."""
-    return renormalized_form_factor(DetectorBand(eta=eta, delta=delta, n=None, center=center),
-                                    GAMMA, mu)
+    """g2 of the flat band, whose closed form self_energy evaluates."""
+    return form_factor(DetectorBand(eta=eta, delta=delta, n=None, center=center), GAMMA, mu)
 
 
 class TestAnalyticFlatBand:
@@ -274,7 +291,7 @@ class TestSteepBands:
         # breakpoint) a ladder node would round onto E and give 0/0
         band = DetectorBand(eta=100.0, delta=100.0 / (2 * math.pi), n=800, center=0.0)
         tol, mu = 1e-9, np.linspace(-3.0, 3.0, 61) * band.delta
-        g2 = -formfactor._self_energy(band, GAMMA, mu, tol).imag / math.pi
+        g2 = -self_energy(band, GAMMA, mu, tol).imag / math.pi
         for m, v in zip(mu[::4], g2[::4]):
             want = g2_quad_oracle(band, GAMMA, m)
             assert v == pytest.approx(want, abs=20.0 * tol * max(want, FREE))
@@ -285,9 +302,8 @@ class TestSteepBands:
         delta = 100.0 / (2 * math.pi)
         want = flat_sigma_oracle(GAMMA, 100.0, delta, E)
         ns = (24, 96, 400, 1600)
-        gaps = [abs(formfactor._self_energy(DetectorBand(eta=100.0, delta=delta, n=n,
-                                                         center=0.0), GAMMA, E)[0] - want)
-                for n in ns]
+        gaps = [abs(self_energy(DetectorBand(eta=100.0, delta=delta, n=n, center=0.0), GAMMA, E)
+                    - want) for n in ns]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert all(gap * n < 1.5 for gap, n in zip(gaps, ns))
 
@@ -309,7 +325,7 @@ class TestPerEnergyReach:
         i = np.arange(lo, hi + 1)
         tol = 1e-9
         for mu in np.linspace(-1.5, 1.5, 23)[np.union1d(i, 22 - i)] * band.delta:
-            got = renormalized_form_factor(band, GAMMA, mu, tol)
+            got = form_factor(band, GAMMA, mu, tol)
             want = g2_quad_oracle(band, GAMMA, mu)
             assert got == pytest.approx(want, abs=20.0 * tol * max(want, FREE))
 
@@ -319,8 +335,8 @@ class TestPerEnergyReach:
         # an energy's panels and order pair depend on it alone, not on its batch
         band = DetectorBand(eta=eta, delta=delta, n=6, center=0.0)
         E = form_factor_grid(band, GAMMA).mu[::8]
-        batch = formfactor._self_energy(band, GAMMA, E)
-        lone = np.array([formfactor._self_energy(band, GAMMA, e)[0] for e in E])
+        batch = self_energy(band, GAMMA, E)
+        lone = np.array([self_energy(band, GAMMA, e) for e in E])
         assert np.all(np.abs(batch - lone) <= 1e-14 * np.abs(lone))
 
     @pytest.mark.parametrize("band", [pl_band(1.0), DetectorBand(eta=1.7, delta=1.0, n=None,
@@ -330,11 +346,22 @@ class TestPerEnergyReach:
         # Sigma at every mu, a flat edge's own value at both copies; g2 is -Im Sigma/pi
         # everywhere but at those copies, which hold its one-sided limits
         grid = form_factor_grid(band, GAMMA, n_points=200)
-        assert np.array_equal(grid.sigma, formfactor._self_energy(band, GAMMA, grid.mu))
+        assert np.array_equal(grid.sigma, self_energy(band, GAMMA, grid.mu))
         single = np.diff(grid.mu, prepend=-np.inf) != 0.0
         single &= np.diff(grid.mu, append=np.inf) != 0.0
         assert np.array_equal(grid.g2[single], -grid.sigma[single].imag / math.pi)
         assert single.sum() == len(grid.mu) - (4 if band.is_flat else 0)
+        # the line shape's Sigma, the grid's at its energies and evaluated at the rest, is
+        # self_energy's on all of them: A off a flat edge's copies, and Sigma(omega)
+        sf = spectral_function(grid, 0.2)
+        assert sf.sigma_omega == self_energy(band, GAMMA, 0.2, grid.tol)
+        single = np.diff(sf.E, prepend=-np.inf) != 0.0
+        single &= np.diff(sf.E, append=np.inf) != 0.0
+        E = sf.E[single]
+        sigma = self_energy(band, GAMMA, E, grid.tol)
+        A = -sigma.imag / math.pi / ((E - 0.2 - sigma.real) ** 2 + sigma.imag ** 2)
+        assert np.array_equal(sf.A[single], A)
+        assert len(np.intersect1d(E, grid.mu)) > 100 and len(np.setdiff1d(E, grid.mu)) > 1000
 
 
 class TestSumRule:

@@ -91,6 +91,18 @@ class TestScenarioProducts:
         np.testing.assert_array_equal(t, t_dyn)
         assert np.abs(s_spec - s_dyn).max() <= 1e-5
 
+    def test_spectral_runs_an_enhanced_line(self, tmp_path):
+        # omega just outside the band: w = -Im Sigma(omega) = 0.64 > gamma/2, whose wings
+        # need the window past 550 gamma from omega (to 620); the routes agree to 3.5e-8
+        ov = ["--override", "eta=12.4", "--override", "delta=8.5", "--override", "n=12",
+              "--override", "center=13.3"]
+        assert run_cli(["spectral", "--out", str(tmp_path)] + ov) == 0
+        assert run_cli(["evolve", "--out", str(tmp_path)] + ov) == 0
+        _, (t, s_spec) = read_csv(tmp_path / "survival_spectral.csv")
+        _, (t_dyn, s_dyn, *_) = read_csv(tmp_path / "evolve.csv")
+        np.testing.assert_array_equal(t, t_dyn)
+        assert np.abs(s_spec - s_dyn).max() <= 1e-6
+
     def test_evolve_csv_reingested_invariants(self, tmp_path):
         cfg = load_scenario(overrides={"gamma": "1", "eta": "2", "delta": "5", "n": "6"},
                             products=("evolve",), out_dir=str(tmp_path))
@@ -336,8 +348,8 @@ class TestCli:
         assert "QuadratureFailure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("product,name,nth", [
-        ("formfactor", "renormalized_form_factor", 1),
-        ("fig2", "renormalized_form_factor", 3),
+        ("formfactor", "self_energy", 1),
+        ("fig2", "self_energy", 3),
         ("spectral", "survival_amplitude_spectral", 1),
     ])
     def test_late_failure_writes_no_csv(self, tmp_path, capsys, monkeypatch, product, name, nth):

@@ -20,7 +20,6 @@ from zenoband import (
     propagate,
     self_energy,
     spectral_function,
-    stage_rates,
     survival_amplitude_spectral,
     validate_params,
 )
@@ -46,7 +45,7 @@ def solid_grid():
 class TestSelfEnergy:
     def test_free_case_is_wigner_weisskopf(self, free_grid):
         for E in (0.0, 0.3, -2.0, 40.0):
-            sig = self_energy(free_grid, E)
+            sig = self_energy(free_grid.band, GAMMA, E, free_grid.tol)
             assert sig.real == pytest.approx(0.0, abs=1e-9)
             assert sig.imag == pytest.approx(-GAMMA / 2, rel=1e-9)
 
@@ -55,7 +54,7 @@ class TestSelfEnergy:
         tol = 1e-10
         for E in (0.0, 5.0, -12.0):
             g2 = g2_quad_oracle(solid_grid.band, GAMMA, E)
-            sig = self_energy(solid_grid, E)
+            sig = self_energy(solid_grid.band, GAMMA, E, solid_grid.tol)
             budget = 20.0 * tol * max(g2, free_value(GAMMA))
             assert sig.imag == pytest.approx(-math.pi * g2, abs=math.pi * budget)
 
@@ -63,22 +62,20 @@ class TestSelfEnergy:
                                                   (1000.0, 1000.0)])
     def test_real_part_matches_quad_oracle(self, two_pi_delta, eta):
         band = DetectorBand(eta=eta, delta=two_pi_delta / (2 * math.pi), n=6, center=0.0)
-        grid = form_factor_grid(band, GAMMA)
         for E in (0.0, 5.0, 20.0, 40.0, 100.0, 200.0):
             want = re_sigma_oracle(band, GAMMA, E)
-            assert self_energy(grid, E).real == pytest.approx(want, abs=1e-12)
+            assert self_energy(band, GAMMA, E).real == pytest.approx(want, abs=1e-12)
 
     def test_flat_band_matches_closed_form(self):
-        grid = form_factor_grid(FLAT_BAND, GAMMA)
         d = FLAT_BAND.delta
         near = [s * d + o * 1e-6 * d for s in (-1.0, 1.0) for o in (-1.0, -0.3, 0.3, 1.0)]
         for E in [0.0, 3.0, -9.0, 40.0, -300.0, 900.0] + near:
             want = flat_sigma_oracle(GAMMA, FLAT_BAND.eta, d, E)
-            assert self_energy(grid, E) == pytest.approx(want, rel=1e-12)
+            assert self_energy(FLAT_BAND, GAMMA, E) == pytest.approx(want, rel=1e-12)
 
     def test_suppressed_line_width_pinned_by_form_factor(self, solid_grid):
         g2_line = g2_quad_oracle(solid_grid.band, GAMMA, 0.0)
-        sig = self_energy(solid_grid, 0.0)
+        sig = self_energy(solid_grid.band, GAMMA, 0.0, solid_grid.tol)
         assert sig.imag == pytest.approx(-math.pi * g2_line, rel=1e-5)
 
     def test_line_width_matches_regression_constant(self, solid_grid):
@@ -86,7 +83,7 @@ class TestSelfEnergy:
         # and the ratios, so the pinned n=6 constant applies here too
         from test_formfactor import G2_REGRESSION_N6_RATIO1
 
-        sig = self_energy(solid_grid, 0.0)
+        sig = self_energy(solid_grid.band, GAMMA, 0.0, solid_grid.tol)
         assert sig.imag == pytest.approx(-math.pi * G2_REGRESSION_N6_RATIO1, rel=1e-4)
 
 
@@ -110,8 +107,7 @@ class TestSpectralFunction:
         sf = spectral_function(solid_grid, 0.0)
         assert sf.normalization_defect < 1e-4
         width = full_width_at_half_maximum(sf)
-        _, supp = stage_rates(validate_params(ModelParams(
-            gamma=GAMMA, band=DetectorBand(eta=100.0, delta=FIG_DELTA, n=6))))
+        supp = -2.0 * self_energy(solid_grid.band, GAMMA, 0.0, 1e-9).imag
         assert width == pytest.approx(supp, rel=0.05)
         assert width < GAMMA
 
@@ -205,8 +201,7 @@ class TestPerturbativeDecay:
         delta = FIG_DELTA
         early = perturbative_decay(solid_grid, 0.0, 0.02 / delta)
         assert early == pytest.approx(GAMMA * 0.02 / delta, rel=0.02)
-        _, supp = stage_rates(validate_params(ModelParams(
-            gamma=GAMMA, band=DetectorBand(eta=100.0, delta=FIG_DELTA, n=6))))
+        supp = -2.0 * self_energy(solid_grid.band, GAMMA, 0.0, 1e-9).imag
         t_late = 40.0 / delta
         late = perturbative_decay(solid_grid, 0.0, t_late)
         assert late == pytest.approx(supp * t_late, rel=0.05)
@@ -214,8 +209,7 @@ class TestPerturbativeDecay:
     def test_late_slope_is_suppressed_rate(self, solid_grid):
         # 16 samples per kernel period would need 5.09M nodes at t = 1000
         late = perturbative_decay(solid_grid, 0.0, np.array([500.0, 1000.0]))
-        _, supp = stage_rates(validate_params(ModelParams(
-            gamma=GAMMA, band=DetectorBand(eta=100.0, delta=FIG_DELTA, n=6))))
+        supp = -2.0 * self_energy(solid_grid.band, GAMMA, 0.0, 1e-9).imag
         assert (late[1] - late[0]) / 500.0 == pytest.approx(supp, rel=1e-5)
 
     # bounds ~3x the measured gaps (5.6e-9, 5.1e-8, 1.1e-9, 1.7e-9), mostly
@@ -293,13 +287,13 @@ def perturbative_sampled(grid, omega, t, per_period):
 class TestStageRates:
     def test_no_detector_rates_equal(self):
         m = validate_params(ModelParams(gamma=2.0, band=DetectorBand(eta=0.0, delta=1.0, n=6)))
-        free, supp = stage_rates(m)
+        free, supp = m.gamma, -2.0 * self_energy(m.band, m.gamma, m.omega, m.numerics.quad_tol).imag
         assert free == supp == 2.0
 
     def test_flat_band_half_rate(self):
         m = validate_params(ModelParams(
             gamma=1.0, band=DetectorBand(eta=2.0, delta=1.0, n=None)))
-        free, supp = stage_rates(m)
+        free, supp = m.gamma, -2.0 * self_energy(m.band, m.gamma, m.omega, m.numerics.quad_tol).imag
         assert supp / free == pytest.approx(0.5, abs=1e-6)
 
     def test_flat_band_strong_monitoring_closed_form(self):
@@ -307,7 +301,7 @@ class TestStageRates:
         delta = 1000.0 / (2 * math.pi)
         m = validate_params(ModelParams(
             gamma=1.0, band=DetectorBand(eta=1000.0, delta=delta, n=None)))
-        free, supp = stage_rates(m)
+        free, supp = m.gamma, -2.0 * self_energy(m.band, m.gamma, m.omega, m.numerics.quad_tol).imag
         want = (2.0 / math.pi) * math.atan(1.0 / math.pi)
         assert supp / free == pytest.approx(want, rel=1e-6)
 
@@ -318,7 +312,7 @@ class TestStageRates:
     def test_centered_monitoring_never_enhances(self, eta, delta, n):
         m = validate_params(ModelParams(
             gamma=1.0, band=DetectorBand(eta=eta, delta=delta, n=n)))
-        free, supp = stage_rates(m)
+        free, supp = m.gamma, -2.0 * self_energy(m.band, m.gamma, m.omega, m.numerics.quad_tol).imag
         assert supp <= free + 1e-12
 
 
