@@ -203,14 +203,16 @@ class FormFactorGrid:
 
 def _profile(x, n):
     """h = 1/(1 + x^n) and h' in band units; both 0 where x^n overflows."""
-    p, sq, m = np.ones_like(x), x, n - 1
+    p, sq, m = x, x, (n - 1) >> 1  # x^(n-1) = x (x^2)^((n-2)/2) by repeated squaring, n even
     with np.errstate(over="ignore", invalid="ignore"):
-        while m:  # x^(n-1) by repeated squaring, far cheaper than a float power
-            if m & 1:
-                p = p * sq
-            sq, m = sq * sq, m >> 1
-        h = 1.0 / (1.0 + p * x)
-        dh = np.where(h > 0.0, -n * (p * h) * h, 0.0)
+        while m:
+            sq = sq * sq
+            p, m = p * sq if m & 1 else p, m >> 1
+        h = p * x
+        np.divide(1.0, np.add(h, 1.0, out=h), out=h)
+        dh = p * h
+        np.multiply(np.multiply(dh, -n, out=dh), h, out=dh)
+        dh[h == 0.0] = 0.0  # h underflows only where x^n overflows, and there dh is inf * 0
     return h, dh
 
 
@@ -254,24 +256,32 @@ def _edge_integral(n, beta, eps, order):
     for at in filter(len, np.split(layout, cut)):  # an empty eps splits into one empty piece
         X, k = 1.0 + steps[reach[at[0]]], rungs[at[0]]
         own = br[np.abs(br) <= X]
-        tail_x, tail_w = np.concatenate([X / t, -X / t]), np.tile(X / t ** 2 * w, 2)
-        step = max(1, int(_BLOCK // ((len(own) + 2 * k + 4) * order)))
+        C, rung = len(own) + 2 * k + 1, _LADDER_RATIO ** -np.arange(k + 1)
+        step = max(1, int(_BLOCK // ((C + 3) * order)))
+        # a block's nodes and weights, reused: C cells', then both tails' (x = +-X/t), shared
+        x, wx = np.empty((2, step, C + 2, order))
+        x[:, C:], wx[:, C:] = np.stack([X / t, -X / t]), X / t ** 2 * w
         for s in range(0, len(at), step):
             ix = at[s:s + step]
-            e = eps[ix, None]
-            lad = np.maximum(top[ix, None] * _LADDER_RATIO ** -np.arange(k + 1), floor[ix, None])
-            ends = np.sort(np.concatenate([np.broadcast_to(own, (len(e), len(own))),
+            e, m, lad = eps[ix, None], len(ix), np.maximum(top[ix, None] * rung, floor[ix, None])
+            ends = np.sort(np.concatenate([np.broadcast_to(own, (m, len(own))),
                                            np.clip(e - lad, -X, X), np.clip(e + lad, -X, X)],
                                           axis=1), axis=1)
             width = np.diff(ends, axis=1)[..., None]
-            x = np.concatenate([(ends[:, :-1, None] + width * t).reshape(len(e), -1),
-                                np.broadcast_to(tail_x, (len(e), len(tail_x)))], axis=1)
-            wx = np.concatenate([(width * w).reshape(len(e), -1),
-                                 np.broadcast_to(tail_w, (len(e), len(tail_w)))], axis=1)
-            h, dh = _profile(x, n)
-            d, a, b = e - x, beta * h, wE[ix, None]  # 1/(d + ia) = (d - ia)/(d^2 + a^2)
-            q, qE = dh * wx / (d * d + a * a), dhE[ix, None] * wx / (d * d + b * b)
-            out[ix] = ((q - qE) * d).sum(axis=1) - 1j * (q * a - qE * b).sum(axis=1)
+            np.add(ends[:, :-1, None], np.multiply(width, t, out=x[:m, :C]), out=x[:m, :C])
+            np.multiply(width, w, out=wx[:m, :C])
+            xm, wm = x[:m].reshape(m, -1), wx[:m].reshape(m, -1)
+            a, q = _profile(xm, n)
+            # q = h' wx/(d^2 + a^2) and the pole's qE = h'(eps) wx/(d^2 + b^2), as 1/(d + ia) =
+            # (d - ia)/(d^2 + a^2) with d = eps - x, a = beta h, b = wE; each operation in place
+            d, a, b = e - xm, np.multiply(a, beta, out=a), wE[ix, None]
+            dd = d * d
+            np.divide(np.multiply(q, wm, out=q), np.add(dd, a * a), out=q)
+            qE = np.multiply(dhE[ix, None], wm)
+            qE /= np.add(dd, b * b, out=dd)
+            np.subtract(np.multiply(a, q, out=a), np.multiply(qE, b, out=dd), out=a)
+            np.multiply(np.subtract(q, qE, out=q), d, out=q)
+            out[ix] = q.sum(axis=1) - 1j * a.sum(axis=1)
     return beta / math.pi * (out - 1j * math.pi * dhE)
 
 
@@ -294,6 +304,8 @@ def self_energy(band: DetectorBand, gamma: float, E, tol: float = 1e-9):
     if band.center is None:
         band = replace(band, center=0.0)
     E_arr = np.atleast_1d(np.asarray(E, dtype=float))
+    if not E_arr.size:
+        return np.empty(0, dtype=complex)
     if band.eta == 0.0:
         sigma = np.full(E_arr.shape, -0.5j * gamma)
     elif band.is_flat:

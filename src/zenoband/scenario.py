@@ -126,11 +126,10 @@ def _write_lines(path, lines: Iterable[str]) -> str:
 
 def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
     """Atomically write plot-ready CSV with a mandatory header row."""
-    cols = [np.asarray(c) for c in columns]
-    n = len(cols[0])
-    if any(len(c) != n for c in cols):
+    cols = [np.asarray(c, dtype=float).tolist() for c in columns]  # an int column prints 3.0
+    if any(len(c) != len(cols[0]) for c in cols):
         raise ValueError("csv columns must have equal length")
-    rows = (",".join(repr(float(c[i])) for c in cols) for i in range(n))
+    rows = (",".join(map(repr, row)) for row in zip(*cols))
     return _write_lines(path, itertools.chain([",".join(header)], rows))
 
 

@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 _LINE_POINTS = 1200       # uniform energies across the dressed line
+_SKELETON = 24            # second-kind Chebyshev nodes per panel of Sigma across the line
+_HELD_OUT = (0.5, 11.5, 22.5)  # a panel's held-out energies, between nodes 0|1, 11|12, 22|23
 _MOMENTS = 16             # Taylor terms of phi4 on the nodes with |t x| < _NEAR
 _NEAR = 1.0               # |t x| below which phi4 is summed from moments, not cos/sin
 
@@ -44,6 +46,57 @@ class SpectralFunction:
     window: Tuple[float, float]
 
 
+def _sigma(grid: FormFactorGrid, E, lo, hi):
+    """Sigma(E + i0): the grid's own at its energies, the rest from one self_energy call.
+
+    On a power-law band, Sigma strictly between lo and hi is interpolated
+    (barycentric, Berrut and Trefethen, SIAM Rev. 46, 501 (2004)) where that
+    needs fewer energies.  Each panel, broken at the band edges and no longer
+    than the strip delta sin(pi/n) of eta_k's poles, takes _SKELETON
+    second-kind Chebyshev nodes and the _HELD_OUT energies that check it.  A
+    panel that misses a held-out g2 or Re Sigma by more than self_energy's
+    budget 20 tol max(g2, gamma/2pi) evaluates its energies directly.
+    """
+    band, gamma, tol = grid.band, grid.gamma, grid.tol
+    i = np.minimum(np.searchsorted(grid.mu, E), len(grid.mu) - 1)
+    fit = (grid.mu[i] != E) & (E > lo) & (E < hi) & (band.eta > 0.0 and not band.is_flat)
+    theta, ends = np.pi / (_SKELETON - 1) * np.r_[np.arange(_SKELETON), _HELD_OUT], np.array([lo])
+    if fit.any():
+        c, d = band.center, band.delta
+        cuts = np.unique(np.clip([lo, c - d, c + d, hi], lo, hi))
+        panels = np.ceil(np.diff(cuts) / (d * math.sin(math.pi / band.n)))
+        if panels.sum() * len(theta) < fit.sum():  # else the skeleton saves nothing
+            ends = np.r_[np.concatenate([np.linspace(a, b, int(k), endpoint=False)
+                                         for a, b, k in zip(cuts, cuts[1:], panels)]), hi]
+    fit &= len(ends) > 1
+    nodes = (ends[:-1, None] + ends[1:, None]) / 2.0 + np.diff(ends)[:, None] / 2.0 * np.cos(theta)
+    nodes[:, 0], nodes[:, _SKELETON - 1] = ends[1:], ends[:-1]  # neighbours share their ends
+    # each energy and node once, from the grid where it holds them
+    ask, back = np.unique(np.r_[E[~fit], nodes.ravel()], return_inverse=True)
+    i = np.minimum(np.searchsorted(grid.mu, ask), len(grid.mu) - 1)
+    got, new = grid.sigma[i], grid.mu[i] != ask
+    got[new] = self_energy(band, gamma, ask[new], tol)
+    sigma, k = np.empty(len(E), dtype=complex), len(back) - nodes.size
+    sigma[~fit], got = got[back[:k]], got[back[k:]].reshape(nodes.shape)
+    # the held-out energies, then the fitted ones, each by its own panel's interpolant
+    want, y = got[:, _SKELETON:].ravel(), np.r_[nodes[:, _SKELETON:].ravel(), E[fit]]
+    p = np.r_[np.arange(want.size) // len(_HELD_OUT), np.searchsorted(ends[1:-1], E[fit])]
+    z, f = nodes[p, :_SKELETON], got[p, :_SKELETON]
+    w = (-1.0) ** np.arange(_SKELETON) * np.r_[0.5, np.ones(_SKELETON - 2), 0.5]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = w / (y[:, None] - z)
+        val = (r * f).sum(axis=1) / r.sum(axis=1)
+    on = np.isinf(r)  # an energy on a node takes its value
+    val[on.any(axis=1)] = f[on]
+    miss = val[:want.size] - want
+    budget = 20.0 * tol * np.maximum(-want.imag / math.pi, free_value(gamma))
+    bad = ~(np.maximum(np.abs(miss.imag) / math.pi, np.abs(miss.real)) <= budget)
+    sigma[fit] = val[want.size:]
+    redo = np.flatnonzero(fit)[bad.reshape(-1, len(_HELD_OUT)).any(axis=1)[p[want.size:]]]
+    sigma[redo] = self_energy(band, gamma, E[redo], tol)
+    return sigma
+
+
 def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
     """Normalized line shape A(E) = g2 / ((E - omega - Re Sigma)^2 + (pi g2)^2).
 
@@ -57,13 +110,7 @@ def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
     each side's value is extrapolated from its own nodes.  The unit-area check
     integrates the spline and adds the 1/(E-omega)^2 tail mass beyond the window.
     """
-    def sigma_at(E):  # the grid's own Sigma at its energies, one self_energy call for the rest
-        i = np.minimum(np.searchsorted(grid.mu, E), len(grid.mu) - 1)
-        sigma, new = grid.sigma[i], grid.mu[i] != E
-        sigma[new] = self_energy(grid.band, grid.gamma, E[new], grid.tol)
-        return sigma
-
-    sigma_omega = complex(sigma_at(np.array([omega]))[0])
+    sigma_omega = complex(_sigma(grid, np.array([omega]), omega, omega)[0])
     center, half_w = omega + sigma_omega.real, -sigma_omega.imag  # of the dressed line
     reach = 550.0 * math.sqrt(2.0 * half_w * grid.gamma)
     lo, hi = min(grid.window[0], omega - reach), max(grid.window[1], omega + reach)
@@ -78,7 +125,7 @@ def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
     edges = grid.mu[1:][np.diff(grid.mu) == 0.0]
     E = np.setdiff1d(np.concatenate([np.asarray(p, dtype=float) for p in parts]), edges)
 
-    sigma = sigma_at(E)
+    sigma = _sigma(grid, E, center - span, center + span)
     A = -sigma.imag / math.pi / ((E - omega - sigma.real) ** 2 + sigma.imag ** 2)
     E, A, line = _split_cubic(E, A, edges)
     if A[0] > 1e-6 * A.max() or A[-1] > 1e-6 * A.max():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -123,6 +124,37 @@ class TestRenormalizedFormFactor:
         monkeypatch.undo()
         assert np.all(np.isfinite(got))
         assert got == pytest.approx(self_energy(pl_band(1.0), GAMMA, E), rel=1e-12)
+
+    def test_no_energies_run_no_rule(self, monkeypatch):
+        edge_integral, calls = formfactor._edge_integral, []
+
+        def logged(n, beta, eps, order):
+            calls.append(len(eps))
+            return edge_integral(n, beta, eps, order)
+
+        monkeypatch.setattr(formfactor, "_edge_integral", logged)
+        got = self_energy(pl_band(1.0), GAMMA, np.array([]))
+        assert got.shape == (0,) and got.dtype == complex and calls == []
+        # a centred line's omega is a grid energy: Sigma(omega) is read, and no rule runs on
+        # nothing; every call that does run has energies
+        grid = form_factor_grid(pl_band(1.0), GAMMA, n_points=200)
+        calls.clear()
+        sf = spectral_function(grid, 0.0)
+        assert sf.sigma_omega == grid.sigma[np.searchsorted(grid.mu, 0.0)]
+        assert calls and 0 not in calls
+
+    def test_profile_is_zero_where_x_n_overflows(self):
+        # n = 400: x^400 overflows at |x| > 5.9, where h = h' = 0 exactly, with no NaN and
+        # no floating-point warning; h' keeps its sign and value just inside
+        x = np.array([-1e300, -1e3, -10.0, -6.0, 6.0, 10.0, 1e3, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h, dh = formfactor._profile(x, 400)
+            h5, dh5 = formfactor._profile(np.array([-5.0, 5.0]), 400)
+        assert np.array_equal(h, np.zeros_like(x)) and np.array_equal(dh, np.zeros_like(x))
+        assert not np.signbit(dh).any()
+        want = float(Fraction(-400 * 5 ** 399, (1 + 5 ** 400) ** 2))  # 4e-278
+        assert dh5 == pytest.approx([-want, want], rel=1e-13) and np.all(h5 > 0.0)
 
     def test_positive_everywhere(self):
         band = pl_band(1.0)
@@ -352,7 +384,10 @@ class TestPerEnergyReach:
         assert np.array_equal(grid.g2[single], -grid.sigma[single].imag / math.pi)
         assert single.sum() == len(grid.mu) - (4 if band.is_flat else 0)
         # the line shape's Sigma, the grid's at its energies and evaluated at the rest, is
-        # self_energy's on all of them: A off a flat edge's copies, and Sigma(omega)
+        # self_energy's on all of them: A off a flat edge's copies, and Sigma(omega).  On a
+        # power-law band the line energies off the grid (center +- 45 half-widths, open)
+        # take Sigma from the skeleton instead: there A is within 3x its measured 4.4e-13
+        # of its peak, and bit-exact everywhere else.
         sf = spectral_function(grid, 0.2)
         assert sf.sigma_omega == self_energy(band, GAMMA, 0.2, grid.tol)
         single = np.diff(sf.E, prepend=-np.inf) != 0.0
@@ -360,8 +395,13 @@ class TestPerEnergyReach:
         E = sf.E[single]
         sigma = self_energy(band, GAMMA, E, grid.tol)
         A = -sigma.imag / math.pi / ((E - 0.2 - sigma.real) ** 2 + sigma.imag ** 2)
-        assert np.array_equal(sf.A[single], A)
+        center, span = 0.2 + sf.sigma_omega.real, -45.0 * sf.sigma_omega.imag
+        line = (np.abs(E - center) < span) & ~np.isin(E, grid.mu)
+        assert np.array_equal(sf.A[single][~line], A[~line])
+        gap = np.abs(sf.A[single][line] - A[line]).max(initial=0.0) / A.max()
+        assert gap == 0.0 if band.is_flat else 0.0 < gap < 1.5e-12
         assert len(np.intersect1d(E, grid.mu)) > 100 and len(np.setdiff1d(E, grid.mu)) > 1000
+        assert line.sum() > 1000
 
 
 class TestSumRule:

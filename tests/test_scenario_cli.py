@@ -42,6 +42,17 @@ class TestCsvIo:
         np.testing.assert_array_equal(cols[0], t)
         np.testing.assert_array_equal(cols[1], t ** 2)
 
+    def test_values_print_as_python_floats(self, tmp_path):
+        # every value prints as repr(float(x)): an int or bool column as 3.0, -0.0 keeps
+        # its sign, and subnormals and 1e300 round-trip
+        path = tmp_path / "x.csv"
+        cols = [np.array([3, -2, 0]), np.array([True, False, True]),
+                np.array([-0.0, 5e-324, 1e300]), [2.5e-310, -1e-300, 7]]
+        write_csv(path, ["i", "b", "f", "l"], cols)
+        rows = path.read_text().splitlines()[1:]
+        assert rows == [",".join(repr(float(c[r])) for c in cols) for r in range(3)]
+        assert rows[0] == "3.0,1.0,-0.0,2.5e-310"
+
     def test_no_temp_files_left(self, tmp_path):
         write_csv(tmp_path / "x.csv", ["a"], [np.arange(3.0)])
         assert os.listdir(tmp_path) == ["x.csv"]

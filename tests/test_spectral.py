@@ -6,7 +6,7 @@ import pytest
 
 from conftest import (flat_sigma_oracle, g2_quad_oracle, re_sigma_oracle,
                       survival_cellwise_reference)
-from zenoband import formfactor, scenario
+from zenoband import formfactor, scenario, spectral
 from zenoband import (
     DetectorBand,
     HorizonExceeded,
@@ -369,9 +369,12 @@ class TestCrossMethod:
 
 
 class TestSigmaReuse:
-    # centred, omega is one of the grid's energies; detuned by 2 delta, it is not
-    @pytest.mark.parametrize("center", [None, 2.0 * FIG_DELTA], ids=["centred", "detuned"])
-    def test_spectral_product_evaluates_each_energy_once(self, monkeypatch, center):
+    # centred, omega is one of the grid's energies; detuned by 2 delta, it is not.  Each set
+    # evaluates the grid's ~400 energies, the ladders' ~290 out to the window and the line's
+    # skeleton, each once, where it evaluated ~1,900 before the skeleton took the line
+    @pytest.mark.parametrize("center,count", [(None, 1538), (2.0 * FIG_DELTA, 1804)],
+                             ids=["centred", "detuned"])
+    def test_spectral_product_evaluates_each_energy_once(self, monkeypatch, center, count):
         edge_integral, seen = formfactor._edge_integral, []
 
         def logged(n, beta, eps, order):
@@ -382,4 +385,57 @@ class TestSigmaReuse:
         m = validate_params(ModelParams(gamma=GAMMA, band=DetectorBand(
             eta=100.0, delta=FIG_DELTA, n=6, center=center)))
         scenario.product_spectral(m)
-        assert len(seen) > 2000 and len(set(seen)) == len(seen)
+        assert len(seen) == count and len(set(seen)) == len(seen)
+
+
+class TestSkeleton:
+    """Sigma across the dressed line from the skeleton, against direct Sigma."""
+
+    @staticmethod
+    def gap(band):
+        """A's largest gap to direct Sigma's A, relative to its peak, on the spectral
+        product's window at omega = 0."""
+        grid = form_factor_grid(band, GAMMA, formfactor._default_window(band, GAMMA, 0.0))
+        sf = spectral_function(grid, 0.0)
+        E = sf.E
+        sigma = self_energy(band, GAMMA, E, grid.tol)
+        A = -sigma.imag / math.pi / ((E - sf.omega - sigma.real) ** 2 + sigma.imag ** 2)
+        return np.abs(sf.A - A).max() / A.max()
+
+    # bounds ~3x the measured gaps.  The 2.5 delta band's edge c - delta = 23.9 lies inside
+    # the line region [-27.3, 27.5]; the anti-Zeno line (centre 13.3) spans both edges.
+    # Their 4.2e-13 and 1.9e-12 are direct Sigma's own roughness at tol 1e-9 (its fourth
+    # differences read ~5e-11 there), not the interpolant's.  From n = 400 on, the strip
+    # delta sin(pi/n) cuts the line into panels of more nodes than it has energies, so
+    # Sigma is evaluated directly, bit for bit.
+    @pytest.mark.parametrize("band,bound", [
+        (DetectorBand(eta=10.0, delta=FIG_DELTA, n=6, center=0.0), 1e-15),
+        (DetectorBand(eta=100.0, delta=FIG_DELTA, n=6, center=2.5 * FIG_DELTA), 1.3e-12),
+        (DetectorBand(eta=100.0, delta=FIG_DELTA, n=6, center=5.0 * FIG_DELTA), 1.2e-15),
+        (DetectorBand(eta=100.0, delta=FIG_DELTA, n=2, center=0.0), 1.1e-15),
+        (DetectorBand(eta=100.0, delta=FIG_DELTA, n=24, center=0.0), 2e-15),
+        (DetectorBand(eta=100.0, delta=FIG_DELTA, n=96, center=0.0), 2.2e-15),
+        (DetectorBand(eta=100.0, delta=FIG_DELTA, n=400, center=0.0), 0.0),
+        (DetectorBand(eta=100.0, delta=FIG_DELTA, n=1600, center=0.0), 0.0),
+        (DetectorBand(eta=12.4, delta=8.5, n=12, center=13.3), 5.5e-12),
+    ], ids=["dotted", "detuned-2.5delta", "detuned-5delta", "n2", "n24", "n96", "n400",
+            "n1600", "anti-zeno"])
+    def test_matches_direct_sigma(self, band, bound):
+        gap = self.gap(band)
+        assert gap == 0.0 if bound == 0.0 else 0.0 < gap <= bound
+
+    def test_failing_panels_evaluate_directly(self, monkeypatch):
+        # four nodes cannot carry Sigma across any panel of the dotted set to the budget:
+        # every panel fails its held-out energies, and a second call evaluates all 1,198
+        # line energies, so A is direct Sigma's bit for bit
+        monkeypatch.setattr(spectral, "_SKELETON", 4)
+        monkeypatch.setattr(spectral, "_HELD_OUT", (0.5, 1.5, 2.5))
+        sizes, direct = [], spectral.self_energy
+
+        def logged(band, gamma, E, tol):
+            sizes.append(len(E))
+            return direct(band, gamma, E, tol)
+
+        monkeypatch.setattr(spectral, "self_energy", logged)
+        assert self.gap(DetectorBand(eta=10.0, delta=FIG_DELTA, n=6, center=0.0)) == 0.0
+        assert sizes[-1] == spectral._LINE_POINTS - 2
