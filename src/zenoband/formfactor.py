@@ -33,13 +33,11 @@ __all__ = [
     "free_value",
 ]
 
-# Band-edge rule for Sigma: Gauss-Legendre order pairs, cheap first, of a reported
-# rule and a coarser one whose difference is its error estimate, the ratio of the
-# ladder toward each energy and its smallest step relative to the panel it starts
-# in (or |eps|, if larger).
+# Band-edge rule for Sigma: Gauss-Legendre order pairs (reported, coarser), cheap first; the
+# ladder's ratio; the |beta h'(eps)| from which eps keeps its own ladder; most Newton steps.
 _ORDERS = ((12, 8), (20, 16))
 _LADDER_RATIO = 4.0
-_LADDER_FLOOR = 1e-13
+_STEEP, _NEWTON = 0.5, 8
 
 
 def free_value(gamma: float) -> float:
@@ -216,23 +214,49 @@ def _profile(x, n):
     return h, dh
 
 
+def _zero(n, beta, eps, w):
+    """(x* - eps, sigma): the zero x* of eps - x + i beta h(x) that Newton's steps reach
+    from eps + iw, and its residue h'(x*)/(1 - i beta h'(x*)); NaN where they do not
+    settle within w of eps + iw."""
+    dz, done = 1j * w, np.zeros(len(eps), dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON):
+            z = eps + dz
+            L = n * np.log(z)
+            u = np.exp(np.where(L.real > 0.0, -L, L))  # z^-n or z^n, whichever is the smaller
+            h = np.where(L.real > 0.0, u, 1.0) / (1.0 + u)
+            dh = -n * u / ((1.0 + u) ** 2 * z)  # h' = -n h (1 - h)/z, without forming z^n
+            slope = 1.0 - 1j * beta * dh
+            # a step below 1e-8 w leaves ~1e-16 w: the energy stops there, whatever its batch
+            step = np.where(done, 0.0, (1j * beta * h - dz) / slope)
+            if not step.any():
+                break
+            dz, done = dz + step, done | (np.abs(step) <= 1e-8 * w)
+        ok = (step == 0.0) & (np.abs(dz - 1j * w) < w) & (dz.imag > 0.0)
+        return np.where(ok, dz, np.nan), np.where(ok, dh / slope, np.nan)
+
+
 def _edge_integral(n, beta, eps, order):
     """(beta/pi) Int dx h'(x) / (eps - x + i beta h(x)) at every offset ``eps``.
 
-    x and ``eps`` are (k - center)/delta, and beta = eta/(2 delta).  The pole
-    h'(eps)/(eps - x + i w), w = beta h(eps), is subtracted and its integral
-    -i pi h'(eps) added back.  The rest keeps a feature of width w at
-    x = eps, so each energy adds a geometric ladder toward eps, down to w, to
-    panels shared by all energies: 0, both edges, and steps 1/n, 2/n, 4/n,
-    ... away from each edge.  Where beta*|h'| ~ beta*n*|x|^-n exceeds ~1
-    outside an edge, the denominator has further zeros ~1/n off the real
-    axis, so the steps stay at 2/n out to n ln|x| = ln(beta*n) + 1/2 before
-    doubling again.  Past the last breakpoint X, x = +-X/u maps both tails
-    onto u in (0, 1], where the subtracted poles cancel in pairs into
-    2X(eps + iw)/((eps + iw)^2 u^2 - X^2); X is the first breakpoint past
-    1 + max(4, 2|eps|, w), which keeps its pole off the interval.  Energies
-    of one X and ladder length are summed together, so no value depends on
-    its batch.
+    x and ``eps`` are (k - center)/delta, and beta = eta/(2 delta).  Each energy
+    subtracts one pole sigma/(x* - x), Im x* > 0, and adds back its integral
+    -i pi sigma.  Where 0 < w = beta h(eps) < eps's panel width and
+    |beta h'(eps)| < 1/2, the denominator's slope -1 + i beta h' stays off 0 near
+    eps, so it has one zero there, within 0.45w of eps + iw: x* is that zero and
+    sigma its residue (:func:`_zero`), and the rest has no feature at eps.
+    Elsewhere x* = eps + iw and sigma = h'(eps), which the panels resolve where
+    w >= the panel width, or 0.  All energies share the panels 0, both edges and
+    steps 1/n, 2/n, 4/n, ... away from each edge; where beta*|h'| ~ beta*n*|x|^-n
+    exceeds ~1 outside an edge, the denominator has further zeros ~1/n off the
+    real axis, so the steps stay at 2/n out to n ln|x| = ln(beta*n) + 1/2.  Where
+    these crowd eps's (|beta h'(eps)| >= 1/2) or Newton does not settle, eps adds
+    eps +- its panel width and a geometric ladder toward it, down to w.  Past the
+    last breakpoint X, x = +-X/u maps both tails onto u in (0, 1], where the
+    subtracted poles cancel in pairs into 2X x*/(x*^2 u^2 - X^2); X is the first
+    breakpoint past 1 + max(4, 2|eps|, w), which keeps that pole off the
+    interval.  Energies of one X and ladder length share nodes and profile; no
+    value depends on its batch.
     """
     t, w = gauss_legendre(order)
     steep = 2.0 * max(1, math.ceil(0.5 * n * math.expm1((math.log(max(beta * n, 1.0)) + 0.5) / n)))
@@ -245,11 +269,15 @@ def _edge_integral(n, beta, eps, order):
                            1.0 + steps[:reach.max(initial=0) + 1]])
     br = np.unique(np.concatenate([-half, half]))
     p = np.searchsorted(br, eps) - 1
-    top = br[p + 1] - br[p]  # the ladder starts at the width of eps's panel
-    # no ladder where w underflows: nothing to resolve, and a node at eps is 0/0; nor
-    # rungs below ~450 float spacings of eps, from which a node would round onto it
-    floor = np.where(wE > 0.0, np.clip(wE, _LADDER_FLOOR * np.maximum(top, np.abs(eps)), top), top)
-    rungs = np.ceil(np.log(top / floor) / math.log(_LADDER_RATIO)).astype(int)
+    top = br[p + 1] - br[p]  # the width of eps's panel
+    # each energy's pole x* = eps + off with residue res: eps + iw and h'(eps), or the zero
+    off, res, crowded = 1j * wE, dhE + 0j, beta * np.abs(dhE) >= _STEEP
+    fit = ~crowded & (wE > 0.0) & (wE < top)
+    off[fit], res[fit] = _zero(n, beta, eps[fit], wE[fit])
+    lone = crowded | ~np.isfinite(off)
+    off[lone], res[lone] = 1j * wE[lone], dhE[lone]
+    floor, rungs = np.minimum(wE, top), np.full(len(eps), -1)  # -1: the group's panels, no ladder
+    rungs[lone] = np.ceil(np.log(top[lone] / floor[lone]) / math.log(_LADDER_RATIO))
     out = np.empty(len(eps), dtype=complex)
     layout = np.lexsort((rungs, reach))  # energies of one (X, rungs) share a row length
     cut = np.flatnonzero(np.diff(reach[layout]) | np.diff(rungs[layout])) + 1
@@ -259,30 +287,39 @@ def _edge_integral(n, beta, eps, order):
         C, rung = len(own) + 2 * k + 1, _LADDER_RATIO ** -np.arange(k + 1)
         step = max(1, int(_BLOCK // ((C + 3) * order)))
         # a block's nodes and weights, reused: C cells', then both tails' (x = +-X/t), shared
-        x, wx = np.empty((2, step, C + 2, order))
+        x, wx = np.empty((2, step if k >= 0 else 1, C + 2, order))
         x[:, C:], wx[:, C:] = np.stack([X / t, -X / t]), X / t ** 2 * w
+        buf = np.empty((2, step, (C + 2) * order))
         for s in range(0, len(at), step):
             ix = at[s:s + step]
-            e, m, lad = eps[ix, None], len(ix), np.maximum(top[ix, None] * rung, floor[ix, None])
-            ends = np.sort(np.concatenate([np.broadcast_to(own, (m, len(own))),
-                                           np.clip(e - lad, -X, X), np.clip(e + lad, -X, X)],
-                                          axis=1), axis=1)
-            width = np.diff(ends, axis=1)[..., None]
-            np.add(ends[:, :-1, None], np.multiply(width, t, out=x[:m, :C]), out=x[:m, :C])
-            np.multiply(width, w, out=wx[:m, :C])
-            xm, wm = x[:m].reshape(m, -1), wx[:m].reshape(m, -1)
-            a, q = _profile(xm, n)
-            # q = h' wx/(d^2 + a^2) and the pole's qE = h'(eps) wx/(d^2 + b^2), as 1/(d + ia) =
-            # (d - ia)/(d^2 + a^2) with d = eps - x, a = beta h, b = wE; each operation in place
-            d, a, b = e - xm, np.multiply(a, beta, out=a), wE[ix, None]
-            dd = d * d
-            np.divide(np.multiply(q, wm, out=q), np.add(dd, a * a), out=q)
-            qE = np.multiply(dhE[ix, None], wm)
-            qE /= np.add(dd, b * b, out=dd)
-            np.subtract(np.multiply(a, q, out=a), np.multiply(qE, b, out=dd), out=a)
-            np.multiply(np.subtract(q, qE, out=q), d, out=q)
-            out[ix] = q.sum(axis=1) - 1j * a.sum(axis=1)
-    return beta / math.pi * (out - 1j * math.pi * dhE)
+            e, m, y = eps[ix, None], len(ix), off.imag[ix, None]
+            if k >= 0 or not s:  # each ladder's own nodes and profile, the group's panels' once
+                rows = ix if k >= 0 else ix[:1]
+                lad = np.maximum(top[rows, None] * rung, floor[rows, None])
+                ends = np.sort(np.concatenate([np.broadcast_to(own, (len(rows), len(own))), np.clip(
+                    eps[rows, None] + np.c_[-lad, lad], -X, X)], axis=1), axis=1)
+                width, xm, wm = np.diff(ends, axis=1)[..., None], x[:len(rows)], wx[:len(rows)]
+                np.add(ends[:, :-1, None], np.multiply(width, t, out=xm[:, :C]), out=xm[:, :C])
+                np.multiply(width, w, out=wm[:, :C])
+                xm, wm = xm.reshape(len(rows), -1), wm.reshape(len(rows), -1)
+                a, q = _profile(xm, n)
+                q *= wm
+                a2 = np.square(np.multiply(a, beta, out=a))
+            # h' wx/(d + ia) = q (d - ia)/(d^2 + a^2), d = eps - x, a = beta h, less the pole's
+            # sigma wx/(x* - x) = sigma wx (p - iy)/(p^2 + y^2), x* = eps + c + iy, p = d + c
+            d, r = np.subtract(e, xm, out=buf[0, :m]), buf[1, :m]
+            np.add(np.multiply(d, d, out=r), a2, out=r)
+            np.divide(q, r, out=r)
+            if k >= 0:  # real sigma = h'(eps): the terms nearly cancel near eps, so node by node
+                g = res.real[ix, None] * wm / (d * d + y * y)
+                out[ix] = ((r - g) * d).sum(axis=1) - 1j * (r * a - g * y).sum(axis=1)
+                continue
+            main = (r * d).sum(axis=1) - 1j * (r * a).sum(axis=1)
+            np.add(d, off.real[ix, None], out=d)
+            np.add(np.multiply(d, d, out=r), y * y, out=r)
+            np.divide(wm, r, out=r)
+            out[ix] = main - res[ix] * ((r * d).sum(axis=1) - 1j * y[:, 0] * r.sum(axis=1))
+    return beta / math.pi * (out - 1j * math.pi * res)
 
 
 def self_energy(band: DetectorBand, gamma: float, E, tol: float = 1e-9):
@@ -294,7 +331,9 @@ def self_energy(band: DetectorBand, gamma: float, E, tol: float = 1e-9):
     decays at the rate -2 Im Sigma.  A band without a center is centred at 0.
     The flat band's eta'_k is two delta functions, closed form in
     :func:`~zenoband.model._flat_band_log`, whose g2 takes the outer gamma/2pi
-    exactly at an edge.  On a power-law band each energy reports the finer
+    exactly at an edge.  On a power-law band the pole subtracted at E is the
+    denominator's own zero near E + i pi eta_E, with its residue, except where
+    |pi eta'_E| >= 1/2 (:func:`_edge_integral`).  Each energy reports the finer
     rule of the first pair of ``_ORDERS`` whose two differ by at most
     20*tol*max(g2, gamma/2pi) in g2; where none does, or not finitely,
     :class:`QuadratureFailure` is raised.

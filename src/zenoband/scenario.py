@@ -34,7 +34,6 @@ __all__ = [
     "FIG2_RATIOS",
     "FIG3_SETS",
     "write_csv",
-    "read_csv",
 ]
 
 PRODUCTS = ("formfactor", "evolve", "spectral", "report", "fig1", "fig2", "fig3")
@@ -131,14 +130,6 @@ def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> str
         raise ValueError("csv columns must have equal length")
     rows = (",".join(map(repr, row)) for row in zip(*cols))
     return _write_lines(path, itertools.chain([",".join(header)], rows))
-
-
-def read_csv(path):
-    """Read back a CSV written by :func:`write_csv` as (header, columns)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return header, [data[:, i] for i in range(data.shape[1])]
 
 
 def _evolve_samples(m) -> np.ndarray:

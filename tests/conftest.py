@@ -26,6 +26,14 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def read_csv(path):
+    """Read back a CSV written by ``scenario.write_csv`` as (header, columns)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return header, [data[:, i] for i in range(data.shape[1])]
+
+
 def g2_oracle(band, gamma, mu, n_base=200001, n_ladder=4000):
     """Independent brute-force evaluation of the renormalized form factor.
 

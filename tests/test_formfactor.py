@@ -76,11 +76,13 @@ class TestRenormalizedFormFactor:
             assert got == pytest.approx(want, rel=1e-6)
 
     def test_unreachable_tolerance_raises_quadrature_failure(self):
+        # a budget of 20 tol = 2e-17 is below one float spacing of Sigma here, so only an
+        # order pair equal to the bit would meet it
         band = pl_band(1.0)
         with pytest.raises(QuadratureFailure, match="E=-2.6312"):
-            form_factor(band, GAMMA, -2.6312, tol=1e-16)
+            form_factor(band, GAMMA, -2.6312, tol=1e-18)
         # one decade looser, the same point meets its error budget
-        assert form_factor(band, GAMMA, -2.6312, tol=1e-15) > 0.0
+        assert form_factor(band, GAMMA, -2.6312, tol=1e-17) > 0.0
 
     @pytest.mark.parametrize("mu", [-51.375, 51.375])
     def test_narrow_edge_band_value_at_tight_tolerance(self, mu):
@@ -286,7 +288,7 @@ class TestFormFactorGrid:
 
     def test_unreachable_tolerance_raises_quadrature_failure(self):
         with pytest.raises(QuadratureFailure, match="self-energy at E="):
-            form_factor_grid(pl_band(1.0), GAMMA, n_points=100, tol=1e-16)
+            form_factor_grid(pl_band(1.0), GAMMA, n_points=100, tol=1e-18)
 
     def test_narrow_edge_band_builds_at_tight_tolerance(self):
         # the per-point scalar quadrature used to miss its budget at mu ~ -51.4
@@ -386,7 +388,7 @@ class TestPerEnergyReach:
         # the line shape's Sigma, the grid's at its energies and evaluated at the rest, is
         # self_energy's on all of them: A off a flat edge's copies, and Sigma(omega).  On a
         # power-law band the line energies off the grid (center +- 45 half-widths, open)
-        # take Sigma from the skeleton instead: there A is within 3x its measured 4.4e-13
+        # take Sigma from the skeleton instead: there A is within 3x its measured 6.0e-14
         # of its peak, and bit-exact everywhere else.
         sf = spectral_function(grid, 0.2)
         assert sf.sigma_omega == self_energy(band, GAMMA, 0.2, grid.tol)
@@ -399,9 +401,56 @@ class TestPerEnergyReach:
         line = (np.abs(E - center) < span) & ~np.isin(E, grid.mu)
         assert np.array_equal(sf.A[single][~line], A[~line])
         gap = np.abs(sf.A[single][line] - A[line]).max(initial=0.0) / A.max()
-        assert gap == 0.0 if band.is_flat else 0.0 < gap < 1.5e-12
+        assert gap == 0.0 if band.is_flat else 0.0 < gap < 1.8e-13
         assert len(np.intersect1d(E, grid.mu)) > 100 and len(np.setdiff1d(E, grid.mu)) > 1000
         assert line.sum() > 1000
+
+
+class TestPoleSubtraction:
+    """An energy subtracts the denominator's own zero and takes its group's panels; near a
+    steep edge, or where Newton does not settle, it keeps the pole eps + iw and a ladder."""
+
+    DELTA = 100.0 / (2 * math.pi)
+
+    # 401 energies across the default window of n x eta in {1, 100, 1e4} x centre {0, 2.5
+    # delta}, against the same with every energy whose beta |h'(eps)| >= 1e-9 forced onto a
+    # ladder (no smaller, or ladders would run below the float spacing of eps).  The gaps
+    # are the ladder's own errors: 3.8e-10 at n = 2, 1.4e-11 to 1.7e-11 at n = 4 ... 12,
+    # 1.5e-12 and 9.1e-13 at n = 24 and 96, and rounding from n = 400 on; bounds ~3x.
+    @pytest.mark.parametrize("n,bound", [(2, 1.2e-9), (4, 4e-11), (6, 4.5e-11), (12, 5e-11),
+                                         (24, 4.5e-12), (96, 2.7e-12), (400, 4e-16),
+                                         (1600, 1e-15)])
+    def test_shared_panels_match_the_ladder(self, monkeypatch, n, bound):
+        gap = 0.0
+        for eta in (1.0, 100.0, 1e4):
+            for center in (0.0, 2.5 * self.DELTA):
+                band = DetectorBand(eta=eta, delta=self.DELTA, n=n, center=center)
+                E = np.linspace(*formfactor._default_window(band, GAMMA, 0.0), 401)
+                shared = self_energy(band, GAMMA, E)
+                monkeypatch.setattr(formfactor, "_STEEP", 1e-9)
+                ladder = self_energy(band, GAMMA, E)
+                monkeypatch.undo()
+                gap = max(gap, np.abs(shared - ladder).max())
+        assert gap <= bound
+
+    # eps = E/delta: beta h'(eps) from 2.1 to 4.4 just outside the edges (the ladder), and
+    # -0.93 at 1.5 (Newton); n = 2 at eps = 0, where w = 3.1 lies beyond h's poles at +-i
+    # (the simple pole, w above the panel width); n = 4 at eps = 0, where h' = h'' = 0 but
+    # the zero's residue is not; n = 400 far out, where w falls to 1e-305 and z^400 would
+    # overflow.  Bounds ~3x the measured 2.9e-14, 7.0e-16, 3.5e-16 and 1.4e-14.
+    @pytest.mark.parametrize("n,eta,eps,bound", [
+        (6, 100.0, [-1.30, -1.2566, -1.2, 1.05, 1.2566, 1.5], 1e-13),
+        (2, 100.0, [0.0, 0.05, -0.3], 2e-15),
+        (4, 1.0, [0.0, 0.01, -0.2], 1.2e-15),
+        (4, 100.0, [0.0, 0.01], 1.2e-15),
+        (400, 100.0, [1.2, -1.5, 2.5, 4.0, 5.5, -5.8], 5e-14),
+    ], ids=["steep-edges", "n2-centre", "n4-centre", "n4-centre-wide", "n400-far"])
+    def test_matches_oracle(self, n, eta, eps, bound):
+        band = DetectorBand(eta=eta, delta=self.DELTA, n=n, center=0.0)
+        E = np.array(eps) * self.DELTA
+        got = form_factor(band, GAMMA, E)
+        want = np.array([g2_quad_oracle(band, GAMMA, e) for e in E])
+        assert np.max(np.abs(got - want) / np.maximum(want, FREE)) <= bound
 
 
 class TestSumRule:

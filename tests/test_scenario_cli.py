@@ -8,11 +8,11 @@ import pytest
 
 import zenoband
 import zenoband.cli
+from conftest import read_csv
 from zenoband import (ConfigError, DetectorBand, ModelParams, ValidationError,
                       discretize_continuum, validate_params)
 from zenoband.cli import main
-from zenoband.scenario import (FIG_DEFAULTS, _points, load_scenario, read_csv, run_scenario,
-                               write_csv)
+from zenoband.scenario import FIG_DEFAULTS, _points, load_scenario, run_scenario, write_csv
 
 
 def run_cli(argv):
@@ -296,7 +296,7 @@ class TestCli:
         # quad_tol passes validation; the quadrature fails inside the two workers
         rc = run_cli(["sweep", "--out", str(tmp_path / "out"), "--threads", "2",
                       "--override", "products=formfactor", "--override", "eta=1",
-                      "--override", "delta=1", "--override", "quad_tol=1e-16",
+                      "--override", "delta=1", "--override", "quad_tol=1e-18",
                       "--override", "sweep_eta=1,2"])
         assert rc == 2
         err = capsys.readouterr().err
@@ -354,7 +354,7 @@ class TestCli:
 
     def test_quadrature_failure_exit_two(self, tmp_path, capsys):
         rc = run_cli(["formfactor", "--out", str(tmp_path), "--override", "eta=1",
-                      "--override", "delta=1", "--override", "quad_tol=1e-16"])
+                      "--override", "delta=1", "--override", "quad_tol=1e-18"])
         assert rc == 2
         assert "QuadratureFailure" in capsys.readouterr().err
 
