@@ -30,7 +30,7 @@ import numpy as np
 
 from ._phi import gauss_legendre, phi_functions
 from .errors import NoResponse, ToleranceNotMet
-from .formfactor import PiecewisePoly
+from .formfactor import PiecewisePoly, free_value
 from .model import ValidatedModel, detector_response
 
 __all__ = [
@@ -104,14 +104,13 @@ def discretize_continuum(m: ValidatedModel) -> DiscretizedModel:
     """
     num = m.numerics
     K, dk = num.cutoff, num.dk
-    g2 = m.gamma / (2.0 * math.pi)
     # K on a cell boundary (a flat band's K = delta = m*dk) takes m cells, not m + 1
     cells = math.ceil(K / dk * (1.0 - 1e-12)) if m.band.eta > 0.0 else 0
     k = m.omega + ((m.band.center - m.omega) + dk * (np.arange(-cells, cells) + 0.5))
     return DiscretizedModel(
         k_grid=k, mode_energy=k - 1j * math.pi * detector_response(m.band, k),
-        coupling=np.full(len(k), math.sqrt(g2 * dk)), horizon=num.horizon, gamma=m.gamma,
-        omega=m.omega, cutoff=K, atom_shift=-0.5j * m.gamma, step=num.step,
+        coupling=np.full(len(k), math.sqrt(free_value(m.gamma) * dk)), horizon=num.horizon,
+        gamma=m.gamma, omega=m.omega, cutoff=K, atom_shift=-0.5j * m.gamma, step=num.step,
     )
 
 

@@ -14,6 +14,7 @@ integrating to zero over the whole line.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
@@ -22,7 +23,7 @@ import numpy as np
 
 from ._phi import _BLOCK, gauss_legendre
 from .errors import QuadratureFailure, WindowTooNarrow
-from .model import DetectorBand, _flat_band_log
+from .model import DetectorBand, _flat_band_log, _profile
 
 __all__ = [
     "FormFactorGrid",
@@ -34,10 +35,11 @@ __all__ = [
 ]
 
 # Band-edge rule for Sigma: Gauss-Legendre order pairs (reported, coarser), cheap first; the
-# ladder's ratio; the |beta h'(eps)| from which eps keeps its own ladder; most Newton steps.
+# ladder's ratio; the |beta h'(eps)| from which eps keeps its own ladder; most Newton steps;
+# the |E - center|/delta from which Sigma is -i gamma/2 (the rest, ~gamma beta/eps^2, underflows).
 _ORDERS = ((12, 8), (20, 16))
 _LADDER_RATIO = 4.0
-_STEEP, _NEWTON = 0.5, 8
+_STEEP, _NEWTON, _FAR = 0.5, 8, 2.0 ** 100
 
 
 def free_value(gamma: float) -> float:
@@ -167,51 +169,34 @@ def _linear_scan(m, r):
     return r
 
 
-def _split_cubic(x, y, edges=()):
-    """(x, y, line): :meth:`PiecewisePoly.cubic` of y on x, broken at each
-    repeated x.  Each of the sorted ``edges`` (none in x) is first put in x
-    twice, each copy with the value its own side's spline extrapolates to."""
+def _split_cubic(x, y, edges):
+    """(x, y) with each of the sorted ``edges`` (none in x) put in x twice, each copy
+    with the value its own side's :meth:`PiecewisePoly.cubic` extrapolates to; the
+    cubic of the result is broken there."""
     if len(edges):
         at = np.searchsorted(x, edges)  # from the left side's last cell and the right side's first
         ends = PiecewisePoly.cubic(x, y, at)(np.repeat(edges, 2), cell=np.c_[at - 2, at].ravel())
         at, edges = np.repeat(at, 2), np.repeat(edges, 2)
         x, y = np.insert(x, at, edges), np.insert(y, at, ends)
-    return x, y, PiecewisePoly.cubic(x, y)
+    return x, y
 
 
 @dataclass(frozen=True)
 class FormFactorGrid:
     """Tabulated |g_mu|^2 with the window and quadrature tolerance it was built at.
 
-    A repeated ``mu`` (a flat band's edge) holds g2's two one-sided values and
-    is a zero-width interval of :meth:`interpolator`, the :func:`_split_cubic`
-    line as one piecewise cubic (right-continuous there)."""
+    ``line`` is g2's not-a-knot cubic in mu, fitted once and shared: read it,
+    never write it.  A repeated ``mu`` (a flat band's edge) holds g2's two
+    one-sided values and is a zero-width cell of it (right-continuous there)."""
 
     mu: np.ndarray
     g2: np.ndarray
+    line: PiecewisePoly
     sigma: np.ndarray  # Sigma(mu + i0), at a flat band's edge its own value at both copies
     window: Tuple[float, float]
     gamma: float
     band: DetectorBand
     tol: float
-
-    def interpolator(self) -> PiecewisePoly:
-        return _split_cubic(self.mu, self.g2)[2]
-
-
-def _profile(x, n):
-    """h = 1/(1 + x^n) and h' in band units; both 0 where x^n overflows."""
-    p, sq, m = x, x, (n - 1) >> 1  # x^(n-1) = x (x^2)^((n-2)/2) by repeated squaring, n even
-    with np.errstate(over="ignore", invalid="ignore"):
-        while m:
-            sq = sq * sq
-            p, m = p * sq if m & 1 else p, m >> 1
-        h = p * x
-        np.divide(1.0, np.add(h, 1.0, out=h), out=h)
-        dh = p * h
-        np.multiply(np.multiply(dh, -n, out=dh), h, out=dh)
-        dh[h == 0.0] = 0.0  # h underflows only where x^n overflows, and there dh is inf * 0
-    return h, dh
 
 
 def _zero(n, beta, eps, w):
@@ -236,8 +221,9 @@ def _zero(n, beta, eps, w):
         return np.where(ok, dz, np.nan), np.where(ok, dh / slope, np.nan)
 
 
-def _edge_integral(n, beta, eps, order):
-    """(beta/pi) Int dx h'(x) / (eps - x + i beta h(x)) at every offset ``eps``.
+def _edge_integral(n, beta, eps, orders):
+    """(beta/pi) Int dx h'(x) / (eps - x + i beta h(x)) at every offset ``eps``, one row
+    per Gauss-Legendre order of ``orders``.
 
     x and ``eps`` are (k - center)/delta, and beta = eta/(2 delta).  Each energy
     subtracts one pole sigma/(x* - x), Im x* > 0, and adds back its integral
@@ -255,16 +241,18 @@ def _edge_integral(n, beta, eps, order):
     last breakpoint X, x = +-X/u maps both tails onto u in (0, 1], where the
     subtracted poles cancel in pairs into 2X x*/(x*^2 u^2 - X^2); X is the first
     breakpoint past 1 + max(4, 2|eps|, w), which keeps that pole off the
-    interval.  Energies of one X and ladder length share nodes and profile; no
-    value depends on its batch.
+    interval; the doubling steps run on until every energy has one.  All orders
+    share the breakpoints, poles and ladders, and energies of one X and ladder
+    length their nodes and profile; no value depends on its batch.
     """
-    t, w = gauss_legendre(order)
     steep = 2.0 * max(1, math.ceil(0.5 * n * math.expm1((math.log(max(beta * n, 1.0)) + 0.5) / n)))
-    steps = np.concatenate([[0.0, 1.0], np.arange(2.0, steep + 1.0, 2.0),
-                            steep * 2.0 ** np.arange(1, 64)]) / n
     hE, dhE = _profile(eps, n)
     wE = beta * hE
-    reach = np.searchsorted(steps, np.maximum(np.maximum(2.0 * np.abs(eps), wE), 4.0))
+    need = np.maximum(np.maximum(2.0 * np.abs(eps), wE), 4.0)
+    doublings = max(63, 1 + math.ceil(math.log2(need.max(initial=4.0) * n / steep)))
+    steps = np.concatenate([[0.0, 1.0], np.arange(2.0, steep + 1.0, 2.0),
+                            steep * 2.0 ** np.arange(1, doublings + 1)]) / n
+    reach = np.searchsorted(steps, need)
     half = np.concatenate([[0.0], 1.0 - steps[steps < 1.0],
                            1.0 + steps[:reach.max(initial=0) + 1]])
     br = np.unique(np.concatenate([-half, half]))
@@ -278,11 +266,12 @@ def _edge_integral(n, beta, eps, order):
     off[lone], res[lone] = 1j * wE[lone], dhE[lone]
     floor, rungs = np.minimum(wE, top), np.full(len(eps), -1)  # -1: the group's panels, no ladder
     rungs[lone] = np.ceil(np.log(top[lone] / floor[lone]) / math.log(_LADDER_RATIO))
-    out = np.empty(len(eps), dtype=complex)
+    out = np.empty((len(orders), len(eps)), dtype=complex)
     layout = np.lexsort((rungs, reach))  # energies of one (X, rungs) share a row length
     cut = np.flatnonzero(np.diff(reach[layout]) | np.diff(rungs[layout])) + 1
-    for at in filter(len, np.split(layout, cut)):  # an empty eps splits into one empty piece
-        X, k = 1.0 + steps[reach[at[0]]], rungs[at[0]]
+    groups = filter(len, np.split(layout, cut))  # an empty eps splits into one empty piece
+    for at, (o, order) in itertools.product(groups, enumerate(orders)):
+        X, k, (t, w) = 1.0 + steps[reach[at[0]]], rungs[at[0]], gauss_legendre(order)
         own = br[np.abs(br) <= X]
         C, rung = len(own) + 2 * k + 1, _LADDER_RATIO ** -np.arange(k + 1)
         step = max(1, int(_BLOCK // ((C + 3) * order)))
@@ -312,13 +301,13 @@ def _edge_integral(n, beta, eps, order):
             np.divide(q, r, out=r)
             if k >= 0:  # real sigma = h'(eps): the terms nearly cancel near eps, so node by node
                 g = res.real[ix, None] * wm / (d * d + y * y)
-                out[ix] = ((r - g) * d).sum(axis=1) - 1j * (r * a - g * y).sum(axis=1)
+                out[o, ix] = ((r - g) * d).sum(axis=1) - 1j * (r * a - g * y).sum(axis=1)
                 continue
             main = (r * d).sum(axis=1) - 1j * (r * a).sum(axis=1)
             np.add(d, off.real[ix, None], out=d)
             np.add(np.multiply(d, d, out=r), y * y, out=r)
             np.divide(wm, r, out=r)
-            out[ix] = main - res[ix] * ((r * d).sum(axis=1) - 1j * y[:, 0] * r.sum(axis=1))
+            out[o, ix] = main - res[ix] * ((r * d).sum(axis=1) - 1j * y[:, 0] * r.sum(axis=1))
     return beta / math.pi * (out - 1j * math.pi * res)
 
 
@@ -335,14 +324,18 @@ def self_energy(band: DetectorBand, gamma: float, E, tol: float = 1e-9):
     denominator's own zero near E + i pi eta_E, with its residue, except where
     |pi eta'_E| >= 1/2 (:func:`_edge_integral`).  Each energy reports the finer
     rule of the first pair of ``_ORDERS`` whose two differ by at most
-    20*tol*max(g2, gamma/2pi) in g2; where none does, or not finitely,
-    :class:`QuadratureFailure` is raised.
+    20*tol*max(g2, gamma/2pi) in |Sigma|/pi, which bounds Re Sigma as well as
+    g2; where none does, or not finitely, :class:`QuadratureFailure` is raised.
+    From |E - center| = ``_FAR`` delta on, Sigma is -i gamma/2.  A non-finite E,
+    or a tol that is not > 0, raises ValueError.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN too
         raise ValueError("tol must be positive")
     if band.center is None:
         band = replace(band, center=0.0)
     E_arr = np.atleast_1d(np.asarray(E, dtype=float))
+    if not np.isfinite(E_arr).all():
+        raise ValueError("E must be finite")
     if not E_arr.size:
         return np.empty(0, dtype=complex)
     if band.eta == 0.0:
@@ -353,9 +346,10 @@ def self_energy(band: DetectorBand, gamma: float, E, tol: float = 1e-9):
         sigma = free_value(gamma) * z.real + 1j * free_value(gamma) * z.imag
     else:
         eps, beta = (E_arr - band.center) / band.delta, band.eta / (2.0 * band.delta)
-        todo, fine, err = np.arange(len(eps)), np.empty(len(eps), dtype=complex), np.empty(len(eps))
+        fine, err = np.zeros(len(eps), dtype=complex), np.zeros(len(eps))
+        todo = np.flatnonzero(np.abs(eps) < _FAR)
         for pair in _ORDERS:
-            fine[todo], coarse = (_edge_integral(band.n, beta, eps[todo], order) for order in pair)
+            fine[todo], coarse = _edge_integral(band.n, beta, eps[todo], pair)
             err[todo] = np.abs(fine[todo] - coarse)
             todo = todo[~(err[todo] <= 20.0 * tol * np.maximum(1.0 - fine[todo].real, 1.0))]
         if todo.size:
@@ -417,10 +411,10 @@ def form_factor_grid(band: DetectorBand, gamma: float,
     edges = c + np.array([-delta, delta] if band.is_flat else [])
     base = np.setdiff1d(np.concatenate([base] + fill), edges)
     sigma = self_energy(band, gamma, base, tol)
-    mu, g2, _ = _split_cubic(base, -sigma.imag / math.pi, edges)
+    mu, g2 = _split_cubic(base, -sigma.imag / math.pi, edges)
     sigma = self_energy(band, gamma, mu, tol) if band.is_flat else sigma  # closed form
-    return FormFactorGrid(mu=mu, g2=g2, sigma=sigma, window=(lo, hi), gamma=gamma,
-                          band=band, tol=tol)
+    return FormFactorGrid(mu=mu, g2=g2, line=PiecewisePoly.cubic(mu, g2), sigma=sigma,
+                          window=(lo, hi), gamma=gamma, band=band, tol=tol)
 
 
 def sum_rule_defect(grid: FormFactorGrid) -> float:
@@ -428,7 +422,7 @@ def sum_rule_defect(grid: FormFactorGrid) -> float:
 
     Over the whole line the deviations cancel exactly; the window integral is
     the residual carried by the tails outside and shrinks like 1/window.  It
-    integrates :meth:`FormFactorGrid.interpolator`, less gamma/2pi on its
+    integrates the grid's ``line``, less gamma/2pi on a copy of its
     constant coefficients so that a free line gives exactly 0.  Requires the
     grid to have reached its free-value asymptote at the edges (within 1e-3
     relative), otherwise :class:`WindowTooNarrow` is raised.
@@ -439,6 +433,6 @@ def sum_rule_defect(grid: FormFactorGrid) -> float:
         raise WindowTooNarrow(
             f"|g2 - gamma/2pi| = {edge_dev:.3e} at the window edge; "
             f"needs < {1e-3 * pref:.3e}")
-    line = grid.interpolator()
-    line.c[-1] -= pref
-    return float(line.integrate(grid.mu[0], grid.mu[-1]))
+    c = grid.line.c.copy()
+    c[-1] -= pref
+    return float(PiecewisePoly(grid.line.x, c).integrate(grid.mu[0], grid.mu[-1]))

@@ -65,6 +65,11 @@ class DetectorBand:
     def is_flat(self) -> bool:
         return self.n is None
 
+    @property
+    def strip(self) -> float:
+        """delta sin(pi/n), how far eta_k's poles lie off the real k axis; 0 if flat or eta = 0."""
+        return self.delta * np.sin(np.pi / self.n) if self.eta > 0.0 and not self.is_flat else 0.0
+
     def violations(self):
         out = []
         if not np.isfinite(self.eta) or self.eta < 0.0:
@@ -210,7 +215,7 @@ def validate_params(p: ModelParams) -> ValidatedModel:
     # analytic in the strip s = delta sin(pi/n) of eta_k's poles, so its images are down by
     # e^-STRIP_BUDGET once 2pi/dk clears T by STRIP_BUDGET/s (Trefethen and Weideman, SIAM Rev. 56,
     # 385 (2014)).  Flat bands (s = 0) and eta = 0 keep REVIVAL_MARGIN horizons, 1.25 times over.
-    s = band.delta * np.sin(np.pi / band.n) if band.eta > 0.0 and not band.is_flat else 0.0
+    s = band.strip
     reach = T + STRIP_BUDGET / s if s else REVIVAL_MARGIN * T  # the least 2pi/dk
     guard = 2.0 * np.pi / (1.25 * reach)  # a flat band's dk = delta/m, edges on cell boundaries
     flat_dk = band.delta / max(FLAT_CELLS, np.ceil(band.delta / guard))
@@ -248,21 +253,31 @@ def validate_params(p: ModelParams) -> ValidatedModel:
 def detector_response(band: DetectorBand, k):
     """Coupling density eta_k of the photon mode at energy ``k``.
 
-    Power-law profile: (eta/2pi) / (1 + ((k - center)/delta)^n).
+    Power-law profile: (eta/2pi) h((k - center)/delta), h of :func:`_profile`.
     Flat profile:      (eta/2pi) inside the open band, 0 outside.
     Accepts scalars or arrays.
     """
     if band.center is None:
         raise ValidationError([("center", "band center unresolved; validate the scenario first")])
-    k = np.asarray(k, dtype=float)
-    x = (k - band.center) / band.delta
+    x = np.atleast_1d((np.asarray(k, dtype=float) - band.center) / band.delta)
     peak = band.eta / (2.0 * np.pi)
-    if band.is_flat:
-        out = np.where(np.abs(x) < 1.0, peak, 0.0)
-    else:
-        with np.errstate(over="ignore"):
-            out = peak / (1.0 + x ** band.n)
-    return out if out.ndim else float(out)
+    out = np.where(np.abs(x) < 1.0, peak, 0.0) if band.is_flat else peak * _profile(x, band.n)[0]
+    return out if np.ndim(k) else float(out[0])
+
+
+def _profile(x, n):
+    """h = 1/(1 + x^n) and h' on the array x, n even; both 0 where x^n overflows."""
+    p, sq, m = x, x, (n - 1) >> 1  # x^(n-1) = x (x^2)^((n-2)/2) by repeated squaring
+    with np.errstate(over="ignore", invalid="ignore"):
+        while m:
+            sq = sq * sq
+            p, m = p * sq if m & 1 else p, m >> 1
+        h = p * x
+        np.divide(1.0, np.add(h, 1.0, out=h), out=h)
+        dh = p * h
+        np.multiply(np.multiply(dh, -n, out=dh), h, out=dh)
+        dh[h == 0.0] = 0.0  # h underflows only where x^n overflows, and there dh is inf * 0
+    return h, dh
 
 
 def _flat_band_log(d, eta: float, delta: float):

@@ -17,7 +17,8 @@ import numpy as np
 
 from ._phi import free_tail_moments, kernel_antiderivatives, phase_blocks, phi_functions
 from .errors import HorizonExceeded, WindowTooNarrow
-from .formfactor import FormFactorGrid, _ladder, _split_cubic, free_value, self_energy
+from .formfactor import (FormFactorGrid, PiecewisePoly, _ladder, _split_cubic, free_value,
+                         self_energy)
 
 __all__ = [
     "SpectralFunction",
@@ -39,6 +40,7 @@ class SpectralFunction:
 
     E: np.ndarray
     A: np.ndarray
+    line: PiecewisePoly  # A's not-a-knot cubic in E - omega, fitted once: read it, never write it
     sigma_omega: complex  # Sigma(omega + i0): the dressed line sits at omega + Re, half-width -Im
     normalization_defect: float
     omega: float
@@ -59,12 +61,12 @@ def _sigma(grid: FormFactorGrid, E, lo, hi):
     """
     band, gamma, tol = grid.band, grid.gamma, grid.tol
     i = np.minimum(np.searchsorted(grid.mu, E), len(grid.mu) - 1)
-    fit = (grid.mu[i] != E) & (E > lo) & (E < hi) & (band.eta > 0.0 and not band.is_flat)
+    fit = (grid.mu[i] != E) & (E > lo) & (E < hi) & (band.strip > 0.0)
     theta, ends = np.pi / (_SKELETON - 1) * np.r_[np.arange(_SKELETON), _HELD_OUT], np.array([lo])
     if fit.any():
         c, d = band.center, band.delta
         cuts = np.unique(np.clip([lo, c - d, c + d, hi], lo, hi))
-        panels = np.ceil(np.diff(cuts) / (d * math.sin(math.pi / band.n)))
+        panels = np.ceil(np.diff(cuts) / band.strip)
         if panels.sum() * len(theta) < fit.sum():  # else the skeleton saves nothing
             ends = np.r_[np.concatenate([np.linspace(a, b, int(k), endpoint=False)
                                          for a, b, k in zip(cuts, cuts[1:], panels)]), hi]
@@ -127,16 +129,26 @@ def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
 
     sigma = _sigma(grid, E, center - span, center + span)
     A = -sigma.imag / math.pi / ((E - omega - sigma.real) ** 2 + sigma.imag ** 2)
-    E, A, line = _split_cubic(E, A, edges)
+    E, A = _split_cubic(E, A, edges)
     if A[0] > 1e-6 * A.max() or A[-1] > 1e-6 * A.max():
         raise WindowTooNarrow(
             "A(E) has not decayed to 1e-6 of its peak at the spectral window edge")
-    area = float(line.integrate(E[0], E[-1]))
+    line = PiecewisePoly.cubic(E - omega, A)
+    area = float(line.integrate(line.x[0], line.x[-1]))
     # analytic mass of the (gamma/2pi)/(E-omega)^2 tails beyond the window
     tail = free_value(grid.gamma) * (1.0 / (hi - omega) + 1.0 / (omega - lo))
-    return SpectralFunction(E=E, A=A, sigma_omega=sigma_omega,
+    return SpectralFunction(E=E, A=A, line=line, sigma_omega=sigma_omega,
                             normalization_defect=abs(1.0 - (area + tail)),
                             omega=omega, gamma=grid.gamma, window=(lo, hi))
+
+
+def _times(t):
+    """(sorted distinct times of ``t``, all >= 0; the map putting values back in t's order)."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all(t_arr >= 0.0):  # NaN too
+        raise ValueError("t must be >= 0")
+    t_arr, back = np.unique(t_arr, return_inverse=True)
+    return t_arr, lambda values: values[back] if np.ndim(t) else values[0]
 
 
 def survival_amplitude_spectral(sf: SpectralFunction, t) -> np.ndarray:
@@ -156,26 +168,22 @@ def survival_amplitude_spectral(sf: SpectralFunction, t) -> np.ndarray:
     :class:`HorizonExceeded`.  The sorted distinct times are transformed: the
     order and repeats of ``t`` change no bit, other batches agree to ~1e-15.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    t_arr, restore = _times(t)
     core = sf.A > 1e-3 * sf.A.max()
     d_core = np.diff(sf.E)[core[:-1] & core[1:]]
     horizon = 2.0 * np.pi / d_core.max() if d_core.size else np.inf
-    if not np.all(t_arr >= 0.0):  # NaN too
-        raise ValueError("t must be >= 0")
     if np.any(t_arr > horizon):
         raise HorizonExceeded(
             f"t up to {t_arr.max():g} exceeds the spectral horizon {horizon:g}")
-    t_arr, back = np.unique(t_arr, return_inverse=True)
 
-    line = _split_cubic(sf.E - sf.omega, sf.A)[2]
-    x, cut = line.x, np.flatnonzero(np.diff(line.x) == 0.0)
+    x, cut = sf.line.x, np.flatnonzero(np.diff(sf.line.x) == 0.0)
     # J_0..J_2: +S, S', S'' at a piece's left end, - at its right, each from its own end cell
     left, right = np.r_[0, cut + 1], np.r_[cut, len(x) - 1]
     xb, cell = x[np.r_[left, right]], np.r_[left, right - 1]
     phi = phi_functions(-1j * t_arr[:, None] * xb, 3)
     sign = np.repeat([1.0, -1.0], len(left))
-    out = sum((-xb) ** (j + 1) * line(xb, j, cell) * sign * phi[j + 1] for j in range(3)).sum(1)
-    c = np.diff(6.0 * line.c[0], prepend=0.0, append=0.0)  # J_3: the jumps of S''' = 6 * c[0]
+    out = sum((-xb) ** (j + 1) * sf.line(xb, j, cell) * sign * phi[j + 1] for j in range(3)).sum(1)
+    c = np.diff(6.0 * sf.line.c[0], prepend=0.0, append=0.0)  # J_3: the jumps of S''' = 6 * c[0]
     order = np.argsort(np.abs(x), kind="stable")
     x, c, n = x[order], c[order], len(x)
     lim = np.divide(_NEAR, t_arr, out=np.full_like(t_arr, np.inf), where=t_arr > 0.0)
@@ -199,8 +207,7 @@ def survival_amplitude_spectral(sf: SpectralFunction, t) -> np.ndarray:
     for sgn, W in ((+1, sf.window[1] - sf.omega), (-1, sf.omega - sf.window[0])):
         c_int, s_int = free_tail_moments(W, t_arr)
         out += free_value(sf.gamma) * (c_int - 1j * sgn * s_int)
-    out = (out * np.exp(-1j * t_arr * sf.omega))[back]
-    return out if np.ndim(t) else out[0]
+    return restore(out * np.exp(-1j * t_arr * sf.omega))
 
 
 def perturbative_decay(grid: FormFactorGrid, omega: float, t) -> np.ndarray:
@@ -216,13 +223,9 @@ def perturbative_decay(grid: FormFactorGrid, omega: float, t) -> np.ndarray:
     of :func:`~zenoband._phi.phase_blocks`' half-angle phases: the order and
     repeats of ``t`` change no bit, other batches agree to ~1e-15.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all(t_arr >= 0.0):  # NaN too
-        raise ValueError("t must be >= 0")
-    t_arr, back = np.unique(t_arr, return_inverse=True)
-    line = grid.interpolator()
-    x = line.x - omega
-    d3, d2, d1, d0 = line.c  # in powers of x - u on the cell from u; coef in powers of x
+    t_arr, restore = _times(t)
+    x = grid.line.x - omega
+    d3, d2, d1, d0 = grid.line.c  # in powers of x - u on the cell from u; coef in powers of x
     u = x[:-1]
     coef = (d0 - u * (d1 - u * (d2 - u * d3)) - free_value(grid.gamma),
             d1 - u * (2.0 * d2 - 3.0 * u * d3), d2 - 3.0 * u * d3, d3)
@@ -230,6 +233,5 @@ def perturbative_decay(grid: FormFactorGrid, omega: float, t) -> np.ndarray:
     for j, half in phase_blocks(t_arr, -0.5 * np.abs(x)):
         dev[j] = sum((np.diff(f) * a).sum(axis=1) for a, f in zip(
             coef, kernel_antiderivatives(x, t_arr[j, None], half)))
-    out = (grid.gamma * t_arr + 2.0 * dev)[back]
-    return out if np.ndim(t) else out[0]
+    return restore(grid.gamma * t_arr + 2.0 * dev)
 

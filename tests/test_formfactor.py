@@ -8,7 +8,7 @@ import pytest
 from scipy.interpolate import CubicSpline, PPoly
 
 from conftest import flat_sigma_oracle, g2_oracle, g2_quad_oracle
-from zenoband import formfactor
+from zenoband import formfactor, model
 from zenoband.formfactor import PiecewisePoly, _split_cubic
 from zenoband import (
     DetectorBand,
@@ -95,14 +95,16 @@ class TestRenormalizedFormFactor:
 
     @staticmethod
     def poison_estimates(monkeypatch, orders, at):
-        """Make the rules of ``orders`` return NaN at the offset ``at``; log every call."""
+        """Make the rules of ``orders`` return NaN at the offset ``at``; log every
+        (order, offsets) that runs."""
         edge_integral, calls = formfactor._edge_integral, []
 
-        def coarse_nan(n, beta, eps, order):
-            calls.append((order, eps.copy()))
-            out = edge_integral(n, beta, eps, order)
-            if order in orders:
-                out[eps == at] = np.nan
+        def coarse_nan(n, beta, eps, pair):
+            calls.extend((order, eps.copy()) for order in pair)
+            out = edge_integral(n, beta, eps, pair)
+            for row, order in zip(out, pair):
+                if order in orders:
+                    row[eps == at] = np.nan
             return out
 
         monkeypatch.setattr(formfactor, "_edge_integral", coarse_nan)
@@ -130,9 +132,9 @@ class TestRenormalizedFormFactor:
     def test_no_energies_run_no_rule(self, monkeypatch):
         edge_integral, calls = formfactor._edge_integral, []
 
-        def logged(n, beta, eps, order):
+        def logged(n, beta, eps, orders):
             calls.append(len(eps))
-            return edge_integral(n, beta, eps, order)
+            return edge_integral(n, beta, eps, orders)
 
         monkeypatch.setattr(formfactor, "_edge_integral", logged)
         got = self_energy(pl_band(1.0), GAMMA, np.array([]))
@@ -151,8 +153,8 @@ class TestRenormalizedFormFactor:
         x = np.array([-1e300, -1e3, -10.0, -6.0, 6.0, 10.0, 1e3, 1e300])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            h, dh = formfactor._profile(x, 400)
-            h5, dh5 = formfactor._profile(np.array([-5.0, 5.0]), 400)
+            h, dh = model._profile(x, 400)
+            h5, dh5 = model._profile(np.array([-5.0, 5.0]), 400)
         assert np.array_equal(h, np.zeros_like(x)) and np.array_equal(dh, np.zeros_like(x))
         assert not np.signbit(dh).any()
         want = float(Fraction(-400 * 5 ** 399, (1 + 5 ** 400) ** 2))  # 4e-278
@@ -245,7 +247,7 @@ class TestFormFactorGrid:
         # 9.7e-12 and 1e-12 off the closed form)
         band = DetectorBand(eta=eta, delta=100.0 / (2 * math.pi), n=None, center=3.0)
         g = form_factor_grid(band, GAMMA, tol=1e-9)
-        line = g.interpolator()
+        line = g.line
         for sgn in (-1.0, 1.0):
             edge = band.center + sgn * band.delta
             assert np.count_nonzero(g.mu == edge) == 2
@@ -340,6 +342,43 @@ class TestSteepBands:
                     - want) for n in ns]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert all(gap * n < 1.5 for gap, n in zip(gaps, ns))
+
+
+class TestSelfEnergyDomain:
+    BANDS = {"power-law": pl_band(1.0),
+             "flat": DetectorBand(eta=1.0, delta=1.0, n=None, center=0.0),
+             "free": DetectorBand(eta=0.0, delta=1.0, n=6, center=0.0)}
+
+    @pytest.mark.parametrize("kind", sorted(BANDS))
+    @pytest.mark.parametrize("E", [np.nan, np.inf, -np.inf])
+    def test_non_finite_energy_is_refused(self, kind, E):
+        for arg in (E, np.array([0.0, E])):
+            with pytest.raises(ValueError, match="E must be finite"):
+                self_energy(self.BANDS[kind], GAMMA, arg)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan])
+    def test_tol_not_above_zero_is_refused(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            self_energy(pl_band(1.0), GAMMA, 0.0, tol)
+
+    @pytest.mark.parametrize("n", [2, 6, 96])
+    def test_far_off_the_band_sigma_tends_to_the_free_value(self, n):
+        # eta'_k/(E - k) ~ -eta'_k (1/E + k/E^2): g2 - gamma/2pi -> (gamma/2pi) beta I/(pi eps^2),
+        # I = Int h = (2pi/n)/sin(pi/n); measured within 3.2e-7, the rounding of g2 at 1e5
+        band = DetectorBand(eta=100.0, delta=100.0 / (2 * math.pi), n=n, center=0.0)
+        beta, I = band.eta / (2.0 * band.delta), 2.0 * math.pi / n / math.sin(math.pi / n)
+        eps = np.array([-1e4, 3e4, 1e5])
+        g2 = form_factor(band, GAMMA, eps * band.delta)
+        np.testing.assert_allclose((g2 / FREE - 1.0) * math.pi * eps ** 2 / (beta * I), 1.0,
+                                   rtol=1e-6)
+        # at 1e20 the rule's doubling steps must run past 2|eps| ~ 1.3e19; from _FAR
+        # half-widths on, Sigma is -i gamma/2 exactly
+        E = np.array([1e20, -1e20, 1e30, 1e300, -1e300, 1.7e308])
+        sigma = self_energy(band, GAMMA, E)
+        assert np.all(np.abs(sigma + 0.5j * GAMMA) <= 1e-30)
+        assert np.all(sigma[np.abs(E) >= formfactor._FAR * band.delta] == -0.5j * GAMMA)
+        for other in self.BANDS.values():
+            assert self_energy(other, GAMMA, -1e300) == pytest.approx(-0.5j * GAMMA, abs=1e-15)
 
 
 class TestPerEnergyReach:
@@ -667,7 +706,8 @@ class TestPiecewisePoly:
         x = np.linspace(-3.0, 3.0, 41)
         y = np.where(np.abs(x) < 1.0, np.cos(x), 0.2 * np.cos(x))
         edges = np.array([-1.0, 1.0])
-        X, Y, line = _split_cubic(x, y, edges)
+        X, Y = _split_cubic(x, y, edges)
+        line = PiecewisePoly.cubic(X, Y)
         at = np.searchsorted(x, edges)
         sides = [CubicSpline(a, b) for a, b in zip(np.split(x, at), np.split(y, at))]
         want = [sp(e) for i, e in enumerate(edges) for sp in sides[i:i + 2]]

@@ -459,6 +459,16 @@ class TestCli:
         header, (mu, g2, rel) = read_csv(tmp_path / "formfactor.csv")
         assert np.all(np.isfinite(g2)) and np.all(g2 > 0.0)
 
+    def test_far_detuned_line_exit_codes(self, tmp_path, capsys):
+        # omega = 1e20 from a centred band: Sigma(omega) is -i gamma/2 to rounding.  The
+        # spectral line region cannot be resolved at that magnitude, a typed failure
+        band = ["--override", "omega=1e20", "--override", "center=0", "--override", "eta=100",
+                "--override", f"delta={100 / (2 * math.pi)!r}"]
+        assert run_cli(["formfactor", "--out", str(tmp_path)] + band) == 0
+        assert "suppression=1.000000" in capsys.readouterr().out
+        assert run_cli(["spectral", "--out", str(tmp_path)] + band) == 2
+        assert "numerical failure [WindowTooNarrow]" in capsys.readouterr().err
+
     def test_steep_band_spectral_exit_zero(self, tmp_path, capsys):
         rc = run_cli(["spectral", "--out", str(tmp_path), "--override", "gamma=1",
                       "--override", "n=1600", "--override", "eta=100",

@@ -7,6 +7,7 @@ import pytest
 from conftest import (flat_sigma_oracle, g2_quad_oracle, re_sigma_oracle,
                       survival_cellwise_reference)
 from zenoband import formfactor, scenario, spectral
+from zenoband.formfactor import PiecewisePoly
 from zenoband import (
     DetectorBand,
     HorizonExceeded,
@@ -20,6 +21,7 @@ from zenoband import (
     propagate,
     self_energy,
     spectral_function,
+    sum_rule_defect,
     survival_amplitude_spectral,
     validate_params,
 )
@@ -155,8 +157,9 @@ class TestSurvivalAmplitude:
         at = np.searchsorted(E, edges)
         ends = [np.polyfit(E[side] - e, A[side], 3)[-1] for i, e in zip(at, edges)
                 for side in (slice(i - 4, i), slice(i, i + 4))]
-        oracle = SpectralFunction(E=np.insert(E, np.repeat(at, 2), np.repeat(edges, 2)),
-                                  A=np.insert(A, np.repeat(at, 2), ends),
+        at = np.repeat(at, 2)
+        E, A = np.insert(E, at, np.repeat(edges, 2)), np.insert(A, at, ends)
+        oracle = SpectralFunction(E=E, A=A, line=PiecewisePoly.cubic(E, A),  # omega = 0
                                   sigma_omega=flat_sigma_oracle(GAMMA, FLAT_BAND.eta,
                                                                 FLAT_BAND.delta, 0.0),
                                   normalization_defect=0.0, omega=0.0, gamma=GAMMA,
@@ -233,7 +236,7 @@ class TestPerturbativeDecay:
         # moments alone were ~1e-14 off here, 500x the t^2 term at t = 1e-8
         grid = form_factor_grid(DetectorBand(eta=100.0, delta=FIG_DELTA, n=6,
                                              center=5.0 * FIG_DELTA), GAMMA, tol=1e-9)
-        line = grid.interpolator()
+        line = grid.line
         lo, hi = line.x[0], line.x[-1]
         want = float(line.integrate(lo, hi)) - free_value(GAMMA) * (hi - lo)
         t = np.array([1e-8, 1e-7, 1e-6])
@@ -276,7 +279,7 @@ def perturbative_sampled(grid, omega, t, per_period):
     unif = np.setdiff1d(np.linspace(lo, hi, int(np.ceil((hi - lo) / spacing)) + 1), grid.mu)
     at = np.searchsorted(unif, grid.mu)
     nodes = np.insert(unif, at, grid.mu)
-    g2dev = np.insert(grid.interpolator()(unif), at, grid.g2) - free_value(grid.gamma)
+    g2dev = np.insert(grid.line(unif), at, grid.g2) - free_value(grid.gamma)
     x = nodes - omega
     with np.errstate(divide="ignore", invalid="ignore"):
         kern = np.sin(x * t / 2.0) ** 2 / (x / 2.0) ** 2
@@ -372,21 +375,68 @@ class TestSigmaReuse:
     # centred, omega is one of the grid's energies; detuned by 2 delta, it is not.  Each set
     # evaluates the grid's ~400 energies, the ladders' ~290 out to the window and the line's
     # skeleton, each once, where it evaluated ~1,900 before the skeleton took the line.  The
-    # counts include the 18 and 30 energies that escalate to the second order pair
+    # counts include the 18 and 30 energies that escalate to the second order pair.  The
+    # breakpoints, poles and ladders serve both orders of a pair: each self_energy call runs
+    # _zero's pole search at most once per pair, not once per order
     @pytest.mark.parametrize("center,count", [(None, 1498), (2.0 * FIG_DELTA, 1730)],
                              ids=["centred", "detuned"])
     def test_spectral_product_evaluates_each_energy_once(self, monkeypatch, center, count):
         edge_integral, seen = formfactor._edge_integral, []
+        zero, sigma, searches = formfactor._zero, formfactor.self_energy, []
 
-        def logged(n, beta, eps, order):
-            seen.extend((order, e) for e in eps)
-            return edge_integral(n, beta, eps, order)
+        def logged(n, beta, eps, orders):
+            seen.extend((order, e) for order in orders for e in eps)
+            return edge_integral(n, beta, eps, orders)
+
+        def zero_logged(*args):
+            searches[-1] += 1
+            return zero(*args)
+
+        def sigma_logged(*args):
+            searches.append(0)
+            return sigma(*args)
 
         monkeypatch.setattr(formfactor, "_edge_integral", logged)
+        monkeypatch.setattr(formfactor, "_zero", zero_logged)
+        for module in (formfactor, spectral):  # form_factor_grid's calls and _sigma's
+            monkeypatch.setattr(module, "self_energy", sigma_logged)
         m = validate_params(ModelParams(gamma=GAMMA, band=DetectorBand(
             eta=100.0, delta=FIG_DELTA, n=6, center=center)))
         scenario.product_spectral(m)
         assert len(seen) == count and len(set(seen)) == len(seen)
+        assert max(searches) == len(formfactor._ORDERS)
+
+
+class TestSharedFits:
+    # each data set is fitted once, the g2 line by form_factor_grid and A's by
+    # spectral_function, and every reader shares that fit
+    def test_lines_are_read_never_written(self, solid_grid):
+        sf = spectral_function(solid_grid, 0.3)
+        assert np.array_equal(sf.line.x, sf.E - sf.omega)
+        t = np.linspace(0.0, 5.0, 11)
+        before = [(line.x.copy(), line.c.copy()) for line in (solid_grid.line, sf.line)]
+        defect = sum_rule_defect(solid_grid)
+        perturbative_decay(solid_grid, 0.3, t)
+        survival_amplitude_spectral(sf, t)
+        assert sum_rule_defect(solid_grid) == defect
+        for line, (x, c) in zip((solid_grid.line, sf.line), before):
+            assert np.array_equal(line.x, x) and np.array_equal(line.c, c)
+
+    # a power-law band fits the g2 line and A's; a flat band adds, for each, the fit
+    # that extrapolates both sides' values to its edges
+    @pytest.mark.parametrize("band,fits", [
+        (DetectorBand(eta=100.0, delta=FIG_DELTA, n=6), 2), (FLAT_BAND, 4)],
+        ids=["power-law", "flat"])
+    def test_spectral_product_fits_each_line_once(self, monkeypatch, band, fits):
+        cubic, sizes = PiecewisePoly.cubic.__func__, []
+
+        def logged(cls, x, y, cut=None):
+            sizes.append(len(x))
+            return cubic(cls, x, y, cut)
+
+        monkeypatch.setattr(PiecewisePoly, "cubic", classmethod(logged))
+        scenario.product_spectral(validate_params(ModelParams(gamma=GAMMA, band=band)))
+        assert len(sizes) == fits
 
 
 class TestSkeleton:
@@ -436,7 +486,7 @@ class TestSkeleton:
     def test_direct_sigma_is_smooth(self, band, at, bound):
         E = at + 0.002 * np.arange(-100, 101)
         eps, beta = (E - band.center) / band.delta, band.eta / (2.0 * band.delta)
-        smooth = 0.5j * GAMMA * (formfactor._edge_integral(band.n, beta, eps, 40) - 1.0)
+        smooth = 0.5j * GAMMA * (formfactor._edge_integral(band.n, beta, eps, (40,))[0] - 1.0)
         assert np.abs(np.diff(self_energy(band, GAMMA, E) - smooth, 4)).max() <= bound
 
     def test_failing_panels_evaluate_directly(self, monkeypatch):
