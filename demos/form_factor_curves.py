@@ -16,8 +16,7 @@ free = free_value(gamma)
 print("eta/2piDelta   g2(0)/free   max g2/free (outside)   sum-rule defect")
 for ratio in (0.01, 0.1, 1.0):
     band = DetectorBand(eta=ratio * 2 * math.pi * delta, delta=delta, n=6, center=0.0)
-    grid = form_factor_grid(band, gamma, window=(-80 * delta, 80 * delta),
-                            n_points=400, tol=1e-9)
+    grid = form_factor_grid(band, gamma, window=(-80 * delta, 80 * delta), tol=1e-9)
     center = grid.g2[np.argmin(np.abs(grid.mu))] / free
     outside = (np.abs(grid.mu) > delta) & (np.abs(grid.mu) < 4 * delta)
     peak = grid.g2[outside].max() / free
@@ -27,8 +26,7 @@ for ratio in (0.01, 0.1, 1.0):
 
 print("\nprofile for eta/2piDelta = 1 (mu in units of Delta):")
 band = DetectorBand(eta=2 * math.pi * delta, delta=delta, n=6, center=0.0)
-grid = form_factor_grid(band, gamma, window=(-80 * delta, 80 * delta),
-                        n_points=400, tol=1e-9)
+grid = form_factor_grid(band, gamma, window=(-80 * delta, 80 * delta), tol=1e-9)
 for x in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 40.0):
     i = np.argmin(np.abs(grid.mu - x * delta))
     bar = "#" * int(round(40 * grid.g2[i] / free))

@@ -190,7 +190,7 @@ def free_tail_moments(W: float, t):
     return np.cos(x) / W - t * (np.pi / 2.0 - si), np.sin(x) / W - t * ci
 
 
-def kernel_antiderivatives(x, t: float, half=None):
+def kernel_antiderivatives(x, t: float, half):
     """Antiderivatives in x of x^k (1 - cos(xt))/x^2, k = 0..3, for t >= 0.
 
     With y = x*t they are t*(Si(y) - (1 - cos y)/y),
@@ -198,11 +198,10 @@ def kernel_antiderivatives(x, t: float, half=None):
     x^2/2 - x sin(y)/t + 2 sin^2(y/2)/t^2, all taken as 0 at y = 0.  The
     last three cancel to O(y^2) of their terms, so below |y| = 1 they come
     from their series in y^2.  ``t`` may be a column of times, giving one
-    row per time.  ``half``, if given, is e^{i|y|/2}, as :func:`phase_blocks` gives it.
+    row per time.  ``half`` is e^{i|y|/2}, as :func:`phase_blocks` gives it.
     """
     y = x * t
     a = np.abs(y)
-    half = np.exp(0.5j * a) if half is None else half
     ay = np.where(y == 0.0, 1.0, a)
     v, c = 2.0 * half.imag / ay, half.real  # sin y = y v c, 1 - cos y = (y v)^2/2
     yv, vc = ay * v, v * c

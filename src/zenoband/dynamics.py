@@ -46,6 +46,7 @@ DEFECT_TOL = 1e-5        # largest norm defect propagate() accepts
 _DELAY_XTOL = 1e-6       # response_delay tolerance in d, relative to the horizon
 _DELAY_NODES = 64        # Gauss-Legendre nodes of the response_delay objective
 _RAMP = 32               # steps at each size below step (twice that at the first)
+SAMPLES = 501            # propagate's default sample times, uniform on [0, T]
 
 
 @dataclass(frozen=True)
@@ -209,7 +210,7 @@ def propagate(dm: DiscretizedModel,
     bookkeeping defect exceeds ``DEFECT_TOL`` at any sample time.
     """
     T = dm.horizon
-    ts = np.linspace(0.0, T, 501) if sample_times is None else np.asarray(sample_times, float)
+    ts = np.linspace(0.0, T, SAMPLES) if sample_times is None else np.asarray(sample_times, float)
     if np.any(ts < 0.0) or np.any(ts > T * (1 + 1e-12)):
         raise ValueError("sample_times must lie in [0, horizon]")
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._phi import _BLOCK, gauss_legendre
 from .errors import QuadratureFailure, WindowTooNarrow
-from .model import DetectorBand, _flat_band_log, _profile
+from .model import DetectorBand, NumericalControls, _flat_band_log, _profile, free_value
 
 __all__ = [
     "FormFactorGrid",
@@ -35,16 +35,16 @@ __all__ = [
 ]
 
 # Band-edge rule for Sigma: Gauss-Legendre order pairs (reported, coarser), cheap first; the
-# ladder's ratio; the |beta h'(eps)| from which eps keeps its own ladder; most Newton steps;
-# the |E - center|/delta from which Sigma is -i gamma/2 (the rest, ~gamma beta/eps^2, underflows).
+# ladder's ratio; the |beta h'(eps)| from which eps keeps its own ladder; most Newton steps; the
+# |E - center|/delta from which Sigma is -i gamma/2 (the rest ~gamma beta/eps^2); grid points.
 _ORDERS = ((12, 8), (20, 16))
 _LADDER_RATIO = 4.0
-_STEEP, _NEWTON, _FAR = 0.5, 8, 2.0 ** 100
+_STEEP, _NEWTON, _FAR, _GRID_POINTS = 0.5, 8, 2.0 ** 100, 400
 
 
-def free_value(gamma: float) -> float:
-    """Measurement-free coupling density gamma/2pi."""
-    return gamma / (2.0 * math.pi)
+def _within_budget(err, g2, free, tol):
+    """Sigma's error budget err = |dSigma|/pi <= 20 tol max(g2, free = gamma/2pi), in one unit."""
+    return err <= 20.0 * tol * np.maximum(g2, free)
 
 
 def __getattr__(name):  # formfactor.quad, which perfbench/spans.py wraps, binds on first access
@@ -124,11 +124,6 @@ class PiecewisePoly:
             cells *= h
         c[-1, 1:] = np.cumsum(cells, axis=0)
         return PiecewisePoly(self.x, c)
-
-    def integrate(self, a, b):
-        """Int_a^b of the line, extrapolated past its ends like ``__call__``."""
-        F = self.antiderivative()
-        return F(b) - F(a)
 
 
 def _solve_tridiagonal(ab, b):
@@ -311,52 +306,48 @@ def _edge_integral(n, beta, eps, orders):
     return beta / math.pi * (out - 1j * math.pi * res)
 
 
-def self_energy(band: DetectorBand, gamma: float, E, tol: float = 1e-9):
+def self_energy(band: DetectorBand, gamma: float, E, tol: float = NumericalControls.quad_tol):
     """Sigma(E + i0) over the damped photon continuum: a complex at a scalar E, else an array.
 
     Integrating (gamma/2pi) Int dk 1/(E - k + i pi eta_k) by parts in k gives
     Sigma(E) = -i gamma/2 + (i gamma/2) Int dk eta'_k / (E - k + i pi eta_k),
     whose integrand lives at the band edges; g2 = -Im Sigma/pi, and a line at E
     decays at the rate -2 Im Sigma.  A band without a center is centred at 0.
-    The flat band's eta'_k is two delta functions, closed form in
-    :func:`~zenoband.model._flat_band_log`, whose g2 takes the outer gamma/2pi
-    exactly at an edge.  On a power-law band the pole subtracted at E is the
+    At eta = 0, and from |E - center| = ``_FAR`` delta on (an overflowed offset too),
+    Sigma is -i gamma/2 on every band.  The flat band's eta'_k is two delta functions,
+    closed form in :func:`~zenoband.model._flat_band_log`, whose g2 takes the outer
+    gamma/2pi exactly at an edge.  On a power-law band the pole subtracted at E is the
     denominator's own zero near E + i pi eta_E, with its residue, except where
-    |pi eta'_E| >= 1/2 (:func:`_edge_integral`).  Each energy reports the finer
-    rule of the first pair of ``_ORDERS`` whose two differ by at most
-    20*tol*max(g2, gamma/2pi) in |Sigma|/pi, which bounds Re Sigma as well as
-    g2; where none does, or not finitely, :class:`QuadratureFailure` is raised.
-    From |E - center| = ``_FAR`` delta on, Sigma is -i gamma/2.  A non-finite E,
-    or a tol that is not > 0, raises ValueError.
+    |pi eta'_E| >= 1/2 (:func:`_edge_integral`).  Each energy reports the finer rule of
+    the first pair of ``_ORDERS`` whose two meet :func:`_within_budget`, |dSigma|/pi <=
+    20*tol*max(g2, gamma/2pi), which bounds Re Sigma as well as g2; where none does, or
+    not finitely, :class:`QuadratureFailure` is raised.  A non-finite E, or a tol that
+    is not > 0, raises ValueError.
     """
     if not tol > 0.0:  # NaN too
         raise ValueError("tol must be positive")
-    if band.center is None:
-        band = replace(band, center=0.0)
     E_arr = np.atleast_1d(np.asarray(E, dtype=float))
     if not np.isfinite(E_arr).all():
         raise ValueError("E must be finite")
-    if not E_arr.size:
-        return np.empty(0, dtype=complex)
-    if band.eta == 0.0:
-        sigma = np.full(E_arr.shape, -0.5j * gamma)
-    elif band.is_flat:
-        z = _flat_band_log(E_arr - band.center, band.eta, band.delta)
+    with np.errstate(over="ignore"):  # an offset past the float range is inf, and far
+        d = E_arr - (band.center or 0.0)
+    todo = np.flatnonzero((np.abs(d) < _FAR * band.delta) & (band.eta > 0.0))
+    sigma = np.full(E_arr.shape, -0.5j * gamma)
+    if band.is_flat:
+        z = _flat_band_log(d[todo], band.eta, band.delta)
         # scaled part by part: a complex product makes Re = +-inf at an edge NaN
-        sigma = free_value(gamma) * z.real + 1j * free_value(gamma) * z.imag
-    else:
-        eps, beta = (E_arr - band.center) / band.delta, band.eta / (2.0 * band.delta)
-        fine, err = np.zeros(len(eps), dtype=complex), np.zeros(len(eps))
-        todo = np.flatnonzero(np.abs(eps) < _FAR)
+        sigma[todo] = free_value(gamma) * z.real + 1j * free_value(gamma) * z.imag
+    elif todo.size:  # else every energy is far, or eta = 0
+        near, eps, beta = todo, d[todo] / band.delta, band.eta / (2.0 * band.delta)
+        fine, err, todo = np.zeros(len(eps), dtype=complex), np.zeros(len(eps)), np.arange(len(eps))
         for pair in _ORDERS:
             fine[todo], coarse = _edge_integral(band.n, beta, eps[todo], pair)
             err[todo] = np.abs(fine[todo] - coarse)
-            todo = todo[~(err[todo] <= 20.0 * tol * np.maximum(1.0 - fine[todo].real, 1.0))]
+            todo = todo[~_within_budget(err[todo], 1.0 - fine[todo].real, 1.0, tol)]
         if todo.size:
-            i = todo[0]
-            raise QuadratureFailure(f"self-energy at E={E_arr[i]}: error estimate {err[i]:.3e} "
-                                    f"exceeds budget for tol={tol:.1e}")
-        sigma = 0.5j * gamma * (fine - 1.0)
+            raise QuadratureFailure(f"self-energy at E={E_arr[near[todo[0]]]}: error estimate "
+                                    f"{err[todo[0]]:.3e} exceeds budget for tol={tol:.1e}")
+        sigma[near] = 0.5j * gamma * (fine - 1.0)
     return sigma if np.ndim(E) else complex(sigma[0])
 
 
@@ -378,13 +369,13 @@ def _default_window(band: DetectorBand, gamma: float, omega: float) -> Tuple[flo
 
 def form_factor_grid(band: DetectorBand, gamma: float,
                      window: Optional[Tuple[float, float]] = None,
-                     n_points: int = 400, tol: float = 1e-9) -> FormFactorGrid:
+                     tol: float = NumericalControls.quad_tol) -> FormFactorGrid:
     """Tabulate g2 over ``window`` on a grid refined at the band edges.
 
     The grid clusters geometrically (ratio 1.2) into both band edges, where
-    the curvature of g2 is largest, and covers the rest of the window
-    uniformly; a flat band's edges, where g2 jumps, are held twice with the
-    one-sided values of :func:`_split_cubic`.  ``window`` must span
+    the curvature of g2 is largest, and fills the gaps uniformly up to about
+    ``_GRID_POINTS`` points; a flat band's edges, where g2 jumps, are held
+    twice with the one-sided values of :func:`_split_cubic`.  ``window`` must span
     center +- 5*max(delta, eta); the default is :func:`_default_window`'s.
     """
     if band.center is None:
@@ -404,12 +395,12 @@ def form_factor_grid(band: DetectorBand, gamma: float,
         for limit in (hi, lo):
             pts.update(_ladder(edge, limit, scale / 200.0, 1.2))
     base = np.asarray(sorted(pts))
-    # top up with uniform coverage so large gaps between ladders are filled
-    gaps = np.diff(base)
-    add = np.rint(gaps / gaps.sum() * max(n_points - len(base), 0)).astype(int)
-    fill = [np.linspace(base[i], base[i + 1], add[i] + 2)[1:-1] for i in range(len(gaps))]
+    gaps = np.diff(base)  # large gaps between the ladders are topped up uniformly
+    add = np.rint(gaps / gaps.sum() * max(_GRID_POINTS - len(base), 0)).astype(int)
+    i = np.repeat(np.arange(len(gaps)), add)  # gap i's point j at j gap_i/(add_i + 1) + base_i
+    fill = (np.arange(1, len(i) + 1) - np.searchsorted(i, i)) * (gaps / (add + 1))[i] + base[i]
     edges = c + np.array([-delta, delta] if band.is_flat else [])
-    base = np.setdiff1d(np.concatenate([base] + fill), edges)
+    base = np.setdiff1d(np.r_[base, fill], edges)
     sigma = self_energy(band, gamma, base, tol)
     mu, g2 = _split_cubic(base, -sigma.imag / math.pi, edges)
     sigma = self_energy(band, gamma, mu, tol) if band.is_flat else sigma  # closed form
@@ -435,4 +426,4 @@ def sum_rule_defect(grid: FormFactorGrid) -> float:
             f"needs < {1e-3 * pref:.3e}")
     c = grid.line.c.copy()
     c[-1] -= pref
-    return float(PiecewisePoly(grid.line.x, c).integrate(grid.mu[0], grid.mu[-1]))
+    return float(PiecewisePoly(grid.line.x, c).antiderivative()(grid.mu[-1]))

@@ -90,7 +90,7 @@ class NumericalControls:
     cutoff   -- half-width K of the photon window around the band centre
                 (default: ``default_cutoff``)
     dk       -- uniform spacing of the photon grid (default: 2pi/(T + STRIP_BUDGET/s))
-    horizon  -- propagation horizon T
+    horizon  -- propagation horizon T (default 5/gamma)
     step     -- the propagator's cruise step, reached by doubling from
                 step/2^J <= 0.25/max|L|
     quad_tol -- relative tolerance of form-factor quadratures
@@ -146,6 +146,11 @@ class ConditionReport:
     verdict: str                 # "QZE-regime" | "weak-suppression" | "no-detection-overlap"
 
 
+def free_value(gamma: float) -> float:
+    """Measurement-free coupling density gamma/2pi."""
+    return gamma / (2.0 * np.pi)
+
+
 def _window_defect(gamma, band: DetectorBand, omega: float, K: float, eps: complex) -> float:
     """|Sigma(omega + eps)|, Im eps > 0, that window K drops: the band damping beyond it.
 
@@ -156,19 +161,17 @@ def _window_defect(gamma, band: DetectorBand, omega: float, K: float, eps: compl
     k = band.center - omega + np.outer([1.0, -1.0], K / u)  # both sides
     damp = 1j * np.pi * detector_response(band, omega + k)
     wk = K * w / u ** 2
-    return gamma / (2.0 * np.pi) * abs(((damp / ((eps - k) * (eps - k + damp))) @ wk).sum())
+    return free_value(gamma) * abs(((damp / ((eps - k) * (eps - k + damp))) @ wk).sum())
 
 
-def default_cutoff(gamma, band: DetectorBand, omega: float,
-                   horizon: Optional[float] = None) -> float:
+def default_cutoff(gamma, band: DetectorBand, omega: float, horizon: float) -> float:
     """Smallest half-width K around the band centre the propagator accepts without an override.
 
     The first K up the ladder delta * ``_LADDER``**j whose :func:`_window_defect` at
-    omega + 4i/T (T = ``horizon``, default 5/gamma) is within ``SIGMA_BUDGET``*gamma.
+    omega + 4i/T (T = ``horizon``) is within ``SIGMA_BUDGET``*gamma.
     """
-    T = horizon if horizon is not None else 5.0 / gamma
     K = band.delta
-    while _window_defect(gamma, band, omega, K, 4j / T) > SIGMA_BUDGET * gamma:
+    while _window_defect(gamma, band, omega, K, 4j / horizon) > SIGMA_BUDGET * gamma:
         K *= _LADDER
     return K
 
@@ -180,7 +183,8 @@ def validate_params(p: ModelParams) -> ValidatedModel:
     whose code is the key to change.  The raw fields come first and raise
     before any default is resolved: gamma > 0, omega finite, eta >= 0,
     delta > 0, n even and >= 2, center finite, cutoff/dk/horizon/step > 0
-    where set, quad_tol in (0, 1), cutoff >= delta.  Then the resolved numerics:
+    where set, quad_tol in (0, 1), cutoff >= delta, delta > ``FLAT_CELLS`` float spacings
+    at center, and center - omega finite (code ``center``).  Then the resolved numerics:
     dk (recurrence 2*pi/dk beyond T + ``STRIP_BUDGET``/s, or ``REVIVAL_MARGIN``*T
     with no strip s), cutoff (K >= :func:`default_cutoff` at this T unless
     ``allow_narrow_window``) and horizon, dk or step (~2K/dk cells, none at eta = 0,
@@ -204,6 +208,10 @@ def validate_params(p: ModelParams) -> ValidatedModel:
         violations.append(
             ("cutoff", f"cutoff K={num.cutoff} is below the half-bandwidth delta={band.delta}")
         )
+    if not violations and not (FLAT_CELLS * np.spacing(abs(band.center) + band.delta) < band.delta
+                               and np.isfinite(abs(band.center - p.omega) + band.delta)):
+        violations.append(("center", f"floats cannot resolve the band edges {band.center:g} +- "
+                           f"{band.delta:g} ({FLAT_CELLS} spacings apart) at omega={p.omega:g}"))
 
     if violations:
         raise ValidationError(violations)

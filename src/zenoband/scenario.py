@@ -22,7 +22,7 @@ from .config import MODEL_KEYS, model_params_from_dict, parse_kv_text
 from .errors import ConfigError, NoResponse, WindowTooNarrow
 from .formfactor import _default_window, form_factor_grid, free_value, self_energy, sum_rule_defect
 from .model import ModelParams, ValidatedModel, validate_params, qze_condition_report
-from .dynamics import discretize_continuum, propagate, response_delay, decay_rate_trace
+from .dynamics import SAMPLES, discretize_continuum, propagate, response_delay, decay_rate_trace
 from .spectral import perturbative_decay, spectral_function, survival_amplitude_spectral
 
 __all__ = [
@@ -133,13 +133,12 @@ def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> str
 
 
 def _evolve_samples(m) -> np.ndarray:
-    return np.linspace(0.0, m.numerics.horizon, 501)
+    return np.linspace(0.0, m.numerics.horizon, SAMPLES)
 
 
 def _fig3_samples(m) -> np.ndarray:
-    T = m.numerics.horizon
-    log_part = np.geomspace(1e-2 / m.band.delta, T, 121)
-    return np.unique(np.concatenate([[0.0], log_part, np.linspace(0.0, T, 501)]))
+    log_part = np.geomspace(1e-2 / m.band.delta, m.numerics.horizon, 121)
+    return np.unique(np.concatenate([[0.0], log_part, _evolve_samples(m)]))
 
 
 def product_report(m: ValidatedModel):

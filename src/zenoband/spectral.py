@@ -17,8 +17,8 @@ import numpy as np
 
 from ._phi import free_tail_moments, kernel_antiderivatives, phase_blocks, phi_functions
 from .errors import HorizonExceeded, WindowTooNarrow
-from .formfactor import (FormFactorGrid, PiecewisePoly, _ladder, _split_cubic, free_value,
-                         self_energy)
+from .formfactor import (FormFactorGrid, PiecewisePoly, _ladder, _split_cubic, _within_budget,
+                         free_value, self_energy)
 
 __all__ = [
     "SpectralFunction",
@@ -56,30 +56,31 @@ def _sigma(grid: FormFactorGrid, E, lo, hi):
     needs fewer energies.  Each panel, broken at the band edges and no longer
     than the strip delta sin(pi/n) of eta_k's poles, takes _SKELETON
     second-kind Chebyshev nodes and the _HELD_OUT energies that check it.  A
-    panel that misses a held-out g2 or Re Sigma by more than self_energy's
-    budget 20 tol max(g2, gamma/2pi) evaluates its energies directly.
+    panel whose interpolant misses a held-out Sigma by more than self_energy's
+    own budget (:func:`~zenoband.formfactor._within_budget`) evaluates its
+    energies directly.
     """
     band, gamma, tol = grid.band, grid.gamma, grid.tol
-    i = np.minimum(np.searchsorted(grid.mu, E), len(grid.mu) - 1)
-    fit = (grid.mu[i] != E) & (E > lo) & (E < hi) & (band.strip > 0.0)
+    inside = (E > lo) & (E < hi) & (band.strip > 0.0)
     theta, ends = np.pi / (_SKELETON - 1) * np.r_[np.arange(_SKELETON), _HELD_OUT], np.array([lo])
-    if fit.any():
-        c, d = band.center, band.delta
-        cuts = np.unique(np.clip([lo, c - d, c + d, hi], lo, hi))
-        panels = np.ceil(np.diff(cuts) / band.strip)
-        if panels.sum() * len(theta) < fit.sum():  # else the skeleton saves nothing
-            ends = np.r_[np.concatenate([np.linspace(a, b, int(k), endpoint=False)
-                                         for a, b, k in zip(cuts, cuts[1:], panels)]), hi]
-    fit &= len(ends) > 1
+    cuts = np.unique(np.clip([lo, band.center - band.delta, band.center + band.delta, hi], lo, hi))
+    panels = np.ceil(np.diff(cuts) / band.strip) if inside.any() else np.zeros(0)
+    if panels.sum() * len(theta) < inside.sum():  # else it saves nothing, even with E off the grid
+        ends = np.r_[np.concatenate([np.linspace(a, b, int(k), endpoint=False)
+                                     for a, b, k in zip(cuts, cuts[1:], panels)]), hi]
     nodes = (ends[:-1, None] + ends[1:, None]) / 2.0 + np.diff(ends)[:, None] / 2.0 * np.cos(theta)
     nodes[:, 0], nodes[:, _SKELETON - 1] = ends[1:], ends[:-1]  # neighbours share their ends
-    # each energy and node once, from the grid where it holds them
-    ask, back = np.unique(np.r_[E[~fit], nodes.ravel()], return_inverse=True)
+    # every energy and node in one lookup; each once, from the grid where it holds them
+    ask, back = np.unique(np.r_[E, nodes.ravel()], return_inverse=True)
     i = np.minimum(np.searchsorted(grid.mu, ask), len(grid.mu) - 1)
     got, new = grid.sigma[i], grid.mu[i] != ask
-    got[new] = self_energy(band, gamma, ask[new], tol)
-    sigma, k = np.empty(len(E), dtype=complex), len(back) - nodes.size
-    sigma[~fit], got = got[back[:k]], got[back[k:]].reshape(nodes.shape)
+    fit = inside & new[back[:len(E)]]
+    if not panels.sum() * len(theta) < fit.sum():  # the grid holds the energies it would save
+        fit[:], nodes = False, nodes[:0]
+    need, at = np.zeros(len(ask), dtype=bool), back[len(E):len(E) + nodes.size]
+    need[back[:len(E)][~fit]] = need[at] = True
+    got[need & new] = self_energy(band, gamma, ask[need & new], tol)
+    sigma, got = got[back[:len(E)]], got[at].reshape(nodes.shape)
     # the held-out energies, then the fitted ones, each by its own panel's interpolant
     want, y = got[:, _SKELETON:].ravel(), np.r_[nodes[:, _SKELETON:].ravel(), E[fit]]
     p = np.r_[np.arange(want.size) // len(_HELD_OUT), np.searchsorted(ends[1:-1], E[fit])]
@@ -88,11 +89,10 @@ def _sigma(grid: FormFactorGrid, E, lo, hi):
     with np.errstate(divide="ignore", invalid="ignore"):
         r = w / (y[:, None] - z)
         val = (r * f).sum(axis=1) / r.sum(axis=1)
-    on = np.isinf(r)  # an energy on a node takes its value
-    val[on.any(axis=1)] = f[on]
-    miss = val[:want.size] - want
-    budget = 20.0 * tol * np.maximum(-want.imag / math.pi, free_value(gamma))
-    bad = ~(np.maximum(np.abs(miss.imag) / math.pi, np.abs(miss.real)) <= budget)
+    hit = np.isinf(r).any(axis=1)  # an energy on a node takes that node's value
+    val[hit] = f[hit, np.isinf(r[hit]).argmax(axis=1)]
+    bad = ~_within_budget(np.abs(val[:want.size] - want) / math.pi, -want.imag / math.pi,
+                          free_value(gamma), tol)
     sigma[fit] = val[want.size:]
     redo = np.flatnonzero(fit)[bad.reshape(-1, len(_HELD_OUT)).any(axis=1)[p[want.size:]]]
     sigma[redo] = self_energy(band, gamma, E[redo], tol)
@@ -116,7 +116,9 @@ def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
     center, half_w = omega + sigma_omega.real, -sigma_omega.imag  # of the dressed line
     reach = 550.0 * math.sqrt(2.0 * half_w * grid.gamma)
     lo, hi = min(grid.window[0], omega - reach), max(grid.window[1], omega + reach)
-    span = 45.0 * half_w
+    span, gap = 45.0 * half_w, np.spacing(abs(omega))
+    if not gap < 2.0 * span / _LINE_POINTS:  # the line's energies would not be distinct
+        raise WindowTooNarrow(f"float spacing {gap:g} at omega={omega:g} vs half-width {half_w:g}")
     if center - span <= lo or center + span >= hi:
         raise WindowTooNarrow(
             f"window {(lo, hi)} cannot hold the line region {center}+-{span:g}")
@@ -134,7 +136,7 @@ def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
         raise WindowTooNarrow(
             "A(E) has not decayed to 1e-6 of its peak at the spectral window edge")
     line = PiecewisePoly.cubic(E - omega, A)
-    area = float(line.integrate(line.x[0], line.x[-1]))
+    area = float(line.antiderivative()(line.x[-1]))  # from line.x[0]
     # analytic mass of the (gamma/2pi)/(E-omega)^2 tails beyond the window
     tail = free_value(grid.gamma) * (1.0 / (hi - omega) + 1.0 / (omega - lo))
     return SpectralFunction(E=E, A=A, line=line, sigma_omega=sigma_omega,

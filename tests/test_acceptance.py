@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
-from zenoband import scenario
+from zenoband import formfactor, scenario
 from zenoband import (
     DetectorBand,
     ModelParams,
@@ -240,7 +240,7 @@ class TestCriterion6CrossMethod:
 
 
 class TestCriterion7SumRule:
-    def test_window_defect_for_fig2_ratios(self):
+    def test_window_defect_for_fig2_ratios(self, monkeypatch):
         # Fig 2 fixes only eta/(2 pi Delta); the absolute scale is chosen as
         # 2 pi Delta / gamma = 0.3 because the +-50 Delta window defect is
         # gamma*eta/(150 pi) independent of Delta, so the 1e-3*gamma bound
@@ -248,11 +248,11 @@ class TestCriterion7SumRule:
         delta = 0.3 * GAMMA / (2.0 * math.pi)
         worst = 0.0
         details = []
+        monkeypatch.setattr(formfactor, "_GRID_POINTS", 500)
         for ratio in (0.01, 0.1, 1.0):
             band = DetectorBand(eta=ratio * 2.0 * math.pi * delta, delta=delta,
                                 n=6, center=0.0)
-            grid = form_factor_grid(band, GAMMA, window=(-50 * delta, 50 * delta),
-                                    n_points=500, tol=1e-9)
+            grid = form_factor_grid(band, GAMMA, window=(-50 * delta, 50 * delta), tol=1e-9)
             defect = abs(sum_rule_defect(grid))
             worst = max(worst, defect)
             details.append(f"{ratio:g}:{defect:.2e}")

@@ -34,6 +34,12 @@ def pl_band(ratio, delta=1.0, n=6, center=0.0):
     return DetectorBand(eta=ratio * 2 * math.pi * delta, delta=delta, n=n, center=center)
 
 
+def integral(line, a, b):
+    """Int_a^b of a PiecewisePoly, by its antiderivative."""
+    F = line.antiderivative()
+    return F(b) - F(a)
+
+
 def form_factor(band, gamma, mu, tol=1e-9):
     """g2(mu) = -Im Sigma(mu + i0)/pi."""
     return -self_energy(band, gamma, mu, tol).imag / math.pi
@@ -141,7 +147,8 @@ class TestRenormalizedFormFactor:
         assert got.shape == (0,) and got.dtype == complex and calls == []
         # a centred line's omega is a grid energy: Sigma(omega) is read, and no rule runs on
         # nothing; every call that does run has energies
-        grid = form_factor_grid(pl_band(1.0), GAMMA, n_points=200)
+        monkeypatch.setattr(formfactor, "_GRID_POINTS", 200)
+        grid = form_factor_grid(pl_band(1.0), GAMMA)
         calls.clear()
         sf = spectral_function(grid, 0.0)
         assert sf.sigma_omega == grid.sigma[np.searchsorted(grid.mu, 0.0)]
@@ -226,7 +233,7 @@ class TestAnalyticFlatBand:
 
 @pytest.fixture(scope="module")
 def grids():
-    return {r: form_factor_grid(pl_band(r), GAMMA, n_points=300, tol=1e-8)
+    return {r: form_factor_grid(pl_band(r), GAMMA, tol=1e-8)
             for r in (0.01, 0.1, 1.0)}
 
 
@@ -274,28 +281,30 @@ class TestFormFactorGrid:
 
     def test_no_detector_grid_is_flat(self):
         band = DetectorBand(eta=0.0, delta=1.0, n=6, center=0.0)
-        g = form_factor_grid(band, GAMMA, n_points=50, tol=1e-8)
+        g = form_factor_grid(band, GAMMA, tol=1e-8)
         np.testing.assert_allclose(g.g2, FREE, rtol=1e-14)
 
     @pytest.mark.parametrize("band", [
         pl_band(1.0), pl_band(0.01), pl_band(1.0, n=2), pl_band(1.0, n=24),
         pl_band(1.0, center=2.0),
     ], ids=["n6", "weak", "n2", "n24", "detuned-2delta"])
-    def test_matches_scalar_reference(self, band):
+    def test_matches_scalar_reference(self, monkeypatch, band):
         tol = 1e-9
-        g = form_factor_grid(band, GAMMA, n_points=300, tol=tol)
+        monkeypatch.setattr(formfactor, "_GRID_POINTS", 300)
+        g = form_factor_grid(band, GAMMA, tol=tol)
         for mu, g2 in zip(g.mu[::15], g.g2[::15]):
             want = g2_quad_oracle(band, GAMMA, mu)
             assert g2 == pytest.approx(want, abs=20.0 * tol * max(want, FREE))
 
     def test_unreachable_tolerance_raises_quadrature_failure(self):
         with pytest.raises(QuadratureFailure, match="self-energy at E="):
-            form_factor_grid(pl_band(1.0), GAMMA, n_points=100, tol=1e-18)
+            form_factor_grid(pl_band(1.0), GAMMA, tol=1e-18)
 
-    def test_narrow_edge_band_builds_at_tight_tolerance(self):
+    def test_narrow_edge_band_builds_at_tight_tolerance(self, monkeypatch):
         # the per-point scalar quadrature used to miss its budget at mu ~ -51.4
         band = DetectorBand(eta=100.0, delta=100.0 / (2 * math.pi), n=24)
-        g = form_factor_grid(band, GAMMA, tol=1e-10, n_points=800)
+        monkeypatch.setattr(formfactor, "_GRID_POINTS", 800)
+        g = form_factor_grid(band, GAMMA, tol=1e-10)
         assert np.all(g.g2 > 0.0)
 
     def test_window_must_cover_band(self):
@@ -381,6 +390,18 @@ class TestSelfEnergyDomain:
             assert self_energy(other, GAMMA, -1e300) == pytest.approx(-0.5j * GAMMA, abs=1e-15)
 
 
+    @pytest.mark.parametrize("kind", sorted(BANDS))
+    def test_overflowing_offset_is_far(self, kind):
+        # E - center overflows to inf: Sigma is -i gamma/2 on every band kind, with no NaN
+        # (the flat closed form's) and no floating-point warning (the power law's offset)
+        band = dataclasses.replace(self.BANDS[kind], center=-1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigma = self_energy(band, GAMMA, np.array([1e308, 1.7e308, 0.0]))
+            scalar = self_energy(band, GAMMA, 1e308)
+        assert np.array_equal(sigma, np.full(3, -0.5j * GAMMA)) and scalar == -0.5j * GAMMA
+
+
 class TestPerEnergyReach:
     # Upper-half indices (mirrored about 11) of linspace(-1.5, 1.5, 23) * delta,
     # 2 pi delta = 100, at which a lone energy raised while its panels reached
@@ -415,10 +436,11 @@ class TestPerEnergyReach:
     @pytest.mark.parametrize("band", [pl_band(1.0), DetectorBand(eta=1.7, delta=1.0, n=None,
                                                                 center=0.5)],
                              ids=["power-law", "flat"])
-    def test_grid_carries_its_sigma(self, band):
+    def test_grid_carries_its_sigma(self, monkeypatch, band):
         # Sigma at every mu, a flat edge's own value at both copies; g2 is -Im Sigma/pi
         # everywhere but at those copies, which hold its one-sided limits
-        grid = form_factor_grid(band, GAMMA, n_points=200)
+        monkeypatch.setattr(formfactor, "_GRID_POINTS", 200)
+        grid = form_factor_grid(band, GAMMA)
         assert np.array_equal(grid.sigma, self_energy(band, GAMMA, grid.mu))
         single = np.diff(grid.mu, prepend=-np.inf) != 0.0
         single &= np.diff(grid.mu, append=np.inf) != 0.0
@@ -495,7 +517,7 @@ class TestPoleSubtraction:
 class TestSumRule:
     def test_no_detector_defect_is_zero(self):
         band = DetectorBand(eta=0.0, delta=1.0, n=6, center=0.0)
-        g = form_factor_grid(band, GAMMA, n_points=50, tol=1e-8)
+        g = form_factor_grid(band, GAMMA, tol=1e-8)
         assert sum_rule_defect(g) == pytest.approx(0.0, abs=1e-15)
 
     def test_flat_band_deviation_cancels_analytically(self):
@@ -521,13 +543,12 @@ class TestSumRule:
         assert residuals[1] == pytest.approx(residuals[0] / 2, rel=0.15)
         assert residuals[2] == pytest.approx(residuals[0] / 4, rel=0.15)
 
-    def test_power_law_window_scaling(self):
+    def test_power_law_window_scaling(self, monkeypatch):
         # analytic tail estimate: |defect(X)| ~ gamma*eta*delta/(3*pi*X)
         band = pl_band(1.0, delta=1.0)
-        d50 = abs(sum_rule_defect(
-            form_factor_grid(band, GAMMA, window=(-50, 50), n_points=400, tol=1e-9)))
-        d100 = abs(sum_rule_defect(
-            form_factor_grid(band, GAMMA, window=(-100, 100), n_points=500, tol=1e-9)))
+        d50 = abs(sum_rule_defect(form_factor_grid(band, GAMMA, window=(-50, 50), tol=1e-9)))
+        monkeypatch.setattr(formfactor, "_GRID_POINTS", 500)
+        d100 = abs(sum_rule_defect(form_factor_grid(band, GAMMA, window=(-100, 100), tol=1e-9)))
         want50 = GAMMA * band.eta / (150.0 * math.pi)
         assert d50 == pytest.approx(want50, rel=0.05)
         assert d100 == pytest.approx(d50 / 2, rel=0.1)
@@ -537,16 +558,17 @@ class TestSumRule:
         # window: the far cells are coarse for the 1/mu^2 tail, where a
         # trapezoid is ~4% off gamma*eta*delta/(3 pi X)
         band = DetectorBand(eta=100.0, delta=100.0 / (2 * math.pi), n=6, center=0.0)
-        g = form_factor_grid(band, GAMMA, window=(-1000.0, 1000.0), n_points=400, tol=1e-9)
+        g = form_factor_grid(band, GAMMA, window=(-1000.0, 1000.0), tol=1e-9)
         want = -GAMMA * band.eta * band.delta / (3 * math.pi * 1000.0)
         assert sum_rule_defect(g) == pytest.approx(want, rel=0.01)
 
-    @pytest.mark.parametrize("n_points", [400, 4000])
-    def test_flat_band_meets_analytic_tail(self, n_points):
+    @pytest.mark.parametrize("points", [400, 4000])
+    def test_flat_band_meets_analytic_tail(self, monkeypatch, points):
         # eta = 1, 2 pi Delta = 100 on +-1000: g2 jumps at the edges, which
         # are breakpoints of the grid's line; spread over a cell they read +0.0105
         band = DetectorBand(eta=1.0, delta=100.0 / (2 * math.pi), n=None, center=0.0)
-        g = form_factor_grid(band, GAMMA, window=(-1000.0, 1000.0), n_points=n_points, tol=1e-9)
+        monkeypatch.setattr(formfactor, "_GRID_POINTS", points)
+        g = form_factor_grid(band, GAMMA, window=(-1000.0, 1000.0), tol=1e-9)
         want = -GAMMA * band.eta * band.delta / (math.pi ** 2 * 1000.0)
         assert sum_rule_defect(g) == pytest.approx(want, rel=0.01)
 
@@ -554,7 +576,7 @@ class TestSumRule:
         # wide enough to build the grid, but the edges have not reached the
         # free-value asymptote within 1e-3 relative
         band = pl_band(1.0)
-        g = form_factor_grid(band, GAMMA, window=(-40.0, 40.0), n_points=300, tol=1e-8)
+        g = form_factor_grid(band, GAMMA, window=(-40.0, 40.0), tol=1e-8)
         with pytest.raises(WindowTooNarrow):
             sum_rule_defect(g)
 
@@ -674,7 +696,7 @@ class TestPiecewisePoly:
         check(got.antiderivative()(xs), want.antiderivative()(xs),
               exact and exact.antiderivative()(xs))
         a, b = x[0] - span / 8, x[-1]
-        check(got.integrate(a, b), want.integrate(a, b), exact and np.reshape(
+        check(integral(got, a, b), want.integrate(a, b), exact and np.reshape(
             [exact_integral(x, col, a, b) for col in np.reshape(y, (n, -1)).T], np.shape(y)[1:]))
         assert np.shape(got(0.5)) == np.shape(want(0.5))
 
@@ -698,7 +720,7 @@ class TestPiecewisePoly:
         scale = abs(want.integrate(x[0], x[-1]))
         for a, b in [(x[0], x[-1]), (0.0, 20.0), (edge, edge - 5.0), (edge, edge),
                      (x[0] - 5.0, x[-1] + 5.0), (edge + 1.0, x[0])]:
-            assert abs(got.integrate(a, b) - want.integrate(a, b)) <= 1e-14 * scale
+            assert abs(integral(got, a, b) - want.integrate(a, b)) <= 1e-14 * scale
 
     def test_split_cubic_edges_take_each_sides_spline(self):
         # each edge, absent from x, enters twice with the value that the spline of

@@ -186,7 +186,7 @@ class TestCutoffRule:
                 for delta in (0.1, 1.0, 100 / (2 * math.pi), 1e3 / (2 * math.pi), 1e3):
                     for det in (0.0, 2.0 * delta, -7.0 * delta):
                         b = band(eta=eta, delta=delta, n=n, center=det)
-                        K = default_cutoff(gamma, b, 0.0)
+                        K = default_cutoff(gamma, b, 0.0, 5.0 / gamma)
                         assert _window_defect(gamma, b, 0.0, K, eps) <= SIGMA_BUDGET * gamma
                         if K > delta:
                             D = _window_defect(gamma, b, 0.0, K / _LADDER, eps)
@@ -203,7 +203,7 @@ class TestCutoffRule:
                        (band(eta=30.0, delta=100 / (2 * math.pi), n=2), 2100.0),
                        (band(eta=100.0, delta=100 / (2 * math.pi), n=2), 3100.0),
                        (band(eta=100.0, delta=1.0, center=2000.0), 1.8)):
-            K = default_cutoff(1.0, b, 0.0)
+            K = default_cutoff(1.0, b, 0.0, 5.0)
             assert b.delta < K <= top
             assert _window_defect(1.0, b, 0.0, K, 0.8j) <= SIGMA_BUDGET
             assert _window_defect(1.0, b, 0.0, K / _LADDER, 0.8j) > SIGMA_BUDGET
@@ -223,13 +223,13 @@ class TestCutoffRule:
         assert peak < 2 ** 20
 
     def test_flat_band_window_ignores_eta(self):
-        Ks = {default_cutoff(1.0, band(eta=eta, delta=50.0, n=None), 0.0)
+        Ks = {default_cutoff(1.0, band(eta=eta, delta=50.0, n=None), 0.0, 5.0)
               for eta in (0.0, 1.0, 100.0, 1e4, 1e6)}
         assert Ks == {50.0}  # eta_k is 0 beyond the band, so K = delta
 
     def test_explicit_cutoff_at_the_rule_edge(self):
         b = DetectorBand(eta=1e4, delta=20.0, n=6)
-        K = default_cutoff(1.0, validate_params(ModelParams(gamma=1.0, band=b)).band, 0.0)
+        K = default_cutoff(1.0, validate_params(ModelParams(gamma=1.0, band=b)).band, 0.0, 5.0)
         assert K > max(300.0, 10.0 * 20.0)  # the band term sets this window
 
         def at(cutoff):

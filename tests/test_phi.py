@@ -6,7 +6,7 @@ import pytest
 from conftest import phi_reference
 from scipy.special import sici as scipy_sici
 
-from zenoband._phi import (free_tail_moments, kernel_antiderivatives, phase_blocks,
+from zenoband._phi import (free_tail_moments, kernel_antiderivatives as _kernel, phase_blocks,
                           phi_functions, sici)
 
 # Largest relative gap of phi_1..phi_3 to the frozen reference formula,
@@ -65,6 +65,11 @@ def test_scalar_argument():
 def test_phi0_is_exp():
     z = sample_points()
     assert phi_functions(z, 2)[0].tobytes() == np.exp(z).tobytes()
+
+
+def kernel_antiderivatives(x, t):
+    """The antiderivatives at x, with the half-angle phases e^{i|xt|/2} they take."""
+    return _kernel(x, t, np.exp(0.5j * np.abs(x * t)))
 
 
 def kernel_series(y, t):

@@ -460,14 +460,39 @@ class TestCli:
         assert np.all(np.isfinite(g2)) and np.all(g2 > 0.0)
 
     def test_far_detuned_line_exit_codes(self, tmp_path, capsys):
-        # omega = 1e20 from a centred band: Sigma(omega) is -i gamma/2 to rounding.  The
-        # spectral line region cannot be resolved at that magnitude, a typed failure
+        # omega = 1e20 from a centred band: Sigma(omega) is -i gamma/2 to rounding.  Floats
+        # 16,384 apart at omega cannot resolve the line's half-width 1/2, a typed failure
         band = ["--override", "omega=1e20", "--override", "center=0", "--override", "eta=100",
                 "--override", f"delta={100 / (2 * math.pi)!r}"]
         assert run_cli(["formfactor", "--out", str(tmp_path)] + band) == 0
         assert "suppression=1.000000" in capsys.readouterr().out
         assert run_cli(["spectral", "--out", str(tmp_path)] + band) == 2
-        assert "numerical failure [WindowTooNarrow]" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "numerical failure [WindowTooNarrow]: float spacing 16384 at omega=1e+20 vs "
+            "half-width 0.5\n")
+
+    def test_skeleton_nodes_that_floats_merge_exit_zero(self, tmp_path, capsys):
+        # at 2e14 floats are 1/32 apart, so Chebyshev nodes near a panel's ends merge and an
+        # energy can sit on two of them: it takes that node's value, where the barycentric
+        # sum used to raise an untyped ValueError
+        rc = run_cli(["spectral", "--out", str(tmp_path), "--override", "eta=1", "--override",
+                      "delta=16", "--override", "center=2e14", "--override", "omega=2e14"])
+        assert rc == 0
+        assert "rates free=1 suppressed=0.979186" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("product", ["formfactor", "evolve", "spectral", "report"])
+    @pytest.mark.parametrize("offset,flat", [("1e300", "false"), ("1e308", "false"),
+                                             ("1e308", "true")])
+    def test_unresolved_band_edges_exit_one(self, tmp_path, capsys, product, offset, flat):
+        # center +- delta is one float at 1e300, and omega - center overflows at 1e308: the
+        # grid's cubic used to raise an untyped ValueError, and report printed suppression~nan
+        rc = run_cli([product, "--out", str(tmp_path / "out"), "--override", "eta=1",
+                      "--override", "delta=1", "--override", f"center=-{offset}",
+                      "--override", f"omega={offset}", "--override", f"flat={flat}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: floats cannot resolve the band edges -")
+        assert not (tmp_path / "out").exists()
 
     def test_steep_band_spectral_exit_zero(self, tmp_path, capsys):
         rc = run_cli(["spectral", "--out", str(tmp_path), "--override", "gamma=1",

@@ -34,7 +34,7 @@ FLAT_BAND = DetectorBand(eta=100.0, delta=FIG_DELTA, n=None, center=0.0)
 @pytest.fixture(scope="module")
 def free_grid():
     band = DetectorBand(eta=0.0, delta=1.0, n=6, center=0.0)
-    return form_factor_grid(band, GAMMA, n_points=400, tol=1e-9)
+    return form_factor_grid(band, GAMMA, tol=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -113,14 +113,15 @@ class TestSpectralFunction:
         assert width == pytest.approx(supp, rel=0.05)
         assert width < GAMMA
 
-    def test_coarse_grid_keeps_its_window(self):
+    def test_coarse_grid_keeps_its_window(self, monkeypatch):
         # At 200 points the edge cells are ~73 wide; trimming six of them
         # used to shrink the window to +-110, where A(E) has not decayed.
         band = DetectorBand(eta=20.0, delta=3.0, n=6, center=1.0)
         t = np.linspace(0.0, 5.0, 51)
 
-        def survival(n_points):
-            sf = spectral_function(form_factor_grid(band, GAMMA, n_points=n_points), 0.0)
+        def survival(points):
+            monkeypatch.setattr(formfactor, "_GRID_POINTS", points)
+            sf = spectral_function(form_factor_grid(band, GAMMA), 0.0)
             return np.abs(survival_amplitude_spectral(sf, t)) ** 2
 
         assert np.abs(survival(200) - survival(800)).max() < 1e-4
@@ -238,7 +239,7 @@ class TestPerturbativeDecay:
                                              center=5.0 * FIG_DELTA), GAMMA, tol=1e-9)
         line = grid.line
         lo, hi = line.x[0], line.x[-1]
-        want = float(line.integrate(lo, hi)) - free_value(GAMMA) * (hi - lo)
+        want = float(line.antiderivative()(hi)) - free_value(GAMMA) * (hi - lo)
         t = np.array([1e-8, 1e-7, 1e-6])
         got = (perturbative_decay(grid, 0.0, t) - GAMMA * t) / t ** 2
         np.testing.assert_allclose(got, want, rtol=1e-6)
@@ -488,6 +489,46 @@ class TestSkeleton:
         eps, beta = (E - band.center) / band.delta, band.eta / (2.0 * band.delta)
         smooth = 0.5j * GAMMA * (formfactor._edge_integral(band.n, beta, eps, (40,))[0] - 1.0)
         assert np.abs(np.diff(self_energy(band, GAMMA, E) - smooth, 4)).max() <= bound
+
+    @pytest.mark.parametrize("direction", [1.0, 1j, (1.0 - 1j) / math.sqrt(2.0)],
+                             ids=["re", "im", "both"])
+    @pytest.mark.parametrize("factor", [0.9, 1.1])
+    def test_held_out_check_is_self_energys_budget(self, monkeypatch, direction, factor):
+        # one panel of the dotted set, off the band edges and the grid.  Its held-out Sigma
+        # misses by `factor` times self_energy's budget |dSigma|/pi <= 20 tol max(g2,
+        # gamma/2pi); the skeleton keeps the panel exactly where self_energy accepts a rule
+        # pair apart by the same miss, whether the miss is in Re Sigma, g2 or both
+        band = DetectorBand(eta=10.0, delta=FIG_DELTA, n=6, center=0.0)
+        grid = form_factor_grid(band, GAMMA)
+        lo, hi = 0.3, 0.3 + 0.9 * band.strip
+        theta = np.pi / (spectral._SKELETON - 1) * np.array(spectral._HELD_OUT)
+        held = (lo + hi) / 2.0 + (hi - lo) / 2.0 * np.cos(theta)
+        direct = self_energy(band, GAMMA, held, grid.tol)
+        budget = 20.0 * grid.tol * np.maximum(-direct.imag, math.pi * free_value(GAMMA))
+        miss = factor * direction * budget  # in Sigma, pi times the g2 budget
+        calls, inner = [], spectral.self_energy
+
+        def shifted(band, gamma, E, tol):
+            if len(E):  # the redo call runs on no energies when every panel holds
+                calls.append(len(E))
+            return inner(band, gamma, E, tol) + (E[:, None] == held) @ miss
+
+        monkeypatch.setattr(spectral, "self_energy", shifted)
+        spectral._sigma(grid, np.linspace(lo, hi, 102)[1:-1], lo, hi)
+        edge_integral, accepted = formfactor._edge_integral, []
+        for e, m in zip(held, miss):
+            def apart(n, beta, eps, orders, m=m):  # Sigma = (i gamma/2)(fine - 1)
+                fine, coarse = edge_integral(n, beta, eps, orders)
+                return fine, fine - m / (0.5j * GAMMA)
+            monkeypatch.setattr(formfactor, "_edge_integral", apart)
+            try:
+                self_energy(band, GAMMA, e, grid.tol)
+                accepted.append(True)
+            except QuadratureFailure:
+                accepted.append(False)
+        # the panel's 24 nodes and 3 held-out energies, then its 100 energies if it fails
+        assert calls == ([27] if factor < 1.0 else [27, 100])
+        assert accepted == [factor < 1.0] * 3
 
     def test_failing_panels_evaluate_directly(self, monkeypatch):
         # four nodes cannot carry Sigma across any panel of the dotted set to the budget:
