@@ -3,12 +3,13 @@ monitoring by a finite-bandwidth photodetector.
 
 The library covers four layers:
 
-* :mod:`zenoband.model` -- scenario types, validation, detector response,
-  and the monitoring-regime condition report;
+* :mod:`zenoband.model` -- the scenario type, its validation and the
+  detector response;
 * :mod:`zenoband.formfactor` -- the self-energy Sigma(E + i0) over the
   band-renormalized continuum, whose -Im/pi is the form factor |g_mu|^2 and
   whose -2 Im at omega is the suppressed decay rate (the flat band in closed
-  form), dense grids, and the sum-rule check;
+  form), dense grids, the sum-rule check and the monitoring-regime
+  condition report;
 * :mod:`zenoband.dynamics` -- propagation of the single-excitation
   amplitudes on a discretized photon continuum, giving the survival, error,
   and response probabilities s, eps, r;
@@ -30,20 +31,19 @@ from .errors import (
     ZenobandError,
 )
 from .model import (
-    ConditionReport,
     DetectorBand,
     ModelParams,
     NumericalControls,
-    ValidatedModel,
     detector_response,
-    qze_condition_report,
     validate_params,
 )
 from .formfactor import (
+    ConditionReport,
     FormFactorGrid,
     PiecewisePoly,
     form_factor_grid,
     free_value,
+    qze_condition_report,
     self_energy,
     sum_rule_defect,
 )

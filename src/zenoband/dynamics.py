@@ -31,7 +31,7 @@ import numpy as np
 from ._phi import gauss_legendre, phi_functions
 from .errors import NoResponse, ToleranceNotMet
 from .formfactor import PiecewisePoly, free_value
-from .model import ValidatedModel, detector_response
+from .model import ModelParams, detector_response
 
 __all__ = [
     "DiscretizedModel",
@@ -96,7 +96,7 @@ class ProbabilityTrace:
     gamma: float
 
 
-def discretize_continuum(m: ValidatedModel) -> DiscretizedModel:
+def discretize_continuum(m: ModelParams) -> DiscretizedModel:
     """Build the propagation target from a validated scenario.
 
     It only builds: :func:`~zenoband.model.validate_params` has already checked

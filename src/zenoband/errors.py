@@ -40,7 +40,7 @@ class WindowTooNarrow(ZenobandError):
 
 
 class ToleranceNotMet(ZenobandError):
-    """Propagation finished but the bookkeeping defect exceeds the tolerance."""
+    """A finished result fails its own check: the propagator's norm defect or the line's area."""
 
 
 class NoResponse(ZenobandError):

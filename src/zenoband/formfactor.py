@@ -9,7 +9,8 @@ to a single effective continuum whose squared coupling density is
 Without a detector (eta = 0) the integrand collapses to a delta function and
 g2 is the free value gamma/2pi for every mu; a finite band suppresses g2
 inside the detection window and enhances it just outside, with the deviation
-integrating to zero over the whole line.
+integrating to zero over the whole line.  The monitoring-regime report reads
+its suppressed rate from the same Sigma.
 """
 
 from __future__ import annotations
@@ -22,13 +23,15 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ._phi import _BLOCK, gauss_legendre
-from .errors import QuadratureFailure, WindowTooNarrow
-from .model import DetectorBand, NumericalControls, _flat_band_log, _profile, free_value
+from .errors import QuadratureFailure, ValidationError, WindowTooNarrow
+from .model import DetectorBand, ModelParams, NumericalControls, _profile, free_value
 
 __all__ = [
     "FormFactorGrid",
     "PiecewisePoly",
+    "ConditionReport",
     "self_energy",
+    "qze_condition_report",
     "form_factor_grid",
     "sum_rule_defect",
     "free_value",
@@ -40,6 +43,12 @@ __all__ = [
 _ORDERS = ((12, 8), (20, 16))
 _LADDER_RATIO = 4.0
 _STEEP, _NEWTON, _FAR, _GRID_POINTS = 0.5, 8, 2.0 ** 100, 400
+
+# Verdict thresholds; the underlying inequalities are asymptotic ("much
+# smaller", "of order one"), so these are conventional defaults and the raw
+# ratios are always reported alongside.
+LINEWIDTH_RATIO_MAX = 0.1   # gamma/Delta
+RESPONSE_RATIO_MAX = 1.0    # tau*Delta = Delta/eta
 
 
 def _within_budget(err, g2, free, tol):
@@ -306,6 +315,23 @@ def _edge_integral(n, beta, eps, orders):
     return beta / math.pi * (out - 1j * math.pi * res)
 
 
+def _flat_band_log(d, eta: float, delta: float):
+    """The flat band's Sigma(E + i0) in units of gamma/2pi at offset d = E - center:
+
+        ln((d + delta + i eta/2)/(d - delta + i eta/2)) - ln|(d + delta)/(d - delta)|
+        - i pi [|d| >= delta],
+
+    one log term per band edge, where eta_k jumps.  -Im/pi is the suppression
+    2 pi g2/gamma: (1/pi) [arctan((d + delta)/(eta/2)) - arctan((d - delta)/(eta/2))]
+    inside the open band, plus 1 outside it.  Elementwise in d.
+    """
+    d = np.asarray(d, dtype=float)
+    with np.errstate(divide="ignore"):  # Re Sigma diverges at the edges
+        edges = np.log((d + delta + 0.5j * eta) / (d - delta + 0.5j * eta))
+        bare = np.log(np.abs((d + delta) / (d - delta)))
+    return edges - bare - 1j * np.pi * (np.abs(d) >= delta)
+
+
 def self_energy(band: DetectorBand, gamma: float, E, tol: float = NumericalControls.quad_tol):
     """Sigma(E + i0) over the damped photon continuum: a complex at a scalar E, else an array.
 
@@ -315,7 +341,7 @@ def self_energy(band: DetectorBand, gamma: float, E, tol: float = NumericalContr
     decays at the rate -2 Im Sigma.  A band without a center is centred at 0.
     At eta = 0, and from |E - center| = ``_FAR`` delta on (an overflowed offset too),
     Sigma is -i gamma/2 on every band.  The flat band's eta'_k is two delta functions,
-    closed form in :func:`~zenoband.model._flat_band_log`, whose g2 takes the outer
+    closed form in :func:`_flat_band_log`, whose g2 takes the outer
     gamma/2pi exactly at an edge.  On a power-law band the pole subtracted at E is the
     denominator's own zero near E + i pi eta_E, with its residue, except where
     |pi eta'_E| >= 1/2 (:func:`_edge_integral`).  Each energy reports the finer rule of
@@ -349,6 +375,47 @@ def self_energy(band: DetectorBand, gamma: float, E, tol: float = NumericalContr
                                     f"{err[todo[0]]:.3e} exceeds budget for tol={tol:.1e}")
         sigma[near] = 0.5j * gamma * (fine - 1.0)
     return sigma if np.ndim(E) else complex(sigma[0])
+
+
+@dataclass(frozen=True)
+class ConditionReport:
+    """Dimensionless regime ratios, the suppressed rate and the resulting verdict."""
+
+    ratio_linewidth: float       # gamma/Delta
+    ratio_response: float        # tau*Delta = Delta/eta
+    suppression_estimate: float  # 2*pi*|g_Omega|^2/gamma = -2 Im Sigma(omega)/gamma
+    verdict: str                 # "QZE-regime" | "weak-suppression" | "no-detection-overlap"
+
+
+def qze_condition_report(m: ModelParams) -> ConditionReport:
+    """Evaluate the two monitoring-regime ratios and classify the validated scenario ``m``.
+
+    The suppression is the band's own decay rate over the free one,
+    -2 Im Sigma(omega)/gamma from :func:`self_energy` at ``quad_tol``; on a
+    centred flat band it is (2/pi) arctan(2 delta/eta).  A band that misses
+    the atomic line entirely (|center - omega| > delta) is reported as
+    ``no-detection-overlap`` regardless of the ratios.  Raises
+    :class:`ValidationError` (code ``eta``) at eta = 0, where there is no
+    measurement to report on, before Sigma is evaluated.
+    """
+    band = m.band
+    if band.eta <= 0.0:
+        raise ValidationError([("eta", "eta = 0: no measurement, condition report undefined")])
+    ratio_lw = m.gamma / band.delta
+    ratio_rs = band.delta / band.eta
+    supp = -2.0 * self_energy(band, m.gamma, m.omega, m.numerics.quad_tol).imag / m.gamma
+    if abs(m.omega - band.center) > band.delta:
+        verdict = "no-detection-overlap"
+    elif ratio_lw <= LINEWIDTH_RATIO_MAX and ratio_rs <= RESPONSE_RATIO_MAX:
+        verdict = "QZE-regime"
+    else:
+        verdict = "weak-suppression"
+    return ConditionReport(
+        ratio_linewidth=float(ratio_lw),
+        ratio_response=float(ratio_rs),
+        suppression_estimate=float(supp),
+        verdict=verdict,
+    )
 
 
 def _ladder(start, stop, s0, ratio):

@@ -1,4 +1,4 @@
-"""Physical scenario: atom + detection band, validation and regime report.
+"""Physical scenario: atom + detection band, and the rules it must meet.
 
 A scenario is a two-level atom with decay rate ``gamma`` and transition
 energy ``omega``, whose emitted photon is absorbed by a detector that
@@ -23,19 +23,11 @@ __all__ = [
     "DetectorBand",
     "NumericalControls",
     "ModelParams",
-    "ValidatedModel",
-    "ConditionReport",
     "validate_params",
     "default_cutoff",
     "detector_response",
-    "qze_condition_report",
 ]
 
-# Verdict thresholds; the underlying inequalities are asymptotic ("much
-# smaller", "of order one"), so these are conventional defaults and the raw
-# ratios are always reported alongside.
-LINEWIDTH_RATIO_MAX = 0.1   # gamma/Delta
-RESPONSE_RATIO_MAX = 1.0    # tau*Delta = Delta/eta
 SIGMA_BUDGET = 5e-8         # |Sigma| the window may drop at omega + 4i/T, in units of gamma
 _LADDER = 1.05              # ratio between the windows default_cutoff tries
 REVIVAL_MARGIN = 4.0        # flat bands and eta = 0: recurrence beyond this many horizons
@@ -70,18 +62,6 @@ class DetectorBand:
         """delta sin(pi/n), how far eta_k's poles lie off the real k axis; 0 if flat or eta = 0."""
         return self.delta * np.sin(np.pi / self.n) if self.eta > 0.0 and not self.is_flat else 0.0
 
-    def violations(self):
-        out = []
-        if not np.isfinite(self.eta) or self.eta < 0.0:
-            out.append(("eta", f"eta must be >= 0, got {self.eta}"))
-        if not np.isfinite(self.delta) or self.delta <= 0.0:
-            out.append(("delta", f"delta must be > 0, got {self.delta}"))
-        if self.n is not None and (self.n < 2 or self.n % 2 != 0):
-            out.append(("n", f"band exponent must be even and >= 2, got {self.n}"))
-        if self.center is not None and not np.isfinite(self.center):
-            out.append(("center", f"center must be finite, got {self.center}"))
-        return out
-
 
 @dataclass(frozen=True)
 class NumericalControls:
@@ -105,45 +85,15 @@ class NumericalControls:
     quad_tol: float = 1e-9
     allow_narrow_window: bool = False
 
-    def violations(self):
-        out = []
-        for name in ("cutoff", "dk", "horizon", "step"):
-            v = getattr(self, name)
-            if v is not None and (not np.isfinite(v) or v <= 0.0):
-                out.append((name, f"{name} must be > 0, got {v}"))
-        if not (0.0 < self.quad_tol < 1.0):
-            out.append(("quad_tol", f"quad_tol must be in (0, 1), got {self.quad_tol}"))
-        return out
-
 
 @dataclass(frozen=True)
 class ModelParams:
-    """User-facing scenario description (unvalidated)."""
+    """A scenario, as written or as :func:`validate_params` returns it, defaults resolved."""
 
     gamma: float
     omega: float = 0.0
     band: DetectorBand = DetectorBand(eta=0.0, delta=1.0)
     numerics: NumericalControls = NumericalControls()
-
-
-@dataclass(frozen=True)
-class ValidatedModel:
-    """Immutable validated scenario with all defaults resolved."""
-
-    gamma: float
-    omega: float
-    band: DetectorBand          # center resolved
-    numerics: NumericalControls  # cutoff/dk/horizon/step resolved
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Dimensionless regime ratios and the resulting verdict."""
-
-    ratio_linewidth: float       # gamma/Delta
-    ratio_response: float        # tau*Delta = Delta/eta
-    suppression_estimate: float  # 2*pi*|g_Omega|^2/gamma, flat-band analytic
-    verdict: str                 # "QZE-regime" | "weak-suppression" | "no-detection-overlap"
 
 
 def free_value(gamma: float) -> float:
@@ -161,7 +111,8 @@ def _window_defect(gamma, band: DetectorBand, omega: float, K: float, eps: compl
     k = band.center - omega + np.outer([1.0, -1.0], K / u)  # both sides
     damp = 1j * np.pi * detector_response(band, omega + k)
     wk = K * w / u ** 2
-    return free_value(gamma) * abs(((damp / ((eps - k) * (eps - k + damp))) @ wk).sum())
+    with np.errstate(over="ignore"):  # an overflowed term divides to 0
+        return free_value(gamma) * abs(((damp / ((eps - k) * (eps - k + damp))) @ wk).sum())
 
 
 def default_cutoff(gamma, band: DetectorBand, omega: float, horizon: float) -> float:
@@ -176,8 +127,8 @@ def default_cutoff(gamma, band: DetectorBand, omega: float, horizon: float) -> f
     return K
 
 
-def validate_params(p: ModelParams) -> ValidatedModel:
-    """Validate a scenario and fill defaulted numerics.
+def validate_params(p: ModelParams) -> ModelParams:
+    """``p`` with ``band.center`` and every ``numerics`` field resolved, once it meets every rule.
 
     Every rule a model must meet, each violation a ``(code, message)`` pair
     whose code is the key to change.  The raw fields come first and raise
@@ -189,21 +140,30 @@ def validate_params(p: ModelParams) -> ValidatedModel:
     with no strip s), cutoff (K >= :func:`default_cutoff` at this T unless
     ``allow_narrow_window``) and horizon, dk or step (~2K/dk cells, none at eta = 0,
     and ~T/step step records within ``_MAX_CORE_BYTES``).  Each stage raises one
-    :class:`ValidationError`.
+    :class:`ValidationError`.  A validated scenario validates to itself.
     """
-    violations = []
+    band, num, violations = p.band, p.numerics, []
     if not np.isfinite(p.gamma) or p.gamma <= 0.0:
         violations.append(("gamma", f"gamma must be > 0, got {p.gamma}"))
     if not np.isfinite(p.omega):
         violations.append(("omega", f"omega must be finite, got {p.omega}"))
-    violations += p.band.violations()
-    violations += p.numerics.violations()
+    if not np.isfinite(band.eta) or band.eta < 0.0:
+        violations.append(("eta", f"eta must be >= 0, got {band.eta}"))
+    if not np.isfinite(band.delta) or band.delta <= 0.0:
+        violations.append(("delta", f"delta must be > 0, got {band.delta}"))
+    if band.n is not None and (band.n < 2 or band.n % 2 != 0):
+        violations.append(("n", f"band exponent must be even and >= 2, got {band.n}"))
+    if band.center is not None and not np.isfinite(band.center):
+        violations.append(("center", f"center must be finite, got {band.center}"))
+    for name in ("cutoff", "dk", "horizon", "step"):
+        v = getattr(num, name)
+        if v is not None and (not np.isfinite(v) or v <= 0.0):
+            violations.append((name, f"{name} must be > 0, got {v}"))
+    if not (0.0 < num.quad_tol < 1.0):
+        violations.append(("quad_tol", f"quad_tol must be in (0, 1), got {num.quad_tol}"))
 
-    band = p.band
     if band.center is None:
         band = replace(band, center=p.omega)
-
-    num = p.numerics
     if not violations and num.cutoff is not None and num.cutoff < band.delta:
         violations.append(
             ("cutoff", f"cutoff K={num.cutoff} is below the half-bandwidth delta={band.delta}")
@@ -254,8 +214,7 @@ def validate_params(p: ModelParams) -> ValidatedModel:
     if violations:
         raise ValidationError(violations)
 
-    num = replace(num, cutoff=K, dk=dk, horizon=T, step=step)
-    return ValidatedModel(gamma=p.gamma, omega=p.omega, band=band, numerics=num)
+    return replace(p, band=band, numerics=replace(num, cutoff=K, dk=dk, horizon=T, step=step))
 
 
 def detector_response(band: DetectorBand, k):
@@ -286,51 +245,3 @@ def _profile(x, n):
         np.multiply(np.multiply(dh, -n, out=dh), h, out=dh)
         dh[h == 0.0] = 0.0  # h underflows only where x^n overflows, and there dh is inf * 0
     return h, dh
-
-
-def _flat_band_log(d, eta: float, delta: float):
-    """The flat band's Sigma(E + i0) in units of gamma/2pi at offset d = E - center:
-
-        ln((d + delta + i eta/2)/(d - delta + i eta/2)) - ln|(d + delta)/(d - delta)|
-        - i pi [|d| >= delta],
-
-    one log term per band edge, where eta_k jumps.  -Im/pi is the suppression
-    2 pi g2/gamma: (1/pi) [arctan((d + delta)/(eta/2)) - arctan((d - delta)/(eta/2))]
-    inside the open band, plus 1 outside it.  Elementwise in d.
-    """
-    d = np.asarray(d, dtype=float)
-    with np.errstate(divide="ignore"):  # Re Sigma diverges at the edges
-        edges = np.log((d + delta + 0.5j * eta) / (d - delta + 0.5j * eta))
-        bare = np.log(np.abs((d + delta) / (d - delta)))
-    return edges - bare - 1j * np.pi * (np.abs(d) >= delta)
-
-
-def qze_condition_report(m: ValidatedModel) -> ConditionReport:
-    """Evaluate the two monitoring-regime ratios and classify the scenario.
-
-    The suppression estimate is the flat-band closed form 2 pi g2(omega)/gamma
-    of :func:`_flat_band_log`, which reduces to (2/pi) * arctan(2*delta/eta)
-    for a centered band.  A band that misses the atomic line entirely
-    (|center - omega| > delta) is reported as ``no-detection-overlap``
-    regardless of the ratios.  Raises :class:`ValidationError` (code ``eta``)
-    at eta = 0, where there is no measurement to report on.
-    """
-    band = m.band
-    if band.eta <= 0.0:
-        raise ValidationError([("eta", "eta = 0: no measurement, condition report undefined")])
-    ratio_lw = m.gamma / band.delta
-    ratio_rs = band.delta / band.eta
-    d = m.omega - band.center
-    supp = -_flat_band_log(d, band.eta, band.delta).imag / np.pi
-    if abs(d) > band.delta:
-        verdict = "no-detection-overlap"
-    elif ratio_lw <= LINEWIDTH_RATIO_MAX and ratio_rs <= RESPONSE_RATIO_MAX:
-        verdict = "QZE-regime"
-    else:
-        verdict = "weak-suppression"
-    return ConditionReport(
-        ratio_linewidth=float(ratio_lw),
-        ratio_response=float(ratio_rs),
-        suppression_estimate=float(supp),
-        verdict=verdict,
-    )

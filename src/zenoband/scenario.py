@@ -20,8 +20,9 @@ import numpy as np
 
 from .config import MODEL_KEYS, model_params_from_dict, parse_kv_text
 from .errors import ConfigError, NoResponse, WindowTooNarrow
-from .formfactor import _default_window, form_factor_grid, free_value, self_energy, sum_rule_defect
-from .model import ModelParams, ValidatedModel, validate_params, qze_condition_report
+from .formfactor import (_default_window, form_factor_grid, free_value, qze_condition_report,
+                         self_energy, sum_rule_defect)
+from .model import ModelParams, validate_params
 from .dynamics import SAMPLES, discretize_continuum, propagate, response_delay, decay_rate_trace
 from .spectral import perturbative_decay, spectral_function, survival_amplitude_spectral
 
@@ -141,7 +142,7 @@ def _fig3_samples(m) -> np.ndarray:
     return np.unique(np.concatenate([[0.0], log_part, _evolve_samples(m)]))
 
 
-def product_report(m: ValidatedModel):
+def product_report(m: ModelParams):
     rep = qze_condition_report(m)
     lines = [f"gamma/Delta = {rep.ratio_linewidth:.6g}", f"tau*Delta   = {rep.ratio_response:.6g}",
              f"suppression estimate 2*pi*|g_Omega|^2/gamma = {rep.suppression_estimate:.6g}",
@@ -158,7 +159,7 @@ def _formfactor(m, band):
     return table, grid, -self_energy(band, m.gamma, m.omega, m.numerics.quad_tol).imag / math.pi
 
 
-def product_formfactor(m: ValidatedModel):
+def product_formfactor(m: ModelParams):
     table, grid, g2_line = _formfactor(m, m.band)
     summary = (f"formfactor: g2(omega)={g2_line:.6e}, "
                f"suppression={2 * math.pi * g2_line / m.gamma:.6f}")
@@ -169,7 +170,7 @@ def product_formfactor(m: ValidatedModel):
     return {"formfactor.csv": table}, [summary]
 
 
-def _propagated(m: ValidatedModel):
+def _propagated(m: ModelParams):
     """(trace at the evolve samples, response delay or None, the resolved photon window)."""
     dm = discretize_continuum(m)
     trace = propagate(dm, _evolve_samples(m))
@@ -180,7 +181,7 @@ def _propagated(m: ValidatedModel):
     return trace, delay, f"cutoff={dm.cutoff:.6g}, core_modes={len(dm.k_grid)}"
 
 
-def product_evolve(m: ValidatedModel):
+def product_evolve(m: ModelParams):
     trace, delay, window = _propagated(m)
     delay_txt = "n/a" if delay is None else f"{delay:.4f}"
     return ({"evolve.csv": (["t", "s", "eps", "r", "norm_defect"],
@@ -190,7 +191,7 @@ def product_evolve(m: ValidatedModel):
              f"response_delay={delay_txt}, {window}"])
 
 
-def product_spectral(m: ValidatedModel):
+def product_spectral(m: ModelParams):
     grid = form_factor_grid(m.band, m.gamma, _default_window(m.band, m.gamma, m.omega),
                             tol=m.numerics.quad_tol)
     sf = spectral_function(grid, m.omega)
@@ -204,7 +205,7 @@ def product_spectral(m: ValidatedModel):
              f"rates free={m.gamma:.6g} suppressed={-2.0 * sf.sigma_omega.imag:.6g}"])
 
 
-def product_fig1(m: ValidatedModel):
+def product_fig1(m: ModelParams):
     trace, delay, window = _propagated(m)
     delay_txt = "n/a"
     if delay is not None:
@@ -215,7 +216,7 @@ def product_fig1(m: ValidatedModel):
             [f"fig1: r(T)={trace.r[-1]:.4f}, response_delay={delay_txt}, {window}"])
 
 
-def product_fig2(m: ValidatedModel):
+def product_fig2(m: ModelParams):
     files, lines = {}, []
     for r in FIG2_RATIOS:
         table, _, g2_line = _formfactor(m, replace(m.band, eta=r * 2.0 * math.pi * m.band.delta))
@@ -225,7 +226,7 @@ def product_fig2(m: ValidatedModel):
     return files, lines
 
 
-def _fig3_models(params: ModelParams, pinned) -> Tuple[ValidatedModel, ...]:
+def _fig3_models(params: ModelParams, pinned) -> Tuple[ModelParams, ...]:
     """The validated FIG3_SETS models: cited eta/delta, except where ``pinned``."""
     gamma, band = params.gamma, params.band
     bands = (replace(band, eta=band.eta if "eta" in pinned else eta * gamma,
@@ -234,7 +235,7 @@ def _fig3_models(params: ModelParams, pinned) -> Tuple[ValidatedModel, ...]:
     return tuple(validate_params(replace(params, band=b)) for b in bands)
 
 
-def product_fig3(models: Sequence[ValidatedModel]):
+def product_fig3(models: Sequence[ModelParams]):
     """One curve per FIG3_SETS entry, from its model in ``models``."""
     files, lines = {}, []
     for (two_pi_delta, eta), m in zip(FIG3_SETS, models):
@@ -302,8 +303,8 @@ def _points(cfg: ScenarioConfig):
             swept["center"] = cfg.params.omega + swept.pop("det")
         params = replace(cfg.params, band=replace(cfg.params.band, **swept))
         model = validate_params(params) if prods - {"fig3"} else None
-        if "report" in prods:
-            qze_condition_report(model)  # refuses eta = 0, before any point runs
+        if "report" in prods and model.band.eta == 0.0:
+            qze_condition_report(model)  # refuses eta = 0 as an input, before any numerics run
         fig3 = _fig3_models(params, cfg.explicit | set(swept)) if "fig3" in prods else ()
         sub = "_".join(tag for tag, _, _ in combo)
         points.append((cfg.products, os.path.join(cfg.out_dir, sub) if sub else cfg.out_dir,

@@ -16,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from ._phi import free_tail_moments, kernel_antiderivatives, phase_blocks, phi_functions
-from .errors import HorizonExceeded, WindowTooNarrow
+from .errors import HorizonExceeded, ToleranceNotMet, WindowTooNarrow
 from .formfactor import (FormFactorGrid, PiecewisePoly, _ladder, _split_cubic, _within_budget,
                          free_value, self_energy)
 
@@ -32,6 +32,9 @@ _SKELETON = 24            # second-kind Chebyshev nodes per panel of Sigma acros
 _HELD_OUT = (0.5, 11.5, 22.5)  # a panel's held-out energies, between nodes 0|1, 11|12, 22|23
 _MOMENTS = 16             # Taylor terms of phi4 on the nodes with |t x| < _NEAR
 _NEAR = 1.0               # |t x| below which phi4 is summed from moments, not cos/sin
+# Largest normalization defect spectral_function() accepts.  Measured route gaps
+# run 2-4x the defect, so 2e-4 keeps the spectral route inside the 1e-3 cross-route gate.
+DEFECT_TOL = 2e-4
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,8 @@ def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
     spline breaks where the grid's does, at a flat band's edges; Re Sigma's
     log cusp takes A to 0 there only within ~exp(-2 pi |E - omega|/gamma), so
     each side's value is extrapolated from its own nodes.  The unit-area check
-    integrates the spline and adds the 1/(E-omega)^2 tail mass beyond the window.
+    integrates the spline and adds the 1/(E-omega)^2 tail mass beyond the window;
+    a defect above ``DEFECT_TOL`` raises :class:`ToleranceNotMet`.
     """
     sigma_omega = complex(_sigma(grid, np.array([omega]), omega, omega)[0])
     center, half_w = omega + sigma_omega.real, -sigma_omega.imag  # of the dressed line
@@ -139,8 +143,11 @@ def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
     area = float(line.antiderivative()(line.x[-1]))  # from line.x[0]
     # analytic mass of the (gamma/2pi)/(E-omega)^2 tails beyond the window
     tail = free_value(grid.gamma) * (1.0 / (hi - omega) + 1.0 / (omega - lo))
+    defect = abs(1.0 - (area + tail))
+    if not defect <= DEFECT_TOL:
+        raise ToleranceNotMet(f"normalization defect {defect:.3e} exceeds {DEFECT_TOL:.1e}")
     return SpectralFunction(E=E, A=A, line=line, sigma_omega=sigma_omega,
-                            normalization_defect=abs(1.0 - (area + tail)),
+                            normalization_defect=defect,
                             omega=omega, gamma=grid.gamma, window=(lo, hi))
 
 

@@ -307,6 +307,29 @@ def krogstad_reference(dm, ts):
     return np.abs(F) ** 2, eps, r, CubicSpline(times, rec_r)(ts)
 
 
+def eig_reference(dm, ts):
+    """s(t) of ``propagate(dm, ts)`` from the eigenvectors of the constant generator.
+
+    The state x = (F, photons F_j, ghosts G_j) obeys dx/dt = M x, with M the
+    arrowhead written out from the equations of motion: diagonal -gamma/2,
+    -i(k_j - i pi eta_j - omega) and -i(k_j - omega); the atom row -i c_j on
+    the photons and +i c_j on the ghosts; the column -i c_j.  With
+    M = V diag(lam) V^-1, F(t) = Sum_j V_0j (V^-1)_j0 e^{lam_j t} at any t, with
+    no steps and no interpolation.  Dense ``np.linalg.eig``, since M is complex
+    and non-normal: O(rows^3), for a few hundred modes.
+    """
+    c = dm.coupling
+    M = np.diag(np.concatenate([[-0.5 * dm.gamma], -1j * (dm.mode_energy - dm.omega),
+                                -1j * (dm.k_grid - dm.omega)]))
+    M[0, 1:] = -1j * np.concatenate([c, -c])
+    M[1:, 0] = -1j * np.concatenate([c, c])
+    lam, V = np.linalg.eig(M)
+    e0 = np.zeros(len(M))
+    e0[0] = 1.0
+    F = np.exp(np.outer(ts, lam)) @ (V[0] * np.linalg.solve(V, e0))
+    return np.abs(F) ** 2
+
+
 def survival_cellwise_reference(sf, t):
     """Survival amplitude of ``sf`` at times ``t`` (an array), cell by cell.
 

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import g2_quad_oracle
 from zenoband import (
     DetectorBand,
     ModelParams,
@@ -114,6 +115,18 @@ class TestValidateParams:
                                                                       center=center)))
         assert [c for c, _ in exc.value.violations] == ["center"]
 
+    @pytest.mark.parametrize("band", [
+        DetectorBand(eta=100.0, delta=100 / (2 * math.pi)),
+        DetectorBand(eta=10.0, delta=100 / (2 * math.pi)),
+        DetectorBand(eta=1000.0, delta=1000 / (2 * math.pi)),
+        DetectorBand(eta=100.0, delta=100 / (2 * math.pi), n=None),
+        DetectorBand(eta=100.0, delta=100 / (2 * math.pi), center=2.5 * 100 / (2 * math.pi)),
+    ], ids=["solid", "dotted", "broken", "flat", "detuned"])
+    def test_validated_scenario_validates_to_itself(self, band):
+        m = validate_params(ModelParams(gamma=1.0, band=band))
+        assert type(m) is ModelParams
+        assert validate_params(m) == m
+
     def test_center_defaults_to_omega(self):
         m = validate_params(ModelParams(gamma=1.0, omega=7.0,
                                         band=DetectorBand(eta=1.0, delta=1.0, n=6)))
@@ -147,10 +160,20 @@ class TestConditionReport:
             ("eta", "eta = 0: no measurement, condition report undefined")]
 
     def test_suppression_estimate_centered(self):
-        rep = qze_condition_report(self.fig3_solid())
+        # the n = 6 band's own rate 2 pi g2(omega)/gamma, where the flat band's arctan
+        # (2/pi) atan(2 delta/eta) would read 0.1962
+        m = self.fig3_solid()
+        rep = qze_condition_report(m)
+        assert rep.suppression_estimate == pytest.approx(
+            2 * math.pi * g2_quad_oracle(m.band, 1.0, 0.0), rel=1e-9)
+        assert f"{rep.suppression_estimate:.6g}" == "0.331872"
+
+    def test_flat_band_suppression_is_the_arctan(self):
         delta = 100.0 / (2 * math.pi)
+        m = validate_params(ModelParams(gamma=1.0, band=DetectorBand(eta=100.0, delta=delta,
+                                                                     n=None)))
         want = (2.0 / math.pi) * math.atan(2 * delta / 100.0)
-        assert rep.suppression_estimate == pytest.approx(want, rel=1e-12)
+        assert qze_condition_report(m).suppression_estimate == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 7.0, 4096.0])
     def test_scale_invariance(self, scale):

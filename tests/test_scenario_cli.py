@@ -252,6 +252,48 @@ class TestCli:
         assert "QZE-regime" in out
         assert "report.txt" in out
 
+    @pytest.mark.parametrize("band", [
+        ["eta=100", f"delta={100 / (2 * math.pi)!r}"],
+        ["eta=10", f"delta={100 / (2 * math.pi)!r}"],
+        ["eta=1000", f"delta={1000 / (2 * math.pi)!r}"],
+        ["eta=100", "delta=15.9155", "n=2"],
+        ["eta=100", "delta=15.9155", "n=24"],
+        ["eta=100", "delta=15.9155", "n=400"],
+        ["eta=100", "delta=15.9155", "n=1600"],
+        ["eta=100", "delta=15.9155", f"center={2.5 * 15.9155!r}"],
+    ], ids=["solid", "dotted", "broken", "n2", "n24", "n400", "n1600", "detuned"])
+    def test_report_prints_the_spectral_rate(self, tmp_path, capsys, band):
+        # both read -2 Im Sigma(omega): report.txt's suppression at gamma = 1 is the
+        # spectral product's suppressed rate, digit for digit
+        ov = [arg for kv in band for arg in ("--override", kv)]
+        assert run_cli(["report", "--out", str(tmp_path)] + ov) == 0
+        assert run_cli(["spectral", "--out", str(tmp_path)] + ov) == 0
+        rate = capsys.readouterr().out.split("suppressed=")[1].split()[0]
+        lines = (tmp_path / "report.txt").read_text().splitlines()
+        assert lines[2] == f"suppression estimate 2*pi*|g_Omega|^2/gamma = {rate}"
+
+    def test_report_of_a_band_far_off_the_line_is_quiet(self, tmp_path, capsys):
+        # omega = 1e300 from a band at 0: the window rule's far terms overflow to inf and
+        # divide to 0, with no numpy overflow warning on stderr
+        rc = run_cli(["report", "--out", str(tmp_path), "--override", "omega=1e300",
+                      "--override", "center=0", "--override", "eta=1", "--override", "delta=1"])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("center,code", [("17.5", 2), ("16.5", 2), ("14", 0)])
+    def test_spectral_normalization_gate(self, tmp_path, capsys, center, code):
+        # a flat band's lower edge 1.6 and 0.6 gamma above the line: A's peaks by the edge
+        # are missed (defects 6.9e-3 and 3.6e-4, route gaps 1.4e-2 and 1.1e-3), so the
+        # 2e-4 gate refuses the line; with the edge 1.9 gamma below it, 3.3e-6 passes
+        rc = run_cli(["spectral", "--out", str(tmp_path / "out"), "--override", "flat=true",
+                      "--override", "eta=100", "--override", "delta=15.9155",
+                      "--override", f"center={center}"])
+        assert rc == code
+        if code:
+            assert capsys.readouterr().err.startswith(
+                "numerical failure [ToleranceNotMet]: normalization defect ")
+            assert not (tmp_path / "out").exists()
+
     def test_unknown_key_exit_one(self, tmp_path, capsys):
         rc = run_cli(["report", "--out", str(tmp_path), "--override", "bogus=1"])
         assert rc == 1
