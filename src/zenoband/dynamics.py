@@ -51,29 +51,24 @@ SAMPLES = 501            # propagate's default sample times, uniform on [0, T]
 
 @dataclass(frozen=True)
 class DiscretizedModel:
-    """The atom's Markov term plus the band's photon/ghost pairs on a grid.
+    """The band's photon/ghost pairs on a grid, built for the validated ``model``.
 
-    ``k_grid``/``mode_energy``/``coupling`` are the damped photon modes, one
-    per cell of the grid of half-width ``cutoff`` around the band centre
-    (energies absolute, mode_energy = k - i*pi*eta_k, coupling c =
-    sqrt(g2*dk)).  Each has an undamped ghost at the same k, which the
-    ``tail_*`` properties read from these fields.  ``atom_shift`` =
-    -i*gamma/2 is the free line's self-energy.  At eta = 0 there are no modes.
+    ``k_grid``/``mode_energy`` are the damped photon modes, one per cell of
+    the grid of half-width ``model.numerics.cutoff`` around the band centre
+    (energies absolute, mode_energy = k - i*pi*eta_k), each coupled to the
+    atom by the one ``coupling`` c = sqrt(g2*dk) and paired with an undamped
+    ghost at the same k, which the ``tail_*`` properties read.  The atom's
+    Markov term is -i*``model.gamma``/2.  At eta = 0 there are no modes.
     """
 
+    model: ModelParams
     k_grid: np.ndarray
     mode_energy: np.ndarray
-    coupling: np.ndarray
-    horizon: float
-    gamma: float
-    omega: float
-    cutoff: float
-    atom_shift: complex          # the Markov term, enters as diagonal energy
-    step: float
+    coupling: float
 
     @property
     def tail_poles(self) -> np.ndarray:  # the ghosts' energies, offsets from omega
-        return self.k_grid - self.omega
+        return self.k_grid - self.model.omega
 
     @property
     def tail_k(self) -> np.ndarray:  # the ghosts' absolute energies: k_grid itself
@@ -108,11 +103,8 @@ def discretize_continuum(m: ModelParams) -> DiscretizedModel:
     # K on a cell boundary (a flat band's K = delta = m*dk) takes m cells, not m + 1
     cells = math.ceil(K / dk * (1.0 - 1e-12)) if m.band.eta > 0.0 else 0
     k = m.omega + ((m.band.center - m.omega) + dk * (np.arange(-cells, cells) + 0.5))
-    return DiscretizedModel(
-        k_grid=k, mode_energy=k - 1j * math.pi * detector_response(m.band, k),
-        coupling=np.full(len(k), math.sqrt(free_value(m.gamma) * dk)), horizon=num.horizon,
-        gamma=m.gamma, omega=m.omega, cutoff=K, atom_shift=-0.5j * m.gamma, step=num.step,
-    )
+    return DiscretizedModel(model=m, k_grid=k, coupling=math.sqrt(free_value(m.gamma) * dk),
+                            mode_energy=k - 1j * math.pi * detector_response(m.band, k))
 
 
 class _ArrowheadKrogstad:
@@ -128,11 +120,11 @@ class _ArrowheadKrogstad:
     """
 
     def __init__(self, dm: DiscretizedModel):
-        # rows: atom, then photon modes and ghosts; the atom row reads c*(F_j - G_j)
-        self.L = -1j * np.concatenate([[dm.atom_shift], dm.mode_energy - dm.omega,
-                                       dm.k_grid - dm.omega])
-        self.cF = np.concatenate([dm.coupling, -dm.coupling]).astype(complex)
-        self.C = -1j * np.concatenate([dm.coupling, dm.coupling])
+        # rows: atom (Markov term), then photon modes and ghosts; the atom row reads c*(F_j - G_j)
+        self.L = -1j * np.concatenate([[-0.5j * dm.model.gamma], dm.mode_energy - dm.model.omega,
+                                       dm.tail_poles])
+        self.cF = np.repeat(np.array([dm.coupling, -dm.coupling], dtype=complex), len(dm.k_grid))
+        self.C = -1j * dm.coupling
 
     def set_step(self, h):
         # Drop the old rows, then build one stage family at a time, so that
@@ -209,13 +201,13 @@ def propagate(dm: DiscretizedModel,
     the interpolated fluxes.  Raises :class:`ToleranceNotMet` if the
     bookkeeping defect exceeds ``DEFECT_TOL`` at any sample time.
     """
-    T = dm.horizon
+    T = dm.model.numerics.horizon
     ts = np.linspace(0.0, T, SAMPLES) if sample_times is None else np.asarray(sample_times, float)
     if np.any(ts < 0.0) or np.any(ts > T * (1 + 1e-12)):
         raise ValueError("sample_times must lie in [0, horizon]")
 
     stepper = _ArrowheadKrogstad(dm)
-    times, runs = _step_schedule(np.abs(stepper.L).max(), dm.step, T)
+    times, runs = _step_schedule(np.abs(stepper.L).max(), dm.model.numerics.step, T)
 
     f = 1.0 + 0.0j
     u = np.zeros(len(stepper.cF), dtype=complex)
@@ -232,7 +224,7 @@ def propagate(dm: DiscretizedModel,
             # one pass each and no temporaries; einsum is not BLAS, so starts no threads
             rec[i, :4] = (f.real, f.imag, np.dot(photons, photons) - np.dot(ghosts, ghosts),
                           np.einsum("i,i,i", rate, photons, photons))
-    rec[:, 4] = dm.gamma * (rec[:, 0] ** 2 + rec[:, 1] ** 2)
+    rec[:, 4] = dm.model.gamma * (rec[:, 0] ** 2 + rec[:, 1] ** 2)
 
     c = PiecewisePoly.cubic(times, rec).c  # one fit: the columns share the factorization
     re_F, im_F, eps = PiecewisePoly(times, c[..., :3])(ts).T
@@ -241,7 +233,7 @@ def propagate(dm: DiscretizedModel,
     defect = np.abs(1.0 - (s + eps + r))
     if defect.max() > DEFECT_TOL:
         raise ToleranceNotMet(f"norm defect {defect.max():.3e} exceeds {DEFECT_TOL:.1e}")
-    return ProbabilityTrace(t=ts, s=s, eps=eps, r=r, norm_defect=defect, gamma=dm.gamma)
+    return ProbabilityTrace(t=ts, s=s, eps=eps, r=r, norm_defect=defect, gamma=dm.model.gamma)
 
 
 def response_delay(trace: ProbabilityTrace) -> float:

@@ -178,7 +178,7 @@ def _propagated(m: ModelParams):
         delay = response_delay(trace)
     except NoResponse:
         delay = None
-    return trace, delay, f"cutoff={dm.cutoff:.6g}, core_modes={len(dm.k_grid)}"
+    return trace, delay, f"cutoff={m.numerics.cutoff:.6g}, core_modes={len(dm.k_grid)}"
 
 
 def product_evolve(m: ModelParams):

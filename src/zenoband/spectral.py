@@ -64,22 +64,20 @@ def _sigma(grid: FormFactorGrid, E, lo, hi):
     energies directly.
     """
     band, gamma, tol = grid.band, grid.gamma, grid.tol
-    inside = (E > lo) & (E < hi) & (band.strip > 0.0)
-    theta, ends = np.pi / (_SKELETON - 1) * np.r_[np.arange(_SKELETON), _HELD_OUT], np.array([lo])
+    fit = (E > lo) & (E < hi) & (band.strip > 0.0) & ~np.isin(E, grid.mu)  # fitted, if it pays
+    theta = np.pi / (_SKELETON - 1) * np.r_[np.arange(_SKELETON), _HELD_OUT]
     cuts = np.unique(np.clip([lo, band.center - band.delta, band.center + band.delta, hi], lo, hi))
-    panels = np.ceil(np.diff(cuts) / band.strip) if inside.any() else np.zeros(0)
-    if panels.sum() * len(theta) < inside.sum():  # else it saves nothing, even with E off the grid
-        ends = np.r_[np.concatenate([np.linspace(a, b, int(k), endpoint=False)
-                                     for a, b, k in zip(cuts, cuts[1:], panels)]), hi]
+    panels = np.ceil(np.diff(cuts) / band.strip) if fit.any() else np.zeros(0)
+    if not panels.sum() * len(theta) < fit.sum():  # the skeleton would not save energies
+        fit[:], panels = False, panels[:0]
+    ends = np.concatenate([np.linspace(a, b, int(k), endpoint=False)
+                           for a, b, k in zip(cuts, cuts[1:], panels)] + [[hi]])
     nodes = (ends[:-1, None] + ends[1:, None]) / 2.0 + np.diff(ends)[:, None] / 2.0 * np.cos(theta)
     nodes[:, 0], nodes[:, _SKELETON - 1] = ends[1:], ends[:-1]  # neighbours share their ends
     # every energy and node in one lookup; each once, from the grid where it holds them
     ask, back = np.unique(np.r_[E, nodes.ravel()], return_inverse=True)
     i = np.minimum(np.searchsorted(grid.mu, ask), len(grid.mu) - 1)
     got, new = grid.sigma[i], grid.mu[i] != ask
-    fit = inside & new[back[:len(E)]]
-    if not panels.sum() * len(theta) < fit.sum():  # the grid holds the energies it would save
-        fit[:], nodes = False, nodes[:0]
     need, at = np.zeros(len(ask), dtype=bool), back[len(E):len(E) + nodes.size]
     need[back[:len(E)][~fit]] = need[at] = True
     got[need & new] = self_energy(band, gamma, ask[need & new], tol)
@@ -112,11 +110,16 @@ def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
     window grows to hold omega +- 550 sqrt(2 w gamma), past its 1e-6.  A's
     spline breaks where the grid's does, at a flat band's edges; Re Sigma's
     log cusp takes A to 0 there only within ~exp(-2 pi |E - omega|/gamma), so
-    each side's value is extrapolated from its own nodes.  The unit-area check
+    each side's value is extrapolated from its own nodes; omega on an edge, where
+    Re Sigma(omega) is infinite, raises :class:`WindowTooNarrow`.  The unit-area check
     integrates the spline and adds the 1/(E-omega)^2 tail mass beyond the window;
     a defect above ``DEFECT_TOL`` raises :class:`ToleranceNotMet`.
     """
     sigma_omega = complex(_sigma(grid, np.array([omega]), omega, omega)[0])
+    if not np.isfinite(sigma_omega):  # Re Sigma's log cusp: omega on a flat band's edge
+        b = grid.band
+        raise WindowTooNarrow(f"Sigma(omega)={sigma_omega:.6g} is not finite: omega={omega:g} "
+                              f"lies on an edge of the flat band {b.center:g}+-{b.delta:g}")
     center, half_w = omega + sigma_omega.real, -sigma_omega.imag  # of the dressed line
     reach = 550.0 * math.sqrt(2.0 * half_w * grid.gamma)
     lo, hi = min(grid.window[0], omega - reach), max(grid.window[1], omega + reach)

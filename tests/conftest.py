@@ -6,7 +6,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from zenoband import detector_response, free_value
+from zenoband import detector_response, free_value, self_energy
 from zenoband._phi import free_tail_moments
 from zenoband.dynamics import _step_schedule
 
@@ -266,15 +266,15 @@ def krogstad_reference(dm, ts):
     is the stepped flux ODE row.
     """
     n_core = len(dm.k_grid)
-    c_core = dm.coupling
+    c_core = np.full(n_core, dm.coupling)
     eta2pi = 2.0 * (-dm.mode_energy.imag)
     L = np.concatenate([
-        [-1j * dm.atom_shift],
-        -1j * (dm.mode_energy - dm.omega),
+        [-0.5 * dm.model.gamma],
+        -1j * (dm.mode_energy - dm.model.omega),
         -1j * dm.tail_poles,
         [0.0],
     ]).astype(complex)
-    cF = np.concatenate([c_core.astype(complex), -dm.coupling ** 2])
+    cF = np.concatenate([c_core.astype(complex), -c_core ** 2])
     sl_modes = slice(1, 1 + len(cF))
     sl_core = slice(1, 1 + n_core)
 
@@ -288,9 +288,10 @@ def krogstad_reference(dm, ts):
 
     u = np.zeros(2 + len(cF), dtype=complex)
     u[0] = 1.0
-    norm = np.concatenate([np.ones(n_core), -dm.coupling ** 2])
+    norm = np.concatenate([np.ones(n_core), -c_core ** 2])
     stepper = _Krogstad(L)
-    times, runs = _step_schedule(np.abs(L).max(), dm.step, dm.horizon)
+    num = dm.model.numerics
+    times, runs = _step_schedule(np.abs(L).max(), num.step, num.horizon)
     rec = [(1.0 + 0.0j, 0.0, 0.0, 0.0)]
     for h, count in runs:
         stepper.set_step(h)
@@ -301,7 +302,7 @@ def krogstad_reference(dm, ts):
                         float(np.dot(eta2pi, abs2[:n_core])), u[-1].real))
     rec_F, rec_eps, rec_J, rec_r = (np.array(x) for x in zip(*rec))
     F = CubicSpline(times, rec_F.real)(ts) + 1j * CubicSpline(times, rec_F.imag)(ts)
-    markov = CubicSpline(times, dm.gamma * np.abs(rec_F) ** 2).antiderivative()(ts)
+    markov = CubicSpline(times, dm.model.gamma * np.abs(rec_F) ** 2).antiderivative()(ts)
     eps = CubicSpline(times, rec_eps)(ts) + markov
     r = CubicSpline(times, rec_J).antiderivative()(ts)
     return np.abs(F) ** 2, eps, r, CubicSpline(times, rec_r)(ts)
@@ -318,9 +319,9 @@ def eig_reference(dm, ts):
     no steps and no interpolation.  Dense ``np.linalg.eig``, since M is complex
     and non-normal: O(rows^3), for a few hundred modes.
     """
-    c = dm.coupling
-    M = np.diag(np.concatenate([[-0.5 * dm.gamma], -1j * (dm.mode_energy - dm.omega),
-                                -1j * (dm.k_grid - dm.omega)]))
+    c = np.full(len(dm.k_grid), dm.coupling)
+    M = np.diag(np.concatenate([[-0.5 * dm.model.gamma], -1j * (dm.mode_energy - dm.model.omega),
+                                -1j * (dm.k_grid - dm.model.omega)]))
     M[0, 1:] = -1j * np.concatenate([c, -c])
     M[1:, 0] = -1j * np.concatenate([c, c])
     lam, V = np.linalg.eig(M)
@@ -328,6 +329,35 @@ def eig_reference(dm, ts):
     e0[0] = 1.0
     F = np.exp(np.outer(ts, lam)) @ (V[0] * np.linalg.solve(V, e0))
     return np.abs(F) ** 2
+
+
+def spectral_reference(band, sf, ts, nodes=8, th=2.0):
+    """Survival amplitude of the line ``sf`` of ``band`` at times ``ts``, with no spline.
+
+    A(E) = -Im Sigma/pi / ((E - omega - Re Sigma)^2 + (Im Sigma)^2) from direct
+    ``self_energy`` at tol 1e-12, on ``nodes``-point Gauss-Legendre nodes inside
+    sf's own cells, each cut into equal parts until max(ts)*h <= ``th``.  The
+    transform Int A e^{-iEt} dE is summed node by node, and the same analytic
+    free tails beyond sf's window are added.  It shares only ``self_energy``
+    with the spectral route: no Sigma skeleton, no spline, no jump sums.
+    """
+    ts = np.asarray(ts, dtype=float)
+    E = np.unique(sf.E)  # a flat band's repeated edges are cells of zero width
+    parts = np.maximum(np.ceil(ts.max() * np.diff(E) / th), 1.0).astype(int)
+    h = np.repeat(np.diff(E) / parts, parts)  # every part's width
+    k = np.arange(parts.sum()) - np.repeat(np.cumsum(parts) - parts, parts)  # its index in its cell
+    start = np.repeat(E[:-1], parts) + k * h
+    u, w = np.polynomial.legendre.leggauss(nodes)
+    x = (start[:, None] + h[:, None] * (u + 1.0) / 2.0).ravel() - sf.omega
+    sigma = self_energy(band, sf.gamma, x + sf.omega, 1e-12)
+    A = -sigma.imag / math.pi / ((x - sigma.real) ** 2 + sigma.imag ** 2)
+    wA = (h[:, None] * w / 2.0).ravel() * A
+    out = np.array([np.dot(wA, np.exp(-1j * t * x)) for t in ts])
+    lo, hi = sf.window
+    for sgn, W in ((+1, hi - sf.omega), (-1, sf.omega - lo)):
+        c_int, s_int = free_tail_moments(W, ts)
+        out += free_value(sf.gamma) * (c_int - 1j * sgn * s_int)
+    return out * np.exp(-1j * ts * sf.omega)
 
 
 def survival_cellwise_reference(sf, t):

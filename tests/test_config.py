@@ -72,3 +72,16 @@ def test_load_from_file(tmp_path):
     path.write_text(GOOD)
     p = load_scenario(path).params
     assert p.band.delta == pytest.approx(15.915494309189535)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: parse_kv_text("= 1\n"), "line 1: empty key or value"),
+    (lambda: parse_kv_text("gamma = 1\neta =\n"), "line 2: empty key or value in 'eta ='"),
+    (lambda: model_params_from_dict({"gamma": "1", "flat": "maybe"}),
+     "key 'flat': expected a boolean, got 'maybe'"),
+    (lambda: model_params_from_dict({"gamma": "1", "allow_narrow_window": "2"}),
+     "key 'allow_narrow_window': expected a boolean, got '2'"),
+], ids=["empty-key", "empty-value", "flat", "allow_narrow_window"])
+def test_malformed_entry_is_refused_naming_it(call, match):
+    with pytest.raises(ConfigError, match=match):
+        call()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -144,7 +145,7 @@ class TestDiscretize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= dm.horizon / dm.step * model_rules._STEP_BYTES
+        assert peak <= dm.model.numerics.horizon / dm.model.numerics.step * model_rules._STEP_BYTES
 
     @pytest.mark.parametrize("center", [0.0, 3.0 * FIG1_DELTA, -2.37 * FIG1_DELTA])
     def test_grid_spans_the_window_around_the_band(self, center):
@@ -159,14 +160,14 @@ class TestDiscretize:
     def test_no_modes_without_a_band(self):
         dm = discretize_continuum(model(eta=0.0, delta=1e6))
         assert len(dm.k_grid) == len(dm.tail_poles) == 0
-        assert dm.atom_shift == -0.5j
+        assert _ArrowheadKrogstad(dm).L[0] == -0.5  # the atom row: the Markov term -gamma/2
 
     def test_narrow_window_needs_override(self):
         with pytest.raises(ValidationError) as err:
             model(eta=1.0, delta=30.0, cutoff=100.0)
         assert [code for code, _ in err.value.violations] == ["cutoff"]
         m2 = model(eta=1.0, delta=30.0, cutoff=100.0, allow_narrow_window=True)
-        assert discretize_continuum(m2).cutoff == 100.0
+        assert discretize_continuum(m2).model.numerics.cutoff == 100.0
 
     def test_resolved_violations_are_reported_together(self):
         with pytest.raises(ValidationError) as err:
@@ -186,11 +187,11 @@ class TestDiscretize:
         # one undamped ghost of weight -c^2 at each photon mode's k
         m = model(eta=2.0, delta=5.0, center=1.5)
         dm = discretize_continuum(m)
-        g2dk = dm.gamma / (2 * math.pi) * m.numerics.dk
+        g2dk = dm.model.gamma / (2 * math.pi) * m.numerics.dk
         np.testing.assert_allclose(dm.coupling ** 2, g2dk, rtol=1e-12)
         assert dm.tail_k is dm.k_grid
         np.testing.assert_array_equal(dm.mode_energy.real, dm.k_grid)
-        np.testing.assert_allclose(dm.tail_poles, dm.k_grid - dm.omega, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dm.tail_poles, dm.k_grid - dm.model.omega, rtol=0, atol=1e-12)
 
 
 class TestWindowDefect:
@@ -211,7 +212,8 @@ class TestWindowDefect:
 
     @staticmethod
     def sigma_d(dm, eps):
-        return (dm.atom_shift + np.sum(dm.coupling ** 2 / (eps - (dm.mode_energy - dm.omega)))
+        return (-0.5j * dm.model.gamma
+                + np.sum(dm.coupling ** 2 / (eps - (dm.mode_energy - dm.model.omega)))
                 + np.sum(-dm.coupling ** 2 / (eps - dm.tail_poles)))
 
     # measured <= 5.6e-10 (the 3-delta detuned band, whose line leaves the
@@ -322,7 +324,7 @@ class TestPropagate:
         m = model(eta=0.0)
         dm = discretize_continuum(m)
         with pytest.raises(ValueError):
-            propagate(dm, np.array([0.0, 2 * dm.horizon]))
+            propagate(dm, np.array([0.0, 2 * m.numerics.horizon]))
 
     def test_grid_doubling_stability(self):
         # halved spacing and doubled cutoff move s(t) by less than 1e-4
@@ -382,7 +384,7 @@ class TestPropagate:
         assert len(dm.k_grid) == len(dm.tail_poles) == 330
         propagate(dm)
         assert steps[0] == 596 and len(sizes) == 4
-        assert sizes == [dm.step / 2 ** j for j in (3, 2, 1, 0)]
+        assert sizes == [dm.model.numerics.step / 2 ** j for j in (3, 2, 1, 0)]
 
 
     def test_cruise_step_is_step_and_the_gate_judges_it(self):
@@ -448,7 +450,7 @@ class TestStructuredStepper:
     ], ids=["eta0", "fig1", "detuned"])
     def test_matches_generic_erk4(self, kw, r_gap):
         dm = discretize_continuum(model(**kw))
-        ts = np.linspace(0.0, dm.horizon, 201)
+        ts = np.linspace(0.0, dm.model.numerics.horizon, 201)
         tr = propagate(dm, ts)
         s, eps, r, r_row = krogstad_reference(dm, ts)
         assert np.abs(tr.s - s).max() <= 1e-12
@@ -463,7 +465,7 @@ class TestStructuredStepper:
                              ids=["solid", "dotted"])
     def test_stepping_error_against_eig(self, eta, bound):
         dm = discretize_continuum(model(eta=eta, delta=FIG1_DELTA))
-        ts = np.linspace(0.0, dm.horizon, 101)
+        ts = np.linspace(0.0, dm.model.numerics.horizon, 101)
         assert np.abs(propagate(dm, ts).s - eig_reference(dm, ts)).max() <= bound
 
 
@@ -476,6 +478,13 @@ class TestDecayRateTrace:
         t, rate = decay_rate_trace(free_trace)
         assert t.min() > 0.0
         assert len(t) == len(free_trace.t) - 1
+
+    @pytest.mark.parametrize("s_last", [0.0, -1e-12])
+    def test_refuses_non_positive_s(self, free_trace, s_last):
+        s = free_trace.s.copy()
+        s[-1] = s_last
+        with pytest.raises(ValueError, match=r"s\(t\) must stay positive"):
+            decay_rate_trace(dataclasses.replace(free_trace, s=s))
 
 
 class TestResponseDelay:

@@ -1,6 +1,7 @@
 import math
 import pickle
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,23 @@ from zenoband.model import _LADDER, SIGMA_BUDGET, _window_defect, default_cutoff
 
 def band(eta=1.0, delta=1.0, n=6, center=0.0):
     return DetectorBand(eta=eta, delta=delta, n=n, center=center)
+
+
+def with_raw(key, value):
+    """A valid scenario with one raw field set: omega, delta or a numerics field."""
+    p = ModelParams(gamma=1.0, band=DetectorBand(eta=1.0, delta=1.0))
+    if key == "omega":
+        return replace(p, omega=value)
+    if key == "delta":
+        return replace(p, band=replace(p.band, delta=value))
+    return replace(p, numerics=replace(p.numerics, **{key: value}))
+
+
+RAW_REFUSALS = ([("omega", v) for v in (math.nan, math.inf)]
+                + [("delta", v) for v in (0.0, -1.0, math.nan)]
+                + [(key, v) for key in ("cutoff", "dk", "horizon", "step")
+                   for v in (0.0, -1.0, math.inf, math.nan)]
+                + [("quad_tol", v) for v in (0.0, 1.0, -1e-9, 2.0, math.nan)])
 
 
 class TestDetectorResponse:
@@ -126,6 +144,19 @@ class TestValidateParams:
         m = validate_params(ModelParams(gamma=1.0, band=band))
         assert type(m) is ModelParams
         assert validate_params(m) == m
+
+    @pytest.mark.parametrize("key, value", RAW_REFUSALS + [("center", None)],
+                             ids=[f"{k}={v}" for k, v in RAW_REFUSALS] + ["center-unresolved"])
+    def test_input_refused_naming_its_key(self, key, value):
+        # each raw field is refused before any default is resolved, and
+        # detector_response refuses a band whose center was never resolved
+        with pytest.raises(ValidationError) as exc:
+            if key == "center":
+                detector_response(DetectorBand(eta=1.0, delta=1.0), 0.0)
+            else:
+                validate_params(with_raw(key, value))
+        assert [c for c, _ in exc.value.violations] == [key]
+        assert key in str(exc.value)
 
     def test_center_defaults_to_omega(self):
         m = validate_params(ModelParams(gamma=1.0, omega=7.0,
@@ -261,4 +292,4 @@ class TestCutoffRule:
         with pytest.raises(ValidationError) as exc:
             discretize_continuum(at(K * (1.0 - 1e-9)))
         assert [c for c, _ in exc.value.violations] == ["cutoff"]
-        assert discretize_continuum(at(K)).cutoff == K
+        assert discretize_continuum(at(K)).model.numerics.cutoff == K

@@ -57,6 +57,11 @@ class TestCsvIo:
         write_csv(tmp_path / "x.csv", ["a"], [np.arange(3.0)])
         assert os.listdir(tmp_path) == ["x.csv"]
 
+    def test_unequal_columns_are_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="equal length"):
+            write_csv(tmp_path / "x.csv", ["a", "b"], [np.arange(3.0), np.arange(2.0)])
+        assert os.listdir(tmp_path) == []
+
     def test_header_is_mandatory_first_line(self, tmp_path):
         path = tmp_path / "x.csv"
         write_csv(path, ["mu", "g2"], [np.arange(2.0), np.arange(2.0)])
@@ -165,6 +170,35 @@ class TestScenarioProducts:
         files, lines = run_scenario(cfg)
         assert (tmp_path / "out" / "eta50" / "report.txt").exists()
         assert (tmp_path / "out" / "eta100" / "report.txt").exists()
+
+    def test_detuning_sweep_mirrors(self, tmp_path):
+        # sweep_detuning sets center = omega + value: a centred band and the band moved
+        # by +-delta, whose s columns agree within perfbench's 1e-9 mirror gate (measured
+        # 1.1e-16) and differ from the centred band's by up to 0.075
+        d = "15.9155"
+        cfg = load_scenario(overrides={"products": "evolve", "eta": "100", "delta": d,
+                                       "horizon": "1", "sweep_detuning": f"0, {d}, -{d}"},
+                            out_dir=str(tmp_path / "out"))
+        run_scenario(cfg)
+        tags = ["det0", f"det{d}", f"det-{d}"]
+        assert sorted(os.listdir(tmp_path / "out")) == sorted(tags)
+        (_, s0), (t_up, s_up), (t_down, s_down) = (
+            read_csv(tmp_path / "out" / tag / "evolve.csv")[1][:2] for tag in tags)
+        np.testing.assert_array_equal(t_up, t_down)
+        assert np.abs(s_up - s_down).max() <= 1e-9
+        assert np.abs(s_up - s0).max() > 1e-3  # the sweep moved the band
+
+    @pytest.mark.parametrize("overrides, match", [
+        ({"products": "evolve", "sweep_eta": "1, x"},
+         "key 'sweep_eta': expected comma-separated numbers"),
+        ({"products": "evolve", "sweep_delta": " , "}, "key 'sweep_delta': sweep list is empty"),
+        ({"products": "evolve, plot"}, r"unknown product\(s\): plot"),
+        ({"eta": "1"}, "no products requested"),
+    ], ids=["non-numeric-sweep", "empty-sweep", "unknown-product", "no-products"])
+    def test_scenario_refused_naming_its_key(self, tmp_path, overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            run_scenario(load_scenario(overrides=overrides, out_dir=str(tmp_path / "out")))
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_tag_collision_is_config_error(self, tmp_path):
         # both values format as "eta10"; the second point would overwrite the first
@@ -293,6 +327,28 @@ class TestCli:
             assert capsys.readouterr().err.startswith(
                 "numerical failure [ToleranceNotMet]: normalization defect ")
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["evolve", "--override", "eta"], "--override expects KEY=VALUE, got 'eta'"),
+        (["sweep", "--override", "products=evolve"],
+         "sweep requires at least one sweep_* key in the config"),
+    ], ids=["override-without-equals", "sweep-without-sweep-key"])
+    def test_malformed_command_line_exit_one(self, tmp_path, capsys, argv, message):
+        assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_spectral_exact_flat_edge_names_the_edge(self, tmp_path, capsys):
+        # omega on the flat band's lower edge: Re Sigma(omega) is infinite, so no line
+        # region can be sized; refused as the edge, not as a window too narrow
+        rc = run_cli(["spectral", "--out", str(tmp_path / "out"), "--override", "flat=true",
+                      "--override", "eta=100", "--override", "delta=15.9155",
+                      "--override", "center=15.9155"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "numerical failure [WindowTooNarrow]: Sigma(omega)=inf-0.590227j is not finite: "
+            "omega=0 lies on an edge of the flat band 15.9155+-15.9155\n")
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_key_exit_one(self, tmp_path, capsys):
         rc = run_cli(["report", "--out", str(tmp_path), "--override", "bogus=1"])
@@ -561,8 +617,8 @@ class TestCli:
                     if ln.startswith(f"{product}:"))
         m = validate_params(ModelParams(gamma=1.0, band=DetectorBand(eta=1e4, delta=20.0)))
         dm = discretize_continuum(m)
-        assert 300.0 < dm.cutoff < 10 * 1e4  # the band, not 10*eta, set the window
-        assert line.endswith(f", cutoff={dm.cutoff:.6g}, core_modes={len(dm.k_grid)}")
+        assert 300.0 < dm.model.numerics.cutoff < 10 * 1e4  # the band, not 10*eta, set the window
+        assert line.endswith(f", cutoff={m.numerics.cutoff:.6g}, core_modes={len(dm.k_grid)}")
 
     def test_fig2_emits_three_ordered_curves(self, tmp_path):
         rc = run_cli(["fig2", "--out", str(tmp_path)])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (flat_sigma_oracle, g2_quad_oracle, re_sigma_oracle,
-                      survival_cellwise_reference)
+                      spectral_reference, survival_cellwise_reference)
 from zenoband import formfactor, scenario, spectral
 from zenoband.formfactor import PiecewisePoly
 from zenoband import (
@@ -370,6 +370,26 @@ class TestCrossMethod:
         base = self.gap(band, grid)
         for scale in (2.0, 3.0):
             assert self.gap(band, grid, dk_scale=scale) >= 10.0 * base
+
+
+class TestSpectralReference:
+    """The spectral route against A from direct Sigma, with no skeleton and no spline."""
+
+    # max |ds| over 101 times in [0, 5] measured 4.05e-8 (solid, at t = 0.55) and
+    # 2.49e-8 (dotted); at t = 5, 1.2e-10 and 2.29e-8.  A at sf's own energies is
+    # direct Sigma's to 1e-15, so the gaps are the cubic spline of A between them:
+    # across |E - omega| < 1 its area exceeds A's by 1.25e-8 and 1.52e-8
+    @pytest.mark.parametrize("eta, bound, bound_T", [(100.0, 1.2e-7, 4e-10),
+                                                     (10.0, 7.5e-8, 7e-8)],
+                             ids=["solid", "dotted"])
+    def test_survival_against_direct_sigma(self, eta, bound, bound_T):
+        band = DetectorBand(eta=eta, delta=FIG_DELTA, n=6, center=0.0)
+        sf = spectral_function(form_factor_grid(band, GAMMA, tol=1e-9), 0.0)
+        ts = np.linspace(0.0, 5.0, 101)
+        gap = np.abs(np.abs(survival_amplitude_spectral(sf, ts)) ** 2
+                     - np.abs(spectral_reference(band, sf, ts)) ** 2)
+        assert gap.max() <= bound
+        assert gap[-1] <= bound_T
 
 
 class TestSigmaReuse:
