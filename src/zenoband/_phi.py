@@ -52,32 +52,41 @@ def phi_functions(z, nmax: int = 3):
     One exp per table.  Off the disc |z| < 0.5 the table is built upward,
     phi_{j+1} = (phi_j - 1/j!)/z.  On it one Horner series gives phi_nmax,
     with as many terms as the largest |z| there needs, and the downward
-    recurrence phi_j = 1/j! + z*phi_{j+1} the rest.
+    recurrence phi_j = 1/j! + z*phi_{j+1} the rest.  A mixed table runs each
+    rule on its own elements only.
     """
     z = np.asarray(z, dtype=complex)
-    phi = [np.exp(z)]
+    e = np.exp(z)
     small = np.abs(z) < _SMALL
-    everywhere = small.all()
-    if not everywhere:
-        inv_z = 1.0 / np.where(small, 1.0, z)
-        for j in range(nmax):
-            phi.append((phi[j] - 1.0 / math.factorial(j)) * inv_z)
-        if not small.any():
-            return phi
-    zs = z if everywhere else z[small]
-    r = np.abs(zs).max(initial=0.0)  # the first dropped term, r^m nmax!/(m+nmax)!, is <= 2^-53
+    if small.all():
+        return [e] + _phi_disc(z, nmax)
+    if not small.any():
+        return [e] + _phi_upward(z, e, nmax)
+    phi, off = [e] + [np.empty_like(z) for _ in range(nmax)], ~small
+    for p, d, u in zip(phi[1:], _phi_disc(z[small], nmax), _phi_upward(z[off], e[off], nmax)):
+        p[small], p[off] = d, u
+    return phi
+
+
+def _phi_upward(z, e, nmax):
+    """[phi_1 .. phi_nmax] off the disc from e = e^z, upward."""
+    phi, inv_z = [e], 1.0 / z
+    for j in range(nmax):
+        phi.append((phi[j] - 1.0 / math.factorial(j)) * inv_z)
+    return phi[1:]
+
+
+def _phi_disc(z, nmax):
+    """[phi_1 .. phi_nmax] on the disc: Horner for phi_nmax, then downward."""
+    r = np.abs(z).max(initial=0.0)  # the first dropped term, r^m nmax!/(m+nmax)!, is <= 2^-53
     terms = next(m for m in itertools.count(1)
                  if r ** m * math.factorial(nmax) <= 2.0 ** -53 * math.factorial(m + nmax))
-    disc = [np.full_like(zs, 1.0 / math.factorial(terms - 1 + nmax))]
+    disc = [np.full_like(z, 1.0 / math.factorial(terms - 1 + nmax))]
     for m in range(terms - 2, -1, -1):
-        disc[0] = disc[0] * zs + 1.0 / math.factorial(m + nmax)
+        disc[0] = disc[0] * z + 1.0 / math.factorial(m + nmax)
     for j in range(nmax - 1, 0, -1):
-        disc.insert(0, zs * disc[0] + 1.0 / math.factorial(j))
-    if everywhere:
-        return phi + disc
-    for p, d in zip(phi[1:], disc):
-        p[small] = d
-    return phi
+        disc.insert(0, z * disc[0] + 1.0 / math.factorial(j))
+    return disc
 
 
 def _horner(coef, z):

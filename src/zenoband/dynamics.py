@@ -47,6 +47,7 @@ _DELAY_XTOL = 1e-6       # response_delay tolerance in d, relative to the horizo
 _DELAY_NODES = 64        # Gauss-Legendre nodes of the response_delay objective
 _RAMP = 32               # steps at each size below step (twice that at the first)
 SAMPLES = 501            # propagate's default sample times, uniform on [0, T]
+_MAX_SCALE = 600.0       # the largest e-fold rho*T the fill scales the records up by
 
 
 @dataclass(frozen=True)
@@ -197,9 +198,10 @@ def propagate(dm: DiscretizedModel,
     Deterministic for fixed inputs.  The step ramps up from the fastest
     row's timescale and cruises at ``step`` (:func:`_step_schedule`).
     Requested times are filled from the step records by cubic
-    interpolation, and r and the Markov term's share of eps by integrating
-    the interpolated fluxes.  Raises :class:`ToleranceNotMet` if the
-    bookkeeping defect exceeds ``DEFECT_TOL`` at any sample time.
+    interpolation, with the Markov decay divided out and put back exactly,
+    and r and the Markov term's share of eps by integrating the interpolated
+    fluxes.  Raises :class:`ToleranceNotMet` if the bookkeeping defect
+    exceeds ``DEFECT_TOL`` at any sample time.
     """
     T = dm.model.numerics.horizon
     ts = np.linspace(0.0, T, SAMPLES) if sample_times is None else np.asarray(sample_times, float)
@@ -214,7 +216,7 @@ def propagate(dm: DiscretizedModel,
     n = len(dm.k_grid)
     photons, ghosts = u[:n].view(float), u[n:].view(float)  # Re and Im interleaved
     rate = np.repeat(2.0 * (-dm.mode_energy.imag), 2)  # 2*pi*eta_j, the absorption rate
-    rec = np.zeros((len(times), 5))  # Re F, Im F, mode norm, absorbed flux, gamma |F|^2
+    rec = np.zeros((len(times), 5))  # Re, Im of F then G, mode norm, absorbed flux, gamma |G|^2
     rec[0, 0] = 1.0
     i = 0
     for h, count in runs:
@@ -224,16 +226,36 @@ def propagate(dm: DiscretizedModel,
             # one pass each and no temporaries; einsum is not BLAS, so starts no threads
             rec[i, :4] = (f.real, f.imag, np.dot(photons, photons) - np.dot(ghosts, ghosts),
                           np.einsum("i,i,i", rate, photons, photons))
-    rec[:, 4] = dm.model.gamma * (rec[:, 0] ** 2 + rec[:, 1] ** 2)
+    # The fill takes the Markov decay exactly, as the stepper does: it fits G = F e^{rho t/2} and
+    # gamma |G|^2, and s = e^{-rho t} |G|^2.  rho is gamma unless e^{gamma T} would near overflow.
+    gamma = dm.model.gamma
+    rho = min(gamma, _MAX_SCALE / T)
+    rec[:, :2] *= np.exp(0.5 * rho * times)[:, None]
+    rec[:, 4] = gamma * (rec[:, 0] ** 2 + rec[:, 1] ** 2)
 
     c = PiecewisePoly.cubic(times, rec).c  # one fit: the columns share the factorization
-    re_F, im_F, eps = PiecewisePoly(times, c[..., :3])(ts).T
-    r, markov = PiecewisePoly(times, c[..., 3:]).antiderivative()(ts).T  # r = Int J dt
-    s, eps = re_F ** 2 + im_F ** 2, eps + markov
+    re_G, im_G, eps = PiecewisePoly(times, c[..., :3])(ts).T
+    r = PiecewisePoly(times, c[..., 3]).antiderivative()(ts)  # r = Int J dt
+    cell = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, len(times) - 2)
+    done = np.cumsum(_decayed_integral(c[..., 4], times[:-1], np.diff(times), rho))
+    markov = np.r_[0.0, done][cell] + _decayed_integral(
+        c[:, cell, 4], times[cell], ts - times[cell], rho)
+    s, eps = np.exp(-rho * ts) * (re_G ** 2 + im_G ** 2), eps + markov
     defect = np.abs(1.0 - (s + eps + r))
     if defect.max() > DEFECT_TOL:
         raise ToleranceNotMet(f"norm defect {defect.max():.3e} exceeds {DEFECT_TOL:.1e}")
-    return ProbabilityTrace(t=ts, s=s, eps=eps, r=r, norm_defect=defect, gamma=dm.model.gamma)
+    return ProbabilityTrace(t=ts, s=s, eps=eps, r=r, norm_defect=defect, gamma=gamma)
+
+
+def _decayed_integral(c, t0, w, rho):
+    """Int_0^w e^{-rho (t0 + v)} P(v) dv for the cubics P(v) = sum_p c[3 - p] v^p, elementwise.
+
+    Each power in closed form: Int_0^w v^p e^{-rho (t0 + v)} dv =
+    p! w^(p+1) phi_(p+1)(rho w) e^{-rho (t0 + w)}, which does not cancel at small rho w.
+    """
+    _, p1, p2, p3, p4 = (p.real for p in phi_functions(rho * w, 4))
+    poly = c[3] * p1 + w * (c[2] * p2 + w * (2.0 * c[1] * p3 + w * 6.0 * c[0] * p4))
+    return w * poly * np.exp(-rho * (t0 + w))
 
 
 def response_delay(trace: ProbabilityTrace) -> float:

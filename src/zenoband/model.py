@@ -72,7 +72,8 @@ class NumericalControls:
     dk       -- uniform spacing of the photon grid (default: 2pi/(T + STRIP_BUDGET/s))
     horizon  -- propagation horizon T (default 5/gamma)
     step     -- the propagator's cruise step, reached by doubling from
-                step/2^J <= 0.25/max|L|
+                step/2^J <= 0.25/max|L| (default: 0.4/sqrt(2pi delta gamma) within
+                [0.01, 0.04]/gamma; 0.01/gamma on a flat band or a strip under gamma/2)
     quad_tol -- relative tolerance of form-factor quadratures
     allow_narrow_window -- accept a cutoff below ``default_cutoff`` at the model's T,
                 which validate_params otherwise refuses (code ``cutoff``)
@@ -188,7 +189,12 @@ def validate_params(p: ModelParams) -> ModelParams:
     guard = 2.0 * np.pi / (1.25 * reach)  # a flat band's dk = delta/m, edges on cell boundaries
     flat_dk = band.delta / max(FLAT_CELLS, np.ceil(band.delta / guard))
     dk = num.dk or (2.0 * np.pi / reach if s else flat_dk if band.eta > 0.0 else guard)
-    step = num.step if num.step is not None else 0.01 / p.gamma
+    # The Krogstad step is exact in the linear part, so the band's smoothness limits it, not the
+    # stiff rows (Hochbruck and Ostermann, Acta Numer. 19, 209 (2010)).  A flat band's edges and
+    # a strip under gamma/2 keep the floor.
+    floor, top = 0.01 / p.gamma, 0.04 / p.gamma
+    wide = min(max(0.4 / np.sqrt(2.0 * np.pi * band.delta * p.gamma), floor), top)
+    step = num.step or (wide if band.eta == 0.0 or s >= 0.5 * p.gamma else floor)
 
     if dk > 2.0 * np.pi / reach:
         violations.append(("dk", (

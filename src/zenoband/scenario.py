@@ -171,14 +171,15 @@ def product_formfactor(m: ModelParams):
 
 
 def _propagated(m: ModelParams):
-    """(trace at the evolve samples, response delay or None, the resolved photon window)."""
+    """(trace at the evolve samples, response delay or None, the resolved window and step)."""
     dm = discretize_continuum(m)
     trace = propagate(dm, _evolve_samples(m))
     try:  # eta = 0 leaves r identically 0, which raises NoResponse
         delay = response_delay(trace)
     except NoResponse:
         delay = None
-    return trace, delay, f"cutoff={m.numerics.cutoff:.6g}, core_modes={len(dm.k_grid)}"
+    return trace, delay, (f"cutoff={m.numerics.cutoff:.6g}, core_modes={len(dm.k_grid)}, "
+                          f"step={m.numerics.step:.6g}")
 
 
 def product_evolve(m: ModelParams):

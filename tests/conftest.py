@@ -260,10 +260,12 @@ def krogstad_reference(dm, ts):
     built as a whole vector at every stage, on the same step schedule.  Slow,
     but it shares no algebra with the structured production stepper, and its
     phi tables, two per step size, come from :func:`phi_reference`.  A
-    pseudo-mode row v with real weight w carries the norm w |v|^2.  ``r``
-    and the Markov term's gamma Int |F|^2 integrate the splines through the
-    fluxes recorded after every step, the rule ``propagate`` uses; ``r_row``
-    is the stepped flux ODE row.
+    pseudo-mode row v with real weight w carries the norm w |v|^2.  The fill
+    is the rule ``propagate`` uses (horizons under 600/gamma): splines through
+    G = F e^{gamma t/2} and gamma |G|^2 recorded after every step give
+    s = e^{-gamma t} |G|^2 and, by 8-point Gauss-Legendre on each cell, the
+    Markov term's Int e^{-gamma t} gamma |G|^2 dt; ``r`` integrates the
+    spline through the recorded flux, and ``r_row`` is the stepped flux ODE row.
     """
     n_core = len(dm.k_grid)
     c_core = np.full(n_core, dm.coupling)
@@ -301,11 +303,22 @@ def krogstad_reference(dm, ts):
             rec.append((complex(u[0]), float(np.dot(norm, abs2)),
                         float(np.dot(eta2pi, abs2[:n_core])), u[-1].real))
     rec_F, rec_eps, rec_J, rec_r = (np.array(x) for x in zip(*rec))
-    F = CubicSpline(times, rec_F.real)(ts) + 1j * CubicSpline(times, rec_F.imag)(ts)
-    markov = CubicSpline(times, dm.model.gamma * np.abs(rec_F) ** 2).antiderivative()(ts)
+    gamma = dm.model.gamma
+    rec_G = rec_F * np.exp(0.5 * gamma * times)  # the Markov decay divided out, as propagate does
+    G = CubicSpline(times, rec_G.real)(ts) + 1j * CubicSpline(times, rec_G.imag)(ts)
+    q = CubicSpline(times, gamma * np.abs(rec_G) ** 2)
+    x, w = np.polynomial.legendre.leggauss(8)
+
+    def decayed(a, b):  # Int_a^b e^{-gamma t} q(t) dt, each a..b inside one cell
+        t = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x
+        return 0.5 * (b - a) * ((np.exp(-gamma * t) * q(t)) @ w)
+
+    cell = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, len(times) - 2)
+    done = np.r_[0.0, np.cumsum(decayed(times[:-1], times[1:]))]
+    markov = done[cell] + decayed(times[cell], ts)
     eps = CubicSpline(times, rec_eps)(ts) + markov
     r = CubicSpline(times, rec_J).antiderivative()(ts)
-    return np.abs(F) ** 2, eps, r, CubicSpline(times, rec_r)(ts)
+    return np.exp(-gamma * ts) * np.abs(G) ** 2, eps, r, CubicSpline(times, rec_r)(ts)
 
 
 def eig_reference(dm, ts):

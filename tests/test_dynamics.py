@@ -116,8 +116,8 @@ class TestDiscretize:
         assert peak < 2 ** 20
 
     def test_long_free_horizon_is_refused_before_allocation(self):
-        # eta = 0 builds no modes, but T = 1e7 at step 0.01 is 1e9 step records
-        # (~354 GiB of records and splines); the horizon is the key named
+        # eta = 0 builds no modes, but T = 1e7 at its resolved step 0.04 is 2.5e8 step
+        # records (~88 GiB of records and splines); the horizon is the key named
         tracemalloc.start()
         try:
             with pytest.raises(ValidationError) as err:
@@ -126,7 +126,7 @@ class TestDiscretize:
         finally:
             tracemalloc.stop()
         assert [code for code, _ in err.value.violations] == ["horizon"]
-        assert "~1e+09 step records" in str(err.value)
+        assert "~2.5e+08 step records" in str(err.value)
         assert peak < 2 ** 20
 
     def test_fine_step_is_refused_naming_step(self):
@@ -312,6 +312,12 @@ class TestPropagate:
         for x, y in ((a.s, b.s), (a.eps, b.eps), (a.r, b.r)):
             assert np.abs(x - y).max() <= 1e-7
 
+    def test_long_horizon_fill_stays_finite(self):
+        # e^{gamma T/2} overflows at T = 1500/gamma, so the fill scales the records by
+        # e^{rho t/2} with rho = 600/T < gamma: s is still exp(-gamma t), to 2.8e-16
+        tr = propagate(discretize_continuum(model(eta=0.0, horizon=1500.0)))
+        assert np.all(np.isfinite(tr.s)) and np.abs(tr.s - np.exp(-tr.t)).max() <= 1e-15
+
     def test_no_detector_leaves_r_zero(self, free_trace):
         assert np.all(free_trace.r == 0.0)
 
@@ -364,9 +370,10 @@ class TestPropagate:
     def test_solid_fig3_work_is_pinned(self, monkeypatch):
         # The step schedule of the solid Fig. 3 set, so that a faster
         # propagate cannot come from fewer or larger steps unnoticed.  The
-        # band's recurrence rule sets dk here (330 photon modes and as many ghosts);
-        # the ramp depends on max|L| ~ K: 64 steps at step/8, 32 each at
-        # step/4 and step/2, then 468 at step from t = 32*step to T = 5.
+        # band's recurrence rule sets dk here (330 photon modes and as many ghosts)
+        # and its width the step (0.04); the ramp depends on max|L| ~ K: 64 steps
+        # at step/32, 32 each at step/16 ... step/2, then 93 at step from
+        # t = 32*step to T = 5.
         steps, sizes = [0], []
         step, set_step = _ArrowheadKrogstad.step, _ArrowheadKrogstad.set_step
 
@@ -382,10 +389,10 @@ class TestPropagate:
         monkeypatch.setattr(_ArrowheadKrogstad, "set_step", recording_set_step)
         dm = discretize_continuum(model(eta=100.0, delta=FIG1_DELTA))
         assert len(dm.k_grid) == len(dm.tail_poles) == 330
+        assert dm.model.numerics.step == 0.04
         propagate(dm)
-        assert steps[0] == 596 and len(sizes) == 4
-        assert sizes == [dm.model.numerics.step / 2 ** j for j in (3, 2, 1, 0)]
-
+        assert steps[0] == 285 and len(sizes) == 6
+        assert sizes == [dm.model.numerics.step / 2 ** j for j in (5, 4, 3, 2, 1, 0)]
 
     def test_cruise_step_is_step_and_the_gate_judges_it(self):
         # The schedule cruises at step itself, never at a shorter h0*2^j, so a
@@ -442,12 +449,16 @@ class TestStructuredStepper:
     against the eigenvectors of the same generator, which take no steps."""
 
     # The stepped flux row differs from the integrated flux records by the
-    # spline's quadrature error: measured 0, 5.4e-10 and 9.1e-10.
+    # spline's quadrature error: measured 0, 5.4e-10 and 9.1e-10 at step = 0.01/gamma,
+    # and 0, 5.4e-9 and 9.1e-9 at the resolved step 0.04/gamma.
     @pytest.mark.parametrize("kw, r_gap", [
+        (dict(eta=0.0, step=0.01), 0.0),
+        (dict(eta=1.5, delta=FIG1_DELTA, horizon=1.0, step=0.01), 5e-9),
+        (dict(eta=2.0, delta=5.0, center=15.0, step=0.01), 1e-9),  # band detuned by 3 delta
         (dict(eta=0.0), 0.0),
-        (dict(eta=1.5, delta=FIG1_DELTA, horizon=1.0), 5e-9),
-        (dict(eta=2.0, delta=5.0, center=15.0), 1e-9),  # band detuned by 3 delta
-    ], ids=["eta0", "fig1", "detuned"])
+        (dict(eta=1.5, delta=FIG1_DELTA, horizon=1.0), 1.6e-8),
+        (dict(eta=2.0, delta=5.0, center=15.0), 2.7e-8),
+    ], ids=["eta0", "fig1", "detuned", "eta0-resolved", "fig1-resolved", "detuned-resolved"])
     def test_matches_generic_erk4(self, kw, r_gap):
         dm = discretize_continuum(model(**kw))
         ts = np.linspace(0.0, dm.model.numerics.horizon, 201)
@@ -458,15 +469,87 @@ class TestStructuredStepper:
         assert np.abs(tr.r - r).max() <= 1e-12
         assert np.abs(r - r_row).max() <= r_gap
 
-    # propagate's stepping and interpolation error in s at step = 0.01/gamma, against
-    # the same modes with no steps: measured 1.45e-9 (solid) and 3.69e-10 (dotted),
-    # with the reference itself within 7.3e-11 and 8.2e-12 (step/4 reads that close)
-    @pytest.mark.parametrize("eta, bound", [(100.0, 4.5e-9), (10.0, 1.1e-9)],
-                             ids=["solid", "dotted"])
-    def test_stepping_error_against_eig(self, eta, bound):
-        dm = discretize_continuum(model(eta=eta, delta=FIG1_DELTA))
+    # propagate's stepping and interpolation error in s, against the same modes with
+    # no steps: measured 1.45e-9 (solid) and 3.69e-10 (dotted) at step = 0.01/gamma,
+    # with the reference itself within 7.3e-11 and 8.2e-12 (step/4 reads that close),
+    # and 9.27e-8 and 7.47e-9 at the resolved step 0.04/gamma
+    @pytest.mark.parametrize("eta, step, bound", [
+        (100.0, 0.01, 4.5e-9), (10.0, 0.01, 1.1e-9), (100.0, None, 2.8e-7), (10.0, None, 2.2e-8),
+    ], ids=["solid", "dotted", "solid-resolved", "dotted-resolved"])
+    def test_stepping_error_against_eig(self, eta, step, bound):
+        dm = discretize_continuum(model(eta=eta, delta=FIG1_DELTA, step=step))
         ts = np.linspace(0.0, dm.model.numerics.horizon, 101)
         assert np.abs(propagate(dm, ts).s - eig_reference(dm, ts)).max() <= bound
+
+
+class TestCruiseStep:
+    """The step validate_params resolves from the band, and the stepping error it leaves."""
+
+    # max |ds| at the resolved step (0.04/gamma at 2 pi Delta = 100, 0.0231/gamma at 300)
+    # over 101 times on [0, 2], in units of 1e-9; columns eta = 1, 30, 300 centred, then
+    # the same detuned by 2.5 delta.  The reference is eig_reference up to 600 rows, and
+    # past them a run at step/16: n = 2's wide windows (1,365 to 14,373 rows) and
+    # 2 pi Delta = 300, n = 6, eta = 300 (749 and 785 rows).
+    MEASURED = {
+        (100, 2): (17.7, 5.88, 52.5, 8.58, 16.7, 61.9),
+        (100, 6): (2.85, 15.3, 138, 2.51, 15.7, 106),
+        (100, 24): (102, 1080, 1630, 994, 3290, 3560),
+        (100, 96): (276, 2590, 4630, 3920, 5710, 7650),
+        (300, 2): (8.31, 11.0, 34.3, 2.95, 20.0, 62.4),
+        (300, 6): (7.93, 19.3, 50.3, 0.718, 6.8, 25.7),
+        (300, 24): (17.4, 183, 293, 374, 2190, 2270),
+        (300, 96): (341, 1140, 1220, 4630, 10400, 13300),
+    }
+
+    # 2 pi Delta = 300 at eta = 1 and 300 only, which keeps the matrix to ~8 s
+    @pytest.mark.parametrize("two_pi_delta, n, eta, detuning", [
+        (tpd, n, eta, det) for (tpd, n) in MEASURED for det in (0.0, 2.5)
+        for eta in ((1.0, 30.0, 300.0) if tpd == 100 else (1.0, 300.0))])
+    def test_stepping_error_matrix(self, two_pi_delta, n, eta, detuning):
+        delta = two_pi_delta / (2.0 * math.pi)
+        kw = dict(eta=eta, delta=delta, n=n, center=detuning * delta, horizon=2.0)
+        dm = discretize_continuum(model(**kw))
+        ts = np.linspace(0.0, 2.0, 101)
+        if 1 + 2 * len(dm.k_grid) <= 600:
+            ref = eig_reference(dm, ts)
+        else:
+            ref = propagate(discretize_continuum(model(**kw, step=dm.model.numerics.step / 16)), ts).s
+        measured = self.MEASURED[two_pi_delta, n][(1.0, 30.0, 300.0).index(eta) + 3 * (detuning > 0)]
+        assert np.abs(propagate(dm, ts).s - ref).max() <= 3e-9 * measured
+
+    @pytest.mark.parametrize("kw, step", [
+        (dict(eta=0.0), 0.04),
+        (dict(eta=100.0, delta=FIG1_DELTA), 0.04),
+        (dict(eta=100.0, delta=3 * FIG1_DELTA), 0.4 / math.sqrt(300.0)),
+        (dict(eta=1000.0, delta=10 * FIG1_DELTA), 0.4 / math.sqrt(1000.0)),
+        (dict(eta=1e4, delta=100 * FIG1_DELTA), 0.01),
+        (dict(eta=100.0, delta=FIG1_DELTA, flat=True), 0.01),
+        (dict(eta=100.0, delta=FIG1_DELTA, n=400), 0.01),  # strip 0.125 < gamma/2
+        (dict(eta=100.0, delta=FIG1_DELTA, n=96), 0.04),   # strip 0.52
+    ], ids=["eta0", "solid", "300", "broken", "floor", "flat", "n400", "n96"])
+    def test_rule_in_the_band_scales(self, kw, step):
+        # step*gamma is a function of the band's scales in units of gamma, whatever
+        # gamma is, and the band's position does not enter it
+        for lam in (1.0, 1e-3, 0.5, 3.0):
+            for detuning in (0.0, 2.5, -2.5):
+                band = DetectorBand(eta=lam * kw["eta"], delta=lam * kw.get("delta", 1.0),
+                                    n=None if kw.get("flat") else kw.get("n", 6),
+                                    center=lam * detuning * kw.get("delta", 1.0))
+                m = validate_params(ModelParams(gamma=lam, band=band))
+                assert m.numerics.step * lam == pytest.approx(step, rel=1e-12)
+
+    def test_a_given_step_is_kept(self):
+        assert model(eta=100.0, delta=FIG1_DELTA, step=0.013).numerics.step == 0.013
+        assert model(eta=100.0, delta=FIG1_DELTA, n=400, step=0.08).numerics.step == 0.08
+
+    # perfbench jitters 2 pi Delta/gamma by up to +-10% and eta/gamma by up to +-3%
+    @pytest.mark.parametrize("two_pi_delta, eta", [(100.0, 100.0), (100.0, 10.0), (1000.0, 1000.0)],
+                             ids=["solid", "dotted", "broken"])
+    def test_seeded_fig3_sets_keep_the_floor(self, two_pi_delta, eta):
+        for jd in (1 / 1.1, 1.0, 1.1):
+            for je in (1 / 1.03, 1.03):
+                m = model(eta=eta * je, delta=two_pi_delta * jd / (2.0 * math.pi))
+                assert 0.01 <= m.numerics.step <= 0.04
 
 
 class TestDecayRateTrace:

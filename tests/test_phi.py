@@ -67,6 +67,18 @@ def test_phi0_is_exp():
     assert phi_functions(z, 2)[0].tobytes() == np.exp(z).tobytes()
 
 
+@pytest.mark.parametrize("nmax", [1, 3, 4])
+def test_mixed_table_is_its_parts_bit_for_bit(nmax):
+    # each rule runs on its own elements only, so an element's value does not
+    # depend on what shares its table
+    z = sample_points()
+    on_disc = np.abs(z) < 0.5
+    mixed = phi_functions(z, nmax)
+    for part in (on_disc, ~on_disc):
+        for whole, alone in zip(mixed, phi_functions(z[part], nmax)):
+            assert whole[part].tobytes() == alone.tobytes()
+
+
 def kernel_antiderivatives(x, t):
     """The antiderivatives at x, with the half-angle phases e^{i|xt|/2} they take."""
     return _kernel(x, t, np.exp(0.5j * np.abs(x * t)))

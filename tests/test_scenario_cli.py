@@ -541,13 +541,13 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_long_free_horizon_evolve_writes_nothing(self, tmp_path, capsys):
-        # no band, no modes, but T = 1e7 needs ~1e9 step records: an input check
+        # no band, no modes, but T = 1e7 needs ~2.5e8 step records of step 0.04: an input check
         rc = run_cli(["evolve", "--out", str(tmp_path / "out"), "--override", "eta=0",
                       "--override", "horizon=1e7"])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "GiB over the 1 GiB limit" in err
-        assert "~1e+09 step records" in err
+        assert "~2.5e+08 step records" in err
         assert not (tmp_path / "out").exists()
 
     def test_steep_band_formfactor_is_finite(self, tmp_path, capsys):
@@ -618,7 +618,10 @@ class TestCli:
         m = validate_params(ModelParams(gamma=1.0, band=DetectorBand(eta=1e4, delta=20.0)))
         dm = discretize_continuum(m)
         assert 300.0 < dm.model.numerics.cutoff < 10 * 1e4  # the band, not 10*eta, set the window
-        assert line.endswith(f", cutoff={m.numerics.cutoff:.6g}, core_modes={len(dm.k_grid)}")
+        assert line.endswith(f", cutoff={m.numerics.cutoff:.6g}, core_modes={len(dm.k_grid)}, "
+                             f"step={m.numerics.step:.6g}")
+        # and the band's width set the step, between 0.01/gamma and 0.04/gamma
+        assert m.numerics.step == pytest.approx(0.4 / math.sqrt(2.0 * math.pi * 20.0))
 
     def test_fig2_emits_three_ordered_curves(self, tmp_path):
         rc = run_cli(["fig2", "--out", str(tmp_path)])
