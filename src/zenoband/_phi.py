@@ -24,14 +24,20 @@ _SERIES = np.array([[1.0, 0.0, 0.0, 0.0]] + [[(-1) ** k * a for a in (
     1.0 / ((2 * k + 1) * math.factorial(2 * k + 1)), -1.0 / (2 * k * math.factorial(2 * k)),
     -1.0 / math.factorial(2 * k + 1), -(2 * k + 1) / math.factorial(2 * k + 2))]
     for k in range(1, 16)])
-# The auxiliary functions f and g of Si and Ci past x = 64.75: x f and x^2 g from the
-# first 7 terms of their asymptotic series in 1/x^2, sum (-1)^k (2k)! / x^2k and
-# sum (-1)^k (2k+1)! / x^2k (Abramowitz & Stegun 5.2.34-35), one column each
+# The auxiliary functions f and g of Si and Ci: x f and x^2 g from their asymptotic
+# series in 1/x^2, sum (-1)^k (2k)! / x^2k and sum (-1)^k (2k+1)! / x^2k (Abramowitz &
+# Stegun 5.2.34-35), one column each.  sici sums the first 7 terms past x = 64.75 (the
+# first dropped one 14!/64.75^14 = 3.8e-15); the kernel's far parts take all 13
 _AUX_ASYMPTOTIC = np.array([[(-1) ** k * math.factorial(2 * k + j) for j in (0, 1)]
-                            for k in range(7)], dtype=float)
+                            for k in range(13)], dtype=float)
 # Between x = 3.75 and 64.75: Taylor series of f + ig about the nearest centre j/2,
 # 8 <= j <= 129, of 13 terms each; |x - j/2| <= 1/4
 _AUX_CENTRES, _AUX_TERMS = (8, 129), 13
+# Past |x t| = _KERNEL_FAR the kernel antiderivatives are smooth parts plus cos/sin(|x| t)
+# times 13 terms of f and g: the first dropped one, 26!/40^26 = 9e-16, is below sici's own.
+# Below ~36 the series' smallest term stays above 1e-15; from 64.75 down to 40 the
+# pairs that need Si/Ci fall by 30% on the Fig. 3 sets
+_KERNEL_FAR = 40.0
 # phase_blocks: rows per direct exp, the most step tables it holds, and the elements of
 # one (times or energies x nodes) block, here and in formfactor
 _ANCHOR, _STEP_TABLES, _BLOCK = 32, 32, 2 ** 14
@@ -89,13 +95,16 @@ def _phi_disc(z, nmax):
     return disc
 
 
-def _horner(coef, z):
-    """sum_k coef[k] z^k, broadcast, on one buffer; ``coef`` has at least 2 rows."""
-    p = coef[-1] * z
+def _horner(coef, z, at=slice(None)):
+    """sum_k coef[k][at] z^k, broadcast, on one buffer; ``coef`` has at least 2 rows.
+
+    An index array ``at`` gathers one row at a time, not the whole table.
+    """
+    p = coef[-1][at] * z
     for a in coef[-2:0:-1]:
-        p += a
+        p += a[at]
         p *= z
-    p += coef[0]
+    p += coef[0][at]
     return p
 
 
@@ -133,18 +142,20 @@ def sici(x, sin_x=None, cos_x=None):
     x = np.ravel(np.asarray(x, dtype=float))
     s = np.sin(x) if sin_x is None else np.ravel(sin_x)
     c = np.cos(x) if cos_x is None else np.ravel(cos_x)
-    z = x * x
-    np.divide(1.0, z, out=z)
-    f, g = _horner(_AUX_ASYMPTOTIC[:, :, None], z)
-    f /= x
-    g *= z
     j = np.rint(2.0 * x)
+    f, g = np.zeros((2,) + x.shape)
+    far = np.flatnonzero(j > _AUX_CENTRES[1])
+    if far.size:
+        xf = x[far]
+        z = xf * xf
+        np.divide(1.0, z, out=z)
+        ff, gf = _horner(_AUX_ASYMPTOTIC[:7, :, None], z)
+        f[far], g[far] = ff / xf, gf * z
     mid = np.flatnonzero(j <= _AUX_CENTRES[1])
     near = mid[j[mid] >= _AUX_CENTRES[0]]
     if near.size:
         jn = j[near]
-        F = _horner(np.take(_aux_taylor(), jn.astype(int) - _AUX_CENTRES[0], axis=1),
-                    x[near] - jn / 2.0)
+        F = _horner(_aux_taylor(), x[near] - jn / 2.0, jn.astype(int) - _AUX_CENTRES[0])
         f[near], g[near] = F.real, F.imag
     si = f * c
     si += g * s
@@ -223,3 +234,47 @@ def kernel_antiderivatives(x, t: float, half):
         cin, r2, r3 = np.polynomial.polynomial.polyval(y[small] ** 2, _SERIES[:, 1:])
         f[0][small], f[1][small], f[2][small] = cin, xs * r2, xs * xs * r3
     return (f0, *f)
+
+
+def kernel_smooth_parts(x, t):
+    """The smooth parts of :func:`kernel_antiderivatives` where |x t| >= _KERNEL_FAR.
+
+    They are t sgn(x) pi/2 - 1/x, gamma_E + ln|x t|, x and x^2/2 + 1/t^2; the
+    rest oscillates and is summed through :func:`kernel_oscillation_weights`.
+    """
+    return (t * np.sign(x) * (np.pi / 2.0) - 1.0 / x, np.euler_gamma + np.log(np.abs(x * t)),
+            x, x * x / 2.0 + 1.0 / (t * t))
+
+
+def kernel_smooth_cells(x):
+    """The smooth parts' differences across the cells of the increasing ``x``, free of t.
+
+    A cell whose ends differ in sign, or touch 0, is never far from the
+    origin at any t and reads 0.
+    """
+    h, one_sign = np.diff(x), x[:-1] * x[1:] > 0.0
+    u, v = (np.where(one_sign, e, 1.0) for e in (x[:-1], x[1:]))
+    diffs = (h / (u * v), np.log1p(h / u), h, h * (u + v) / 2.0)
+    return [np.where(one_sign, d, 0.0) for d in diffs]
+
+
+def kernel_oscillation_weights(x, jumps):
+    """Node weights of the oscillatory parts of :func:`kernel_antiderivatives`, past _KERNEL_FAR.
+
+    Summed by parts against the ``jumps`` (4 x nodes) of the cells' power
+    coefficients at the nodes x, those parts are, at a time t,
+    Sum_p t^-(2p+1) (sin(|x| t) . S[:, p] + cos(|x| t) . C[:, p] / t), with
+    (C, S) returned.  Column p holds the p-th terms of the series of f and g
+    in 1/(x t)^2 that :func:`sici` sums past _KERNEL_FAR (A&S 5.2.34-35).
+    """
+    X, s = np.abs(x), np.sign(x)
+    a, b = _AUX_ASYMPTOTIC.T  # (-1)^p (2p)!, (-1)^p (2p+1)!
+    j0, j1, j2, j3 = jumps
+    inv = np.cumprod(np.broadcast_to(1.0 / X[:, None], (len(X), 2 * len(a))), axis=1)
+    odd, even = inv[:, 0::2], inv[:, 1::2]  # X^-(2p+1), X^-(2p+2)
+    S = -b * (s * j0)[:, None] * even - a * j1[:, None] * odd
+    S[:, 0] -= s * j2 + X * j3
+    C = b * j1[:, None] * even
+    C[:, :-1] -= a[1:] * (s * j0)[:, None] * odd[:, 1:]
+    C[:, 0] -= j3
+    return C, S

@@ -30,6 +30,7 @@ __all__ = [
 
 SIGMA_BUDGET = 5e-8         # |Sigma| the window may drop at omega + 4i/T, in units of gamma
 _LADDER = 1.05              # ratio between the windows default_cutoff tries
+_RUNGS = 6                  # windows per _window_defect call: ~60 KB of temporaries
 REVIVAL_MARGIN = 4.0        # flat bands and eta = 0: recurrence beyond this many horizons
 STRIP_BUDGET = 20.7         # the pair kernel's recurrence images are down by exp(-20.7) ~ 1e-9
 FLAT_CELLS = 128            # least grid cells per flat-band half-width (edge error ~1/m^2)
@@ -102,30 +103,40 @@ def free_value(gamma: float) -> float:
     return gamma / (2.0 * np.pi)
 
 
-def _window_defect(gamma, band: DetectorBand, omega: float, K: float, eps: complex) -> float:
+def _window_defect(gamma, band: DetectorBand, omega: float, K, eps: complex):
     """|Sigma(omega + eps)|, Im eps > 0, that window K drops: the band damping beyond it.
 
     (gamma/2pi) |Int_{|k - c| > K} [1/(eps - k) - 1/(eps - k + i pi eta_k)] dk|, k from
-    omega, c the band centre, by Gauss-Legendre in u = K/|k - c|.
+    omega, c the band centre, by Gauss-Legendre in u = K/|k - c|.  ``K`` is a window or
+    a 1-D array of them, giving a float or an array; a window's value does not depend
+    on the others.
     """
     u, w = gauss_legendre(64)
-    k = band.center - omega + np.outer([1.0, -1.0], K / u)  # both sides
+    Ks = np.atleast_1d(np.asarray(K, dtype=float))
+    k = band.center - omega + np.array([[1.0], [-1.0]]) * (Ks[:, None, None] / u)  # both sides
     damp = 1j * np.pi * detector_response(band, omega + k)
-    wk = K * w / u ** 2
+    wk = Ks[:, None] * w / u ** 2
     with np.errstate(over="ignore"):  # an overflowed term divides to 0
-        return free_value(gamma) * abs(((damp / ((eps - k) * (eps - k + damp))) @ wk).sum())
+        terms = damp / ((eps - k) * (eps - k + damp))
+        D = np.array([free_value(gamma) * abs((m @ v).sum()) for m, v in zip(terms, wk)])
+    return D if np.ndim(K) else float(D[0])
 
 
 def default_cutoff(gamma, band: DetectorBand, omega: float, horizon: float) -> float:
     """Smallest half-width K around the band centre the propagator accepts without an override.
 
-    The first K up the ladder delta * ``_LADDER``**j whose :func:`_window_defect` at
-    omega + 4i/T (T = ``horizon``) is within ``SIGMA_BUDGET``*gamma.
+    The first K up the ladder delta * ``_LADDER``**j (each rung the last times
+    ``_LADDER``) whose :func:`_window_defect` at omega + 4i/T (T = ``horizon``) is not
+    above ``SIGMA_BUDGET``*gamma; _RUNGS rungs at a time.
     """
     K = band.delta
-    while _window_defect(gamma, band, omega, K, 4j / horizon) > SIGMA_BUDGET * gamma:
-        K *= _LADDER
-    return K
+    while True:
+        Ks = np.cumprod(np.r_[K, np.full(_RUNGS - 1, _LADDER)])
+        D = _window_defect(gamma, band, omega, Ks, 4j / horizon)
+        stop = np.flatnonzero(~(D > SIGMA_BUDGET * gamma))  # a NaN stops too
+        if stop.size:
+            return float(Ks[stop[0]])
+        K = Ks[-1] * _LADDER
 
 
 def validate_params(p: ModelParams) -> ModelParams:

@@ -15,7 +15,9 @@ from typing import Tuple
 
 import numpy as np
 
-from ._phi import free_tail_moments, kernel_antiderivatives, phase_blocks, phi_functions
+from ._phi import (_KERNEL_FAR, free_tail_moments, kernel_antiderivatives,
+                   kernel_oscillation_weights, kernel_smooth_cells, kernel_smooth_parts,
+                   phase_blocks, phi_functions)
 from .errors import HorizonExceeded, ToleranceNotMet, WindowTooNarrow
 from .formfactor import (FormFactorGrid, PiecewisePoly, _ladder, _split_cubic, _within_budget,
                          free_value, self_energy)
@@ -32,6 +34,9 @@ _SKELETON = 24            # second-kind Chebyshev nodes per panel of Sigma acros
 _HELD_OUT = (0.5, 11.5, 22.5)  # a panel's held-out energies, between nodes 0|1, 11|12, 22|23
 _MOMENTS = 16             # Taylor terms of phi4 on the nodes with |t x| < _NEAR
 _NEAR = 1.0               # |t x| below which phi4 is summed from moments, not cos/sin
+# (time, node) pairs per chunk of perturbative_decay's near cells: 16,384 put fig3-spectral's
+# peak RSS 2.5 MB higher (1.5 MB over Si/Ci on every node), 4,096 ran 6% slower on log times
+_NEAR_PAIRS = 8192
 # Largest normalization defect spectral_function() accepts.  Measured route gaps
 # run 2-4x the defect, so 2e-4 keeps the spectral route inside the 1e-3 cross-route gate.
 DEFECT_TOL = 2e-4
@@ -229,21 +234,66 @@ def perturbative_decay(grid: FormFactorGrid, omega: float, t) -> np.ndarray:
 
     The free part integrates to gamma*t exactly and is added in closed form.
     The deviation (g2 - gamma/2pi) is the grid's own cubic line, whose powers
-    x^k on each cell meet the kernel 2(1 - cos xt)/x^2 exactly through
-    :func:`~zenoband._phi.kernel_antiderivatives`, so the cost does not grow
-    with t.  The sorted distinct times go through in (times x nodes) blocks
-    of :func:`~zenoband._phi.phase_blocks`' half-angle phases: the order and
-    repeats of ``t`` change no bit, other batches agree to ~1e-15.
+    x^k on each cell meet the kernel 2(1 - cos xt)/x^2 exactly through its
+    antiderivatives, so the cost does not grow with t.  At each time the
+    cells with a node inside |t x| < _KERNEL_FAR, and one across x = 0, take
+    :func:`~zenoband._phi.kernel_antiderivatives` at their ends, differenced.
+    Past it the antiderivatives are smooth parts plus cos/sin(|x| t) times
+    Si/Ci's asymptotic series: the smooth parts' cell differences are free of
+    t and summed from the window's ends inwards, and the oscillatory parts
+    are summed by parts, one matrix product of the phase rows of
+    :func:`~zenoband._phi.phase_blocks` with fixed node weights per block of
+    times.  The sorted distinct times are transformed: the order and repeats
+    of ``t`` change no bit, other batches agree to ~1e-15.
     """
     t_arr, restore = _times(t)
-    x = grid.line.x - omega
+    x, n = grid.line.x - omega, len(grid.line.x)
     d3, d2, d1, d0 = grid.line.c  # in powers of x - u on the cell from u; coef in powers of x
     u = x[:-1]
-    coef = (d0 - u * (d1 - u * (d2 - u * d3)) - free_value(grid.gamma),
-            d1 - u * (2.0 * d2 - 3.0 * u * d3), d2 - 3.0 * u * d3, d3)
-    dev = np.empty(len(t_arr))
-    for j, half in phase_blocks(t_arr, -0.5 * np.abs(x)):
-        dev[j] = sum((np.diff(f) * a).sum(axis=1) for a, f in zip(
-            coef, kernel_antiderivatives(x, t_arr[j, None], half)))
+    coef = np.array((d0 - u * (d1 - u * (d2 - u * d3)) - free_value(grid.gamma),
+                     d1 - u * (2.0 * d2 - 3.0 * u * d3), d2 - 3.0 * u * d3, d3))
+    lim = np.divide(_KERNEL_FAR, t_arr, out=np.full_like(t_arr, np.inf), where=t_arr > 0.0)
+    # near nodes, |x| < lim, are lo .. hi - 1; the cells from a to b - 2 have a near end or cross 0
+    lo, hi = np.searchsorted(x, -lim, side="right"), np.searchsorted(x, lim)
+    a, b = np.maximum(lo - 1, 0), np.minimum(hi + 1, n)
+    # the other cells' smooth parts, free of t, summed from the window's ends inwards
+    q = sum(c * d for c, d in zip(coef, kernel_smooth_cells(x)))
+    dev = np.r_[0.0, np.cumsum(q)][a] + np.r_[np.cumsum(q[::-1])[::-1], 0.0][b - 1]
+    # near cells: rows of pairs (time, node a .. b - 1), about _NEAR_PAIRS pairs at a time
+    count = b - a
+    start = np.cumsum(count) - count  # a row's first pair
+    coef = np.pad(coef, ((0, 0), (0, 1)))  # a node's own cell; the last node's is 0
+    r0 = 0
+    while r0 < len(t_arr):
+        r1 = max(r0 + 1, int(np.searchsorted(start, start[r0] + _NEAR_PAIRS)))
+        c, first = count[r0:r1], start[r0:r1] - start[r0]
+        last = first + c - 1
+        row = np.repeat(np.arange(r0, r1), c)
+        node = np.arange(last[-1] + 1) + np.repeat(a[r0:r1] - first, c)
+        xs, ts = x[node], t_arr[row]
+        G = kernel_antiderivatives(xs, ts, np.exp(0.5j * np.abs(xs) * ts))
+        ends = np.r_[first, last]  # a row's end node past lim keeps only its smooth part
+        ends = ends[np.abs(xs[ends]) >= lim[row[ends]]]
+        for g, f in zip(G, kernel_smooth_parts(xs[ends], ts[ends])):
+            g[ends] = f
+        cells = np.r_[sum(k[node[:-1]] * np.diff(g) for k, g in zip(coef, G)), 0.0]
+        cells[last] = 0.0  # no cell from a row's last node
+        dev[r0:r1] += np.add.reduceat(cells, first)
+        r0 = r1
+    # far nodes: the oscillatory parts by parts, in |x| order, from n_far on at each time
+    order = np.argsort(np.abs(x), kind="stable")
+    X = np.abs(x)[order]
+    n_far = np.searchsorted(X, lim)
+    k0 = int(n_far.min(initial=n))
+    jumps = -np.diff(coef, axis=1, prepend=0.0)[:, order[k0:]]  # coef[i - 1] - coef[i]
+    C, S = kernel_oscillation_weights(x[order[k0:]], jumps)
+    W = np.zeros((2 * (n - k0), 2 * C.shape[1]))  # rows: cos, -sin (Z's float view)
+    W[0::2, 1::2], W[1::2, 0::2] = C, -S  # columns: t^-1, t^-2, ... t^-2K
+    sums = np.empty((len(t_arr), W.shape[1]))
+    for j, Z in phase_blocks(t_arr, X, n_far):
+        k = n - Z.shape[1]
+        Z[np.arange(Z.shape[1]) < (n_far[j] - k)[:, None]] = 0.0
+        sums[j] = Z.view(float) @ W[2 * (k - k0):]
+    r = np.divide(1.0, t_arr, out=np.zeros_like(t_arr), where=n_far < n)
+    dev += (sums * np.cumprod(np.broadcast_to(r[:, None], sums.shape), axis=1)).sum(axis=1)
     return restore(grid.gamma * t_arr + 2.0 * dev)
-

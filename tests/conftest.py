@@ -401,3 +401,31 @@ def survival_cellwise_reference(sf, t):
         c_int, s_int = free_tail_moments(W, t_arr)
         out += free_value(sf.gamma) * np.exp(-1j * t_arr * sf.omega) * (c_int - 1j * sgn * s_int)
     return out
+
+
+def perturbative_reference(grid, omega, ts, nodes=8, th=1.0):
+    """1 - s(t) of the grid's g2 line at times ``ts``, by quadrature of the kernel itself.
+
+    gamma t plus Int (g2 - gamma/2pi) sin^2(xt/2)/(x/2)^2 dmu, x = mu - omega,
+    over the line's window: ``nodes``-point Gauss-Legendre nodes in each of its
+    cells, cut into equal parts until t*h <= ``th``, with the line's own cubic
+    on each cell.  It shares no kernel antiderivative, no Si/Ci and no
+    summation by parts with :func:`~zenoband.spectral.perturbative_decay`.
+    """
+    line = grid.line
+    keep = np.flatnonzero(np.diff(line.x) > 0.0)  # a flat band's repeated edges: zero-width cells
+    h, c, x0 = np.diff(line.x)[keep], line.c[:, keep], line.x[keep]
+    u, w = np.polynomial.legendre.leggauss(nodes)
+    out = []
+    for t in np.atleast_1d(np.asarray(ts, dtype=float)):
+        parts = np.maximum(np.ceil(t * h / th), 1.0).astype(int)
+        cell = np.repeat(np.arange(len(keep)), parts)
+        k = np.arange(parts.sum()) - np.repeat(np.cumsum(parts) - parts, parts)
+        hp = (h / parts)[cell]
+        s = (k[:, None] + (u + 1.0) / 2.0) * hp[:, None]  # from the cell's left end
+        cc = c[:, cell, None]
+        dev = ((cc[0] * s + cc[1]) * s + cc[2]) * s + cc[3] - free_value(grid.gamma)
+        x = x0[cell, None] + s - omega
+        kern = t * t * np.sinc(x * t / (2.0 * np.pi)) ** 2  # sin^2(xt/2)/(x/2)^2
+        out.append(grid.gamma * t + np.sum((hp[:, None] * w / 2.0) * dev * kern))
+    return np.array(out)

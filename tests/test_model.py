@@ -17,11 +17,20 @@ from zenoband import (
     qze_condition_report,
     validate_params,
 )
-from zenoband.model import _LADDER, SIGMA_BUDGET, _window_defect, default_cutoff
+from zenoband import model
+from zenoband.model import _LADDER, _RUNGS, SIGMA_BUDGET, _window_defect, default_cutoff
 
 
 def band(eta=1.0, delta=1.0, n=6, center=0.0):
     return DetectorBand(eta=eta, delta=delta, n=n, center=center)
+
+
+def scalar_ladder(gamma, b, omega, horizon):
+    """The window rule one rung per call: K *= _LADDER while D(K) is above the budget."""
+    K = b.delta
+    while _window_defect(gamma, b, omega, K, 4j / horizon) > SIGMA_BUDGET * gamma:
+        K *= _LADDER
+    return K
 
 
 def with_raw(key, value):
@@ -261,6 +270,47 @@ class TestCutoffRule:
             assert b.delta < K <= top
             assert _window_defect(1.0, b, 0.0, K, 0.8j) <= SIGMA_BUDGET
             assert _window_defect(1.0, b, 0.0, K / _LADDER, 0.8j) > SIGMA_BUDGET
+
+    @pytest.mark.parametrize("n", [2, 6, 96, 400, None], ids=["n2", "n6", "n96", "n400", "flat"])
+    def test_batched_ladder_is_the_scalar_ladder(self, n):
+        # default_cutoff evaluates _RUNGS rungs per call; K is the one-rung-per-call K, bit for bit
+        for eta in (0.0, 0.5, 30.0, 100.0, 1e4):
+            for delta in (1.0, 100 / (2 * math.pi), 1e3 / (2 * math.pi)):
+                for det in (0.0, 0.5 * delta, -7.0 * delta):
+                    for T in (1.0, 5.0, 20.0):
+                        b = band(eta=eta, delta=delta, n=n, center=det)
+                        assert default_cutoff(1.0, b, 0.0, T) == scalar_ladder(1.0, b, 0.0, T)
+
+    def test_window_defect_of_an_array_is_each_windows_own(self):
+        for n in (2, 6, None):
+            b = band(eta=100.0, delta=100 / (2 * math.pi), n=n, center=3.0)
+            Ks = b.delta * _LADDER ** np.arange(40)
+            D = _window_defect(1.0, b, 0.0, Ks, 0.8j)
+            assert D.shape == Ks.shape
+            assert np.array_equal(D, [_window_defect(1.0, b, 0.0, K, 0.8j) for K in Ks])
+
+    def test_ladder_calls_and_memory(self, monkeypatch):
+        # n = 2 at eta = 100 climbs 108 rungs to K ~ 3,100: 19 calls of 6 rungs, where the
+        # one-rung ladder made 109; each call's temporaries stay under ~64 KB
+        b = band(eta=100.0, delta=100 / (2 * math.pi), n=2)
+        default_cutoff(1.0, band(), 0.0, 5.0)  # the Gauss-Legendre rule is cached
+        tracemalloc.start()
+        try:
+            K = default_cutoff(1.0, b, 0.0, 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rungs = round(math.log(K / b.delta) / math.log(_LADDER)) + 1
+        assert rungs > 100
+        assert peak < 96 * 1024
+        calls = []
+
+        def counted(*args):
+            calls.append(np.size(args[3]))
+            return _window_defect(*args)
+        monkeypatch.setattr(model, "_window_defect", counted)
+        assert default_cutoff(1.0, b, 0.0, 5.0) == K
+        assert len(calls) == -(-rungs // _RUNGS) and set(calls) == {_RUNGS}
 
     def test_narrow_broken_set_window_is_refused_before_allocation(self):
         # cutoff 1200 on the broken set drops 1.0e-7 of Sigma, over the budget

@@ -6,8 +6,9 @@ import pytest
 from conftest import phi_reference
 from scipy.special import sici as scipy_sici
 
-from zenoband._phi import (free_tail_moments, kernel_antiderivatives as _kernel, phase_blocks,
-                          phi_functions, sici)
+from zenoband._phi import (free_tail_moments, kernel_antiderivatives as _kernel,
+                          kernel_oscillation_weights, kernel_smooth_cells, kernel_smooth_parts,
+                          phase_blocks, phi_functions, sici)
 
 # Largest relative gap of phi_1..phi_3 to the frozen reference formula,
 # about 3x the largest measured: 4.4e-16 (all on the disc), 1.1e-15 and
@@ -130,6 +131,34 @@ def test_kernel_antiderivatives_vanish_and_are_continuous_at_zero():
     assert np.abs(f0).max() < 1e-8 * t and np.abs(f1).max() < 1e-14
     assert np.abs(f2).max() < 1e-22 and np.abs(f3).max() < 1e-30
     assert all(np.all(f == 0.0) for f in kernel_antiderivatives(np.array([-2.0, 0.0, 5.0]), 0.0))
+
+
+@pytest.mark.parametrize("t", [0.05, 3.0, 700.0])
+def test_kernel_far_parts_sum_to_the_antiderivatives(t):
+    # past |x t| = 40 each antiderivative is its smooth part plus the oscillatory sum that
+    # kernel_oscillation_weights gives a node whose jump is 1 (2.2e-16 measured)
+    y = np.array([-5000.0, -300.0, -40.0, 40.0, 64.7, 64.8, 1e3, 2.5e4])
+    x = y / t
+    want, smooth = kernel_antiderivatives(x, t), kernel_smooth_parts(x, t)
+    for k in range(4):
+        jumps = np.zeros((4, len(x)))
+        jumps[k] = 1.0
+        C, S = kernel_oscillation_weights(x, jumps)
+        p = np.arange(C.shape[1])
+        osc = (t ** -(2.0 * p + 1) * (np.sin(np.abs(y))[:, None] * S
+                                      + np.cos(np.abs(y))[:, None] * C / t)).sum(axis=1)
+        np.testing.assert_allclose(smooth[k] + osc, want[k], rtol=1e-15, atol=0.0)
+
+
+def test_kernel_smooth_cells_drop_t():
+    # a one-signed cell's smooth parts differ by the same at any t; one across 0 reads 0
+    x = np.array([-30.0, -20.0, -19.0, -0.5, 2.0, 7.0, 7.0, 9.0, 400.0])
+    one = x[:-1] * x[1:] > 0.0
+    for t in (0.5, 3.0):
+        for d, s in zip(kernel_smooth_cells(x), kernel_smooth_parts(x, t)):
+            np.testing.assert_allclose(d[one], np.diff(s)[one], rtol=1e-13, atol=1e-13)
+            assert np.all(d[~one] == 0.0)
+    assert all(np.all(d == 0.0) for d in kernel_smooth_cells(np.array([-1.0, 0.0, 0.0, 1.0])))
 
 
 # sici against scipy's, by branch: (Si absolute, Ci relative to max(1, |Ci|)), 3x the

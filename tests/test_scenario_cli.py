@@ -670,6 +670,28 @@ assert not hasattr(formfactor, "no_such_name")
 """
 
 
+class TestBlasThreads:
+    def test_spectral_csvs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # perturbative_decay sums its far nodes through matrix products, which a
+        # threaded BLAS may split; the CSVs are the same bytes with one thread
+        root = os.path.dirname(os.path.dirname(zenoband.__file__))  # the tested package
+        written = []
+        for threads in (None, "1"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                [root] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / (threads or "default")
+            r = subprocess.run([sys.executable, "-m", "zenoband.cli", "spectral", "--out", str(out),
+                                "--override", "eta=100", "--override", "delta=15.9155"],
+                               env=env, capture_output=True, text=True, timeout=300)
+            assert r.returncode == 0, r.stderr
+            written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert set(written[0]) == {"spectral.csv", "perturbative.csv", "survival_spectral.csv"}
+        assert written[0] == written[1]
+
+
 class TestImportGraph:
     def test_products_import_no_scipy(self, tmp_path):
         root = os.path.dirname(os.path.dirname(zenoband.__file__))  # the tested package

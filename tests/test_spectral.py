@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (flat_sigma_oracle, g2_quad_oracle, re_sigma_oracle,
+from conftest import (flat_sigma_oracle, g2_quad_oracle, perturbative_reference, re_sigma_oracle,
                       spectral_reference, survival_cellwise_reference)
 from zenoband import formfactor, scenario, spectral
 from zenoband.formfactor import PiecewisePoly
@@ -197,9 +197,9 @@ class TestSurvivalAmplitude:
 
 class TestPerturbativeDecay:
     def test_free_case_is_exactly_linear(self, free_grid):
-        t = np.array([0.0, 0.2, 1.0, 4.0])
-        got = perturbative_decay(free_grid, 0.0, t)
-        np.testing.assert_allclose(got, GAMMA * t, rtol=1e-9, atol=1e-12)
+        # eta = 0 leaves g2 = gamma/2pi on the line: every cell and node weight is 0
+        t = np.r_[0.2, 4.0, np.linspace(0.0, 5.0, 501)]
+        assert np.array_equal(perturbative_decay(free_grid, 0.0, t), GAMMA * t)
 
     def test_two_stage_slopes(self, solid_grid):
         delta = FIG_DELTA
@@ -243,6 +243,25 @@ class TestPerturbativeDecay:
         t = np.array([1e-8, 1e-7, 1e-6])
         got = (perturbative_decay(grid, 0.0, t) - GAMMA * t) / t ** 2
         np.testing.assert_allclose(got, want, rtol=1e-6)
+
+    # The CLI's grids against Gauss-Legendre quadrature of the kernel itself.  Bounds are
+    # ~3x the relative gaps of the transform with Si/Ci on every node (1.5e-14, 4.0e-15,
+    # 8.4e-15, 1.8e-16); on the band far off the line that transform was 1.6e-10 off,
+    # and the bound is ~3x the 1.3e-13 that Si/Ci on the near nodes alone reach
+    @pytest.mark.parametrize("kw,bound", [
+        (dict(eta=100.0, delta=FIG_DELTA), 5e-14),
+        (dict(eta=10.0, delta=FIG_DELTA), 1.2e-14),
+        (dict(eta=1000.0, delta=10.0 * FIG_DELTA), 2.5e-14),
+        (dict(eta=100.0, delta=15.9155, n=None, center=39.0), 6e-16),
+        (dict(eta=100.0, delta=15.9155, center=1000.0), 4e-13),
+    ], ids=["solid", "dotted", "broken", "flat-detuned", "far"])
+    def test_matches_the_quadrature_reference(self, kw, bound):
+        m = validate_params(ModelParams(gamma=GAMMA, band=DetectorBand(**kw)))
+        grid = form_factor_grid(m.band, GAMMA, scenario._default_window(m.band, GAMMA, m.omega),
+                                tol=m.numerics.quad_tol)
+        t = np.array([0.05, 0.3, 1.1, 2.5, 5.0])
+        want = perturbative_reference(grid, m.omega, t)
+        np.testing.assert_allclose(perturbative_decay(grid, m.omega, t), want, rtol=bound, atol=0.0)
 
 
 class TestTimeBatches:
