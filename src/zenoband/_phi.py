@@ -26,18 +26,16 @@ _SERIES = np.array([[1.0, 0.0, 0.0, 0.0]] + [[(-1) ** k * a for a in (
     for k in range(1, 16)])
 # The auxiliary functions f and g of Si and Ci: x f and x^2 g from their asymptotic
 # series in 1/x^2, sum (-1)^k (2k)! / x^2k and sum (-1)^k (2k+1)! / x^2k (Abramowitz &
-# Stegun 5.2.34-35), one column each.  sici sums the first 7 terms past x = 64.75 (the
-# first dropped one 14!/64.75^14 = 3.8e-15); the kernel's far parts take all 13
+# Stegun 5.2.34-35), one column each, 13 terms.  sici sums them past x = _KERNEL_FAR + 1/4,
+# and the kernel antiderivatives' oscillatory parts past |x t| = _KERNEL_FAR: the first
+# dropped term, 26!/40^26 = 9e-16, is below the Taylor centres' own error.  Below ~36 the
+# series' smallest term stays above 1e-15, and a larger cut-off leaves more pairs to Si/Ci
 _AUX_ASYMPTOTIC = np.array([[(-1) ** k * math.factorial(2 * k + j) for j in (0, 1)]
                             for k in range(13)], dtype=float)
-# Between x = 3.75 and 64.75: Taylor series of f + ig about the nearest centre j/2,
-# 8 <= j <= 129, of 13 terms each; |x - j/2| <= 1/4
-_AUX_CENTRES, _AUX_TERMS = (8, 129), 13
-# Past |x t| = _KERNEL_FAR the kernel antiderivatives are smooth parts plus cos/sin(|x| t)
-# times 13 terms of f and g: the first dropped one, 26!/40^26 = 9e-16, is below sici's own.
-# Below ~36 the series' smallest term stays above 1e-15; from 64.75 down to 40 the
-# pairs that need Si/Ci fall by 30% on the Fig. 3 sets
 _KERNEL_FAR = 40.0
+# Between x = 3.75 and _KERNEL_FAR + 1/4: Taylor series of f + ig about the nearest centre
+# j/2, 8 <= j <= 80, of 13 terms each; |x - j/2| <= 1/4
+_AUX_CENTRES, _AUX_TERMS = (8, int(2 * _KERNEL_FAR)), 13
 # phase_blocks: rows per direct exp, the most step tables it holds, and the elements of
 # one (times or energies x nodes) block, here and in formfactor
 _ANCHOR, _STEP_TABLES, _BLOCK = 32, 32, 2 ** 14
@@ -134,9 +132,10 @@ def sici(x, sin_x=None, cos_x=None):
 
     Si = pi/2 - f cos x - g sin x and Ci = f sin x - g cos x through the
     auxiliary functions f and g (Abramowitz & Stegun 5.2.8-9), from their
-    asymptotic series past x = 64.75 and from their Taylor series about the
-    nearest :func:`_aux_taylor` centre down to 3.75.  Below that Si and Ci
-    come from their series in x^2.  Each is within ~1e-15 of the exact value.
+    asymptotic series past x = _KERNEL_FAR + 1/4 and from their Taylor series
+    about the nearest :func:`_aux_taylor` centre down to 3.75.  Below that Si
+    and Ci come from their series in x^2.  Each is within ~1e-15 of the exact
+    value.
     """
     shape = np.shape(x)
     x = np.ravel(np.asarray(x, dtype=float))
@@ -149,7 +148,7 @@ def sici(x, sin_x=None, cos_x=None):
         xf = x[far]
         z = xf * xf
         np.divide(1.0, z, out=z)
-        ff, gf = _horner(_AUX_ASYMPTOTIC[:7, :, None], z)
+        ff, gf = _horner(_AUX_ASYMPTOTIC[:, :, None], z)
         f[far], g[far] = ff / xf, gf * z
     mid = np.flatnonzero(j <= _AUX_CENTRES[1])
     near = mid[j[mid] >= _AUX_CENTRES[0]]
@@ -210,7 +209,7 @@ def free_tail_moments(W: float, t):
     return np.cos(x) / W - t * (np.pi / 2.0 - si), np.sin(x) / W - t * ci
 
 
-def kernel_antiderivatives(x, t: float, half):
+def kernel_antiderivatives(x, t: float):
     """Antiderivatives in x of x^k (1 - cos(xt))/x^2, k = 0..3, for t >= 0.
 
     With y = x*t they are t*(Si(y) - (1 - cos y)/y),
@@ -218,11 +217,11 @@ def kernel_antiderivatives(x, t: float, half):
     x^2/2 - x sin(y)/t + 2 sin^2(y/2)/t^2, all taken as 0 at y = 0.  The
     last three cancel to O(y^2) of their terms, so below |y| = 1 they come
     from their series in y^2.  ``t`` may be a column of times, giving one
-    row per time.  ``half`` is e^{i|y|/2}, as :func:`phase_blocks` gives it.
+    row per time.  sin y and cos y come from the half-angle phase e^{i|y|/2}.
     """
     y = x * t
     a = np.abs(y)
-    ay = np.where(y == 0.0, 1.0, a)
+    ay, half = np.where(y == 0.0, 1.0, a), np.exp(0.5j * a)
     v, c = 2.0 * half.imag / ay, half.real  # sin y = y v c, 1 - cos y = (y v)^2/2
     yv, vc = ay * v, v * c
     si, ci = sici(ay, yv * c, 1.0 - yv * yv / 2.0)

@@ -1,6 +1,6 @@
 """Command-line scenario runner.
 
-Subcommands: formfactor, evolve, spectral, report, fig1, fig2, fig3, sweep.
+Commands: formfactor, evolve, spectral, report, fig1, fig2, fig3, sweep.
 
 Exit codes and the stderr line of each failure:
 
@@ -27,17 +27,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="zenoband",
         description="Continuous monitoring of an exponentially decaying atom "
                     "by a finite-bandwidth photodetector.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in PRODUCTS + ("sweep",):
-        p = sub.add_parser(name, help=f"run the {name} product")
-        p.add_argument("--config", metavar="PATH", default=None,
-                       help="scenario config file (flat key = value lines)")
-        p.add_argument("--out", metavar="DIR", default=None,
-                       help="output directory (default: out)")
-        p.add_argument("--override", metavar="KEY=VALUE", action="append",
-                       default=[], help="override a config key (repeatable)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="concurrent sweep points (default 1)")
+    parser.add_argument("command", choices=PRODUCTS + ("sweep",),
+                        help="the product to run, or sweep: the config's products at each point")
+    parser.add_argument("--config", metavar="PATH", default=None,
+                        help="scenario config file (flat key = value lines)")
+    parser.add_argument("--out", metavar="DIR", default=None,
+                        help="output directory (default: out)")
+    parser.add_argument("--override", metavar="KEY=VALUE", action="append",
+                        default=[], help="override a config key (repeatable)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="concurrent sweep points (default 1)")
     return parser
 
 

@@ -43,8 +43,9 @@ __all__ = [
 ]
 
 DEFECT_TOL = 1e-5        # largest norm defect propagate() accepts
-_DELAY_XTOL = 1e-6       # response_delay tolerance in d, relative to the horizon
 _DELAY_NODES = 64        # Gauss-Legendre nodes of the response_delay objective
+_DELAY_GRID = 21         # delays per round of response_delay: a bracket of 2 spacings, 10x narrower
+_DELAY_ROUNDS = 3        # its rounds: at the last spacing, T/4000, the vertex is within ~2e-6 T
 _RAMP = 32               # steps at each size below step (twice that at the first)
 SAMPLES = 501            # propagate's default sample times, uniform on [0, T]
 _MAX_SCALE = 600.0       # the largest e-fold rho*T the fill scales the records up by
@@ -261,11 +262,14 @@ def _decayed_integral(c, t0, w, rho):
 def response_delay(trace: ProbabilityTrace) -> float:
     """Delay d minimizing the mean-square gap between r(t) and 1 - s(t - d).
 
-    Bounded Brent search on d in [0, T/2].  The objective is
-    (1/(T - d)) Int_d^T (r(t) - 1 + s(t - d))^2 dt on cubic splines of the
-    samples, by fixed Gauss-Legendre nodes on [d, T], so it is continuous in
-    d.  Raises :class:`NoResponse` when r never reaches 0.5 inside the
-    horizon.
+    The objective is (1/(T - d)) Int_d^T (r(t) - 1 + s(t - d))^2 dt on cubic
+    splines of the samples, by fixed Gauss-Legendre nodes on [d, T], so it is
+    continuous in d.  A bracket search on [0, T/2]: each of _DELAY_ROUNDS
+    rounds evaluates it at _DELAY_GRID delays across the bracket in one call
+    per spline, and the next bracket is the best delay's two neighbours.  The
+    last best delay moves to the vertex of the parabola through it and its
+    neighbours.  Raises :class:`NoResponse` when r never reaches 0.5 inside
+    the horizon.
     """
     t, s, r = trace.t, trace.s, trace.r
     if r.max() < 0.5:
@@ -273,49 +277,18 @@ def response_delay(trace: ProbabilityTrace) -> float:
     c = PiecewisePoly.cubic(t, np.stack([s, r], axis=1)).c
     s_of, r_of = PiecewisePoly(t, c[..., 0]), PiecewisePoly(t, c[..., 1])
     u, w = gauss_legendre(_DELAY_NODES)
-    T = t[-1]
-
-    def mse(d):
-        tt = d + (T - d) * u
-        return float(w @ (r_of(tt) - 1.0 + s_of(tt - d)) ** 2)
-
-    return float(_fminbound(mse, 0.0, T / 2.0, _DELAY_XTOL * T))
-
-
-def _fminbound(f, a, b, xatol):
-    """Bounded Brent minimization of f on [a, b], step for step scipy's ``fminbound``:
-    a parabola through the best three points where its minimum falls well inside
-    the bracket, else a golden-section step; at most 500 evaluations."""
-    g = 0.5 * (3.0 - math.sqrt(5.0))
-    x = w = v = a + g * (b - a)  # the best point, the second best and the one before
-    fx = fw = fv = f(x)
-    d = e = 0.0
-    for _ in range(499):
-        xm, tol = 0.5 * (a + b), math.sqrt(2.2e-16) * abs(x) + xatol / 3.0
-        if not abs(x - xm) > 2.0 * tol - 0.5 * (b - a):
-            break
-        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
-        p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
-        p, q = -p if q > 0.0 else p, abs(q)
-        if abs(e) > tol and abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-            e, d = d, (p + 0.0) / q
-            if min(x + d - a, b - (x + d)) < 2.0 * tol:
-                d = tol if xm >= x else -tol
-        else:
-            e = a - x if x >= xm else b - x
-            d = g * e
-        u = x + math.copysign(max(abs(d), tol), d)
-        fu = f(u)
-        if fu <= fx:
-            a, b = (x, b) if u >= x else (a, x)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            a, b = (u, b) if u < x else (a, u)
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return x
+    T, lo, hi = t[-1], 0.0, t[-1] / 2.0
+    for _ in range(_DELAY_ROUNDS):
+        d = np.linspace(lo, hi, _DELAY_GRID)
+        tt = d[:, None] + (T - d[:, None]) * u  # (delays x nodes)
+        f = (r_of(tt) - 1.0 + s_of(tt - d[:, None])) ** 2 @ w
+        i = int(np.argmin(f))
+        lo, hi = d[max(i - 1, 0)], d[min(i + 1, _DELAY_GRID - 1)]
+    if 0 < i < _DELAY_GRID - 1:  # the parabola's vertex, within half a spacing of d[i]
+        down, up = f[i - 1] - f[i], f[i + 1] - f[i]
+        if down + up > 0.0:
+            return float(d[i] + (d[1] - d[0]) / 2.0 * (down - up) / (down + up))
+    return float(d[i])
 
 
 def decay_rate_trace(trace: ProbabilityTrace):

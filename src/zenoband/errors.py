@@ -40,7 +40,7 @@ class WindowTooNarrow(ZenobandError):
 
 
 class ToleranceNotMet(ZenobandError):
-    """A finished result fails its own check: the propagator's norm defect or the line's area."""
+    """A finished result fails its own check: a norm defect, a line's area or its transform at 0."""
 
 
 class NoResponse(ZenobandError):

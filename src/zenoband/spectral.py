@@ -40,6 +40,10 @@ _NEAR_PAIRS = 8192
 # Largest normalization defect spectral_function() accepts.  Measured route gaps
 # run 2-4x the defect, so 2e-4 keeps the spectral route inside the 1e-3 cross-route gate.
 DEFECT_TOL = 2e-4
+# Largest |f(0) - (area + tails)| survival_amplitude_spectral() accepts: up to 2e-10 measured
+# on Fig. 3, flat and n = 1600 centred bands; of 1,696 drawn configs, those with route gaps <= 1e-6
+# missed by <= 9.5e-8, the 15 past 2e-7 (n = 1600, far off the line) had gaps of 2.4e-6 to 2.7e-4
+TRANSFORM_TOL = 2e-7
 
 
 @dataclass(frozen=True)
@@ -148,15 +152,19 @@ def spectral_function(grid: FormFactorGrid, omega: float) -> SpectralFunction:
         raise WindowTooNarrow(
             "A(E) has not decayed to 1e-6 of its peak at the spectral window edge")
     line = PiecewisePoly.cubic(E - omega, A)
-    area = float(line.antiderivative()(line.x[-1]))  # from line.x[0]
-    # analytic mass of the (gamma/2pi)/(E-omega)^2 tails beyond the window
-    tail = free_value(grid.gamma) * (1.0 / (hi - omega) + 1.0 / (omega - lo))
-    defect = abs(1.0 - (area + tail))
+    defect = abs(1.0 - _mass(line, grid.gamma, hi - omega, omega - lo))
     if not defect <= DEFECT_TOL:
         raise ToleranceNotMet(f"normalization defect {defect:.3e} exceeds {DEFECT_TOL:.1e}")
     return SpectralFunction(E=E, A=A, line=line, sigma_omega=sigma_omega,
                             normalization_defect=defect,
                             omega=omega, gamma=grid.gamma, window=(lo, hi))
+
+
+def _mass(line: PiecewisePoly, gamma: float, above: float, below: float) -> float:
+    """The area under ``line`` plus the (gamma/2pi)/(E-omega)^2 tails past the window edges
+    ``above`` and ``below`` omega."""
+    area = float(line.antiderivative()(line.x[-1]))  # from line.x[0]
+    return area + free_value(gamma) * (1.0 / above + 1.0 / below)
 
 
 def _times(t):
@@ -182,10 +190,14 @@ def survival_amplitude_spectral(sf: SpectralFunction, t) -> np.ndarray:
     order, a Taylor series in cumulative moments Sum J_3 x^{m+4}.  The
     analytic free-tail transform is added beyond the window.  Times beyond
     2 pi over the largest cell of the mass-carrying region raise
-    :class:`HorizonExceeded`.  The sorted distinct times are transformed: the
-    order and repeats of ``t`` change no bit, other batches agree to ~1e-15.
+    :class:`HorizonExceeded`.  The transform checks itself at t = 0, where it
+    must give the spline's area plus the tails: a miss past ``TRANSFORM_TOL``
+    raises :class:`ToleranceNotMet`.  The sorted distinct times, and 0, are
+    transformed: the order and repeats of ``t`` change no bit, other batches
+    agree to ~1e-15.
     """
-    t_arr, restore = _times(t)
+    t_req, restore = _times(t)
+    t_arr = np.r_[0.0, t_req] if t_req[0] > 0.0 else t_req
     core = sf.A > 1e-3 * sf.A.max()
     d_core = np.diff(sf.E)[core[:-1] & core[1:]]
     horizon = 2.0 * np.pi / d_core.max() if d_core.size else np.inf
@@ -224,7 +236,11 @@ def survival_amplitude_spectral(sf: SpectralFunction, t) -> np.ndarray:
     for sgn, W in ((+1, sf.window[1] - sf.omega), (-1, sf.omega - sf.window[0])):
         c_int, s_int = free_tail_moments(W, t_arr)
         out += free_value(sf.gamma) * (c_int - 1j * sgn * s_int)
-    return restore(out * np.exp(-1j * t_arr * sf.omega))
+    miss = abs(out[0] - _mass(sf.line, sf.gamma, sf.window[1] - sf.omega, sf.omega - sf.window[0]))
+    if not miss <= TRANSFORM_TOL:
+        raise ToleranceNotMet(f"the transform misses its own mass at t = 0 by {miss:.3e}, "
+                              f"past {TRANSFORM_TOL:.0e}")
+    return restore(out[len(t_arr) - len(t_req):] * np.exp(-1j * t_req * sf.omega))
 
 
 def perturbative_decay(grid: FormFactorGrid, omega: float, t) -> np.ndarray:
@@ -271,7 +287,7 @@ def perturbative_decay(grid: FormFactorGrid, omega: float, t) -> np.ndarray:
         row = np.repeat(np.arange(r0, r1), c)
         node = np.arange(last[-1] + 1) + np.repeat(a[r0:r1] - first, c)
         xs, ts = x[node], t_arr[row]
-        G = kernel_antiderivatives(xs, ts, np.exp(0.5j * np.abs(xs) * ts))
+        G = kernel_antiderivatives(xs, ts)
         ends = np.r_[first, last]  # a row's end node past lim keeps only its smooth part
         ends = ends[np.abs(xs[ends]) >= lim[row[ends]]]
         for g, f in zip(G, kernel_smooth_parts(xs[ends], ts[ends])):

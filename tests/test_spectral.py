@@ -14,6 +14,7 @@ from zenoband import (
     ModelParams,
     QuadratureFailure,
     SpectralFunction,
+    ToleranceNotMet,
     discretize_continuum,
     form_factor_grid,
     free_value,
@@ -188,6 +189,35 @@ class TestSurvivalAmplitude:
         assert np.abs(survival_amplitude_spectral(sf, t) - want).max() <= bound
         f = survival_amplitude_spectral(sf, t[-7])
         assert np.ndim(f) == 0 and abs(f - want[-7]) <= bound
+
+    # |f(0) - (area + tails)|: 9e-14 to 4e-12 measured on the Fig. 3, flat and anti-Zeno sets,
+    # 2.1e-10 on the centred n = 1600 band; the last band, n = 1600 far off the line, misses
+    # by 1.4e-5 (route gap 7.3e-5, normalization defect 2.4e-9)
+    @pytest.mark.parametrize("band,misses", [
+        (dict(eta=100.0, delta=FIG_DELTA), False), (dict(eta=10.0, delta=FIG_DELTA), False),
+        (dict(eta=1000.0, delta=1000.0 / (2 * math.pi)), False),
+        (dict(eta=100.0, delta=15.9155, n=None), False),
+        (dict(eta=100.0, delta=15.9155, n=None, center=39.0), False),
+        (dict(eta=12.4, delta=8.5, n=12, center=13.3), False),
+        (dict(eta=100.0, delta=15.9155, n=400), False),
+        (dict(eta=100.0, delta=15.9155, n=1600), False),
+        (dict(eta=1.736, delta=1.417, n=1600, center=-126.5), True)],
+        ids=["solid", "dotted", "broken", "flat", "flat-39", "anti-zeno", "n400", "n1600",
+             "n1600-far"])
+    def test_checks_itself_at_t_zero(self, band, misses):
+        m = validate_params(ModelParams(gamma=GAMMA, band=DetectorBand(**band)))
+        sf = spectral_function(form_factor_grid(m.band, GAMMA, formfactor._default_window(
+            m.band, GAMMA, 0.0)), 0.0)
+        t = np.linspace(0.01, 5.0, 50)  # without 0: the transform adds it
+        if misses:
+            with pytest.raises(ToleranceNotMet, match="at t = 0 by 1.38"):
+                survival_amplitude_spectral(sf, t)
+            return
+        mass = spectral._mass(sf.line, GAMMA, sf.window[1], -sf.window[0])
+        assert abs(survival_amplitude_spectral(sf, 0.0) - mass) <= 1e-9
+        np.testing.assert_allclose(survival_amplitude_spectral(sf, t),
+                                   survival_amplitude_spectral(sf, np.r_[0.0, t])[1:],
+                                   rtol=0.0, atol=1e-15)
 
     def test_horizon_guard(self, free_grid):
         sf = spectral_function(free_grid, 0.0)
