@@ -40,25 +40,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_overrides(pairs):
-    out = {}
-    for item in pairs:
-        if "=" not in item:
-            raise ConfigError(f"--override expects KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        overrides = _parse_overrides(args.override)
-        products = () if args.command == "sweep" else (args.command,)
+        bad = [item for item in args.override if "=" not in item]
+        if bad:
+            raise ConfigError(f"--override expects KEY=VALUE, got {bad[0]!r}")
         cfg = load_scenario(
             path=args.config,
-            overrides=overrides,
-            products=products,
+            overrides=dict(map(str.strip, item.split("=", 1)) for item in args.override),
+            products=() if args.command == "sweep" else (args.command,),
             out_dir=args.out,
             threads=args.threads,
             defaults=FIG_DEFAULTS.get(args.command),

@@ -253,15 +253,6 @@ def product_fig3(models: Sequence[ModelParams]):
 _PRODUCT_FUNCS = {name: globals()[f"product_{name}"] for name in PRODUCTS}
 
 
-def _concat(results) -> Tuple[List[str], List[str]]:
-    """Join (files, lines) pairs in order."""
-    files, lines = [], []
-    for f, s in results:
-        files += f
-        lines += s
-    return files, lines
-
-
 def _run_point(point) -> Tuple[List[str], List[str]]:
     """Run every product of the point, then write its files: all of them, or none on a raise."""
     products, out_dir, model, fig3 = point
@@ -330,5 +321,7 @@ def run_scenario(cfg: ScenarioConfig) -> Tuple[List[str], List[str]]:
     workers = min(cfg.threads, len(points))  # a fork pool starts every worker at once
     if workers > 1:
         with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
-            return _concat(pool.map(_run_point, points))
-    return _concat(map(_run_point, points))
+            done = list(pool.map(_run_point, points))
+    else:
+        done = list(map(_run_point, points))
+    return [p for paths, _ in done for p in paths], [s for _, lines in done for s in lines]
